@@ -10,7 +10,6 @@ its run directory.  IMBSSL_OUTPUT_ROOT sets the default output root
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import os
@@ -24,7 +23,7 @@ from .diagnostics import evaluate
 from .distributions import anchor_set_from_json, default_anchor_set, match_anchor
 from .mixture import (BinaryMixtureSpec, monte_carlo_pseudo_label_probabilities,
                       pseudo_label_probabilities)
-from .trainer import TrainingAborted, train
+from .trainer import TrainingAborted, _json_dump, _write_csv, train
 
 __all__ = ["main"]
 
@@ -104,12 +103,7 @@ def cmd_verify_theorem(args) -> int:
             "max_abs_diff": diff,
         })
     if args.out:
-        cols = list(rows[0].keys())
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(cols)
-            for row in rows:
-                writer.writerow([repr(float(row[c])) for c in cols])
+        _write_csv(args.out, rows, list(rows[0]))
     failures = sum(row["max_abs_diff"] > args.tolerance for row in rows)
     print(f"verify-theorem: {len(rows)} grid points, {args.samples} samples each")
     print(f"worst per-component |analytic - MC| = {worst:.6f} (tolerance {args.tolerance})")
@@ -213,14 +207,11 @@ def cmd_match_distribution(args) -> int:
         print(f"{anchor.kind:<20} {c:>4g} {kl:>12.6f}{marker}")
     print(f"o* = {match.kind}, c = {match.expansion_factor:g}, gamma_u = {match.gamma_u:.4f}")
     if args.json_out:
-        payload = {
+        _json_dump(args.json_out, {
             "o_star": match.kind, "o_star_index": match.index,
             "c": match.expansion_factor, "gamma_u": match.gamma_u,
             "kl_values": list(match.kl_values),
-        }
-        with open(args.json_out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
     return 0
 
 

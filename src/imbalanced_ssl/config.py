@@ -178,7 +178,11 @@ class RunConfig:
                 "output_dir": self.output_dir}
 
     def config_hash(self) -> str:
-        payload = json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
+        """SHA-256 of the resolved form without ``output_dir``: where a run is
+        written does not change the experiment."""
+        obj = self.to_json_obj()
+        del obj["output_dir"]
+        payload = json.dumps(obj, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def with_overrides(self, seed: int | None = None, output_dir: str | None = None) -> "RunConfig":

@@ -25,14 +25,11 @@ __all__ = [
     "Dataset",
     "class_centers",
     "generate",
-    "weak_augment",
-    "strong_augment",
     "weak_augment_batch",
     "strong_augment_batch",
     "dataset_to_csv",
 ]
 
-DEFAULT_WEAK_STRENGTH = 0.25
 DEFAULT_STRONG_STRENGTH = 1.0
 DEFAULT_DROPOUT = 0.2
 
@@ -183,34 +180,16 @@ def generate(task: TaskSpec, labeled_dist: ClassDistribution | np.ndarray,
                    unlabeled_x=ux, test_x=tx, test_y=ty, _unlabeled_y=uy)
 
 
-def weak_augment(x: np.ndarray, noise: float, strength: float = DEFAULT_WEAK_STRENGTH,
-                 seed: int = 0) -> np.ndarray:
-    """Additive Gaussian jitter: x + N(0, (strength*noise)^2 I)."""
-    if strength < 0.0:
-        raise ValueError("strength must be >= 0")
-    rng = np.random.default_rng(seed)
-    return weak_augment_batch(np.asarray(x, dtype=np.float64), noise, strength, rng)
-
-
-def strong_augment(x: np.ndarray, noise: float, strength: float = DEFAULT_STRONG_STRENGTH,
-                   dropout: float = DEFAULT_DROPOUT, seed: int = 0) -> np.ndarray:
-    """Heavy corruption: full-scale Gaussian noise plus independent zeroing
-    of each coordinate with probability ``dropout``."""
-    if strength < 0.0:
-        raise ValueError("strength must be >= 0")
-    if not 0.0 <= dropout < 1.0:
-        raise ValueError("dropout must lie in [0, 1)")
-    rng = np.random.default_rng(seed)
-    return strong_augment_batch(np.asarray(x, dtype=np.float64), noise, strength, dropout, rng)
-
-
 def weak_augment_batch(x: np.ndarray, noise: float, strength: float,
                        rng: np.random.Generator) -> np.ndarray:
+    """Additive Gaussian jitter: x + N(0, (strength*noise)^2 I)."""
     return x + (strength * noise) * rng.standard_normal(x.shape)
 
 
 def strong_augment_batch(x: np.ndarray, noise: float, strength: float, dropout: float,
                          rng: np.random.Generator) -> np.ndarray:
+    """Heavy corruption: Gaussian noise at ``strength*noise`` plus independent
+    zeroing of each coordinate with probability ``dropout``."""
     out = x + (strength * noise) * rng.standard_normal(x.shape)
     if dropout > 0.0:
         keep = rng.random(x.shape) >= dropout

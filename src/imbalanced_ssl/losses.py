@@ -207,6 +207,8 @@ class StepLosses:
     ``head_grads_labeled``/``head_grads_strong`` are dL_total/dlogits per head
     for the labeled and strong-view forward passes, weights folded in; feed
     them to backward() with the matching caches and sum the results.
+    ``finite_logits`` is the step's one finiteness check on its nine logit
+    arrays; when it is False no value in the bundle is meaningful.
     """
 
     total: float
@@ -220,9 +222,9 @@ class StepLosses:
     cache_labeled: ForwardCache
     cache_strong: ForwardCache
     pseudo_hist: dict[str, np.ndarray]
-    mask_rate_per_class: dict[str, np.ndarray]
     mask_rate_head: float
     mask_rate_nonhead: float
+    finite_logits: bool
 
 
 def _aggregate_mask_rates(report: LossReport, head_classes: np.ndarray) -> tuple[float, float]:
@@ -266,6 +268,8 @@ def total_loss(model: Model, labeled_x: np.ndarray, labeled_y: np.ndarray,
     logits_l = {h: head_logits(model.heads[h], feats_l) for h in network.HEAD_NAMES}
     logits_w = {h: head_logits(model.heads[h], feats_w) for h in network.HEAD_NAMES}
     logits_s = {h: head_logits(model.heads[h], feats_s) for h in network.HEAD_NAMES}
+    finite_logits = all(bool(np.isfinite(z).all())
+                        for logits in (logits_l, logits_w, logits_s) for z in logits.values())
 
     ce_o, g_ce_o = cross_entropy_with_grad(logits_l["original"], labeled_y)
     sup_b, g_sup_b = balanced_softmax_loss(logits_l["output"], labeled_y, tau_b, adj)
@@ -289,16 +293,14 @@ def total_loss(model: Model, labeled_x: np.ndarray, labeled_y: np.ndarray,
         "expansive": lambda_u * con_e.logit_gradients,
     }
     pseudo_hist = {}
-    mask_rate_per_class = {}
     for name, rep in (("original", con_o), ("output", con_b), ("expansive", con_e)):
         pseudo_hist[name] = np.bincount(rep.pseudo_labels[rep.mask], minlength=k)
-        mask_rate_per_class[name] = rep.per_class_mask_rate
     rate_head, rate_nonhead = _aggregate_mask_rates(con_b, np.asarray(head_classes, dtype=bool))
     return StepLosses(
         total=total, l_basic=l_basic, l_sup_b=sup_b, l_con_b=con_b.value,
         l_sup_e=sup_e, l_con_e=con_e.value,
         head_grads_labeled=head_grads_labeled, head_grads_strong=head_grads_strong,
         cache_labeled=cache_l, cache_strong=cache_s,
-        pseudo_hist=pseudo_hist, mask_rate_per_class=mask_rate_per_class,
-        mask_rate_head=rate_head, mask_rate_nonhead=rate_nonhead,
+        pseudo_hist=pseudo_hist, mask_rate_head=rate_head, mask_rate_nonhead=rate_nonhead,
+        finite_logits=finite_logits,
     )

@@ -1,135 +1,17 @@
-"""Standard normal CDF built on an in-repo rational approximation of erf.
+"""Standard normal CDF through the platform's complementary error function.
 
-The only platform math used is ``exp`` (plus arithmetic), so the values are
-reproducible across interpreters and easy to port.  The approximation is the
-classic Cody rational-Chebyshev scheme for erf/erfc, accurate to roughly
-double-precision rounding error, far inside the 1e-9 contract of
-:func:`standard_normal_cdf`.
-
-Symmetry Phi(-x) = 1 - Phi(x) holds to float rounding by construction:
-erf is computed as an odd function of x, and erfc(-x) is derived from
-erfc(x) through the exact complement ``2 - erfc(x)``.
+Phi(x) = erfc(-x / sqrt(2)) / 2.  ``math.erfc`` is accurate to a few float64
+ulps over the whole line and underflows cleanly to 0 in the far left tail,
+so the CDF keeps full relative accuracy where its values are tiny.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-__all__ = ["erf", "erfc", "standard_normal_cdf"]
+__all__ = ["standard_normal_cdf"]
 
 _SQRT1_2 = 0.7071067811865475244008443621  # 1/sqrt(2)
-
-# Cody (1969) rational coefficients, regions |z| <= 0.46875,
-# 0.46875 < z <= 4, z > 4.
-_P0 = (
-    3.209377589138469472562e3,
-    3.774852376853020208137e2,
-    1.138641541510501556495e2,
-    3.161123743870565596947e0,
-    1.857777061846031526730e-1,
-)
-_Q0 = (
-    2.844236833439170622273e3,
-    1.282616526077372275645e3,
-    2.440246379344441733056e2,
-    2.360129095234412093499e1,
-    1.0,
-)
-_P1 = (
-    1.23033935479799725272e3,
-    2.05107837782607146532e3,
-    1.71204761263407058314e3,
-    8.81952221241769090411e2,
-    2.98635138197400131132e2,
-    6.61191906371416294775e1,
-    8.88314979438837594118e0,
-    5.64188496988670089180e-1,
-    2.15311535474403846343e-8,
-)
-_Q1 = (
-    1.23033935480374942043e3,
-    3.43936767414372163696e3,
-    4.36261909014324715820e3,
-    3.29079923573345962678e3,
-    1.62138957456669018874e3,
-    5.37181101862009857509e2,
-    1.17693950891312499305e2,
-    1.57449261107098347253e1,
-    1.0,
-)
-_P2 = (
-    -6.58749161529837803157e-4,
-    -1.60837851487422766278e-2,
-    -1.25781726111229246204e-1,
-    -3.60344899949804439429e-1,
-    -3.05326634961232344035e-1,
-    -1.63153871373020978498e-2,
-)
-_Q2 = (
-    2.33520497626869185443e-3,
-    6.05183413124413191178e-2,
-    5.27905102951428412248e-1,
-    1.87295284992346047209e0,
-    2.56852019228982242072e0,
-    1.0,
-)
-
-_ONE_OVER_SQRT_PI = 5.6418958354775628694807945156e-1
-
-
-def _poly(coeffs, x):
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _erf_small(z):
-    # |z| <= 0.46875: erf(z) = z * P0(z^2)/Q0(z^2), odd in z.
-    z2 = z * z
-    return z * _poly(_P0, z2) / _poly(_Q0, z2)
-
-
-def _erfc_mid(z):
-    # 0.46875 < z <= 4: erfc(z) = exp(-z^2) * P1(z)/Q1(z).
-    return math.exp(-z * z) * _poly(_P1, z) / _poly(_Q1, z)
-
-
-def _erfc_large(z):
-    # z > 4: erfc(z) = exp(-z^2)/z * (1/sqrt(pi) + P2(1/z^2)/Q2(1/z^2) / z^2).
-    inv2 = 1.0 / (z * z)
-    r = _ONE_OVER_SQRT_PI + inv2 * _poly(_P2, inv2) / _poly(_Q2, inv2)
-    # Underflows cleanly to 0 for z beyond ~27.
-    try:
-        e = math.exp(-z * z)
-    except OverflowError:  # pragma: no cover - not reachable for finite z
-        return 0.0
-    return e / z * r
-
-
-def erf(x: float) -> float:
-    """Error function, |error| within a few float64 ulps."""
-    z = abs(x)
-    if z <= 0.46875:
-        return _erf_small(x)
-    if z <= 4.0:
-        c = _erfc_mid(z)
-    else:
-        c = _erfc_large(z)
-    return 1.0 - c if x > 0.0 else c - 1.0
-
-
-def erfc(x: float) -> float:
-    """Complementary error function 1 - erf(x), accurate in the far tail."""
-    if x < -0.46875:
-        return 2.0 - erfc(-x)
-    if x <= 0.46875:
-        return 1.0 - _erf_small(x)
-    if x <= 4.0:
-        return _erfc_mid(x)
-    return _erfc_large(x)
 
 
 def standard_normal_cdf(x: float) -> float:
@@ -140,17 +22,4 @@ def standard_normal_cdf(x: float) -> float:
     xf = float(x)
     if not math.isfinite(xf):
         raise ValueError(f"standard_normal_cdf requires finite input, got {x!r}")
-    return 0.5 * erfc(-xf * _SQRT1_2)
-
-
-def standard_normal_cdf_array(x: np.ndarray) -> np.ndarray:
-    """Elementwise :func:`standard_normal_cdf` for convenience in vector code."""
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("standard_normal_cdf requires finite input")
-    out = np.empty_like(arr)
-    flat_in = arr.ravel()
-    flat_out = out.ravel()
-    for i in range(flat_in.size):
-        flat_out[i] = 0.5 * erfc(-flat_in[i] * _SQRT1_2)
-    return out
+    return 0.5 * math.erfc(-xf * _SQRT1_2)

@@ -2,6 +2,10 @@
 initialization, joint optimization of three heads, controller ticks, and
 per-epoch measurement.
 
+``train`` only orchestrates: ``_train_step`` runs one SGD step,
+``_estimate_and_match`` closes the estimation phase, ``_epoch_rows`` measures
+an epoch, and ``write_run_artifacts`` writes the run directory.
+
 Seed streams (all derived from the training seed, documented so runs are
 reproducible byte for byte):
 
@@ -13,7 +17,8 @@ reproducible byte for byte):
 
 Run-directory artifacts (no timestamps anywhere, reruns are byte-identical):
 config.json, metrics.csv, losses.csv, thresholds.csv, bias.csv,
-checkpoint.json, summary.json; aborted runs add abort.json.
+checkpoint.json, summary.json; aborted runs write abort.json and
+checkpoint.json only.
 """
 
 from __future__ import annotations
@@ -26,13 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network
-from .config import RunConfig
-from .control import (ThresholdState, extract_bias_vector, init_thresholds,
-                      update_thresholds)
-from .control import estimate_unlabeled_distribution
+from .config import RunConfig, TrainSection
+from .control import (ThresholdState, estimate_unlabeled_distribution, extract_bias_vector,
+                      init_thresholds, update_thresholds)
 from .data import Dataset, strong_augment_batch, weak_augment_batch
 from .diagnostics import bias_pattern_report, evaluate, separation_violation_rate
-from .distributions import AnchorMatch, head_mask, match_anchor, rescale_anchor
+from .distributions import (AnchorMatch, AnchorSet, head_mask, match_anchor,
+                            rescale_anchor)
 from .losses import LogitAdjustment, total_loss
 from .mixture import denoising_bound
 from .network import Model, OptimizerState, backward, init_model, sgd_step
@@ -52,7 +57,8 @@ _PROBE_AUG_STREAM = 23
 
 
 class TrainingAborted(RuntimeError):
-    """Non-finite loss; carries a diagnostic snapshot (CLI exit code 3)."""
+    """Non-finite logits or loss; carries a diagnostic snapshot (CLI exit
+    code 3)."""
 
     def __init__(self, message: str, snapshot: dict):
         super().__init__(message)
@@ -81,23 +87,131 @@ def _sample_batch(rng: np.random.Generator, x: np.ndarray, batch: int,
     return x[idx], y[idx]
 
 
-def _epoch_metrics(model: Model, dataset: Dataset, head_classes: np.ndarray) -> dict:
-    reports = {
-        "original": evaluate(model, dataset.test_x, dataset.test_y, head="original"),
-        "output": evaluate(model, dataset.test_x, dataset.test_y, head="output"),
-        "calibrated": evaluate(model, dataset.test_x, dataset.test_y, calibrated=True),
-        "expansive": evaluate(model, dataset.test_x, dataset.test_y, head="expansive"),
-    }
-    cal = reports["calibrated"]
-    row: dict = {}
-    for name, rep in reports.items():
-        row[f"acc_{name}"] = rep.accuracy
-        row[f"bacc_{name}"] = rep.balanced_accuracy
+# the loss components of one step, in losses.csv and abort.json
+_LOSS_COMPONENTS = ("total", "l_basic", "l_sup_b", "l_con_b", "l_sup_e", "l_con_e")
+_LOSS_COLUMNS = ("step", *_LOSS_COMPONENTS, "mask_rate_head", "mask_rate_nonhead")
+
+
+def _train_step(model: Model, opt: OptimizerState, state: ThresholdState,
+                class_weights: np.ndarray | None, control: bool, dataset: Dataset,
+                t: TrainSection, adj: LogitAdjustment, head_classes: np.ndarray,
+                batch_rng: np.random.Generator, aug_rng: np.random.Generator,
+                epoch: int, step: int) -> tuple[ThresholdState, dict, dict]:
+    """One SGD step on a fresh labeled batch and a weak/strong pair of one
+    unlabeled batch, then one controller tick when ``control`` is on.
+
+    Returns the thresholds after the tick, the losses.csv row and the step's
+    per-head pseudo-label histograms.  Divergence is one explicit check: the
+    step's logits and total loss must be finite, otherwise TrainingAborted
+    carries the loss components (None when the logits already were not).
+    Floating-point warnings are off from the forward pass through the update:
+    an overflow there shows up as non-finite logits or loss, at this step or
+    the next, and the check reports it.
+    """
+    xl, yl = _sample_batch(batch_rng, dataset.labeled_x, t.labeled_batch, dataset.labeled_y)
+    xu = _sample_batch(batch_rng, dataset.unlabeled_x, t.unlabeled_batch)
+    noise = dataset.task.noise
+    weak = weak_augment_batch(xu, noise, t.weak_strength, aug_rng)
+    strong = strong_augment_batch(xu, noise, t.strong_strength, t.dropout, aug_rng)
+    with np.errstate(over="ignore", invalid="ignore"):
+        losses = total_loss(
+            model, xl, yl, weak, strong, adj,
+            rho_b=state.rho_b, rho_e=state.rho_e, rho_max=t.rho_max,
+            head_classes=head_classes, tau_b=t.tau_b, tau_e=t.tau_e,
+            lambda_u=t.lambda_u, lambda_basic=t.lambda_basic,
+            class_weights=class_weights, output_pseudo_source=t.output_pseudo_source,
+        )
+        row = {"step": step, **{col: getattr(losses, col) for col in _LOSS_COLUMNS[1:]}}
+        if not (losses.finite_logits and np.isfinite(losses.total)):
+            components = ({name: row[name] for name in _LOSS_COMPONENTS}
+                          if losses.finite_logits else None)
+            what = "loss" if losses.finite_logits else "logits"
+            raise TrainingAborted(f"non-finite {what} at step {step}",
+                                  {"epoch": epoch, "step": step, "components": components})
+        grads_l = backward(model, losses.cache_labeled, losses.head_grads_labeled)
+        grads_s = backward(model, losses.cache_strong, losses.head_grads_strong)
+        sgd_step(model, {name: grads_l[name] + grads_s[name] for name in grads_l}, opt)
+    if control:
+        state = update_thresholds(state, extract_bias_vector(model))
+    return state, row, losses.pseudo_hist
+
+
+def _estimate_and_match(model: Model, dataset: Dataset, anchor_set: AnchorSet,
+                        head_classes: np.ndarray, t: TrainSection):
+    """Close the estimation phase: histogram the calibrated predictions on
+    the unlabeled split, KL-match it against the anchors, and initialize the
+    thresholds (and, with ``reweight_unlabeled``, the 1/prior class weights)
+    from the matched anchor.  Returns (match, estimated, state, class_weights)."""
+    estimated = estimate_unlabeled_distribution(model, dataset.unlabeled_x)
+    match = match_anchor(estimated, anchor_set)
+    state = init_thresholds(match.expansion_factor, match.gamma_u, head_classes,
+                            alpha=t.alpha, nu=t.nu, rho_max=t.rho_max,
+                            rho_floor=t.rho_floor)
+    class_weights = None
+    if t.reweight_unlabeled:
+        q = rescale_anchor(anchor_set.anchors[match.index].proportions,
+                           np.asarray(estimated, dtype=np.float64))
+        inv = 1.0 / q
+        class_weights = inv / inv.mean()
+    return match, estimated, state, class_weights
+
+
+# metrics.csv: the leading block is also the summary's "final" record
+_EVALUATED = ("original", "output", "calibrated", "expansive")
+_SUMMARY_METRICS = (*(f"{m}_{name}" for name in _EVALUATED for m in ("acc", "bacc")),
+                    "recall_head", "recall_nonhead", "mu_hat", "denoise_bound")
+_THRESHOLD_COLUMNS = ("epoch", "class", "rho_b", "rho_e", "b_opt")
+
+
+def _metric_columns(k: int) -> list[str]:
+    return ["epoch", *_SUMMARY_METRICS, "mask_rate_head", "mask_rate_nonhead",
+            *(f"recall_{c}" for c in range(k)),
+            *(f"hist_{name}_{c}" for name in network.HEAD_NAMES for c in range(k))]
+
+
+def _bias_columns(k: int) -> list[str]:
+    return ["epoch", "head", *(f"b_{c}" for c in range(k))]
+
+
+def _epoch_rows(model: Model, dataset: Dataset, t: TrainSection, head_classes: np.ndarray,
+                probe: np.ndarray, match: AnchorMatch | None, state: ThresholdState,
+                epoch: int, epoch_losses: list[dict], epoch_hists: list[dict]):
+    """One epoch's measurement: the metrics.csv row, the thresholds.csv rows
+    and the bias.csv rows.  ``epoch_losses``/``epoch_hists`` are the epoch's
+    per-step loss rows and pseudo-label histograms."""
+    k = model.k
+    x, y = dataset.test_x, dataset.test_y
+    reports = {name: evaluate(model, x, y, head=name) for name in network.HEAD_NAMES}
+    reports["calibrated"] = cal = evaluate(model, x, y, calibrated=True)
+    row: dict = {"epoch": epoch}
+    for name in _EVALUATED:
+        row[f"acc_{name}"] = reports[name].accuracy
+        row[f"bacc_{name}"] = reports[name].balanced_accuracy
     row["recall_head"] = cal.recall_over(head_classes)
     row["recall_nonhead"] = cal.recall_over(~head_classes)
-    for k, r in enumerate(cal.per_class_recall):
-        row[f"recall_{k}"] = float(r)
-    return row
+    row["mu_hat"] = separation_violation_rate(
+        model, "output", probe, t.probe_n_aug, dataset.task.noise,
+        strength=t.strong_strength, dropout=t.dropout,
+        seed=[t.seed, _PROBE_AUG_STREAM, epoch])
+    row["denoise_bound"] = (denoising_bound(match.expansion_factor, row["mu_hat"])
+                            if match is not None else None)
+    for col in ("mask_rate_head", "mask_rate_nonhead"):
+        row[col] = float(np.mean([r[col] for r in epoch_losses]))
+    for c, r in enumerate(cal.per_class_recall):
+        row[f"recall_{c}"] = float(r)
+    for name in network.HEAD_NAMES:
+        hist = np.sum([h[name] for h in epoch_hists], axis=0)
+        for c in range(k):
+            row[f"hist_{name}_{c}"] = int(hist[c])
+
+    b_opt = extract_bias_vector(model).b_opt
+    threshold_rows = [{"epoch": epoch, "class": c, "rho_b": float(state.rho_b[c]),
+                       "rho_e": float(state.rho_e[c]), "b_opt": float(b_opt[c])}
+                      for c in range(k)]
+    bias_rows = [{"epoch": epoch, "head": name,
+                  **{f"b_{c}": float(model.heads[name].b[c]) for c in range(k)}}
+                 for name in network.HEAD_NAMES]
+    return row, threshold_rows, bias_rows
 
 
 def train(config: RunConfig, dataset: Dataset | None = None, run_dir: str | None = None,
@@ -110,10 +224,10 @@ def train(config: RunConfig, dataset: Dataset | None = None, run_dir: str | None
         raise ValueError("training requires a nonempty unlabeled split")
     audit_start = dataset.audit_reads
     t = config.train
-    task = dataset.task
-    k = task.k
+    k = dataset.task.k
 
-    model = init_model(k=k, d=task.d, hidden=t.hidden, feature=t.feature, seed=t.seed)
+    model = init_model(k=k, d=dataset.task.d, hidden=t.hidden, feature=t.feature,
+                       seed=t.seed)
     opt = OptimizerState(learning_rate=t.learning_rate, momentum=t.momentum,
                          weight_decay=t.weight_decay)
     adj = LogitAdjustment.from_counts(dataset.labeled_counts())
@@ -130,185 +244,42 @@ def train(config: RunConfig, dataset: Dataset | None = None, run_dir: str | None
                                                  replace=False)].copy()
 
     est_epochs = t.resolved_estimation_epochs()
-    match: AnchorMatch | None = None
-    estimated: np.ndarray | None = None
-    class_weights: np.ndarray | None = None
-    controller_on = False
+    match = estimated = class_weights = None
+    if est_epochs == 0:
+        match, estimated, state, class_weights = _estimate_and_match(
+            model, dataset, anchor_set, head_classes, t)
 
     metrics_rows: list[dict] = []
     loss_rows: list[dict] = []
     threshold_rows: list[dict] = []
     bias_rows: list[dict] = []
-
-    def do_match() -> None:
-        nonlocal match, estimated, state, class_weights, controller_on
-        estimated = estimate_unlabeled_distribution(model, dataset.unlabeled_x)
-        match = match_anchor(estimated, anchor_set)
-        state = init_thresholds(match.expansion_factor, match.gamma_u, head_classes,
-                                alpha=t.alpha, nu=t.nu, rho_max=t.rho_max,
-                                rho_floor=t.rho_floor)
-        if t.reweight_unlabeled:
-            q = rescale_anchor(anchor_set.anchors[match.index].proportions,
-                               np.asarray(estimated, dtype=np.float64))
-            inv = 1.0 / q
-            class_weights = inv / inv.mean()
-        controller_on = True
-
-    if est_epochs == 0:
-        do_match()
-        if stop_after_estimation:
-            return _finalize(config, dataset, model, match, estimated, state,
-                             metrics_rows, loss_rows, threshold_rows, bias_rows,
-                             0, audit_start, run_dir)
-
-    global_step = 0
     for epoch in range(t.epochs):
-        hist_acc = {name: np.zeros(k, dtype=np.int64) for name in network.HEAD_NAMES}
-        included_acc = dict.fromkeys(network.HEAD_NAMES, 0)
-        rate_head_acc: list[float] = []
-        rate_nonhead_acc: list[float] = []
-        for _ in range(t.steps_per_epoch):
-            xl, yl = _sample_batch(batch_rng, dataset.labeled_x, t.labeled_batch,
-                                   dataset.labeled_y)
-            xu = _sample_batch(batch_rng, dataset.unlabeled_x, t.unlabeled_batch)
-            weak = weak_augment_batch(xu, task.noise, t.weak_strength, aug_rng)
-            strong = strong_augment_batch(xu, task.noise, t.strong_strength, t.dropout,
-                                          aug_rng)
-            try:
-                step_losses = total_loss(
-                    model, xl, yl, weak, strong, adj,
-                    rho_b=state.rho_b, rho_e=state.rho_e, rho_max=t.rho_max,
-                    head_classes=head_classes, tau_b=t.tau_b, tau_e=t.tau_e,
-                    lambda_u=t.lambda_u, lambda_basic=t.lambda_basic,
-                    class_weights=class_weights,
-                    output_pseudo_source=t.output_pseudo_source,
-                )
-            except (ValueError, FloatingPointError) as err:
-                # diverged parameters surface as a forward-pass overflow
-                # before any loss value exists to inspect; anything raised
-                # while the weights are still sane is a real bug, not divergence
-                w0 = model.backbone.weights[0]
-                if np.all(np.isfinite(w0)) and float(np.abs(w0).max()) < 1e30:
-                    raise
-                snapshot = {"epoch": epoch, "step": global_step,
-                            "components": None, "error": str(err)}
-                if run_dir is not None:
-                    _write_abort(run_dir, config, model, snapshot)
-                raise TrainingAborted(
-                    f"non-finite forward pass at step {global_step}: {err}",
-                    snapshot) from err
-            if not np.isfinite(step_losses.total):
-                snapshot = {
-                    "epoch": epoch, "step": global_step,
-                    "components": {
-                        "total": step_losses.total, "l_basic": step_losses.l_basic,
-                        "l_sup_b": step_losses.l_sup_b, "l_con_b": step_losses.l_con_b,
-                        "l_sup_e": step_losses.l_sup_e, "l_con_e": step_losses.l_con_e,
-                    },
-                }
-                if run_dir is not None:
-                    _write_abort(run_dir, config, model, snapshot)
-                raise TrainingAborted(f"non-finite loss at step {global_step}", snapshot)
-            grads_l = backward(model, step_losses.cache_labeled,
-                               step_losses.head_grads_labeled)
-            grads_s = backward(model, step_losses.cache_strong,
-                               step_losses.head_grads_strong)
-            grads = {name: grads_l[name] + grads_s[name] for name in grads_l}
-            sgd_step(model, grads, opt)
-            if controller_on:
-                state = update_thresholds(state, extract_bias_vector(model))
-            loss_rows.append({
-                "step": global_step,
-                "total": step_losses.total,
-                "l_basic": step_losses.l_basic,
-                "l_sup_b": step_losses.l_sup_b,
-                "l_con_b": step_losses.l_con_b,
-                "l_sup_e": step_losses.l_sup_e,
-                "l_con_e": step_losses.l_con_e,
-                "mask_rate_head": step_losses.mask_rate_head,
-                "mask_rate_nonhead": step_losses.mask_rate_nonhead,
-            })
-            for name in network.HEAD_NAMES:
-                hist_acc[name] += step_losses.pseudo_hist[name]
-                included_acc[name] += int(step_losses.pseudo_hist[name].sum())
-            rate_head_acc.append(step_losses.mask_rate_head)
-            rate_nonhead_acc.append(step_losses.mask_rate_nonhead)
-            global_step += 1
-
-        if epoch == est_epochs - 1 and match is None:
-            do_match()
-
-        row = {"epoch": epoch}
-        row.update(_epoch_metrics(model, dataset, head_classes))
-        row["mu_hat"] = separation_violation_rate(
-            model, "output", probe, t.probe_n_aug, task.noise,
-            strength=t.strong_strength, dropout=t.dropout,
-            seed=[t.seed, _PROBE_AUG_STREAM, epoch])
-        row["denoise_bound"] = (denoising_bound(match.expansion_factor, row["mu_hat"])
-                                if match is not None else None)
-        row["mask_rate_head"] = float(np.mean(rate_head_acc))
-        row["mask_rate_nonhead"] = float(np.mean(rate_nonhead_acc))
-        for name in network.HEAD_NAMES:
-            for cls in range(k):
-                row[f"hist_{name}_{cls}"] = int(hist_acc[name][cls])
-            row[f"_included_{name}"] = included_acc[name]
-        metrics_rows.append(row)
-
-        bias = extract_bias_vector(model)
-        for cls in range(k):
-            threshold_rows.append({
-                "epoch": epoch, "class": cls,
-                "rho_b": float(state.rho_b[cls]), "rho_e": float(state.rho_e[cls]),
-                "b_opt": float(bias.b_opt[cls]),
-            })
-        for name in network.HEAD_NAMES:
-            brow = {"epoch": epoch, "head": name}
-            for cls in range(k):
-                brow[f"b_{cls}"] = float(model.heads[name].b[cls])
-            bias_rows.append(brow)
-
         if stop_after_estimation and match is not None:
             break
+        hists = []
+        for _ in range(t.steps_per_epoch):
+            try:
+                state, loss_row, hist = _train_step(
+                    model, opt, state, class_weights, match is not None, dataset, t, adj,
+                    head_classes, batch_rng, aug_rng, epoch=epoch, step=len(loss_rows))
+            except TrainingAborted as err:
+                if run_dir is not None:
+                    _write_abort(run_dir, config, model, err.snapshot)
+                raise
+            loss_rows.append(loss_row)
+            hists.append(hist)
+        if epoch == est_epochs - 1:
+            match, estimated, state, class_weights = _estimate_and_match(
+                model, dataset, anchor_set, head_classes, t)
+        metrics_row, t_rows, b_rows = _epoch_rows(
+            model, dataset, t, head_classes, probe, match, state, epoch,
+            loss_rows[-t.steps_per_epoch:], hists)
+        metrics_rows.append(metrics_row)
+        threshold_rows += t_rows
+        bias_rows += b_rows
 
-    return _finalize(config, dataset, model, match, estimated, state, metrics_rows,
-                     loss_rows, threshold_rows, bias_rows,
-                     global_step, audit_start, run_dir)
-
-
-def _finalize(config: RunConfig, dataset: Dataset, model: Model,
-              match: AnchorMatch | None, estimated: np.ndarray | None,
-              state: ThresholdState, metrics_rows, loss_rows, threshold_rows,
-              bias_rows, global_step: int,
-              audit_start: int, run_dir: str | None) -> TrainResult:
-    audit_reads = dataset.audit_reads - audit_start
-    correlations = bias_pattern_report(model, dataset.labeled_counts())
-    final = metrics_rows[-1] if metrics_rows else {}
-
-    def _clean(v):
-        if v is None:
-            return None
-        f = float(v)
-        return None if not np.isfinite(f) else f
-
-    summary = {
-        "config_hash": config.config_hash(),
-        "o_star": match.kind if match is not None else None,
-        "o_star_index": match.index if match is not None else None,
-        "c": match.expansion_factor if match is not None else None,
-        "gamma_u": _clean(match.gamma_u) if match is not None else None,
-        "kl_values": [float(v) for v in match.kl_values] if match is not None else None,
-        "estimated_counts": [int(v) for v in estimated] if estimated is not None else None,
-        "steps": global_step,
-        "audit_reads": audit_reads,
-        "bias_spearman": {name: _clean(v) for name, v in correlations.items()},
-        "final": {
-            key: _clean(final.get(key))
-            for key in ("acc_original", "bacc_original", "acc_output", "bacc_output",
-                        "acc_calibrated", "bacc_calibrated", "acc_expansive",
-                        "bacc_expansive", "recall_head", "recall_nonhead", "mu_hat",
-                        "denoise_bound")
-        },
-    }
+    summary = _summary(config, dataset, model, match, estimated, metrics_rows,
+                       len(loss_rows), dataset.audit_reads - audit_start)
     result = TrainResult(model=model, match=match, estimated_counts=estimated,
                          threshold_state=state, metrics_rows=metrics_rows,
                          loss_rows=loss_rows, threshold_rows=threshold_rows,
@@ -316,6 +287,34 @@ def _finalize(config: RunConfig, dataset: Dataset, model: Model,
     if run_dir is not None:
         write_run_artifacts(run_dir, config, result)
     return result
+
+
+def _finite_or_none(v):
+    if v is None:
+        return None
+    f = float(v)
+    return f if np.isfinite(f) else None
+
+
+def _summary(config: RunConfig, dataset: Dataset, model: Model, match: AnchorMatch | None,
+             estimated: np.ndarray | None, metrics_rows: list[dict], steps: int,
+             audit_reads: int) -> dict:
+    correlations = bias_pattern_report(model, dataset.labeled_counts())
+    final = metrics_rows[-1] if metrics_rows else {}
+    matched = match is not None
+    return {
+        "config_hash": config.config_hash(),
+        "o_star": match.kind if matched else None,
+        "o_star_index": match.index if matched else None,
+        "c": match.expansion_factor if matched else None,
+        "gamma_u": _finite_or_none(match.gamma_u) if matched else None,
+        "kl_values": [float(v) for v in match.kl_values] if matched else None,
+        "estimated_counts": [int(v) for v in estimated] if estimated is not None else None,
+        "steps": steps,
+        "audit_reads": audit_reads,
+        "bias_spearman": {name: _finite_or_none(v) for name, v in correlations.items()},
+        "final": {key: _finite_or_none(final.get(key)) for key in _SUMMARY_METRICS},
+    }
 
 
 def run_estimation_phase(config: RunConfig, dataset: Dataset | None = None):
@@ -328,12 +327,14 @@ def run_estimation_phase(config: RunConfig, dataset: Dataset | None = None):
 def _csv_cell(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
 
 
-def _write_csv(path: str, rows: list[dict], columns: list[str]) -> None:
+def _write_csv(path: str, rows: list[dict], columns) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
@@ -358,32 +359,12 @@ def write_run_artifacts(run_dir: str, config: RunConfig, result: TrainResult) ->
     os.makedirs(run_dir, exist_ok=True)
     k = result.model.k
     _json_dump(os.path.join(run_dir, "config.json"), config.to_json_obj())
-
-    metric_cols = ["epoch"]
-    for name in ("original", "output", "calibrated", "expansive"):
-        metric_cols += [f"acc_{name}", f"bacc_{name}"]
-    metric_cols += ["recall_head", "recall_nonhead", "mu_hat", "denoise_bound",
-                    "mask_rate_head", "mask_rate_nonhead"]
-    metric_cols += [f"recall_{c}" for c in range(k)]
-    for name in network.HEAD_NAMES:
-        metric_cols += [f"hist_{name}_{c}" for c in range(k)]
-    _write_csv(os.path.join(run_dir, "metrics.csv"), result.metrics_rows, metric_cols)
-
-    loss_cols = ["step", "total", "l_basic", "l_sup_b", "l_con_b", "l_sup_e", "l_con_e",
-                 "mask_rate_head", "mask_rate_nonhead"]
-    _write_csv(os.path.join(run_dir, "losses.csv"), result.loss_rows, loss_cols)
-
-    _write_csv(os.path.join(run_dir, "thresholds.csv"), result.threshold_rows,
-               ["epoch", "class", "rho_b", "rho_e", "b_opt"])
-
-    bias_cols = ["epoch", "head"] + [f"b_{c}" for c in range(k)]
-    with open(os.path.join(run_dir, "bias.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(bias_cols)
-        for row in result.bias_rows:
-            writer.writerow([str(row["epoch"]), row["head"]]
-                            + [_csv_cell(row[f"b_{c}"]) for c in range(k)])
-
+    for name, rows, columns in (
+            ("metrics.csv", result.metrics_rows, _metric_columns(k)),
+            ("losses.csv", result.loss_rows, _LOSS_COLUMNS),
+            ("thresholds.csv", result.threshold_rows, _THRESHOLD_COLUMNS),
+            ("bias.csv", result.bias_rows, _bias_columns(k))):
+        _write_csv(os.path.join(run_dir, name), rows, columns)
     _json_dump(os.path.join(run_dir, "checkpoint.json"),
                network.model_to_checkpoint_obj(result.model, config.config_hash()))
     _json_dump(os.path.join(run_dir, "summary.json"), result.summary)

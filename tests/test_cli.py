@@ -63,6 +63,20 @@ def test_train_writes_artifacts_and_is_rerun_stable(tmp_path, capsys):
     assert (run_a / "losses.csv").read_bytes() == (run_b / "losses.csv").read_bytes()
 
 
+def test_output_dir_does_not_change_config_hash(tmp_path):
+    cfg = _write_config(tmp_path)
+    run_a = tmp_path / "a"
+    run_b = tmp_path / "b"
+    assert main(["train", cfg, "--out", str(run_a)]) == 0
+    assert main(["train", cfg, "--out", str(run_b)]) == 0
+    hashes = [json.loads((run / "summary.json").read_text())["config_hash"]
+              for run in (run_a, run_b)]
+    assert hashes[0] == hashes[1]
+    assert (run_a / "checkpoint.json").read_bytes() == (run_b / "checkpoint.json").read_bytes()
+    # config.json still records where the run was written
+    assert json.loads((run_b / "config.json").read_text())["output_dir"] == str(run_b)
+
+
 def test_train_seed_flag_overrides_config(tmp_path):
     cfg = _write_config(tmp_path)
     run_a = tmp_path / "a"

@@ -1,13 +1,17 @@
 """End-to-end trainer behavior on deliberately tiny runs."""
 
 import json
+import math
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from imbalanced_ssl import trainer
 from imbalanced_ssl.config import RunConfig, default_config
+from imbalanced_ssl.network import init_model, model_from_checkpoint_obj
 from imbalanced_ssl.trainer import (
     TrainingAborted,
     run_estimation_phase,
@@ -93,12 +97,49 @@ def test_stop_after_estimation_flag():
     assert len(res.metrics_rows) == cfg.train.resolved_estimation_epochs()
 
 
-def test_nonfinite_loss_aborts_with_snapshot():
+def _abort_run(cfg, run_dir):
+    """Train until TrainingAborted with every RuntimeWarning raised as an
+    error; returns the snapshot and the abort.json written for it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(TrainingAborted) as exc:
+            train(cfg, run_dir=run_dir)
+    with open(os.path.join(run_dir, "abort.json")) as fh:
+        written = json.load(fh)
+    with open(os.path.join(run_dir, "checkpoint.json")) as fh:
+        model_from_checkpoint_obj(json.load(fh))
+    assert set(os.listdir(run_dir)) == {"abort.json", "checkpoint.json"}
+    return exc.value.snapshot, written
+
+
+def test_nonfinite_loss_aborts_with_snapshot(tmp_path):
     cfg = _tiny_config(seed=8, learning_rate=1e9)
-    with pytest.raises(TrainingAborted) as exc:
-        train(cfg)
-    snap = exc.value.snapshot
-    assert "step" in snap and "epoch" in snap and "components" in snap
+    snap, written = _abort_run(cfg, str(tmp_path / "run"))
+    assert written == snap
+    assert set(snap) == {"epoch", "step", "components"}
+    assert snap["step"] >= 1
+    assert snap["epoch"] == snap["step"] // cfg.train.steps_per_epoch
+    # the weights blew up in an update, so the forward pass went non-finite
+    # before a loss could be computed
+    assert snap["components"] is None
+
+
+def test_nonfinite_loss_from_finite_logits_records_components(tmp_path, monkeypatch):
+    # finite output-head logits 2e308 apart overflow the log-softmax, so the
+    # balanced supervised loss is infinite on the very first step
+    def tilted_model(**kwargs):
+        model = init_model(**kwargs)
+        model.heads["output"].b[:2] = (1e308, -1e308)
+        return model
+
+    monkeypatch.setattr(trainer, "init_model", tilted_model)
+    snap, written = _abort_run(_tiny_config(seed=12), str(tmp_path / "run"))
+    assert written == snap
+    assert (snap["epoch"], snap["step"]) == (0, 0)
+    components = snap["components"]
+    assert set(components) == {"total", "l_basic", "l_sup_b", "l_con_b", "l_sup_e", "l_con_e"}
+    assert components["l_sup_b"] == math.inf and components["total"] == math.inf
+    assert math.isfinite(components["l_basic"]) and math.isfinite(components["l_sup_e"])
 
 
 def test_artifacts_written(tmp_path):
