@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--head", default="output",
                     choices=list(network.HEAD_NAMES), help="head to evaluate")
     ev.add_argument("--calibrated", action="store_true",
-                    help="use bias-stripped output-head logits")
+                    help="use bias-stripped output-head logits (only with --head output)")
     ev.add_argument("--json", dest="json_out", default=None,
                     help="also write the metrics JSON to this path")
 
@@ -137,6 +137,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.calibrated and args.head != "output":
+        raise ConfigError("--calibrated evaluates the output head; it cannot be "
+                          f"combined with --head {args.head}")
     ckpt_path = os.path.join(args.run_dir, "checkpoint.json")
     cfg_path = os.path.join(args.run_dir, "config.json")
     try:
@@ -154,8 +157,8 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(f"corrupt checkpoint: {exc}") from exc
     config = RunConfig.from_json_obj(cfg_obj)
     dataset = config.build_dataset()
-    report = evaluate(model, dataset.test_x, dataset.test_y, head=args.head,
-                      calibrated=args.calibrated)
+    view = "calibrated" if args.calibrated else args.head
+    report = evaluate(model, dataset.test_x, dataset.test_y)[view]
     payload = {
         "head": args.head,
         "calibrated": bool(args.calibrated),

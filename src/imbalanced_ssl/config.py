@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -119,6 +120,12 @@ class TrainSection:
             raise ConfigError("output_pseudo_source must be 'self' or 'expansive'")
         if not 0.0 < self.rho_floor < self.rho_max <= 1.0:
             raise ConfigError("need 0 < rho_floor < rho_max <= 1")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError("dropout must lie in [0, 1)")
+        if not (0.0 <= self.weak_strength < math.inf and 0.0 <= self.strong_strength < math.inf):
+            raise ConfigError("weak_strength and strong_strength must be finite and >= 0")
+        if self.probe_size < 1 or self.probe_n_aug < 1:
+            raise ConfigError("probe_size and probe_n_aug must be >= 1")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
 
     def resolved_estimation_epochs(self) -> int:
@@ -216,10 +223,20 @@ def default_config() -> RunConfig:
     return RunConfig()
 
 
+def _finite_number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config holds the non-finite number {text}")
+    return value
+
+
 def load_config(path: str) -> RunConfig:
+    """Read a config file as strict JSON with finite numbers only: the
+    NaN/Infinity tokens that Python's json module accepts by default, and
+    literals such as 1e400 that overflow to infinity, are rejected."""
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, parse_constant=_finite_number, parse_float=_finite_number)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:

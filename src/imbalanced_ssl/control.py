@@ -27,7 +27,6 @@ __all__ = [
     "update_thresholds",
     "extract_bias_vector",
     "calibrate_logits",
-    "predict_calibrated",
     "estimate_unlabeled_distribution",
 ]
 
@@ -140,26 +139,17 @@ def extract_bias_vector(model: Model) -> BiasVector:
     return BiasVector(b_opt=model.heads["output"].b.copy())
 
 
-def calibrate_logits(model: Model, x: np.ndarray) -> np.ndarray:
+def calibrate_logits(model: Model, features: np.ndarray) -> np.ndarray:
     """Inference-time correction: the output head's affine map with its bias
-    removed, exactly W_b @ B(x)."""
-    feats = network.forward_features(model, x)
-    w = model.heads["output"].w
-    return feats @ w.T
-
-
-def predict_calibrated(model: Model, x: np.ndarray) -> np.ndarray | int:
-    logits = calibrate_logits(model, x)
-    if logits.ndim == 1:
-        return int(np.argmax(logits))
-    return np.argmax(logits, axis=1)
+    removed, exactly W_b @ B(x), given the backbone features B(x)."""
+    return features @ model.heads["output"].w.T
 
 
 def estimate_unlabeled_distribution(model: Model, unlabeled_x: np.ndarray) -> np.ndarray:
-    """Histogram of calibrated predictions over the unlabeled split; sums to
-    the split size by construction."""
+    """Histogram of calibrated predictions (lowest index wins ties) over the
+    unlabeled split; sums to the split size by construction."""
     x = np.asarray(unlabeled_x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("unlabeled set must be a nonempty (M, D) array")
-    preds = predict_calibrated(model, x)
+    preds = np.argmax(calibrate_logits(model, network.forward_features(model, x)), axis=1)
     return np.bincount(preds, minlength=model.k).astype(np.int64)

@@ -95,10 +95,6 @@ class Dataset:
         return np.bincount(self.labeled_y, minlength=self.task.k)
 
     @property
-    def n_labeled(self) -> int:
-        return int(self.labeled_x.shape[0])
-
-    @property
     def n_unlabeled(self) -> int:
         return int(self.unlabeled_x.shape[0])
 

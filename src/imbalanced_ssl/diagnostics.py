@@ -10,7 +10,7 @@ import numpy as np
 
 from . import data as synth
 from . import network
-from .control import predict_calibrated
+from .control import calibrate_logits
 from .network import Model
 
 __all__ = [
@@ -22,11 +22,16 @@ __all__ = [
 ]
 
 
-def separation_violation_rate(model: Model, head: str, samples: np.ndarray, n_aug: int,
+def _predict_output(model: Model, x: np.ndarray) -> np.ndarray:
+    feats = network.forward_features(model, x)
+    return np.argmax(network.head_logits(model.heads["output"], feats), axis=1)
+
+
+def separation_violation_rate(model: Model, samples: np.ndarray, n_aug: int,
                               noise: float, strength: float = synth.DEFAULT_STRONG_STRENGTH,
                               dropout: float = synth.DEFAULT_DROPOUT, seed: int = 0) -> float:
-    """Fraction of samples whose predicted class flips under at least one of
-    n_aug strong augmentations, relative to the unaugmented prediction.
+    """Fraction of samples whose output-head prediction flips under at least
+    one of n_aug strong augmentations, relative to the unaugmented prediction.
 
     Empirical stand-in for the expansion assumption's violation rate; feeds
     the denoising bound 2c/(c-3)*mu.
@@ -36,12 +41,12 @@ def separation_violation_rate(model: Model, head: str, samples: np.ndarray, n_au
         raise ValueError("samples must be a nonempty (N, D) array")
     if n_aug < 1:
         raise ValueError("n_aug must be >= 1")
-    base = network.predict(model, head, x)
+    base = _predict_output(model, x)
     violated = np.zeros(x.shape[0], dtype=bool)
     rng = np.random.default_rng(seed)
     for _ in range(n_aug):
         aug = synth.strong_augment_batch(x, noise, strength, dropout, rng)
-        violated |= network.predict(model, head, aug) != base
+        violated |= _predict_output(model, aug) != base
     return float(violated.mean())
 
 
@@ -56,19 +61,7 @@ class EvalReport:
         return float(self.per_class_recall[np.asarray(class_mask, dtype=bool)].mean())
 
 
-def evaluate(model: Model, test_x: np.ndarray, test_y: np.ndarray,
-             head: str = "output", calibrated: bool = False) -> EvalReport:
-    """Balanced accuracy is the mean per-class recall; calibrated evaluation
-    predicts from the output head's bias-stripped logits."""
-    x = np.asarray(test_x, dtype=np.float64)
-    y = np.asarray(test_y)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError("test set must be nonempty")
-    if calibrated:
-        preds = predict_calibrated(model, x)
-    else:
-        preds = network.predict(model, head, x)
-    k = model.k
+def _report(preds: np.ndarray, y: np.ndarray, k: int) -> EvalReport:
     confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (y, preds), 1)
     row = confusion.sum(axis=1)
@@ -81,6 +74,22 @@ def evaluate(model: Model, test_x: np.ndarray, test_y: np.ndarray,
         per_class_recall=recall,
         confusion=confusion,
     )
+
+
+def evaluate(model: Model, test_x: np.ndarray, test_y: np.ndarray) -> dict[str, EvalReport]:
+    """One report per view, all from one backbone forward: each head in
+    HEAD_NAMES predicts from its own logits, and "calibrated" from the output
+    head's bias-stripped logits.  Argmax ties go to the lowest class index;
+    balanced accuracy is the mean per-class recall."""
+    x = np.asarray(test_x, dtype=np.float64)
+    y = np.asarray(test_y)
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise ValueError("test set must be nonempty")
+    feats = network.forward_features(model, x)
+    logits = {name: network.head_logits(model.heads[name], feats)
+              for name in network.HEAD_NAMES}
+    logits["calibrated"] = calibrate_logits(model, feats)
+    return {view: _report(np.argmax(z, axis=1), y, model.k) for view, z in logits.items()}
 
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:

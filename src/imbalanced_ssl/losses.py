@@ -63,12 +63,11 @@ class LogitAdjustment:
 @dataclass
 class LossReport:
     """Value plus logit-level gradients; consistency losses also carry the
-    inclusion mask and per-class mask rates (fraction excluded)."""
+    inclusion mask and the pseudo-labels."""
 
     value: float
     logit_gradients: np.ndarray
     mask: np.ndarray | None = None
-    per_class_mask_rate: np.ndarray | None = None
     pseudo_labels: np.ndarray | None = None
 
 
@@ -134,9 +133,6 @@ def masked_consistency_from_logits(weak_logits: np.ndarray, strong_logits: np.nd
     the pseudo-class threshold, CE on the strong view over included samples,
     averaged over the FULL batch.  Gradients flow only through the strong
     view and are exactly zero on excluded rows.
-
-    per_class_mask_rate[k] = 1 - included_k / pseudo_count_k (0 when class k
-    received no pseudo-labels).
     """
     w = np.asarray(weak_logits, dtype=np.float64)
     s = np.asarray(strong_logits, dtype=np.float64)
@@ -164,14 +160,8 @@ def masked_consistency_from_logits(weak_logits: np.ndarray, strong_logits: np.nd
     grad[np.arange(n), pseudo] -= 1.0
     grad *= (weights / n)[:, None]
     grad[~included] = 0.0
-
-    counts = np.bincount(pseudo, minlength=k).astype(np.float64)
-    inc_counts = np.bincount(pseudo[included], minlength=k).astype(np.float64)
-    rate = np.zeros(k, dtype=np.float64)
-    nonzero = counts > 0
-    rate[nonzero] = 1.0 - inc_counts[nonzero] / counts[nonzero]
     return LossReport(value=value, logit_gradients=grad, mask=included,
-                      per_class_mask_rate=rate, pseudo_labels=pseudo)
+                      pseudo_labels=pseudo)
 
 
 def consistency_loss(model: Model, head: str, x_weak: np.ndarray, x_strong: np.ndarray,

@@ -30,7 +30,6 @@ __all__ = [
     "forward_features_cached",
     "head_logits",
     "softmax",
-    "predict",
     "backward",
     "sgd_step",
     "param_order",
@@ -156,19 +155,10 @@ class ForwardCache:
     acts: list[np.ndarray]        # activation(z) per layer; acts[-1] = features
 
 
-def _as_batch(x: np.ndarray, d: int) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 1:
-        if arr.shape[0] != d:
-            raise ValueError(f"input has {arr.shape[0]} features, backbone expects {d}")
-        return arr[None, :], True
-    if arr.ndim != 2 or arr.shape[1] != d:
-        raise ValueError(f"input shape {arr.shape} incompatible with feature dim {d}")
-    return arr, False
-
-
 def forward_features_cached(model: Model, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    xb, _ = _as_batch(x, model.d)
+    xb = np.asarray(x, dtype=np.float64)
+    if xb.ndim != 2 or xb.shape[1] != model.d:
+        raise ValueError(f"input shape {xb.shape} incompatible with feature dim {model.d}")
     act, _ = _ACTIVATIONS[model.backbone.activation]
     pre_acts = []
     acts = []
@@ -182,19 +172,15 @@ def forward_features_cached(model: Model, x: np.ndarray) -> tuple[np.ndarray, Fo
 
 
 def forward_features(model: Model, x: np.ndarray) -> np.ndarray:
-    xb, single = _as_batch(x, model.d)
-    feats, _ = forward_features_cached(model, xb)
-    return feats[0] if single else feats
+    feats, _ = forward_features_cached(model, x)
+    return feats
 
 
 def head_logits(head: Head, features: np.ndarray) -> np.ndarray:
     f = np.asarray(features, dtype=np.float64)
-    single = f.ndim == 1
-    fb = f[None, :] if single else f
-    if fb.shape[1] != head.w.shape[1]:
-        raise ValueError(f"features width {fb.shape[1]} vs head expects {head.w.shape[1]}")
-    logits = fb @ head.w.T + head.b
-    return logits[0] if single else logits
+    if f.ndim != 2 or f.shape[1] != head.w.shape[1]:
+        raise ValueError(f"features shape {f.shape} vs head expects width {head.w.shape[1]}")
+    return f @ head.w.T + head.b
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -204,16 +190,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = z - np.max(z, axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=-1, keepdims=True)
-
-
-def predict(model: Model, head: str, x: np.ndarray) -> np.ndarray | int:
-    """Argmax class (lowest index wins ties).  Softmax is monotone, so the
-    argmax is taken on raw logits."""
-    feats = forward_features(model, x)
-    logits = head_logits(model.heads[head], feats)
-    if logits.ndim == 1:
-        return int(np.argmax(logits))
-    return np.argmax(logits, axis=1)
 
 
 def backward(model: Model, cache: ForwardCache,

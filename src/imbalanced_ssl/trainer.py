@@ -103,7 +103,8 @@ def _train_step(model: Model, opt: OptimizerState, state: ThresholdState,
     Returns the thresholds after the tick, the losses.csv row and the step's
     per-head pseudo-label histograms.  Divergence is one explicit check: the
     step's logits and total loss must be finite, otherwise TrainingAborted
-    carries the loss components (None when the logits already were not).
+    carries the loss components, a non-finite one as None (the whole record
+    None when the logits already were not), so abort.json is strict JSON.
     Floating-point warnings are off from the forward pass through the update:
     an overflow there shows up as non-finite logits or loss, at this step or
     the next, and the check reports it.
@@ -123,7 +124,7 @@ def _train_step(model: Model, opt: OptimizerState, state: ThresholdState,
         )
         row = {"step": step, **{col: getattr(losses, col) for col in _LOSS_COLUMNS[1:]}}
         if not (losses.finite_logits and np.isfinite(losses.total)):
-            components = ({name: row[name] for name in _LOSS_COMPONENTS}
+            components = ({name: _finite_or_none(row[name]) for name in _LOSS_COMPONENTS}
                           if losses.finite_logits else None)
             what = "loss" if losses.finite_logits else "logits"
             raise TrainingAborted(f"non-finite {what} at step {step}",
@@ -180,9 +181,8 @@ def _epoch_rows(model: Model, dataset: Dataset, t: TrainSection, head_classes: n
     and the bias.csv rows.  ``epoch_losses``/``epoch_hists`` are the epoch's
     per-step loss rows and pseudo-label histograms."""
     k = model.k
-    x, y = dataset.test_x, dataset.test_y
-    reports = {name: evaluate(model, x, y, head=name) for name in network.HEAD_NAMES}
-    reports["calibrated"] = cal = evaluate(model, x, y, calibrated=True)
+    reports = evaluate(model, dataset.test_x, dataset.test_y)
+    cal = reports["calibrated"]
     row: dict = {"epoch": epoch}
     for name in _EVALUATED:
         row[f"acc_{name}"] = reports[name].accuracy
@@ -190,7 +190,7 @@ def _epoch_rows(model: Model, dataset: Dataset, t: TrainSection, head_classes: n
     row["recall_head"] = cal.recall_over(head_classes)
     row["recall_nonhead"] = cal.recall_over(~head_classes)
     row["mu_hat"] = separation_violation_rate(
-        model, "output", probe, t.probe_n_aug, dataset.task.noise,
+        model, probe, t.probe_n_aug, dataset.task.noise,
         strength=t.strong_strength, dropout=t.dropout,
         seed=[t.seed, _PROBE_AUG_STREAM, epoch])
     row["denoise_bound"] = (denoising_bound(match.expansion_factor, row["mu_hat"])

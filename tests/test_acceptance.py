@@ -407,8 +407,8 @@ def test_calibration_identity():
     model.heads["output"].b[:] = rng.normal(scale=2.0, size=10)
 
     x = rng.normal(size=(1000, 16))
-    cal = calibrate_logits(model, x)
     feats = forward_features(model, x)
+    cal = calibrate_logits(model, feats)
     raw = head_logits(model.heads["output"], feats)
     gap = float(np.max(np.abs(cal + model.heads["output"].b - raw)))
     same_argmax = bool(np.all(
@@ -464,9 +464,8 @@ def test_end_to_end_calibrated_gains(inverse_runs):
     nh_gaps = []
     for res in runs:
         ds = res.dataset
-        orig = evaluate(res.model, ds.test_x, ds.test_y, head="original")
-        cal = evaluate(res.model, ds.test_x, ds.test_y, head="output",
-                       calibrated=True)
+        reports = evaluate(res.model, ds.test_x, ds.test_y)
+        orig, cal = reports["original"], reports["calibrated"]
         bacc_gaps.append(cal.balanced_accuracy - orig.balanced_accuracy)
         nh_gaps.append(cal.recall_over(nonhead) - orig.recall_over(nonhead))
     mean_bacc = float(np.mean(bacc_gaps))

@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
+import imbalanced_ssl
 from imbalanced_ssl.cli import main
+from imbalanced_ssl.config import ConfigError, RunConfig
 
 
 def _tiny_config_obj(seed=0):
@@ -106,6 +108,40 @@ def test_train_rejects_bad_config(tmp_path, capsys):
     assert main(["train", str(typo)]) == 2
 
 
+OUT_OF_RANGE_TRAIN = [
+    {"dropout": 1.0},
+    {"dropout": 1.5},
+    {"dropout": -0.1},
+    {"weak_strength": -1.0},
+    {"strong_strength": -2.0},
+    {"strong_strength": float("inf")},
+    {"probe_n_aug": 0},
+    {"probe_size": 0},
+]
+
+
+@pytest.mark.parametrize("train", OUT_OF_RANGE_TRAIN)
+def test_config_rejects_out_of_range_train_values(train):
+    with pytest.raises(ConfigError):
+        RunConfig.from_json_obj({"train": train})
+
+
+@pytest.mark.parametrize("text", [
+    *(json.dumps({"train": train}) for train in OUT_OF_RANGE_TRAIN),
+    '{"train": {"tau_b": NaN}}',
+    '{"train": {"lambda_u": -Infinity}}',
+    '{"train": {"tau_b": 1e400}}',
+])
+def test_train_rejects_out_of_range_config_file(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["train", str(bad), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_evaluate_reports_metrics(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     run = tmp_path / "run"
@@ -127,6 +163,20 @@ def test_evaluate_reports_metrics(tmp_path, capsys):
     code = main(["evaluate", str(run), "--head", "expansive"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["head"] == "expansive"
+
+
+def test_evaluate_rejects_calibrated_with_another_head(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    run = tmp_path / "run"
+    assert main(["train", cfg, "--out", str(run)]) == 0
+    capsys.readouterr()
+    for head in ("original", "expansive"):
+        assert main(["evaluate", str(run), "--head", head, "--calibrated"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--calibrated" in captured.err
+    assert main(["evaluate", str(run), "--head", "output", "--calibrated"]) == 0
+    assert json.loads(capsys.readouterr().out)["calibrated"] is True
 
 
 def test_evaluate_missing_run_dir_is_usage_error(tmp_path, capsys):
@@ -181,3 +231,28 @@ def test_console_script_is_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "verify-theorem" in proc.stdout
+
+
+def test_artifacts_identical_across_blas_thread_counts(tmp_path):
+    # batches and a test set large enough for OpenBLAS to split its matmuls
+    # across threads
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "task": {"k": 4, "d": 6},
+        "data": {"labeled_max": 40, "unlabeled_max": 200, "test_per_class": 250},
+        "train": {"seed": 1, "epochs": 3, "steps_per_epoch": 10, "estimation_epochs": 1,
+                  "labeled_batch": 64, "unlabeled_batch": 128},
+    }))
+    src = os.path.dirname(os.path.dirname(imbalanced_ssl.__file__))
+    artifacts = ("metrics.csv", "losses.csv", "thresholds.csv", "bias.csv", "checkpoint.json")
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = tmp_path / f"threads{threads}"
+        proc = subprocess.run([sys.executable, "-m", "imbalanced_ssl.cli", "train", str(cfg),
+                               "--out", str(run)], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        runs.append({name: (run / name).read_bytes() for name in artifacts})
+    for name in artifacts:
+        assert runs[0][name] == runs[1][name], name

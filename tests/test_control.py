@@ -10,9 +10,9 @@ from imbalanced_ssl.control import (
     estimate_unlabeled_distribution,
     extract_bias_vector,
     init_thresholds,
-    predict_calibrated,
     update_thresholds,
 )
+from imbalanced_ssl.diagnostics import evaluate
 from imbalanced_ssl.network import forward_features, head_logits, init_model
 
 HEAD5 = np.array([True] * 5 + [False] * 5)
@@ -133,10 +133,10 @@ def test_calibration_strips_exactly_the_bias():
     m = _model(seed=1)
     m.heads["output"].b[:] = [1.0, -2.0, 0.5, 3.0]
     x = np.random.default_rng(2).normal(size=(50, 5))
-    cal = calibrate_logits(m, x)
-    raw = head_logits(m.heads["output"], forward_features(m, x))
-    assert np.max(np.abs(cal + m.heads["output"].b - raw)) <= 1e-12
     f = forward_features(m, x)
+    cal = calibrate_logits(m, f)
+    raw = head_logits(m.heads["output"], f)
+    assert np.max(np.abs(cal + m.heads["output"].b - raw)) <= 1e-12
     assert np.allclose(cal, f @ m.heads["output"].w.T, atol=1e-12)
 
 
@@ -149,17 +149,20 @@ def test_calibration_can_flip_the_argmax():
     m.heads["output"].w[:] = np.eye(2)
     m.heads["output"].b[:] = [1.0, 0.0]
     x = np.array([[0.4, 0.8]])
-    raw = head_logits(m.heads["output"], forward_features(m, x))
-    assert int(raw.argmax()) == 0
-    assert predict_calibrated(m, x).tolist() == [1]
+    f = forward_features(m, x)
+    assert int(head_logits(m.heads["output"], f).argmax()) == 0
+    assert int(calibrate_logits(m, f).argmax()) == 1
 
 
 def test_predict_calibrated_ties_break_low():
     m = _model(seed=3)
     m.heads["output"].w[:] = 0.0
     m.heads["output"].b[:] = [5.0, 1.0, 1.0, 1.0]
-    x = np.ones((3, 5))
-    assert predict_calibrated(m, x).tolist() == [0, 0, 0]
+    x = np.ones((4, 5))
+    # the confusion matrix's column sums count the predicted classes
+    cal = evaluate(m, x, np.arange(4))["calibrated"]
+    assert cal.confusion.sum(axis=0).tolist() == [4, 0, 0, 0]
+    assert estimate_unlabeled_distribution(m, x).tolist() == [4, 0, 0, 0]
 
 
 def test_estimated_distribution_is_a_histogram():
@@ -169,5 +172,5 @@ def test_estimated_distribution_is_a_histogram():
     assert est.shape == (4,)
     assert est.dtype.kind == "i"
     assert est.sum() == 300
-    preds = predict_calibrated(m, x)
+    preds = np.argmax(calibrate_logits(m, forward_features(m, x)), axis=1)
     assert np.array_equal(est, np.bincount(preds, minlength=4))

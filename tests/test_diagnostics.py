@@ -64,7 +64,7 @@ def _train_quick(task, ds, steps=300):
 def test_evaluate_on_a_separable_task():
     task, ds = _separable()
     m = _train_quick(task, ds)
-    rep = evaluate(m, ds.test_x, ds.test_y, head="output")
+    rep = evaluate(m, ds.test_x, ds.test_y)["output"]
     assert rep.balanced_accuracy > 0.98
     assert rep.accuracy > 0.98
     assert rep.confusion.shape == (4, 4)
@@ -78,18 +78,17 @@ def test_evaluate_head_selection_and_calibration_flag():
     task, ds = _separable()
     m = init_model(k=4, d=8, hidden=(6,), feature=4, seed=5)
     m.heads["output"].b[:] = [50.0, 0.0, 0.0, 0.0]
-    skewed = evaluate(m, ds.test_x, ds.test_y, head="output")
-    fixed = evaluate(m, ds.test_x, ds.test_y, calibrated=True)
+    reports = evaluate(m, ds.test_x, ds.test_y)
+    assert set(reports) == {"original", "output", "expansive", "calibrated"}
+    skewed, fixed = reports["output"], reports["calibrated"]
     assert skewed.per_class_recall[0] == 1.0  # bias drowns everything
     assert fixed.per_class_recall.tolist() != skewed.per_class_recall.tolist()
-    with pytest.raises((KeyError, ValueError)):
-        evaluate(m, ds.test_x, ds.test_y, head="sideways")
 
 
 def test_recall_over_masks():
     task, ds = _separable()
     m = _train_quick(task, ds)
-    rep = evaluate(m, ds.test_x, ds.test_y, head="output")
+    rep = evaluate(m, ds.test_x, ds.test_y)["output"]
     mask = np.array([True, True, False, False])
     assert rep.recall_over(mask) == pytest.approx(rep.per_class_recall[:2].mean())
 
@@ -97,15 +96,12 @@ def test_recall_over_masks():
 def test_separation_violation_rate_bounds_and_determinism():
     task, ds = _separable()
     m = _train_quick(task, ds)
-    r1 = separation_violation_rate(m, "output", ds.test_x[:80], n_aug=4,
-                                   noise=task.noise, seed=9)
-    r2 = separation_violation_rate(m, "output", ds.test_x[:80], n_aug=4,
-                                   noise=task.noise, seed=9)
+    r1 = separation_violation_rate(m, ds.test_x[:80], n_aug=4, noise=task.noise, seed=9)
+    r2 = separation_violation_rate(m, ds.test_x[:80], n_aug=4, noise=task.noise, seed=9)
     assert r1 == r2
     assert 0.0 <= r1 <= 1.0
     # a wildly noisy augmentation must flip more predictions
-    r_loud = separation_violation_rate(m, "output", ds.test_x[:80], n_aug=4,
-                                       noise=50.0, seed=9)
+    r_loud = separation_violation_rate(m, ds.test_x[:80], n_aug=4, noise=50.0, seed=9)
     assert r_loud > r1
 
 

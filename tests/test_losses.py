@@ -112,9 +112,6 @@ def test_masked_consistency_per_class_thresholds():
     s = np.array([[1.0, 0.0], [0.0, 1.0]])
     rep = masked_consistency_from_logits(w, s, thresholds=np.array([0.9, 0.99]))
     assert rep.mask.tolist() == [True, False]
-    # per-class rate counts the rejected fraction of each pseudo class
-    assert rep.per_class_mask_rate[0] == pytest.approx(0.0)
-    assert rep.per_class_mask_rate[1] == pytest.approx(1.0)
 
 
 def test_masked_consistency_class_weights_scale():

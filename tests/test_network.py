@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from imbalanced_ssl.diagnostics import evaluate
 from imbalanced_ssl.network import (
     HEAD_NAMES,
     Model,
@@ -17,7 +18,6 @@ from imbalanced_ssl.network import (
     model_from_checkpoint_obj,
     model_to_checkpoint_obj,
     param_order,
-    predict,
     sgd_step,
     softmax,
 )
@@ -78,13 +78,14 @@ def test_softmax_rows_and_shift_invariance():
 
 
 def test_predict_tie_breaks_low():
+    # the confusion matrix's column sums count the predicted classes
     m = _tiny()
     m.heads["output"].w[:] = 0.0
     m.heads["output"].b[:] = 0.0
-    x = np.ones((2, 4))
-    assert predict(m, "output", x).tolist() == [0, 0]
+    x, y = np.ones((3, 4)), np.arange(3)
+    assert evaluate(m, x, y)["output"].confusion.sum(axis=0).tolist() == [3, 0, 0]
     m.heads["output"].b[:] = [0.0, 2.0, 2.0]
-    assert predict(m, "output", x).tolist() == [1, 1]
+    assert evaluate(m, x, y)["output"].confusion.sum(axis=0).tolist() == [0, 3, 0]
 
 
 def test_backward_matches_finite_differences():

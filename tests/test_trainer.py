@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from imbalanced_ssl import trainer
+from imbalanced_ssl import network, trainer
 from imbalanced_ssl.config import RunConfig, default_config
 from imbalanced_ssl.network import init_model, model_from_checkpoint_obj
 from imbalanced_ssl.trainer import (
@@ -97,15 +97,20 @@ def test_stop_after_estimation_flag():
     assert len(res.metrics_rows) == cfg.train.resolved_estimation_epochs()
 
 
+def _reject_constant(token):
+    raise ValueError(f"abort.json holds the non-JSON token {token}")
+
+
 def _abort_run(cfg, run_dir):
     """Train until TrainingAborted with every RuntimeWarning raised as an
-    error; returns the snapshot and the abort.json written for it."""
+    error; returns the snapshot and the abort.json written for it, which
+    must be strict JSON."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(TrainingAborted) as exc:
             train(cfg, run_dir=run_dir)
     with open(os.path.join(run_dir, "abort.json")) as fh:
-        written = json.load(fh)
+        written = json.load(fh, parse_constant=_reject_constant)
     with open(os.path.join(run_dir, "checkpoint.json")) as fh:
         model_from_checkpoint_obj(json.load(fh))
     assert set(os.listdir(run_dir)) == {"abort.json", "checkpoint.json"}
@@ -126,7 +131,8 @@ def test_nonfinite_loss_aborts_with_snapshot(tmp_path):
 
 def test_nonfinite_loss_from_finite_logits_records_components(tmp_path, monkeypatch):
     # finite output-head logits 2e308 apart overflow the log-softmax, so the
-    # balanced supervised loss is infinite on the very first step
+    # balanced supervised loss is infinite on the very first step; the
+    # infinite components are recorded as null
     def tilted_model(**kwargs):
         model = init_model(**kwargs)
         model.heads["output"].b[:2] = (1e308, -1e308)
@@ -138,8 +144,26 @@ def test_nonfinite_loss_from_finite_logits_records_components(tmp_path, monkeypa
     assert (snap["epoch"], snap["step"]) == (0, 0)
     components = snap["components"]
     assert set(components) == {"total", "l_basic", "l_sup_b", "l_con_b", "l_sup_e", "l_con_e"}
-    assert components["l_sup_b"] == math.inf and components["total"] == math.inf
+    assert components["l_sup_b"] is None and components["total"] is None
     assert math.isfinite(components["l_basic"]) and math.isfinite(components["l_sup_e"])
+
+
+def test_one_test_set_forward_per_epoch(monkeypatch):
+    # every evaluated view (three heads and the calibrated output head) is
+    # read off one backbone forward of the test set
+    cfg = _tiny_config(seed=13)
+    ds = cfg.build_dataset()
+    forward = network.forward_features
+    test_calls = []
+
+    def counting_forward(model, x):
+        if x.shape == ds.test_x.shape and np.array_equal(x, ds.test_x):
+            test_calls.append(1)
+        return forward(model, x)
+
+    monkeypatch.setattr(network, "forward_features", counting_forward)
+    train(cfg, dataset=ds)
+    assert len(test_calls) == cfg.train.epochs
 
 
 def test_artifacts_written(tmp_path):
