@@ -83,6 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_verify_theorem(args) -> int:
+    if not 0.0 < args.tolerance < float("inf"):
+        raise ConfigError(f"--tolerance must be a positive finite number, got {args.tolerance}")
     rows = []
     worst = 0.0
     grid = itertools.product(DEFAULT_GRID["gamma"], DEFAULT_GRID["delta_p"],
@@ -192,7 +194,7 @@ def cmd_match_distribution(args) -> int:
         try:
             with open(args.anchors) as fh:
                 anchor_set = anchor_set_from_json(json.load(fh))
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad anchor set: {exc}") from exc
         if anchor_set.k != counts.size:
             raise ConfigError(f"anchor set has {anchor_set.k} classes, counts have {counts.size}")

@@ -3,9 +3,11 @@ train, anchors) plus an output directory.
 
 Unknown keys are rejected at every level, every default is materialized on
 load, and the resolved form round-trips losslessly, so the config.json echoed
-into a run directory reproduces the run exactly.  Every section rejects a
-non-finite float in any of its fields when it is built, so a NaN or an
-infinity never reaches training, whichever way the config was read.
+into a run directory reproduces the run exactly.  Every section checks the
+type of each field when it is built: a float field takes a finite number
+(an integer is fine, a bool is not) and an integer field takes an integer
+(not a bool, not a float such as 1.5).  So a NaN, an infinity or a
+fractional count never reaches training, whichever way the config was read.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -51,11 +54,26 @@ def _take(obj: dict, section: str, cls):
         raise ConfigError(f"invalid {section!r} section: {exc}") from exc
 
 
-def _require_finite(section) -> None:
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_types(section) -> None:
+    """Float fields hold finite numbers and integer fields integers, by the
+    field annotations ("float", "int", "int | None", "tuple[int, ...]")."""
     for f in fields(section):
         value = getattr(section, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{f.name} must be finite, got {value}")
+        if f.type == "float":
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{f.name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+        elif f.type == "int" or (f.type == "int | None" and value is not None):
+            if not _is_int(value):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+        elif f.type == "tuple[int, ...]":
+            if not (isinstance(value, (list, tuple)) and all(_is_int(v) for v in value)):
+                raise ConfigError(f"{f.name} must be a list of integers, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -67,7 +85,7 @@ class TaskSection:
     seed: int | None = None  # None: follow the training seed
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        _check_types(self)
 
     def spec(self, fallback_seed: int) -> TaskSpec:
         return TaskSpec(k=self.k, d=self.d, spread=self.spread, noise=self.noise,
@@ -85,7 +103,7 @@ class DataSection:
     test_per_class: int = 100
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        _check_types(self)
         for name in ("labeled_kind", "unlabeled_kind"):
             if getattr(self, name) not in DISTRIBUTION_CHOICES:
                 raise ConfigError(f"{name} must be one of {DISTRIBUTION_CHOICES}")
@@ -123,7 +141,7 @@ class TrainSection:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        _check_types(self)
         if self.epochs < 1 or self.steps_per_epoch < 1:
             raise ConfigError("epochs and steps_per_epoch must be >= 1")
         if self.estimation_epochs is not None and not 0 <= self.estimation_epochs <= self.epochs:
@@ -142,6 +160,8 @@ class TrainSection:
                 raise ConfigError(f"{name} must be >= 0")
         if self.probe_size < 1 or self.probe_n_aug < 1:
             raise ConfigError("probe_size and probe_n_aug must be >= 1")
+        if self.feature < 1 or any(h < 1 for h in self.hidden):
+            raise ConfigError("layer widths (hidden, feature) must be >= 1")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
 
     def resolved_estimation_epochs(self) -> int:
@@ -156,7 +176,7 @@ class AnchorSection:
     as_variance: bool = False
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        _check_types(self)
 
     def build(self, k: int) -> AnchorSet:
         return default_anchor_set(k, gamma=self.gamma, as_variance=self.as_variance)

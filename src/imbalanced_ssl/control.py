@@ -13,7 +13,7 @@ nonincreasing without exception.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,22 +116,29 @@ def init_thresholds(c: float, gamma_u: float, head_classes: np.ndarray,
                           rho_max=rho_max, rho_floor=rho_floor)
 
 
-def update_thresholds(state: ThresholdState, bias: BiasVector) -> ThresholdState:
+def update_thresholds(state: ThresholdState, b_opt: np.ndarray) -> ThresholdState:
     """One controller tick: rho(k) -= alpha wherever b_opt(k) > nu (signed
-    comparison, both heads, same rule).  The decay is clamped at rho_floor;
-    entries already below the floor stay where they are, so the trajectory
-    never increases."""
-    if bias.b_opt.size != state.k:
+    comparison, both heads, same rule), given the output head's bias vector
+    ``b_opt``.  The decay is clamped at rho_floor; entries already below the
+    floor stay where they are, so the trajectory never increases.
+
+    The state was validated when it was built and a tick keeps its
+    invariants, so the new state is not validated again; its vectors are
+    read-only like the state's own."""
+    if np.shape(b_opt) != state.rho_b.shape:
         raise ValueError("bias vector length must match class count")
-    hot = bias.b_opt > state.nu
-    if not np.any(hot):
+    hot = np.asarray(b_opt) > state.nu
+    if not hot.any():
         return state
     step = state.alpha * hot
-    return replace(state,
-                   rho_b=np.maximum(state.rho_b - step,
-                                    np.minimum(state.rho_b, state.rho_floor)),
-                   rho_e=np.maximum(state.rho_e - step,
-                                    np.minimum(state.rho_e, state.rho_floor)))
+    ticked = object.__new__(ThresholdState)
+    ticked.__dict__.update(state.__dict__)
+    for name in ("rho_b", "rho_e"):
+        rho = getattr(state, name)
+        new = np.maximum(rho - step, np.minimum(rho, state.rho_floor))
+        new.flags.writeable = False
+        ticked.__dict__[name] = new
+    return ticked
 
 
 def extract_bias_vector(model: Model) -> BiasVector:

@@ -13,7 +13,6 @@ evaluation and oracle tests may pay the toll.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,6 @@ __all__ = [
     "generate",
     "weak_augment_batch",
     "strong_augment_batch",
-    "dataset_to_csv",
 ]
 
 DEFAULT_STRONG_STRENGTH = 1.0
@@ -191,18 +189,3 @@ def strong_augment_batch(x: np.ndarray, noise: float, strength: float, dropout: 
         keep = rng.random(x.shape) >= dropout
         out = out * keep
     return out
-
-
-def dataset_to_csv(dataset: Dataset, path: str) -> None:
-    """Inspection dump: split, class, x_0..x_{D-1}.  Unlabeled rows carry
-    class -1 so the dump never leaks hidden labels."""
-    d = dataset.task.d
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["split", "class"] + [f"x_{i}" for i in range(d)])
-        for x, y in zip(dataset.labeled_x, dataset.labeled_y):
-            writer.writerow(["labeled", int(y)] + [repr(float(v)) for v in x])
-        for x in dataset.unlabeled_x:
-            writer.writerow(["unlabeled", -1] + [repr(float(v)) for v in x])
-        for x, y in zip(dataset.test_x, dataset.test_y):
-            writer.writerow(["test", int(y)] + [repr(float(v)) for v in x])

@@ -23,7 +23,6 @@ __all__ = [
     "make_gaussian_anchor",
     "make_distribution",
     "invert",
-    "imbalance_ratio",
     "head_mask",
     "rescale_anchor",
     "kl_divergence",
@@ -165,14 +164,6 @@ def make_distribution(kind: str, k: int, n_max: int, gamma: float = 100.0,
     raise ValueError(f"unknown distribution kind {kind!r}")
 
 
-def imbalance_ratio(dist: ClassDistribution) -> float:
-    """Most frequent over least frequent class count."""
-    lo = float(dist.counts.min())
-    if lo <= 0.0:
-        raise ValueError("imbalance ratio undefined with a zero-count class")
-    return float(dist.counts.max()) / lo
-
-
 def head_mask(k: int) -> np.ndarray:
     """True for head classes: the first ceil(k/2) indices of the descending
     labeled-count order."""
@@ -247,6 +238,9 @@ class AnchorSet:
 
 
 def anchor_set_from_json(obj: list[dict]) -> AnchorSet:
+    if not (isinstance(obj, list) and all(isinstance(row, dict) for row in obj)):
+        raise ValueError('an anchor set is a JSON array of {"proportions": [...], "c": ...} '
+                         "objects")
     anchors = []
     factors = []
     for row in obj:
@@ -295,6 +289,10 @@ def match_anchor(estimated: np.ndarray, anchor_set: AnchorSet) -> AnchorMatch:
     anchor's own ratio, since rescaling is a scalar multiple).
     """
     n = np.asarray(estimated, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        finite = n.ndim == 1 and np.isfinite(n.sum())
+    if not finite:
+        raise ValueError("estimated counts must be a vector of finite numbers with a finite total")
     kls = tuple(
         kl_divergence(n, rescale_anchor(a.proportions, n)) for a in anchor_set.anchors
     )

@@ -15,6 +15,7 @@ step calls each loss once for all three heads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,10 +85,12 @@ def _softmax_and_log(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e / total, shifted - np.log(total)
 
 
-def _at(classes: np.ndarray) -> tuple:
-    """Index of the entry ``classes[i, ...]`` on the last axis, at every
-    leading position of an array whose leading shape is ``classes.shape``."""
-    return (*np.indices(classes.shape, sparse=True), classes)
+def _flat_at(shape: tuple[int, ...], classes: np.ndarray) -> np.ndarray:
+    """Flat index of the entry ``classes[i, ...]`` on the last axis of a
+    C-ordered array of ``shape``, at every leading position; ``classes``
+    broadcasts against the leading shape.  The loss inputs are made
+    C-contiguous, so their ``reshape(-1)`` is a view."""
+    return np.arange(0, math.prod(shape), shape[-1]).reshape(shape[:-1]) + classes
 
 
 def _check_batch(logits: np.ndarray) -> None:
@@ -101,17 +104,19 @@ def cross_entropy_with_grad(logits: np.ndarray, y: np.ndarray,
     """Mean CE of (logits + adjustment) against y; gradient is
     (softmax(adjusted) - onehot(y)) / N.  With (N, H, K) logits, y labels
     every head and the value is one mean per head."""
-    z = np.asarray(logits, dtype=np.float64)
+    z = np.ascontiguousarray(logits, dtype=np.float64)
     y = np.asarray(y)
     _check_batch(z)
     n = z.shape[0]
     if y.shape != (n,):
         raise ValueError("labels must be a vector matching the batch")
+    if y.min() < 0 or y.max() >= z.shape[-1]:
+        raise ValueError(f"labels must lie in [0, {z.shape[-1]})")
     adjusted = z if adjustment is None else z + adjustment
     grad, logp = _softmax_and_log(adjusted)
-    at_y = _at(np.broadcast_to(y.reshape(n, *(1,) * (z.ndim - 2)), z.shape[:-1]))
-    value = -logp[at_y].mean(axis=0)
-    grad[at_y] -= 1.0
+    at_y = _flat_at(z.shape, y.reshape(n, *(1,) * (z.ndim - 2)))
+    value = -logp.reshape(-1)[at_y].mean(axis=0)
+    grad.reshape(-1)[at_y] -= 1.0
     grad /= n
     return value, grad
 
@@ -147,8 +152,8 @@ def masked_consistency_from_logits(weak_logits: np.ndarray, strong_logits: np.nd
     view and are exactly zero on excluded rows.  With (N, H, K) logits,
     thresholds and class weights are (H, K), one row per head.
     """
-    w = np.asarray(weak_logits, dtype=np.float64)
-    s = np.asarray(strong_logits, dtype=np.float64)
+    w = np.ascontiguousarray(weak_logits, dtype=np.float64)
+    s = np.ascontiguousarray(strong_logits, dtype=np.float64)
     _check_batch(w)
     if w.shape != s.shape:
         raise ValueError("weak/strong logits must have matching shapes")
@@ -156,8 +161,10 @@ def masked_consistency_from_logits(weak_logits: np.ndarray, strong_logits: np.nd
     rho = _check_thresholds(thresholds, w.shape[1:])
     probs_w = softmax(w)
     pseudo = np.argmax(probs_w, axis=-1)
-    at = _at(pseudo)
-    included = probs_w[at] >= np.broadcast_to(rho, w.shape)[at]
+    at = _flat_at(w.shape, pseudo)
+    # the pseudo-class entry of each row's per-class inputs: (K,) or (H, K)
+    at_class = _flat_at(rho.shape, pseudo)
+    included = probs_w.reshape(-1)[at] >= rho.reshape(-1)[at_class]
 
     if class_weights is None:
         weights = np.ones(pseudo.shape, dtype=np.float64)
@@ -165,13 +172,13 @@ def masked_consistency_from_logits(weak_logits: np.ndarray, strong_logits: np.nd
         cw = np.asarray(class_weights, dtype=np.float64)
         if cw.shape != rho.shape:
             raise ValueError(f"class_weights must have shape {rho.shape}")
-        weights = np.broadcast_to(cw, w.shape)[at]
+        weights = cw.reshape(-1)[at_class]
 
     grad, logp = _softmax_and_log(s)
-    per_sample = -logp[at] * weights
+    per_sample = -logp.reshape(-1)[at] * weights
     value = (per_sample * included).sum(axis=0) / n
 
-    grad[at] -= 1.0
+    grad.reshape(-1)[at] -= 1.0
     grad *= (weights / n)[..., None]
     grad[~included] = 0.0
     return LossReport(value=value, logit_gradients=grad, mask=included,

@@ -6,6 +6,12 @@ layer (features are post-activation).  Three heads share it: "original"
 "expansive" (aggressively sampled).  Gradients are exact reverse-mode; the
 backbone gradient accumulates every head's contribution.
 
+Storage: every parameter is a view into one contiguous float64 vector,
+``Model.flat``, laid out as the backbone layers (weight then bias) followed by
+the heads stacked in HEAD_NAMES order, all weights ``(H*K, Q)`` then all
+biases ``(H*K,)``.  ``Model.grad`` has the same layout; ``backward`` writes
+into it and ``sgd_step`` updates ``flat`` with three vector operations.
+
 Checkpoint format (normative field order): a JSON object with keys
 ``format``, ``config_hash``, ``k``, ``dims``, ``activation``, and ``params``;
 ``params`` maps each name in PARAM_ORDER to its array flattened row-major
@@ -14,6 +20,7 @@ Checkpoint format (normative field order): a JSON object with keys
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +40,6 @@ __all__ = [
     "softmax",
     "backward",
     "sgd_step",
-    "param_order",
     "model_to_checkpoint_obj",
     "model_from_checkpoint_obj",
 ]
@@ -97,56 +103,107 @@ class Head:
 
 
 @dataclass
+class _Slots:
+    """One flat vector cut into the parameter shapes, as views."""
+
+    weights: list[np.ndarray]
+    biases: list[np.ndarray]
+    head_w: np.ndarray  # (H * K, Q), heads in HEAD_NAMES order
+    head_b: np.ndarray  # (H * K,)
+
+    def head(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Head i's (K, Q) weights and (K,) biases."""
+        k = self.head_b.size // len(HEAD_NAMES)
+        return self.head_w[i * k:(i + 1) * k], self.head_b[i * k:(i + 1) * k]
+
+
+def _shapes(dims: tuple[int, ...], k: int):
+    """The parameter shapes in the order of the flat layout: each backbone
+    layer's weight and bias, then the stacked head weights and biases."""
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        yield (fan_out, fan_in)
+        yield (fan_out,)
+    yield (len(HEAD_NAMES) * k, dims[-1])
+    yield (len(HEAD_NAMES) * k,)
+
+
+def _carve(buf: np.ndarray, dims: tuple[int, ...], k: int) -> _Slots:
+    views, at = [], 0
+    for shape in _shapes(dims, k):
+        n = math.prod(shape)
+        views.append(buf[at:at + n].reshape(shape))
+        at += n
+    return _Slots(weights=views[:-2:2], biases=views[1:-2:2], head_w=views[-2],
+                  head_b=views[-1])
+
+
 class Model:
-    backbone: Backbone
-    heads: dict[str, Head]
+    """The backbone and the three heads over one flat float64 vector.
+
+    ``flat`` holds every parameter.  ``backbone.weights``/``biases``, the
+    stacked heads ``head_w`` (H * K, Q) and ``head_b`` (H * K,), and each
+    ``heads[name].w``/``.b`` are views into it, so writing through any of
+    them in place writes ``flat``.  ``grad`` is the gradient vector of the
+    same layout that backward() fills.
+    """
+
+    def __init__(self, dims: tuple[int, ...], k: int, activation: str = "relu"):
+        dims = tuple(int(v) for v in dims)
+        if k < 2:
+            raise ValueError("k must be >= 2")
+        if len(dims) < 2 or min(dims) < 1:
+            raise ValueError(f"need at least one layer and every width >= 1, got dims {dims}")
+        size = sum(math.prod(shape) for shape in _shapes(dims, k))
+        self.flat = np.zeros(size, dtype=np.float64)
+        self.grad = np.zeros(size, dtype=np.float64)
+        params = _carve(self.flat, dims, k)
+        self.backbone = Backbone(weights=params.weights, biases=params.biases,
+                                 activation=activation)
+        self.head_w, self.head_b = params.head_w, params.head_b
+        self.heads = {name: Head(*params.head(i)) for i, name in enumerate(HEAD_NAMES)}
+        self._grad = _carve(self.grad, dims, k)
+        self._k = k
 
     @property
     def k(self) -> int:
-        return int(self.heads["output"].w.shape[0])
+        return self._k
 
     @property
     def d(self) -> int:
         return self.backbone.dims[0]
 
-    def parameters(self) -> list[tuple[str, np.ndarray]]:
+    def parameters(self, buf: np.ndarray | None = None) -> list[tuple[str, np.ndarray]]:
         """All parameters in the normative order (backbone layers first,
-        then heads in HEAD_NAMES order, weight before bias)."""
+        then heads in HEAD_NAMES order, weight before bias) as views into
+        ``flat``; given ``buf``, a vector of the same layout such as
+        ``grad``, the same names over views into ``buf``."""
+        if buf is None:
+            buf = self.flat
+        if buf.shape != self.flat.shape:
+            raise ValueError(f"vector of shape {buf.shape}, expected {self.flat.shape}")
+        p = _carve(buf, self.backbone.dims, self.k)
         out = []
-        for i, (w, b) in enumerate(zip(self.backbone.weights, self.backbone.biases)):
+        for i, (w, b) in enumerate(zip(p.weights, p.biases)):
             out.append((f"backbone.w{i}", w))
             out.append((f"backbone.b{i}", b))
-        for name in HEAD_NAMES:
-            out.append((f"head_{name}.w", self.heads[name].w))
-            out.append((f"head_{name}.b", self.heads[name].b))
+        for i, name in enumerate(HEAD_NAMES):
+            w, b = p.head(i)
+            out.append((f"head_{name}.w", w))
+            out.append((f"head_{name}.b", b))
         return out
-
-
-def param_order(model: Model) -> list[str]:
-    return [name for name, _ in model.parameters()]
 
 
 def init_model(k: int, d: int, hidden: tuple[int, ...] = (64, 64), feature: int = 32,
                seed: int = 0, activation: str = "relu") -> Model:
     """He-style uniform fan-in init for all weights; every bias starts at
-    zero so later bias drift is attributable to optimization pressure alone."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    dims = (d, *hidden, feature)
+    zero so later bias drift is attributable to optimization pressure alone.
+    The weights are drawn layer by layer, then the heads in HEAD_NAMES order."""
+    model = Model((d, *hidden, feature), k, activation)
     rng = np.random.default_rng([seed, _MODEL_INIT_STREAM])
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        limit = np.sqrt(6.0 / fan_in)
-        weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out, dtype=np.float64))
-    heads = {}
-    for name in HEAD_NAMES:
-        limit = np.sqrt(6.0 / feature)
-        heads[name] = Head(w=rng.uniform(-limit, limit, size=(k, feature)),
-                           b=np.zeros(k, dtype=np.float64))
-    return Model(backbone=Backbone(weights=weights, biases=biases, activation=activation),
-                 heads=heads)
+    for w in (*model.backbone.weights, model.head_w):
+        limit = np.sqrt(6.0 / w.shape[1])
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    return model
 
 
 @dataclass
@@ -189,18 +246,11 @@ def head_logits(head: Head, features: np.ndarray) -> np.ndarray:
     return f @ head.w.T + head.b
 
 
-def _stacked_heads(model: Model) -> tuple[np.ndarray, np.ndarray]:
-    """Every head's weights and biases stacked in HEAD_NAMES order:
-    (H * K, Q) and (H * K,)."""
-    heads = [model.heads[name] for name in HEAD_NAMES]
-    return np.concatenate([h.w for h in heads]), np.concatenate([h.b for h in heads])
-
-
 def stacked_head_logits(model: Model, features: np.ndarray) -> np.ndarray:
     """Every head's logits from one matmul: (N, H, K), heads in HEAD_NAMES
     order."""
-    w, b = _stacked_heads(model)
-    return (features @ w.T + b).reshape(features.shape[0], len(HEAD_NAMES), model.k)
+    return ((features @ model.head_w.T + model.head_b)
+            .reshape(features.shape[0], len(HEAD_NAMES), model.k))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -212,47 +262,48 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def backward(model: Model, cache: ForwardCache, head_grads: np.ndarray) -> dict[str, np.ndarray]:
+def backward(model: Model, cache: ForwardCache, head_grads: np.ndarray) -> np.ndarray:
     """Exact gradients given dL/dlogits of every head as one (N, H, K) array,
     heads in HEAD_NAMES order, already carrying any 1/N averaging; a head
     whose slab is zero contributes nothing.  The heads' parameter gradients
-    and dL/dfeatures each come from one matmul over the stacked heads."""
+    and dL/dfeatures each come from one matmul over the stacked heads.
+
+    The gradients are written into ``model.grad`` and that vector is
+    returned; the next call overwrites it.  ``model.parameters(grad)`` names
+    its slices."""
     _, act_grad = _ACTIVATIONS[model.backbone.activation]
     feats = cache.acts[-1]
-    n, q = feats.shape
-    h, k = len(HEAD_NAMES), model.k
+    n = feats.shape[0]
     g = np.asarray(head_grads, dtype=np.float64)
-    if g.shape != (n, h, k):
-        raise ValueError(f"head gradient shape {g.shape}, expected {(n, h, k)}")
-    g = g.reshape(n, h * k)
-    w_heads, _ = _stacked_heads(model)
-    g_w = (g.T @ feats).reshape(h, k, q)
-    g_b = g.sum(axis=0).reshape(h, k)
-    grads: dict[str, np.ndarray] = {}
-    for i, name in enumerate(HEAD_NAMES):
-        grads[f"head_{name}.w"] = g_w[i]
-        grads[f"head_{name}.b"] = g_b[i]
-    da = g @ w_heads
+    if g.shape != (n, len(HEAD_NAMES), model.k):
+        raise ValueError(f"head gradient shape {g.shape}, "
+                         f"expected {(n, len(HEAD_NAMES), model.k)}")
+    g = g.reshape(n, -1)
+    out = model._grad
+    np.matmul(g.T, feats, out=out.head_w)
+    np.sum(g, axis=0, out=out.head_b)
+    da = g @ model.head_w
     for i in range(len(model.backbone.weights) - 1, -1, -1):
         dz = da * act_grad(cache.pre_acts[i])
         a_prev = cache.x if i == 0 else cache.acts[i - 1]
-        grads[f"backbone.w{i}"] = dz.T @ a_prev
-        grads[f"backbone.b{i}"] = dz.sum(axis=0)
+        np.matmul(dz.T, a_prev, out=out.weights[i])
+        np.sum(dz, axis=0, out=out.biases[i])
         if i > 0:
             da = dz @ model.backbone.weights[i]
-    return grads
+    return model.grad
 
 
 @dataclass
 class OptimizerState:
     """SGD with classic momentum and decoupled-from-nothing weight decay:
     v <- m*v + g + wd*p; p <- p - lr*v.  Decay applies to weights and biases
-    alike so the bias term stays free to drift under data pressure only."""
+    alike so the bias term stays free to drift under data pressure only.
+    ``velocity`` is one vector in the layout of ``Model.flat``."""
 
     learning_rate: float = 0.03
     momentum: float = 0.9
     weight_decay: float = 0.0005
-    velocities: dict[str, np.ndarray] | None = None
+    velocity: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if not self.learning_rate > 0.0:
@@ -263,17 +314,15 @@ class OptimizerState:
             raise ValueError("weight_decay must be >= 0")
 
 
-def sgd_step(model: Model, grads: dict[str, np.ndarray], state: OptimizerState) -> None:
-    if state.velocities is None:
-        state.velocities = {name: np.zeros_like(p) for name, p in model.parameters()}
-    for name, param in model.parameters():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(param)
-        v = state.velocities[name]
-        v *= state.momentum
-        v += g + state.weight_decay * param
-        param -= state.learning_rate * v
+def sgd_step(model: Model, grad: np.ndarray, state: OptimizerState) -> None:
+    """One update of ``model.flat`` from ``grad``, a vector of the same
+    layout (backward's result)."""
+    if state.velocity is None:
+        state.velocity = np.zeros_like(model.flat)
+    v = state.velocity
+    v *= state.momentum
+    v += grad + state.weight_decay * model.flat
+    model.flat -= state.learning_rate * v
 
 
 def model_to_checkpoint_obj(model: Model, config_hash: str = "") -> dict:
@@ -283,18 +332,14 @@ def model_to_checkpoint_obj(model: Model, config_hash: str = "") -> dict:
         "k": model.k,
         "dims": list(model.backbone.dims),
         "activation": model.backbone.activation,
-        "params": {name: np.asarray(p).ravel(order="C").tolist()
-                   for name, p in model.parameters()},
+        "params": {name: p.ravel().tolist() for name, p in model.parameters()},
     }
 
 
 def model_from_checkpoint_obj(obj: dict) -> Model:
     if obj.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a recognized checkpoint (format={obj.get('format')!r})")
-    dims = tuple(int(v) for v in obj["dims"])
-    k = int(obj["k"])
-    model = init_model(k=k, d=dims[0], hidden=dims[1:-1], feature=dims[-1],
-                       seed=0, activation=obj["activation"])
+    model = Model(tuple(int(v) for v in obj["dims"]), int(obj["k"]), obj["activation"])
     params = obj["params"]
     for name, p in model.parameters():
         flat = np.asarray(params[name], dtype=np.float64)

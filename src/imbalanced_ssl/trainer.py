@@ -46,7 +46,6 @@ __all__ = [
     "TrainingAborted",
     "TrainResult",
     "train",
-    "run_estimation_phase",
     "write_run_artifacts",
 ]
 
@@ -132,7 +131,7 @@ def _train_step(model: Model, opt: OptimizerState, state: ThresholdState,
                                   {"epoch": epoch, "step": step, "components": components})
         sgd_step(model, network.backward(model, losses.cache, losses.head_grads), opt)
     if control:
-        state = update_thresholds(state, extract_bias_vector(model))
+        state = update_thresholds(state, model.heads["output"].b)
     return state, row, losses.pseudo_hist
 
 
@@ -314,13 +313,6 @@ def _summary(config: RunConfig, dataset: Dataset, model: Model, match: AnchorMat
         "bias_spearman": {name: _finite_or_none(v) for name, v in correlations.items()},
         "final": {key: _finite_or_none(final.get(key)) for key in _SUMMARY_METRICS},
     }
-
-
-def run_estimation_phase(config: RunConfig, dataset: Dataset | None = None):
-    """Train through the estimation epochs only, then match.  Returns
-    (model, match, estimated_counts)."""
-    result = train(config, dataset=dataset, stop_after_estimation=True)
-    return result.model, result.match, result.estimated_counts
 
 
 def _csv_cell(value) -> str:

@@ -16,3 +16,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in sorted(ACCEPTANCE_LINES):
             terminalreporter.write_line(line)
+
+
+def param_order(model) -> list[str]:
+    """The model's parameter names in the checkpoint's normative order."""
+    return [name for name, _ in model.parameters()]
+
+
+def run_estimation_phase(config, dataset=None):
+    """Train through the estimation epochs only, then match.  Returns
+    (model, match, estimated_counts)."""
+    from imbalanced_ssl.trainer import train
+    result = train(config, dataset=dataset, stop_after_estimation=True)
+    return result.model, result.match, result.estimated_counts

@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import record_acceptance
+from conftest import param_order, record_acceptance, run_estimation_phase
 from imbalanced_ssl.cli import main as cli_main
 from imbalanced_ssl.config import RunConfig, default_config
 from imbalanced_ssl.control import calibrate_logits, init_thresholds
@@ -30,8 +30,8 @@ from imbalanced_ssl.mixture import (BinaryMixtureSpec,
                                     pseudo_label_probabilities)
 from imbalanced_ssl.network import (HEAD_NAMES, backward, forward_features,
                                     forward_features_cached, head_logits,
-                                    init_model, param_order, softmax)
-from imbalanced_ssl.trainer import run_estimation_phase, train
+                                    init_model, softmax)
+from imbalanced_ssl.trainer import train
 
 SEEDS = (0, 1, 2, 3, 4)
 ANCHOR_KINDS = ("consist", "uniform", "inverse", "gaussian", "gaussian-inverse")
@@ -226,6 +226,11 @@ def _only_head(head, g):
     return bundle
 
 
+def _named_grads(model, cache, head_grads):
+    """backward()'s gradient vector, copied and split by parameter name."""
+    return dict(model.parameters(backward(model, cache, head_grads).copy()))
+
+
 def _component_loss(model, component, case, want_grads):
     if component in SUP_COMPONENTS:
         head, tau = SUP_COMPONENTS[component]
@@ -237,7 +242,7 @@ def _component_loss(model, component, case, want_grads):
             value, g = balanced_softmax_loss(z, case["y"], tau, case["adj"])
         if not want_grads:
             return value, None
-        return value, backward(model, cache, _only_head(head, g))
+        return value, _named_grads(model, cache, _only_head(head, g))
     if component in CON_COMPONENTS:
         head = CON_COMPONENTS[component]
         z_w = head_logits(model.heads[head], forward_features(model, case["x_w"]))
@@ -247,7 +252,7 @@ def _component_loss(model, component, case, want_grads):
             z_w, z_s, np.full(case["k"], case["t"][head]))
         if not want_grads:
             return rep.value, None
-        return rep.value, backward(model, cache, _only_head(head, rep.logit_gradients))
+        return rep.value, _named_grads(model, cache, _only_head(head, rep.logit_gradients))
     # whole objective, assembled exactly the way the training step does
     st = total_loss(model, case["x_l"], case["y"], case["x_w"], case["x_s"],
                     case["adj"],
@@ -258,7 +263,7 @@ def _component_loss(model, component, case, want_grads):
                     tau_b=2.0, tau_e=4.0, lambda_u=2.0, lambda_basic=1.0)
     if not want_grads:
         return st.total, None
-    return st.total, backward(model, st.cache, st.head_grads)
+    return st.total, _named_grads(model, st.cache, st.head_grads)
 
 
 def test_gradient_check_all_losses():

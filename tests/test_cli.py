@@ -149,6 +149,41 @@ def test_train_rejects_out_of_range_config_file(tmp_path, capsys, text):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("obj,needle", [
+    ({"train": {"hidden": [0]}}, "widths"),
+    ({"train": {"feature": 0}}, "widths"),
+    ({"train": {"hidden": [64, -3]}}, "widths"),
+    ({"train": {"seed": 1.5}}, "seed"),
+    ({"train": {"epochs": 1.5}}, "epochs"),
+    ({"train": {"labeled_batch": 2.5}}, "labeled_batch"),
+    ({"train": {"estimation_epochs": 0.5}}, "estimation_epochs"),
+    ({"train": {"hidden": [64.5]}}, "hidden"),
+    ({"train": {"hidden": "64"}}, "hidden"),
+    ({"train": {"epochs": True}}, "epochs"),
+    ({"task": {"k": 4.0}}, "k"),
+    ({"task": {"seed": "1"}}, "seed"),
+    ({"data": {"labeled_max": 1e2}}, "labeled_max"),
+    ({"train": {"learning_rate": True}}, "learning_rate"),
+    ({"task": {"spread": "4"}}, "spread"),
+])
+def test_train_rejects_mistyped_config(tmp_path, capsys, obj, needle):
+    with pytest.raises(ConfigError, match=needle):
+        RunConfig.from_json_obj(obj)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["train", str(bad), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and needle in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_accepts_integral_numbers_in_float_fields():
+    cfg = RunConfig.from_json_obj({"task": {"spread": 4}, "train": {"hidden": [8, 4]}})
+    assert cfg.task.spread == 4
+    assert cfg.train.hidden == (8, 4)
+
+
 FLOAT_FIELDS = [(section, f.name)
                 for section, cls in (("task", TaskSection), ("data", DataSection),
                                      ("train", TrainSection), ("anchors", AnchorSection))
@@ -260,6 +295,39 @@ def test_match_distribution_rejects_malformed_input(tmp_path, capsys):
     assert main(["match-distribution", str(bad)]) == 2
     assert main(["match-distribution", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("counts,anchors", [
+    ([1, 2, 3, 4], None),  # the anchor file holds null
+    ([1, 2, 3, 4], [{"proportions": [1, 2, 3, 4], "c": None}]),
+    ([1, 2, 3, 4], [[1, 2, 3, 4]]),
+    ("[1e400, 2, 3, 4]", False),
+    ("[NaN, 2, 3, 4]", False),
+    ([1e308, 1e308, 3, 4], False),
+    ([[1, 2], [3, 4]], False),
+])
+def test_match_distribution_rejects_bad_numbers_and_anchor_files(tmp_path, capsys, counts,
+                                                                 anchors):
+    path = tmp_path / "counts.json"
+    path.write_text(counts if isinstance(counts, str) else json.dumps(counts))
+    argv = ["match-distribution", str(path)]
+    if anchors is not False:
+        anchor_path = tmp_path / "anchors.json"
+        anchor_path.write_text(json.dumps(anchors))
+        argv += ["--anchors", str(anchor_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "0", "-0.01", "inf"])
+def test_verify_theorem_rejects_a_tolerance_that_is_not_positive_and_finite(capsys,
+                                                                           tolerance):
+    assert main(["verify-theorem", "--samples", "100", "--tolerance", tolerance]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "tolerance" in captured.err
+    assert "OK" not in captured.out
 
 
 def test_console_script_is_installed():

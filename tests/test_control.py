@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imbalanced_ssl.control import (
-    BiasVector,
     ThresholdState,
     calibrate_logits,
     estimate_unlabeled_distribution,
@@ -53,21 +52,20 @@ def test_init_rejects_nonpositive_threshold():
 
 def test_update_decays_only_flagged_classes():
     st = init_thresholds(c=4.0, gamma_u=100.0, head_classes=HEAD5)
-    bias = BiasVector(b_opt=np.array([2.0] + [0.0] * 9))
-    new = update_thresholds(st, bias)
+    new = update_thresholds(st, np.array([2.0] + [0.0] * 9))
     assert new.rho_b[0] == pytest.approx(st.rho_b[0] - 0.005, abs=1e-15)
     assert new.rho_e[0] == pytest.approx(st.rho_e[0] - 0.005, abs=1e-15)
     assert np.array_equal(new.rho_b[1:], st.rho_b[1:])
     assert np.array_equal(new.rho_e[1:], st.rho_e[1:])
     # strictly-above-nu semantics
-    same = update_thresholds(st, BiasVector(b_opt=np.full(10, 1.0)))
+    same = update_thresholds(st, np.full(10, 1.0))
     assert np.array_equal(same.rho_b, st.rho_b)
 
 
 def test_update_clamps_at_floor():
     st = init_thresholds(c=4.0, gamma_u=100.0, head_classes=HEAD5,
                          alpha=0.2, rho_floor=0.5)
-    bias = BiasVector(b_opt=np.full(10, 5.0))
+    bias = np.full(10, 5.0)
     for _ in range(5):
         st = update_thresholds(st, bias)
     assert np.all(st.rho_b >= 0.5 - 1e-15)
@@ -78,7 +76,7 @@ def test_update_clamps_at_floor():
 def test_entries_born_below_floor_are_frozen():
     st = init_thresholds(c=6.0, gamma_u=100.0, head_classes=HEAD5)
     assert st.rho_e[9] == pytest.approx(0.35)  # below the 0.5 floor by design
-    bias = BiasVector(b_opt=np.full(10, 5.0))
+    bias = np.full(10, 5.0)
     for _ in range(60):
         st = update_thresholds(st, bias)
     # frozen in place: never decays further, never gets pulled up
@@ -91,7 +89,7 @@ def test_trajectories_nonincreasing_under_any_bias():
     st = init_thresholds(c=6.0, gamma_u=100.0, head_classes=HEAD5)
     prev_b, prev_e = st.rho_b.copy(), st.rho_e.copy()
     for _ in range(200):
-        st = update_thresholds(st, BiasVector(b_opt=rng.normal(0, 2, size=10)))
+        st = update_thresholds(st, rng.normal(0, 2, size=10))
         assert np.all(st.rho_b <= prev_b + 1e-15)
         assert np.all(st.rho_e <= prev_e + 1e-15)
         prev_b, prev_e = st.rho_b.copy(), st.rho_e.copy()
@@ -121,11 +119,35 @@ def test_update_never_raises_nor_sinks_below_the_floor(run):
     lowest = {name: np.minimum(getattr(state, name), state.rho_floor)
               for name in ("rho_b", "rho_e")}
     for b in biases:
-        new = update_thresholds(state, BiasVector(b_opt=np.array(b)))
+        new = update_thresholds(state, np.array(b))
         for name, bound in lowest.items():
             assert np.all(getattr(new, name) <= getattr(state, name))
             assert np.all(getattr(new, name) >= bound)
         state = new
+
+
+def test_tick_leaves_the_thresholds_read_only():
+    st = init_thresholds(c=6.0, gamma_u=100.0, head_classes=HEAD5)
+    new = update_thresholds(st, np.array([2.0] * 5 + [0.0] * 5))
+    assert new is not st
+    assert np.all(new.rho_b[:5] < st.rho_b[:5])
+    for name in ("alpha", "nu", "rho_max", "rho_floor"):
+        assert getattr(new, name) == getattr(st, name)
+    for state in (st, new):
+        for rho in (state.rho_b, state.rho_e):
+            with pytest.raises(ValueError):
+                rho[0] = 0.1
+    # a tick with no hot class hands the same state back
+    assert update_thresholds(new, np.zeros(10)) is new
+
+
+def test_tick_reads_the_live_output_bias_without_copying_it():
+    m = _model()
+    st = init_thresholds(c=4.0, gamma_u=100.0, head_classes=np.array([True, True, False, False]))
+    m.heads["output"].b[:] = [0.0, 0.0, 3.0, 0.0]
+    new = update_thresholds(st, m.heads["output"].b)
+    assert new.rho_b[2] == pytest.approx(st.rho_b[2] - st.alpha)
+    assert not np.shares_memory(new.rho_b, m.flat)
 
 
 def test_state_validation():
@@ -139,9 +161,7 @@ def test_state_validation():
         ThresholdState(rho_b=np.full(3, 0.9), rho_e=np.full(3, 0.9),
                        alpha=0.005, nu=1.0, rho_max=0.95, rho_floor=0.96)
     with pytest.raises(ValueError):
-        update_thresholds(
-            init_thresholds(4.0, 100.0, HEAD5),
-            BiasVector(b_opt=np.zeros(7)))
+        update_thresholds(init_thresholds(4.0, 100.0, HEAD5), np.zeros(7))
 
 
 def _model(seed=0):
@@ -177,8 +197,9 @@ def test_calibration_can_flip_the_argmax():
     # one-hot features with an identity-style head: the bias alone decides
     # sample 0, and stripping it flips the winner
     m = init_model(k=2, d=2, hidden=(2,), feature=2, seed=0)
-    m.backbone.weights[0] = np.eye(2)
-    m.backbone.biases[0] = np.zeros(2)
+    # in place: the parameters are views into the model's flat vector
+    m.backbone.weights[0][...] = np.eye(2)
+    m.backbone.biases[0][...] = 0.0
     m.heads["output"].w[:] = np.eye(2)
     m.heads["output"].b[:] = [1.0, 0.0]
     x = np.array([[0.4, 0.8]])

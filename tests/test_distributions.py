@@ -11,7 +11,6 @@ from imbalanced_ssl.distributions import (
     anchor_set_from_json,
     default_anchor_set,
     head_mask,
-    imbalance_ratio,
     invert,
     kl_divergence,
     make_distribution,
@@ -21,6 +20,11 @@ from imbalanced_ssl.distributions import (
     match_anchor,
     rescale_anchor,
 )
+
+
+def imbalance_ratio(dist) -> float:
+    """Most frequent over least frequent class count."""
+    return float(dist.counts.max()) / float(dist.counts.min())
 
 
 def _hand_longtail(k, n_max, gamma):

@@ -292,11 +292,12 @@ def _reference_step(m, lx, ly, xw, xs, adj, rho_b, rho_e, rho_max, head_classes,
     values = {"total": l_basic + sup_b + lambda_u * con_b.value + sup_e + lambda_u * con_e.value,
               "l_basic": l_basic, "l_sup_b": sup_b, "l_con_b": con_b.value,
               "l_sup_e": sup_e, "l_con_e": con_e.value}
-    grads_l = backward(m, cache_l, np.stack([g_ce_o, g_sup_b, g_sup_e], axis=1))
+    # backward() overwrites one gradient vector per model, so copy the first
+    grads_l = backward(m, cache_l, np.stack([g_ce_o, g_sup_b, g_sup_e], axis=1)).copy()
     grads_s = backward(m, cache_s, np.stack([lambda_basic * con_o.logit_gradients,
                                              lambda_u * con_b.logit_gradients,
                                              lambda_u * con_e.logit_gradients], axis=1))
-    grads = {name: grads_l[name] + grads_s[name] for name in grads_l}
+    grads = dict(m.parameters(grads_l + grads_s))
     hist = {h: np.bincount(rep.pseudo_labels[rep.mask], minlength=k)
             for h, rep in zip(HEAD_NAMES, (con_o, con_b, con_e))}
     is_head = head_classes[con_b.pseudo_labels]
@@ -343,7 +344,7 @@ def test_fused_step_matches_per_head_reference(source, weighted):
     want, want_grads, want_hist, want_rates, want_strong_x = _reference_step(
         m, lx, ly, xw, xs, adj, **kw)
     st = total_loss(m, lx, ly, xw, xs, adj, **kw)
-    grads = backward(m, st.cache, st.head_grads)
+    grads = dict(m.parameters(backward(m, st.cache, st.head_grads)))
 
     for name, value in want.items():
         assert getattr(st, name) == pytest.approx(value, rel=1e-12, abs=0.0), name

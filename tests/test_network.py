@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import param_order
 from imbalanced_ssl.diagnostics import evaluate
 from imbalanced_ssl.network import (
     HEAD_NAMES,
@@ -17,7 +18,6 @@ from imbalanced_ssl.network import (
     init_model,
     model_from_checkpoint_obj,
     model_to_checkpoint_obj,
-    param_order,
     sgd_step,
     softmax,
 )
@@ -110,7 +110,7 @@ def test_backward_matches_finite_differences():
     g /= 6.0
     bundle = np.zeros((6, len(HEAD_NAMES), 3))
     bundle[:, HEAD_NAMES.index("output")] = g
-    grads = backward(m, cache, bundle)
+    grads = dict(m.parameters(backward(m, cache, bundle)))
 
     order = param_order(m)
     assert set(grads) == set(order)
@@ -157,19 +157,75 @@ def test_sgd_step_hand_example():
     name = "head_output.b"
     m.heads["output"].b[:] = np.array([1.0, -1.0, 0.5])
     st = OptimizerState(learning_rate=0.1, momentum=0.9, weight_decay=0.01)
-    zero = {n: np.zeros_like(_param_array(m, n)) for n in param_order(m)}
+    zero = np.zeros_like(m.flat)
 
-    g = dict(zero)
-    g[name] = np.array([1.0, 0.0, 0.0])
+    g = zero.copy()
+    dict(m.parameters(g))[name][:] = [1.0, 0.0, 0.0]
     sgd_step(m, g, st)
     # v = g + wd*p = [1.01, -0.01, 0.005]; p -= 0.1*v
     assert np.allclose(m.heads["output"].b, [1.0 - 0.101, -1.0 + 0.001, 0.5 - 0.0005])
 
     before = m.heads["output"].b.copy()
     v_prev = np.array([1.01, -0.01, 0.005])
-    sgd_step(m, dict(zero, **{name: np.zeros(3)}), st)
+    sgd_step(m, zero, st)
     v_next = 0.9 * v_prev + 0.01 * before
     assert np.allclose(m.heads["output"].b, before - 0.1 * v_next)
+
+
+def _per_parameter_sgd_step(model, grads, velocities, state):
+    """The update one parameter at a time, with one velocity array per
+    parameter name: the reference the flat update must match bit for bit."""
+    for name, param in model.parameters():
+        v = velocities.setdefault(name, np.zeros_like(param))
+        v *= state.momentum
+        v += grads[name] + state.weight_decay * param
+        param -= state.learning_rate * v
+
+
+def test_flat_sgd_step_matches_per_parameter_update_bitwise():
+    rng = np.random.default_rng(8)
+    flat_model = init_model(5, 7, hidden=(9, 6), feature=4, seed=3)
+    ref_model = init_model(5, 7, hidden=(9, 6), feature=4, seed=3)
+    start = flat_model.flat.copy()
+    st = OptimizerState(learning_rate=0.05, momentum=0.9, weight_decay=0.001)
+    ref_st = OptimizerState(learning_rate=0.05, momentum=0.9, weight_decay=0.001)
+    velocities = {}
+    for _ in range(25):
+        x = rng.normal(size=(11, 7))
+        head_grads = rng.normal(size=(11, len(HEAD_NAMES), 5)) / 11
+        _, cache = forward_features_cached(flat_model, x)
+        sgd_step(flat_model, backward(flat_model, cache, head_grads), st)
+        _, ref_cache = forward_features_cached(ref_model, x)
+        ref_grads = dict(ref_model.parameters(backward(ref_model, ref_cache, head_grads)))
+        _per_parameter_sgd_step(ref_model, ref_grads, velocities, ref_st)
+        for (name, p), (_, q) in zip(flat_model.parameters(), ref_model.parameters()):
+            assert np.array_equal(p, q), name
+    assert not np.array_equal(flat_model.flat, start)
+
+
+def _assert_flat_backed(model):
+    names = param_order(model)
+    for name, p in model.parameters():
+        assert np.shares_memory(p, model.flat), name
+        assert np.shares_memory(_param_array(model, name), model.flat), name
+        assert np.array_equal(_param_array(model, name), p), name
+    assert np.shares_memory(model.head_w, model.flat)
+    assert np.shares_memory(model.head_b, model.flat)
+    assert sum(p.size for _, p in model.parameters()) == model.flat.size
+    assert len(names) == len(set(names))
+    assert model.grad.shape == model.flat.shape
+    assert not np.shares_memory(model.grad, model.flat)
+
+
+def test_every_parameter_is_a_view_into_the_flat_vector():
+    m = _tiny(seed=7)
+    _assert_flat_backed(m)
+    back = model_from_checkpoint_obj(json.loads(json.dumps(model_to_checkpoint_obj(m))))
+    _assert_flat_backed(back)
+    assert np.array_equal(back.flat, m.flat)
+    # writing through a head view writes the stacked heads and the flat vector
+    m.heads["expansive"].b[:] = 4.0
+    assert np.all(m.head_b[2 * m.k:] == 4.0)
 
 
 def test_checkpoint_roundtrip_exact():

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from imbalanced_ssl import network, trainer
+from conftest import run_estimation_phase
 from imbalanced_ssl.config import RunConfig, default_config
 from imbalanced_ssl.network import init_model, model_from_checkpoint_obj
 from imbalanced_ssl.trainer import (
     TrainingAborted,
-    run_estimation_phase,
     train,
     write_run_artifacts,
 )
