@@ -20,7 +20,8 @@ import numpy as np
 from . import network
 from .config import ConfigError, RunConfig, default_config, load_config
 from .diagnostics import evaluate
-from .distributions import anchor_set_from_json, default_anchor_set, match_anchor
+from .distributions import (anchor_set_from_json, counts_from_json, default_anchor_set,
+                            match_anchor)
 from .mixture import (BinaryMixtureSpec, monte_carlo_pseudo_label_probabilities,
                       pseudo_label_probabilities)
 from .trainer import TrainingAborted, _json_dump, _write_csv, train
@@ -142,17 +143,8 @@ def cmd_evaluate(args) -> int:
     if args.calibrated and args.head != "output":
         raise ConfigError("--calibrated evaluates the output head; it cannot be "
                           f"combined with --head {args.head}")
-    ckpt_path = os.path.join(args.run_dir, "checkpoint.json")
-    cfg_path = os.path.join(args.run_dir, "config.json")
-    try:
-        with open(ckpt_path) as fh:
-            ckpt = json.load(fh)
-        with open(cfg_path) as fh:
-            cfg_obj = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read run artifacts: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"corrupt run artifact: {exc}") from exc
+    ckpt = _read_json(os.path.join(args.run_dir, "checkpoint.json"), "run artifact")
+    cfg_obj = _read_json(os.path.join(args.run_dir, "config.json"), "run artifact")
     try:
         model = network.model_from_checkpoint_obj(ckpt)
     except (KeyError, ValueError) as exc:
@@ -177,38 +169,34 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_match_distribution(args) -> int:
+def _read_json(path: str, what: str):
+    """A JSON file's content; an unreadable or malformed file (nested too
+    deep for the parser included) is a usage error."""
     try:
-        with open(args.counts) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read counts file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"counts file is not valid JSON: {exc}") from exc
-    if isinstance(obj, dict) and "counts" in obj:
-        obj = obj["counts"]
-    if not isinstance(obj, list) or len(obj) < 2:
-        raise ConfigError("counts must be a JSON array with at least 2 entries")
-    counts = np.asarray(obj, dtype=np.float64)
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
+def cmd_match_distribution(args) -> int:
+    counts = counts_from_json(_read_json(args.counts, "counts file"))
     if args.anchors:
+        obj = _read_json(args.anchors, "anchor set")
         try:
-            with open(args.anchors) as fh:
-                anchor_set = anchor_set_from_json(json.load(fh))
-        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            anchor_set = anchor_set_from_json(obj)
+        except ValueError as exc:
             raise ConfigError(f"bad anchor set: {exc}") from exc
         if anchor_set.k != counts.size:
             raise ConfigError(f"anchor set has {anchor_set.k} classes, counts have {counts.size}")
     else:
         anchor_set = default_anchor_set(counts.size, gamma=args.gamma,
                                         as_variance=args.as_variance)
-    try:
-        match = match_anchor(counts, anchor_set)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    match = match_anchor(counts, anchor_set)
     print(f"{'anchor':<20} {'c':>4} {'KL':>12}")
-    for anchor, c, kl in zip(anchor_set.anchors, anchor_set.expansion_factors,
-                             match.kl_values):
-        marker = "  <-- o*" if anchor.kind == match.kind else ""
+    for i, (anchor, c, kl) in enumerate(zip(anchor_set.anchors, anchor_set.expansion_factors,
+                                            match.kl_values)):
+        marker = "  <-- o*" if i == match.index else ""
         print(f"{anchor.kind:<20} {c:>4g} {kl:>12.6f}{marker}")
     print(f"o* = {match.kind}, c = {match.expansion_factor:g}, gamma_u = {match.gamma_u:.4f}")
     if args.json_out:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .data import TaskSpec, generate
-from .distributions import AnchorSet, default_anchor_set, make_distribution
+from .distributions import SHAPES, AnchorSet, default_anchor_set, make_distribution
 
 __all__ = [
     "ConfigError",
@@ -33,9 +33,6 @@ __all__ = [
     "default_config",
     "load_config",
 ]
-
-DISTRIBUTION_CHOICES = ("consist", "uniform", "inverse", "gaussian", "gaussian-inverse")
-
 
 class ConfigError(ValueError):
     """Invalid or malformed run configuration (CLI exit code 2)."""
@@ -105,8 +102,10 @@ class DataSection:
     def __post_init__(self) -> None:
         _check_types(self)
         for name in ("labeled_kind", "unlabeled_kind"):
-            if getattr(self, name) not in DISTRIBUTION_CHOICES:
-                raise ConfigError(f"{name} must be one of {DISTRIBUTION_CHOICES}")
+            if getattr(self, name) not in SHAPES:
+                raise ConfigError(f"{name} must be one of {tuple(SHAPES)}")
+        if min(self.labeled_gamma, self.unlabeled_gamma) < 1.0:
+            raise ConfigError("labeled_gamma and unlabeled_gamma (max/min ratios) must be >= 1")
         if self.labeled_max < 1 or self.unlabeled_max < 0 or self.test_per_class < 1:
             raise ConfigError("split sizes must be positive (unlabeled_max may be 0)")
 
@@ -177,6 +176,8 @@ class AnchorSection:
 
     def __post_init__(self) -> None:
         _check_types(self)
+        if self.gamma < 1.0:
+            raise ConfigError(f"gamma (a max/min ratio) must be >= 1, got {self.gamma}")
 
     def build(self, k: int) -> AnchorSet:
         return default_anchor_set(k, gamma=self.gamma, as_variance=self.as_variance)
@@ -278,6 +279,6 @@ def load_config(path: str) -> RunConfig:
             obj = json.load(fh, parse_constant=_finite_number, parse_float=_finite_number)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     return RunConfig.from_json_obj(obj)

@@ -13,7 +13,7 @@ nonincreasing without exception.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,7 +39,12 @@ DEFAULT_RHO_FLOOR = 0.5
 @dataclass(frozen=True)
 class ThresholdState:
     """Per-class confidence thresholds for the balanced (rho_b) and expansive
-    (rho_e) heads, plus the controller constants."""
+    (rho_e) heads, plus the controller constants.
+
+    ``thresholds`` is the (3, K) matrix the training step reads, one row per
+    head in HEAD_NAMES order: the original head at the scalar rho_max, then
+    rho_b and rho_e.  It is built once per state; ``rho_b`` and ``rho_e``
+    are read-only views of its rows."""
 
     rho_b: np.ndarray
     rho_e: np.ndarray
@@ -47,6 +52,7 @@ class ThresholdState:
     nu: float = DEFAULT_NU
     rho_max: float = DEFAULT_RHO_MAX
     rho_floor: float = DEFAULT_RHO_FLOOR
+    thresholds: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.rho_floor < self.rho_max <= 1.0:
@@ -54,15 +60,21 @@ class ThresholdState:
         if not self.alpha > 0.0:
             raise ValueError("alpha must be > 0")
         for name in ("rho_b", "rho_e"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64).copy()
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
             if arr.ndim != 1 or arr.size < 2:
                 raise ValueError(f"{name} must be a per-class vector")
             if np.any(arr <= 0.0) or np.any(arr > self.rho_max + 1e-12):
                 raise ValueError(f"{name} entries must lie in (0, rho_max]")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if self.rho_b.size != self.rho_e.size:
+        if np.shape(self.rho_b) != np.shape(self.rho_e):
             raise ValueError("rho_b and rho_e must have the same length")
+        self._set_thresholds(np.stack([np.full(np.shape(self.rho_b), self.rho_max),
+                                       self.rho_b, self.rho_e]))
+
+    def _set_thresholds(self, thresholds: np.ndarray) -> None:
+        thresholds.flags.writeable = False
+        object.__setattr__(self, "thresholds", thresholds)
+        object.__setattr__(self, "rho_b", thresholds[1])
+        object.__setattr__(self, "rho_e", thresholds[2])
 
     @property
     def k(self) -> int:
@@ -130,14 +142,12 @@ def update_thresholds(state: ThresholdState, b_opt: np.ndarray) -> ThresholdStat
     hot = np.asarray(b_opt) > state.nu
     if not hot.any():
         return state
-    step = state.alpha * hot
+    rho = state.thresholds[1:]
+    thresholds = state.thresholds.copy()
+    thresholds[1:] = np.maximum(rho - state.alpha * hot, np.minimum(rho, state.rho_floor))
     ticked = object.__new__(ThresholdState)
     ticked.__dict__.update(state.__dict__)
-    for name in ("rho_b", "rho_e"):
-        rho = getattr(state, name)
-        new = np.maximum(rho - step, np.minimum(rho, state.rho_floor))
-        new.flags.writeable = False
-        ticked.__dict__[name] = new
+    ticked._set_thresholds(thresholds)
     return ticked
 
 

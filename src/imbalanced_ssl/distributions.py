@@ -1,51 +1,49 @@
-"""Class-count distributions, imbalance measures, and anchor matching.
+"""Class shapes, imbalance measures, and anchor matching.
 
 Class index 0 is always the most frequent *labeled* class; "head" classes are
-the first half of that ordering.  Anchor distributions describe candidate
-shapes of the unlabeled data (same long-tail as the labeled split, uniform,
-inverted long-tail, bell-shaped, inverted bell), each carrying the expansion
-factor used to initialize pseudo-label thresholds once it is matched.
+the first half of that ordering.  ``SHAPES`` lists the five class shapes in
+anchor order with the expansion factor each initializes the thresholds from
+once matched.  ``shape_proportions`` writes each shape once, as proportions;
+they are the KL-matching anchors (``default_anchor_set``) and, scaled so the
+largest class holds ``n_max``, the split counts (``make_distribution``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
+    "SHAPES",
     "ClassDistribution",
     "AnchorSet",
     "AnchorMatch",
-    "make_longtail",
-    "make_uniform",
-    "make_gaussian_anchor",
+    "shape_proportions",
     "make_distribution",
-    "invert",
     "head_mask",
     "rescale_anchor",
     "kl_divergence",
     "match_anchor",
     "default_anchor_set",
     "anchor_set_from_json",
+    "counts_from_json",
 ]
 
 KL_SMOOTHING = 1e-6
 
-DISTRIBUTION_KINDS = ("consist", "uniform", "inverse", "gaussian", "gaussian-inverse", "custom")
-
-# Expansion factors for the default anchors, in default_anchor_set order
-# (consist, uniform, inverse, gaussian, gaussian-inverse).
-DEFAULT_EXPANSION_FACTORS = (4, 5, 6, 4, 6)
+# The five class shapes in anchor order, each with its expansion factor.
+SHAPES = {"consist": 4, "uniform": 5, "inverse": 6, "gaussian": 4, "gaussian-inverse": 6}
 
 
 @dataclass(frozen=True)
 class ClassDistribution:
     """Per-class weights: raw counts for data splits, proportions for anchors.
 
-    ``counts`` is any nonnegative vector with at least one positive entry and
-    length >= 2; ``proportions`` normalizes it.
+    ``counts`` is any nonnegative vector with at least one positive entry, a
+    finite total and length >= 2; ``proportions`` normalizes it.  ``kind``
+    names one of ``SHAPES`` or is "custom".
     """
 
     counts: np.ndarray
@@ -55,11 +53,13 @@ class ClassDistribution:
         arr = np.asarray(self.counts, dtype=np.float64).copy()
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("a class distribution needs at least 2 classes")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-            raise ValueError("class counts must be finite and nonnegative")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(arr.sum()) or np.any(arr < 0.0):
+                raise ValueError("class counts must be finite and nonnegative, "
+                                 "with a finite total")
         if not np.any(arr > 0.0):
             raise ValueError("class counts must not all be zero")
-        if self.kind not in DISTRIBUTION_KINDS:
+        if not (isinstance(self.kind, str) and (self.kind in SHAPES or self.kind == "custom")):
             raise ValueError(f"unknown distribution kind {self.kind!r}")
         arr.flags.writeable = False
         object.__setattr__(self, "counts", arr)
@@ -80,88 +80,45 @@ class ClassDistribution:
         return rounded.astype(np.int64)
 
 
-def _round_half_up(x: np.ndarray) -> np.ndarray:
-    # Half-away-from-zero for nonnegative input; unambiguous across platforms.
-    return np.floor(x + 0.5)
+def shape_proportions(kind: str, k: int, gamma: float = 100.0,
+                      as_variance: bool = False) -> np.ndarray:
+    """Proportions of a named shape over ``k`` classes; 1 <= gamma < inf.
 
-
-def make_longtail(k: int, n_max: int, gamma: float) -> ClassDistribution:
-    """Geometric long-tail: counts[i] = round(n_max * gamma^(-i/(k-1))).
-
-    Class 0 holds exactly ``n_max`` samples and the max/min ratio equals
-    ``gamma`` up to rounding.  Every class keeps at least one sample so the
-    imbalance ratio stays defined.
+    consist is geometric, p_i proportional to gamma^(-i/(k-1)) (max/min =
+    gamma), and inverse is it reversed.  gaussian is a bell centered at
+    (k-1)/2 of width k/6, the standard deviation (the variance with
+    ``as_variance``).  gaussian-inverse is the bell's reciprocal: reversing
+    the symmetric bell would be a no-op, the reciprocal is the edge-heavy
+    valley that stays distinguishable from it.
     """
+    if kind not in SHAPES:
+        raise ValueError(f"unknown distribution kind {kind!r}; expected one of {tuple(SHAPES)}")
     if k < 2:
         raise ValueError("k must be >= 2")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if gamma < 1.0:
-        raise ValueError(f"imbalance ratio must be >= 1, got {gamma}")
+    if not 1.0 <= gamma < math.inf:
+        raise ValueError(f"imbalance ratio gamma must be >= 1 and finite, got {gamma}")
     idx = np.arange(k, dtype=np.float64)
-    raw = n_max * gamma ** (-idx / (k - 1))
-    counts = np.maximum(_round_half_up(raw), 1.0)
-    counts[0] = float(n_max)
-    return ClassDistribution(counts=counts, kind="consist")
-
-
-def make_uniform(k: int, n_per_class: int) -> ClassDistribution:
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if n_per_class < 1:
-        raise ValueError("n_per_class must be >= 1")
-    return ClassDistribution(counts=np.full(k, float(n_per_class)), kind="uniform")
-
-
-def make_gaussian_anchor(k: int, inverted: bool = False, as_variance: bool = False) -> ClassDistribution:
-    """Bell-shaped proportions over class indices, centered at (k-1)/2.
-
-    The width parameter k/6 is taken as the standard deviation by default; a
-    literal variance reading (std = sqrt(k/6)) is selectable via
-    ``as_variance``.
-
-    ``inverted`` takes the pointwise reciprocal of the density before
-    normalizing.  For a monotone long-tail that is the same as reversing the
-    class order; for this bell (symmetric about its center, where reversal
-    would be a no-op) it gives the edge-heavy valley the inverse setting
-    needs to stay distinguishable from the bell.
-    """
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    if kind == "uniform":
+        return np.full(k, 1.0 / k)
+    if kind in ("consist", "inverse"):
+        geometric = gamma ** (-idx / (k - 1))
+        consist = geometric / geometric.sum()
+        return consist if kind == "consist" else consist[::-1].copy()
     std = math.sqrt(k / 6.0) if as_variance else k / 6.0
-    idx = np.arange(k, dtype=np.float64)
-    center = (k - 1) / 2.0
-    exponent = ((idx - center) ** 2) / (2.0 * std * std)
-    weights = np.exp(exponent if inverted else -exponent)
-    return ClassDistribution(
-        counts=weights / weights.sum(),
-        kind="gaussian-inverse" if inverted else "gaussian",
-    )
-
-
-def invert(dist: ClassDistribution) -> ClassDistribution:
-    """Reverse the class order (most frequent becomes least frequent)."""
-    kind = {"consist": "inverse", "inverse": "consist",
-            "gaussian": "gaussian-inverse", "gaussian-inverse": "gaussian"}.get(dist.kind, dist.kind)
-    return ClassDistribution(counts=dist.counts[::-1].copy(), kind=kind)
+    exponent = ((idx - (k - 1) / 2.0) ** 2) / (2.0 * std * std)
+    weights = np.exp(exponent if kind == "gaussian-inverse" else -exponent)
+    return weights / weights.sum()
 
 
 def make_distribution(kind: str, k: int, n_max: int, gamma: float = 100.0,
                       as_variance: bool = False) -> ClassDistribution:
-    """Materialize counts for a named shape, scaled so the largest class has
-    ``n_max`` samples (smaller classes keep at least 1)."""
-    if kind == "consist":
-        return make_longtail(k, n_max, gamma)
-    if kind == "inverse":
-        return invert(make_longtail(k, n_max, gamma))
-    if kind == "uniform":
-        return make_uniform(k, n_max)
-    if kind in ("gaussian", "gaussian-inverse"):
-        props = make_gaussian_anchor(k, inverted=kind == "gaussian-inverse",
-                                     as_variance=as_variance).proportions
-        counts = np.maximum(_round_half_up(props / props.max() * n_max), 1.0)
-        return ClassDistribution(counts=counts, kind=kind)
-    raise ValueError(f"unknown distribution kind {kind!r}")
+    """Counts for a named shape: its proportions scaled so the largest class
+    holds exactly ``n_max`` samples, rounded half up, at least 1 per class."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    p = shape_proportions(kind, k, gamma, as_variance)
+    counts = np.maximum(np.floor(p / p.max() * n_max + 0.5), 1.0)
+    return ClassDistribution(counts=counts, kind=kind)
 
 
 def head_mask(k: int) -> np.ndarray:
@@ -205,7 +162,14 @@ def kl_divergence(estimated: np.ndarray, rescaled: np.ndarray) -> float:
     qs = q + KL_SMOOTHING
     ps = ps / ps.sum()
     qs = qs / qs.sum()
-    return float(np.sum(ps * np.log(ps / qs)))
+    with np.errstate(over="ignore"):
+        ratio = ps / qs
+    log_ratio = np.log(ratio)
+    # ps / qs overflows only for a subnormal qs (a tiny anchor class against
+    # a huge total); the difference of logs stays finite there
+    big = np.isinf(ratio)
+    log_ratio[big] = np.log(ps[big]) - np.log(qs[big])
+    return float(np.sum(ps * log_ratio))
 
 
 @dataclass(frozen=True)
@@ -213,15 +177,15 @@ class AnchorSet:
     """Candidate unlabeled-distribution shapes with per-anchor expansion factors."""
 
     anchors: tuple[ClassDistribution, ...]
-    expansion_factors: tuple[float, ...] = field(default=DEFAULT_EXPANSION_FACTORS)
+    expansion_factors: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if not self.anchors:
             raise ValueError("anchor set must not be empty")
         if len(self.anchors) != len(self.expansion_factors):
             raise ValueError("one expansion factor per anchor required")
-        if any(not c > 3.0 for c in self.expansion_factors):
-            raise ValueError("every expansion factor must exceed 3")
+        if any(not 3.0 < c < math.inf for c in self.expansion_factors):
+            raise ValueError("every expansion factor must be finite and exceed 3")
         k = self.anchors[0].k
         if any(a.k != k for a in self.anchors):
             raise ValueError("all anchors must share the same class count")
@@ -237,6 +201,28 @@ class AnchorSet:
         ]
 
 
+def _json_numbers(values, what: str) -> np.ndarray:
+    """A JSON array of numbers as floats.  A string, bool, object, array or
+    null entry is not a number, nor is an integer too large for a float."""
+    if not (isinstance(values, list) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)):
+        raise ValueError(f"{what} must be a JSON array of numbers (no string, bool, object, "
+                         "array or null)")
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"{what} holds an integer too large for a float") from None
+
+
+def counts_from_json(obj) -> np.ndarray:
+    """Per-class counts from a JSON array of numbers or ``{"counts": [...]}``."""
+    if isinstance(obj, dict) and "counts" in obj:
+        obj = obj["counts"]
+    if not isinstance(obj, list) or len(obj) < 2:
+        raise ValueError("counts must be a JSON array with at least 2 entries")
+    return _json_numbers(obj, "counts")
+
+
 def anchor_set_from_json(obj: list[dict]) -> AnchorSet:
     if not (isinstance(obj, list) and all(isinstance(row, dict) for row in obj)):
         raise ValueError('an anchor set is a JSON array of {"proportions": [...], "c": ...} '
@@ -244,29 +230,21 @@ def anchor_set_from_json(obj: list[dict]) -> AnchorSet:
     anchors = []
     factors = []
     for row in obj:
-        anchors.append(ClassDistribution(counts=np.asarray(row["proportions"], dtype=np.float64),
+        if "proportions" not in row or "c" not in row:
+            raise ValueError('every anchor needs "proportions" and "c"')
+        anchors.append(ClassDistribution(counts=_json_numbers(row["proportions"], "proportions"),
                                          kind=row.get("kind", "custom")))
-        factors.append(float(row["c"]))
+        factors.append(float(_json_numbers([row["c"]], "c")[0]))
     return AnchorSet(anchors=tuple(anchors), expansion_factors=tuple(factors))
 
 
 def default_anchor_set(k: int, gamma: float = 100.0, as_variance: bool = False) -> AnchorSet:
-    """The five standard anchors with expansion factors (4, 5, 6, 4, 6):
-    consist, uniform, inverse, gaussian, gaussian-inverse.
-
-    The long-tail anchors use exact geometric proportions (no count rounding)
-    with ratio ``gamma``.
-    """
-    idx = np.arange(k, dtype=np.float64)
-    geometric = gamma ** (-idx / (k - 1))
-    consist = ClassDistribution(counts=geometric / geometric.sum(), kind="consist")
-    uniform = ClassDistribution(counts=np.full(k, 1.0 / k), kind="uniform")
-    inverse = ClassDistribution(counts=geometric[::-1] / geometric.sum(), kind="inverse")
-    gauss = make_gaussian_anchor(k, inverted=False, as_variance=as_variance)
-    gauss_inv = make_gaussian_anchor(k, inverted=True, as_variance=as_variance)
+    """One anchor per entry of ``SHAPES``, in its order: the shape's exact
+    proportions (no count rounding) with its expansion factor."""
     return AnchorSet(
-        anchors=(consist, uniform, inverse, gauss, gauss_inv),
-        expansion_factors=DEFAULT_EXPANSION_FACTORS,
+        anchors=tuple(ClassDistribution(counts=shape_proportions(kind, k, gamma, as_variance),
+                                        kind=kind) for kind in SHAPES),
+        expansion_factors=tuple(SHAPES.values()),
     )
 
 
@@ -285,8 +263,9 @@ def match_anchor(estimated: np.ndarray, anchor_set: AnchorSet) -> AnchorMatch:
     """Pick the anchor minimizing KL(estimated || rescaled anchor).
 
     Ties break toward the lowest index.  ``gamma_u`` is the max/min ratio of
-    the selected anchor rescaled to the estimated total (identical to the
-    anchor's own ratio, since rescaling is a scalar multiple).
+    the selected anchor rescaled to the estimated total (the anchor's own
+    ratio up to rounding, since rescaling is a scalar multiple); a match
+    whose ratio is not finite, such as an anchor with a zero class, raises.
     """
     n = np.asarray(estimated, dtype=np.float64)
     with np.errstate(over="ignore"):
@@ -299,7 +278,11 @@ def match_anchor(estimated: np.ndarray, anchor_set: AnchorSet) -> AnchorMatch:
     index = int(np.argmin(kls))
     best = anchor_set.anchors[index]
     q = rescale_anchor(best.proportions, n)
-    gamma_u = float(q.max() / q.min())
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        gamma_u = float(q.max() / q.min())
+    if not math.isfinite(gamma_u):
+        raise ValueError(f"the matched anchor {best.kind!r} rescaled to the estimated total "
+                         "has no finite max/min ratio")
     return AnchorMatch(
         index=index,
         kind=best.kind,

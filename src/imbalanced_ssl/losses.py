@@ -226,23 +226,24 @@ def _aggregate_mask_rates(pseudo: np.ndarray, included: np.ndarray,
 
 def total_loss(model: Model, labeled_x: np.ndarray, labeled_y: np.ndarray,
                x_weak: np.ndarray, x_strong: np.ndarray, adj: LogitAdjustment,
-               rho_b: np.ndarray, rho_e: np.ndarray, rho_max: float,
-               head_classes: np.ndarray, tau_b: float = 2.0, tau_e: float = 4.0,
-               lambda_u: float = 2.0, lambda_basic: float = 1.0,
+               thresholds: np.ndarray, head_classes: np.ndarray, tau_b: float = 2.0,
+               tau_e: float = 4.0, lambda_u: float = 2.0, lambda_basic: float = 1.0,
                class_weights: np.ndarray | None = None,
                output_pseudo_source: str = "self") -> StepLosses:
     """L = L_basic + L_sup^b + lambda_u * L_con^b + L_sup^e + lambda_u * L_con^e.
 
-    L_basic lives on the original head (plain CE + lambda_basic * consistency
-    at the scalar rho_max).  The balanced (output) and expansive heads get
-    tau-adjusted supervision and consistency at their own per-class
-    thresholds.  Every head self-labels from its own weak view;
+    ``thresholds`` is (3, K), one row per head in HEAD_NAMES order, as
+    ``ThresholdState.thresholds`` holds it.  L_basic lives on the original
+    head (plain CE + lambda_basic * consistency at its row, rho_max in
+    training).  The balanced (output) and expansive heads get tau-adjusted
+    supervision and consistency at their own per-class thresholds.  Every
+    head self-labels from its own weak view;
     ``output_pseudo_source="expansive"`` switches the output head to the
     expansive head's pseudo-labels instead.
 
     All three heads train from the first step.  Before an anchor is matched
-    the caller passes scalar-valued threshold vectors at rho_max; matching
-    only changes the thresholds, never which terms exist.
+    every threshold sits at rho_max; matching only changes the thresholds,
+    never which terms exist.
 
     One backbone forward covers ``[weak; labeled; strong]``, one matmul gives
     every head's logits, and each loss runs once over the head axis.
@@ -262,7 +263,6 @@ def total_loss(model: Model, labeled_x: np.ndarray, labeled_y: np.ndarray,
     sup, g_sup = balanced_softmax_loss(z_l, labeled_y, [0.0, tau_b, tau_e], adj)
     if output_pseudo_source == "expansive":
         z_w = z_w[:, [0, 2, 2]]
-    thresholds = np.stack([np.full(k, rho_max), rho_b, rho_e])
     weights = (None if class_weights is None
                else np.stack([np.ones(k), class_weights, class_weights]))
     con = masked_consistency_from_logits(z_w, z_s, thresholds, class_weights=weights)

@@ -116,8 +116,7 @@ def _train_step(model: Model, opt: OptimizerState, state: ThresholdState,
     strong = strong_augment_batch(xu, noise, t.strong_strength, t.dropout, aug_rng)
     with np.errstate(over="ignore", invalid="ignore"):
         losses = total_loss(
-            model, xl, yl, weak, strong, adj,
-            rho_b=state.rho_b, rho_e=state.rho_e, rho_max=t.rho_max,
+            model, xl, yl, weak, strong, adj, thresholds=state.thresholds,
             head_classes=head_classes, tau_b=t.tau_b, tau_e=t.tau_e,
             lambda_u=t.lambda_u, lambda_basic=t.lambda_basic,
             class_weights=class_weights, output_pseudo_source=t.output_pseudo_source,

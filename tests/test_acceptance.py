@@ -226,6 +226,11 @@ def _only_head(head, g):
     return bundle
 
 
+def _case_thresholds(case):
+    """The case's per-head thresholds as total_loss's (3, K) matrix."""
+    return np.stack([np.full(case["k"], case["t"][head]) for head in HEAD_NAMES])
+
+
 def _named_grads(model, cache, head_grads):
     """backward()'s gradient vector, copied and split by parameter name."""
     return dict(model.parameters(backward(model, cache, head_grads).copy()))
@@ -256,9 +261,7 @@ def _component_loss(model, component, case, want_grads):
     # whole objective, assembled exactly the way the training step does
     st = total_loss(model, case["x_l"], case["y"], case["x_w"], case["x_s"],
                     case["adj"],
-                    rho_b=np.full(case["k"], case["t"]["output"]),
-                    rho_e=np.full(case["k"], case["t"]["expansive"]),
-                    rho_max=case["t"]["original"],
+                    thresholds=_case_thresholds(case),
                     head_classes=head_mask(case["k"]),
                     tau_b=2.0, tau_e=4.0, lambda_u=2.0, lambda_basic=1.0)
     if not want_grads:
@@ -337,9 +340,7 @@ def test_loss_identities():
         model, case = _grad_case(rng, "total")
         st = total_loss(model, case["x_l"], case["y"], case["x_w"], case["x_s"],
                         case["adj"],
-                        rho_b=np.full(case["k"], case["t"]["output"]),
-                        rho_e=np.full(case["k"], case["t"]["expansive"]),
-                        rho_max=case["t"]["original"],
+                        thresholds=_case_thresholds(case),
                         head_classes=head_mask(case["k"]),
                         tau_b=2.0, tau_e=4.0, lambda_u=2.0, lambda_basic=1.0)
         resum = (st.l_basic + st.l_sup_b + 2.0 * st.l_con_b

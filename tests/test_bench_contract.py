@@ -4,6 +4,8 @@ bench/run_bench.py wraps the functions named in bench/op.py's TRACED and
 fails a traced run when a workload's expected span never fires.  This test
 reads both files, edits neither, and fails fast when a span target no longer
 resolves in the package or a workload expects a span that is not traced.
+It also loads each training workload's config through the package, so a
+renamed, dropped or re-defaulted config key fails here first.
 """
 
 import importlib
@@ -13,6 +15,8 @@ import os
 import sys
 
 import pytest
+
+from imbalanced_ssl.config import RunConfig
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -53,3 +57,12 @@ def test_expected_spans_are_traced(workload):
     assert expected
     missing = sorted(set(expected) - traced)
     assert not missing, f"{workload} expects spans that bench/op.py does not trace: {missing}"
+
+
+@pytest.mark.parametrize("workload", sorted(name for name, w in _workloads().items()
+                                            if w["kind"] == "train"))
+def test_workload_config_round_trips(workload):
+    config = _workloads()[workload]["config"]
+    resolved = RunConfig.from_json_obj(config).to_json_obj()
+    # compared as text, so an int that comes back as a float also fails
+    assert json.dumps(resolved, sort_keys=True) == json.dumps(config, sort_keys=True)

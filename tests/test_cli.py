@@ -1,12 +1,17 @@
 """Command-line interface: exit codes, artifacts, and output shape."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import imbalanced_ssl
 from imbalanced_ssl.cli import main
@@ -109,6 +114,10 @@ def test_train_rejects_bad_config(tmp_path, capsys):
     typo.write_text(json.dumps({"trian": {}}))
     assert main(["train", str(typo)]) == 2
 
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["train", str(deep)]) == 2
+
 
 OUT_OF_RANGE_TRAIN = [
     {"dropout": 1.0},
@@ -138,6 +147,10 @@ def test_config_rejects_out_of_range_train_values(train):
     '{"train": {"tau_b": NaN}}',
     '{"train": {"lambda_u": -Infinity}}',
     '{"train": {"tau_b": 1e400}}',
+    '{"anchors": {"gamma": 0.5}}',
+    '{"anchors": {"gamma": 0}}',
+    '{"data": {"labeled_gamma": 0.5}}',
+    '{"data": {"unlabeled_gamma": -1}}',
 ])
 def test_train_rejects_out_of_range_config_file(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
@@ -287,6 +300,17 @@ def test_match_distribution_accepts_counts_key_and_inverse(tmp_path, capsys):
     assert "o* = inverse" in capsys.readouterr().out
 
 
+def test_match_distribution_marks_only_the_matched_custom_anchor(tmp_path, capsys):
+    counts = tmp_path / "counts.json"
+    counts.write_text("[1, 2, 3, 4]")
+    anchors = tmp_path / "anchors.json"
+    anchors.write_text(json.dumps([{"proportions": [4, 3, 2, 1], "c": 4},
+                                   {"proportions": [1, 2, 3, 4], "c": 5}]))
+    assert main(["match-distribution", str(counts), "--anchors", str(anchors)]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:3]
+    assert ["<-- o*" in row for row in rows] == [False, True]
+
+
 def test_match_distribution_rejects_malformed_input(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("[1]")
@@ -305,6 +329,21 @@ def test_match_distribution_rejects_malformed_input(tmp_path, capsys):
     ("[NaN, 2, 3, 4]", False),
     ([1e308, 1e308, 3, 4], False),
     ([[1, 2], [3, 4]], False),
+    ([1, {}], False),
+    ([1, "2"], False),
+    ([1, True], False),
+    ([1, None], False),
+    pytest.param("[1, 1%s]" % ("0" * 400), False, id="huge-integer"),  # no float holds it
+    ([1, 2, 3, 4], [{"proportions": ["1", 2, 3, 4], "c": 4}]),
+    ([1, 2, 3, 4], [{"proportions": [1, 2, 3, 4], "c": "4"}]),
+    ([1, 2, 3, 4], [{"proportions": [1, 2, 3, 4], "c": True}]),
+    ([1, 2, 3, 4], [{"proportions": [1, 2, 3, 4], "c": 4, "kind": []}]),
+    ([1, 2, 3, 4], [{"proportions": [1, 2, 3, 4]}]),
+    ([1, 2, 3, 4], [{"proportions": [0, 2, 3, 4], "c": 4}]),  # a zero class: no finite ratio
+    ([1, 1.7e308], [{"proportions": [1, 5e-324], "c": 4}]),
+    # nested too deep for the parser
+    pytest.param("[" * 100_000 + "]" * 100_000, False, id="deep-counts"),
+    pytest.param([1, 2, 3, 4], "[" * 100_000 + "]" * 100_000, id="deep-anchors"),
 ])
 def test_match_distribution_rejects_bad_numbers_and_anchor_files(tmp_path, capsys, counts,
                                                                  anchors):
@@ -313,12 +352,87 @@ def test_match_distribution_rejects_bad_numbers_and_anchor_files(tmp_path, capsy
     argv = ["match-distribution", str(path)]
     if anchors is not False:
         anchor_path = tmp_path / "anchors.json"
-        anchor_path.write_text(json.dumps(anchors))
+        anchor_path.write_text(anchors if isinstance(anchors, str) else json.dumps(anchors))
         argv += ["--anchors", str(anchor_path)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("gamma", ["0.5", "0", "-1", "inf", "nan"])
+def test_match_distribution_rejects_a_gamma_below_one_or_not_finite(tmp_path, capsys, gamma):
+    path = tmp_path / "counts.json"
+    path.write_text("[10, 20, 30, 40]")
+    assert main(["match-distribution", str(path), "--gamma", gamma]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "gamma" in captured.err
+    assert "o* =" not in captured.out
+
+
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=8)
+_NUMBERS = st.one_of(st.floats(), st.integers())
+_COUNTS = st.one_of(st.integers(0, 10**6), st.floats(0.0, 1e6))
+
+
+@st.composite
+def _match_inputs(draw):
+    """A count file and an anchor file (None: the default anchors), each
+    either well-formed over k classes or holding arbitrary numbers or JSON."""
+    k = draw(st.integers(2, 6))
+    good = st.lists(_COUNTS, min_size=k, max_size=k)
+    vector = st.one_of(good, st.lists(_NUMBERS, min_size=k, max_size=k), _JSON)
+    counts = draw(st.one_of(good, st.fixed_dictionaries({"counts": vector}),
+                            st.lists(st.one_of(_NUMBERS, _JSON), max_size=6)))
+    kind = st.one_of(st.sampled_from(["consist", "custom", "bimodal"]), _JSON)
+    good_anchor = st.fixed_dictionaries(
+        {"proportions": good, "c": st.floats(3.0, 10.0, exclude_min=True)},
+        optional={"kind": st.sampled_from(["consist", "custom"])})
+    any_anchor = st.fixed_dictionaries(
+        {"proportions": vector, "c": st.one_of(_NUMBERS, _JSON)}, optional={"kind": kind})
+    anchors = draw(st.one_of(st.none(), st.lists(good_anchor, min_size=1, max_size=3),
+                             st.lists(any_anchor, min_size=1, max_size=3), _JSON))
+    return counts, anchors
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-finite token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_match_inputs())
+def test_match_distribution_fuzz_exits_zero_or_two_without_a_traceback(files):
+    """Any count file, with the default anchors or any anchor file, either
+    matches (exit 0, a strict-JSON report) or is a usage error (exit 2 with
+    an ``error:`` line); nothing escapes as an exception or a warning."""
+    counts, anchors = files
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "counts.json")
+        with open(path, "w") as fh:
+            json.dump(counts, fh)
+        report = os.path.join(tmp, "match.json")
+        argv = ["match-distribution", path, "--json", report]
+        if anchors is not None:
+            anchor_path = os.path.join(tmp, "anchors.json")
+            with open(anchor_path, "w") as fh:
+                json.dump(anchors, fh)
+            argv += ["--anchors", anchor_path]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("error:")
+        else:
+            with open(report) as fh:
+                assert len(_strict_json(fh.read())["kl_values"]) >= 1
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "0", "-0.01", "inf"])

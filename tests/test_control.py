@@ -141,6 +141,20 @@ def test_tick_leaves_the_thresholds_read_only():
     assert update_thresholds(new, np.zeros(10)) is new
 
 
+def test_state_carries_the_threshold_matrix_across_ticks():
+    st = init_thresholds(c=6.0, gamma_u=100.0, head_classes=HEAD5)
+    new = update_thresholds(st, np.array([2.0] * 5 + [0.0] * 5))
+    for state in (st, new):
+        # one row per head: original at rho_max, then rho_b and rho_e as views
+        assert state.thresholds.shape == (3, 10)
+        assert np.all(state.thresholds[0] == state.rho_max)
+        assert state.rho_b.base is state.thresholds and state.rho_e.base is state.thresholds
+        assert np.array_equal(state.thresholds[1:], np.stack([state.rho_b, state.rho_e]))
+        with pytest.raises(ValueError):
+            state.thresholds[0, 0] = 0.1
+    assert not np.shares_memory(new.thresholds, st.thresholds)
+
+
 def test_tick_reads_the_live_output_bias_without_copying_it():
     m = _model()
     st = init_thresholds(c=4.0, gamma_u=100.0, head_classes=np.array([True, True, False, False]))

@@ -5,20 +5,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imbalanced_ssl.distributions import (
+    SHAPES,
     AnchorSet,
     anchor_set_from_json,
     default_anchor_set,
     head_mask,
-    invert,
     kl_divergence,
     make_distribution,
-    make_gaussian_anchor,
-    make_longtail,
-    make_uniform,
     match_anchor,
     rescale_anchor,
+    shape_proportions,
 )
 
 
@@ -34,9 +34,9 @@ def _hand_longtail(k, n_max, gamma):
 
 
 def test_longtail_known_vectors():
-    assert make_longtail(10, 100, 100.0).counts.tolist() == [
+    assert make_distribution("consist", 10, 100, 100.0).counts.tolist() == [
         100, 60, 36, 22, 13, 8, 5, 3, 2, 1]
-    assert make_longtail(10, 500, 100.0).counts.tolist() == [
+    assert make_distribution("consist", 10, 500, 100.0).counts.tolist() == [
         500, 300, 180, 108, 65, 39, 23, 14, 8, 5]
 
 
@@ -46,12 +46,12 @@ def test_longtail_matches_hand_rule():
         k = int(rng.integers(2, 15))
         n_max = int(rng.integers(5, 2000))
         gamma = float(rng.uniform(1.5, 500.0))
-        got = make_longtail(k, n_max, gamma).counts.tolist()
+        got = make_distribution("consist", k, n_max, gamma).counts.tolist()
         assert got == _hand_longtail(k, n_max, gamma)
 
 
 def test_uniform_counts():
-    d = make_uniform(7, 42)
+    d = make_distribution("uniform", 7, 42)
     assert d.counts.tolist() == [42] * 7
     assert imbalance_ratio(d) == 1.0
 
@@ -71,7 +71,7 @@ def test_five_anchor_shapes_at_500():
 
 
 def test_inverse_is_reversed_longtail():
-    lt = make_longtail(10, 500, 100.0).counts
+    lt = make_distribution("consist", 10, 500, 100.0).counts
     inv = make_distribution("inverse", 10, 500, 100.0).counts
     assert inv.tolist() == lt[::-1].tolist()
 
@@ -95,14 +95,56 @@ def test_gaussian_variance_flag_narrows_the_bell():
     assert tight.counts.tolist() == [1, 14, 83, 274, 500, 500, 274, 83, 14, 1]
 
 
-def test_invert_on_monotone_equals_reversal():
-    lt = make_longtail(10, 300, 50.0)
-    assert invert(lt).counts.tolist() == lt.counts[::-1].tolist()
-
-
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         make_distribution("bimodal", 10, 100)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("kind", list(SHAPES))
+def test_every_shape_requires_a_finite_gamma_of_at_least_one(kind, gamma):
+    with pytest.raises(ValueError, match="gamma"):
+        shape_proportions(kind, 10, gamma)
+    with pytest.raises(ValueError, match="gamma"):
+        make_distribution(kind, 10, 100, gamma)
+
+
+def test_default_anchor_set_follows_the_shape_table():
+    aset = default_anchor_set(10, 100.0)
+    assert [a.kind for a in aset.anchors] == list(SHAPES)
+    assert aset.expansion_factors == tuple(SHAPES.values()) == (4, 5, 6, 4, 6)
+    for a in aset.anchors:
+        assert np.array_equal(a.counts, shape_proportions(a.kind, 10, 100.0))
+
+
+@st.composite
+def _shape_cases(draw):
+    return (draw(st.sampled_from(list(SHAPES))), draw(st.integers(2, 30)),
+            draw(st.integers(1, 5000)), draw(st.floats(1.0, 1000.0)), draw(st.booleans()))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_shape_cases(), st.floats(1.0, 1e6))
+def test_shape_table_properties(case, scale):
+    """Split counts follow the one count rule, the inverse anchor is the
+    consist anchor reversed bit for bit, and matching a scaled anchor (a
+    histogram with total ``scale`` >= 1) recovers it."""
+    kind, k, n_max, gamma, as_variance = case
+    p = shape_proportions(kind, k, gamma, as_variance)
+    counts = make_distribution(kind, k, n_max, gamma, as_variance).counts
+    assert np.array_equal(counts, np.maximum(np.floor(p / p.max() * n_max + 0.5), 1.0))
+    assert counts.max() == n_max and counts.min() >= 1
+
+    aset = default_anchor_set(k, gamma, as_variance)
+    consist, inverse = aset.anchors[0].counts, aset.anchors[2].counts
+    assert np.array_equal(inverse, consist[::-1])
+
+    i = list(SHAPES).index(kind)
+    anchor = aset.anchors[i].proportions
+    m = match_anchor(scale * aset.anchors[i].counts, aset)
+    # identical anchors cannot be told apart: k = 2 makes the bell the
+    # uniform, gamma = 1 makes both long-tails uniform
+    assert m.index == i or np.array_equal(aset.anchors[m.index].proportions, anchor)
 
 
 def test_imbalance_ratio():
@@ -137,6 +179,12 @@ def test_kl_scale_invariant_and_zero_safe():
         kl_divergence(np.array([1.0, -2.0, 3.0]), b)
     with pytest.raises(ValueError):
         kl_divergence(np.array([1.0, 2.0]), b)
+
+
+def test_kl_stays_finite_against_a_subnormal_anchor_class():
+    # the smoothed ratio ps / qs overflows here; the value must not
+    kl = kl_divergence(np.array([1.0, 1.7e308]), np.array([1.7e308, 8.5e-16]))
+    assert math.isfinite(kl) and kl > 700.0
 
 
 def test_rescale_preserves_total():

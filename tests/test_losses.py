@@ -211,8 +211,9 @@ def test_total_loss_decomposition():
     m = _model(seed=6)
     lx, ly, xw, xs, adj = _step_inputs()
     rho = np.array([0.95, 0.6, 0.45])
-    out = total_loss(m, lx, ly, xw, xs, adj, rho_b=rho, rho_e=rho * 0.9,
-                     rho_max=0.95, head_classes=np.array([True, True, False]),
+    out = total_loss(m, lx, ly, xw, xs, adj,
+                     thresholds=np.stack([np.full(3, 0.95), rho, rho * 0.9]),
+                     head_classes=np.array([True, True, False]),
                      tau_b=2.0, tau_e=4.0, lambda_u=2.0, lambda_basic=1.5)
     # lambda_basic is folded into l_basic itself; lambda_u scales the two
     # balanced consistency terms
@@ -225,8 +226,8 @@ def test_total_loss_base_term_matches_base_loss():
     m = _model(seed=7)
     lx, ly, xw, xs, adj = _step_inputs(6)
     rho = np.full(3, 0.8)
-    out = total_loss(m, lx, ly, xw, xs, adj, rho_b=rho, rho_e=rho,
-                     rho_max=0.95, head_classes=np.array([True, True, False]))
+    out = total_loss(m, lx, ly, xw, xs, adj, thresholds=np.stack([np.full(3, 0.95), rho, rho]),
+                     head_classes=np.array([True, True, False]))
     assert out.l_basic == pytest.approx(
         base_loss(m, lx, ly, xw, xs, rho_max=0.95), abs=1e-12)
 
@@ -235,8 +236,8 @@ def test_total_loss_bookkeeping_fields():
     m = _model(seed=8)
     lx, ly, xw, xs, adj = _step_inputs(7)
     rho = np.full(3, 0.5)
-    out = total_loss(m, lx, ly, xw, xs, adj, rho_b=rho, rho_e=rho,
-                     rho_max=0.95, head_classes=np.array([True, True, False]))
+    out = total_loss(m, lx, ly, xw, xs, adj, thresholds=np.stack([np.full(3, 0.95), rho, rho]),
+                     head_classes=np.array([True, True, False]))
     for name in ("original", "output", "expansive"):
         hist = out.pseudo_hist[name]
         assert hist.sum() <= xw.shape[0]
@@ -255,7 +256,7 @@ def test_pseudo_source_switch_changes_the_teacher():
     m.heads["expansive"].b[:] = np.array([0.0, 0.0, 50.0])
     lx, ly, xw, xs, adj = _step_inputs(8)
     rho = np.full(3, 0.5)
-    kw = dict(adj=adj, rho_b=rho, rho_e=rho, rho_max=0.95,
+    kw = dict(adj=adj, thresholds=np.stack([np.full(3, 0.95), rho, rho]),
               head_classes=np.array([True, True, False]))
     self_taught = total_loss(m, lx, ly, xw, xs, **kw)
     cross_taught = total_loss(m, lx, ly, xw, xs,
@@ -266,12 +267,13 @@ def test_pseudo_source_switch_changes_the_teacher():
         total_loss(m, lx, ly, xw, xs, output_pseudo_source="nonsense", **kw)
 
 
-def _reference_step(m, lx, ly, xw, xs, adj, rho_b, rho_e, rho_max, head_classes,
+def _reference_step(m, lx, ly, xw, xs, adj, thresholds, head_classes,
                     tau_b, tau_e, lambda_u, lambda_basic, class_weights,
                     output_pseudo_source):
     """The training step head by head: three forwards, 2-D losses per head
     and one backward per back-propagated view, gradients summed."""
     k = m.k
+    rho_o, rho_b, rho_e = thresholds
     feats_l, cache_l = forward_features_cached(m, lx)
     feats_w = forward_features(m, xw)
     feats_s, cache_s = forward_features_cached(m, xs)
@@ -283,7 +285,7 @@ def _reference_step(m, lx, ly, xw, xs, adj, rho_b, rho_e, rho_max, head_classes,
     sup_e, g_sup_e = cross_entropy_with_grad(logits_l["expansive"], ly, tau_e * adj.delta_p)
     teacher = "output" if output_pseudo_source == "self" else "expansive"
     con_o = masked_consistency_from_logits(logits_w["original"], logits_s["original"],
-                                           np.full(k, rho_max))
+                                           rho_o)
     con_b = masked_consistency_from_logits(logits_w[teacher], logits_s["output"], rho_b,
                                            class_weights=class_weights)
     con_e = masked_consistency_from_logits(logits_w["expansive"], logits_s["expansive"], rho_e,
@@ -333,9 +335,10 @@ def test_fused_step_matches_per_head_reference(source, weighted):
     xs = xw + rng.normal(size=(40, d))
     adj = LogitAdjustment.from_counts(rng.integers(1, 60, size=k))
     teacher = "output" if source == "self" else "expansive"
-    kw = dict(rho_b=_margin_safe_thresholds(m, teacher, xw, rng, k),
-              rho_e=_margin_safe_thresholds(m, "expansive", xw, rng, k),
-              rho_max=float(_margin_safe_thresholds(m, "original", xw, rng, 1)[0]),
+    rho_b = _margin_safe_thresholds(m, teacher, xw, rng, k)
+    rho_e = _margin_safe_thresholds(m, "expansive", xw, rng, k)
+    rho_max = float(_margin_safe_thresholds(m, "original", xw, rng, 1)[0])
+    kw = dict(thresholds=np.stack([np.full(k, rho_max), rho_b, rho_e]),
               head_classes=np.arange(k) < 2,
               tau_b=2.0, tau_e=4.0, lambda_u=1.7, lambda_basic=0.6,
               class_weights=rng.uniform(0.3, 3.0, size=k) if weighted else None,
