@@ -14,11 +14,12 @@ import itertools
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import network
-from .config import ConfigError, RunConfig, default_config, load_config
+from .config import ConfigError, RunConfig
 from .diagnostics import evaluate
 from .distributions import (anchor_set_from_json, counts_from_json, default_anchor_set,
                             match_anchor)
@@ -74,10 +75,10 @@ def _build_parser() -> argparse.ArgumentParser:
     md.add_argument("counts", help="JSON file: array of counts or {\"counts\": [...]}")
     md.add_argument("--anchors", default=None,
                     help="JSON anchor set (default: the five standard anchors)")
-    md.add_argument("--gamma", type=float, default=100.0,
-                    help="imbalance ratio for the default long-tail anchors")
+    md.add_argument("--gamma", type=float, default=None,
+                    help="imbalance ratio for the default long-tail anchors (default 100)")
     md.add_argument("--as-variance", action="store_true",
-                    help="read the bell anchor's width literally as a variance")
+                    help="read the default bell anchor's width literally as a variance")
     md.add_argument("--json", dest="json_out", default=None,
                     help="also write the match report JSON to this path")
     return parser
@@ -123,8 +124,10 @@ def _default_run_dir(config: RunConfig) -> str:
 
 
 def cmd_train(args) -> int:
-    config = load_config(args.config) if args.config else default_config()
-    config = config.with_overrides(seed=args.seed, output_dir=args.out)
+    config = RunConfig.from_json_obj(_read_json(args.config, "config") if args.config else {})
+    if args.seed is not None:
+        config = replace(config, train=replace(config.train, seed=args.seed))
+    config = replace(config, output_dir=args.out or config.output_dir)
     run_dir = config.output_dir or _default_run_dir(config)
     result = train(config, run_dir=run_dir)
     s = result.summary
@@ -147,12 +150,15 @@ def cmd_evaluate(args) -> int:
     cfg_obj = _read_json(os.path.join(args.run_dir, "config.json"), "run artifact")
     try:
         model = network.model_from_checkpoint_obj(ckpt)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"corrupt checkpoint: {exc}") from exc
     config = RunConfig.from_json_obj(cfg_obj)
+    if model.k != config.task.k:
+        raise ConfigError(f"checkpoint has {model.k} classes, the run's config {config.task.k}")
     dataset = config.build_dataset()
     view = "calibrated" if args.calibrated else args.head
-    report = evaluate(model, dataset.test_x, dataset.test_y)[view]
+    with np.errstate(over="raise", invalid="raise"):  # weights that overflow: exit 2
+        report = evaluate(model, dataset.test_x, dataset.test_y)[view]
     payload = {
         "head": args.head,
         "calibrated": bool(args.calibrated),
@@ -180,6 +186,9 @@ def _read_json(path: str, what: str):
 
 
 def cmd_match_distribution(args) -> int:
+    if args.anchors and (args.gamma is not None or args.as_variance):
+        raise ConfigError("--gamma and --as-variance shape the default anchors; "
+                          "they cannot be combined with --anchors")
     counts = counts_from_json(_read_json(args.counts, "counts file"))
     if args.anchors:
         obj = _read_json(args.anchors, "anchor set")
@@ -190,8 +199,8 @@ def cmd_match_distribution(args) -> int:
         if anchor_set.k != counts.size:
             raise ConfigError(f"anchor set has {anchor_set.k} classes, counts have {counts.size}")
     else:
-        anchor_set = default_anchor_set(counts.size, gamma=args.gamma,
-                                        as_variance=args.as_variance)
+        gamma = 100.0 if args.gamma is None else args.gamma
+        anchor_set = default_anchor_set(counts.size, gamma=gamma, as_variance=args.as_variance)
     match = match_anchor(counts, anchor_set)
     print(f"{'anchor':<20} {'c':>4} {'KL':>12}")
     for i, (anchor, c, kl) in enumerate(zip(anchor_set.anchors, anchor_set.expansion_factors,
@@ -225,7 +234,7 @@ def main(argv=None) -> int:
     except TrainingAborted as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

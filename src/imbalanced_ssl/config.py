@@ -1,17 +1,18 @@
-"""Run configuration: a strict JSON document with four sections (task, data,
-train, anchors) plus an output directory.
+"""Run configuration: a strict JSON document of the sections named in
+``_SECTIONS`` plus an output directory.
 
 Unknown keys are rejected at every level, every default is materialized on
 load, and the resolved form round-trips losslessly, so the config.json echoed
-into a run directory reproduces the run exactly.  Every section checks the
-type of each field when it is built: a float field takes a finite number
-(an integer is fine, a bool is not) and an integer field takes an integer
-(not a bool, not a float such as 1.5).  So a NaN, an infinity or a
-fractional count never reaches training, whichever way the config was read.
+into a run directory reproduces the run exactly.  Each section checks the
+type of every field when it is built, by its annotation (see ``_TYPES``), and
+the error names the field.  So a NaN, an infinity, a fractional count or a
+string for a bool never reaches training, from a config file (read like every
+other input, by a plain JSON reader), a run's config.json or the Python API.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -30,8 +31,6 @@ __all__ = [
     "TrainSection",
     "AnchorSection",
     "RunConfig",
-    "default_config",
-    "load_config",
 ]
 
 class ConfigError(ValueError):
@@ -41,8 +40,7 @@ class ConfigError(ValueError):
 def _take(obj: dict, section: str, cls):
     if not isinstance(obj, dict):
         raise ConfigError(f"section {section!r} must be an object")
-    known = {f.name for f in fields(cls)}
-    unknown = set(obj) - known
+    unknown = set(obj) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown key(s) in {section!r}: {sorted(unknown)}")
     try:
@@ -52,25 +50,29 @@ def _take(obj: dict, section: str, cls):
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and -2**63 <= value < 2**63)
+
+
+# each field annotation's check, with what the field takes
+_TYPES = {
+    "float": (lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v)),
+              "a finite number"),
+    "int": (_is_int, "a 64-bit integer"),
+    "int | None": (lambda v: v is None or _is_int(v), "a 64-bit integer or null"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple[int, ...]": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
+                        "a list of 64-bit integers"),
+}
 
 
 def _check_types(section) -> None:
-    """Float fields hold finite numbers and integer fields integers, by the
-    field annotations ("float", "int", "int | None", "tuple[int, ...]")."""
     for f in fields(section):
         value = getattr(section, f.name)
-        if f.type == "float":
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigError(f"{f.name} must be a number, got {value!r}")
-            if not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
-        elif f.type == "int" or (f.type == "int | None" and value is not None):
-            if not _is_int(value):
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-        elif f.type == "tuple[int, ...]":
-            if not (isinstance(value, (list, tuple)) and all(_is_int(v) for v in value)):
-                raise ConfigError(f"{f.name} must be a list of integers, got {value!r}")
+        ok, takes = _TYPES[f.type]
+        if not ok(value):
+            raise ConfigError(f"{f.name} must be {takes}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -83,10 +85,6 @@ class TaskSection:
 
     def __post_init__(self) -> None:
         _check_types(self)
-
-    def spec(self, fallback_seed: int) -> TaskSpec:
-        return TaskSpec(k=self.k, d=self.d, spread=self.spread, noise=self.noise,
-                        seed=self.seed if self.seed is not None else fallback_seed)
 
 
 @dataclass(frozen=True)
@@ -141,12 +139,12 @@ class TrainSection:
 
     def __post_init__(self) -> None:
         _check_types(self)
-        if self.epochs < 1 or self.steps_per_epoch < 1:
-            raise ConfigError("epochs and steps_per_epoch must be >= 1")
+        for name in ("epochs", "steps_per_epoch", "labeled_batch", "unlabeled_batch",
+                     "probe_size", "probe_n_aug"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if self.estimation_epochs is not None and not 0 <= self.estimation_epochs <= self.epochs:
             raise ConfigError("estimation_epochs must lie in [0, epochs]")
-        if self.labeled_batch < 1 or self.unlabeled_batch < 1:
-            raise ConfigError("batch sizes must be >= 1")
         if self.output_pseudo_source not in ("self", "expansive"):
             raise ConfigError("output_pseudo_source must be 'self' or 'expansive'")
         if not 0.0 < self.rho_floor < self.rho_max <= 1.0:
@@ -157,11 +155,9 @@ class TrainSection:
                      "lambda_basic"):
             if getattr(self, name) < 0.0:
                 raise ConfigError(f"{name} must be >= 0")
-        if self.probe_size < 1 or self.probe_n_aug < 1:
-            raise ConfigError("probe_size and probe_n_aug must be >= 1")
         if self.feature < 1 or any(h < 1 for h in self.hidden):
             raise ConfigError("layer widths (hidden, feature) must be >= 1")
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        object.__setattr__(self, "hidden", tuple(self.hidden))
 
     def resolved_estimation_epochs(self) -> int:
         if self.estimation_epochs is not None:
@@ -183,6 +179,10 @@ class AnchorSection:
         return default_anchor_set(k, gamma=self.gamma, as_variance=self.as_variance)
 
 
+_SECTIONS = {"task": TaskSection, "data": DataSection, "train": TrainSection,
+             "anchors": AnchorSection}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     task: TaskSection = field(default_factory=TaskSection)
@@ -195,34 +195,22 @@ class RunConfig:
     def from_json_obj(cls, obj: dict) -> "RunConfig":
         if not isinstance(obj, dict):
             raise ConfigError("config root must be a JSON object")
-        known = {"task", "data", "train", "anchors", "output_dir"}
-        unknown = set(obj) - known
+        unknown = set(obj) - {*_SECTIONS, "output_dir"}
         if unknown:
             raise ConfigError(f"unknown top-level key(s): {sorted(unknown)}")
         out_dir = obj.get("output_dir")
         if out_dir is not None and not isinstance(out_dir, str):
             raise ConfigError("output_dir must be a string path")
-        return cls(
-            task=_take(obj.get("task", {}), "task", TaskSection),
-            data=_take(obj.get("data", {}), "data", DataSection),
-            train=_take(obj.get("train", {}), "train", TrainSection),
-            anchors=_take(obj.get("anchors", {}), "anchors", AnchorSection),
-            output_dir=out_dir,
-        )
+        return cls(**{name: _take(obj.get(name, {}), name, section)
+                      for name, section in _SECTIONS.items()}, output_dir=out_dir)
 
     def to_json_obj(self) -> dict:
         """Fully resolved form: every default materialized, derived values
         (task seed, estimation epochs) spelled out."""
-        task = {"k": self.task.k, "d": self.task.d, "spread": self.task.spread,
-                "noise": self.task.noise,
-                "seed": self.task.seed if self.task.seed is not None else self.train.seed}
-        data = {f.name: getattr(self.data, f.name) for f in fields(DataSection)}
-        train = {f.name: getattr(self.train, f.name) for f in fields(TrainSection)}
-        train["hidden"] = list(self.train.hidden)
-        train["estimation_epochs"] = self.train.resolved_estimation_epochs()
-        anchors = {"gamma": self.anchors.gamma, "as_variance": self.anchors.as_variance}
-        return {"task": task, "data": data, "train": train, "anchors": anchors,
-                "output_dir": self.output_dir}
+        obj = dataclasses.asdict(self)
+        obj["task"]["seed"] = self.train.seed if self.task.seed is None else self.task.seed
+        obj["train"]["estimation_epochs"] = self.train.resolved_estimation_epochs()
+        return obj
 
     def config_hash(self) -> str:
         """SHA-256 of the resolved form without ``output_dir``: where a run is
@@ -232,20 +220,8 @@ class RunConfig:
         payload = json.dumps(obj, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()
 
-    def with_overrides(self, seed: int | None = None, output_dir: str | None = None) -> "RunConfig":
-        cfg = self
-        if seed is not None:
-            train = {f.name: getattr(cfg.train, f.name) for f in fields(TrainSection)}
-            train["seed"] = seed
-            cfg = RunConfig(task=cfg.task, data=cfg.data, train=TrainSection(**train),
-                            anchors=cfg.anchors, output_dir=cfg.output_dir)
-        if output_dir is not None:
-            cfg = RunConfig(task=cfg.task, data=cfg.data, train=cfg.train,
-                            anchors=cfg.anchors, output_dir=output_dir)
-        return cfg
-
     def build_dataset(self):
-        task = self.task.spec(self.train.seed)
+        task = TaskSpec(**self.to_json_obj()["task"])
         labeled = make_distribution(self.data.labeled_kind, task.k, self.data.labeled_max,
                                     gamma=self.data.labeled_gamma,
                                     as_variance=self.anchors.as_variance)
@@ -258,27 +234,3 @@ class RunConfig:
                                           as_variance=self.anchors.as_variance)
         return generate(task, labeled, unlabeled, self.data.test_per_class)
 
-
-def default_config() -> RunConfig:
-    return RunConfig()
-
-
-def _finite_number(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ConfigError(f"config holds the non-finite number {text}")
-    return value
-
-
-def load_config(path: str) -> RunConfig:
-    """Read a config file as strict JSON with finite numbers only: the
-    NaN/Infinity tokens that Python's json module accepts by default, and
-    literals such as 1e400 that overflow to infinity, are rejected."""
-    try:
-        with open(path) as fh:
-            obj = json.load(fh, parse_constant=_finite_number, parse_float=_finite_number)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
-    return RunConfig.from_json_obj(obj)

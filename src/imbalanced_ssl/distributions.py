@@ -194,12 +194,6 @@ class AnchorSet:
     def k(self) -> int:
         return self.anchors[0].k
 
-    def to_json_obj(self) -> list[dict]:
-        return [
-            {"kind": a.kind, "proportions": a.proportions.tolist(), "c": c}
-            for a, c in zip(self.anchors, self.expansion_factors)
-        ]
-
 
 def _json_numbers(values, what: str) -> np.ndarray:
     """A JSON array of numbers as floats.  A string, bool, object, array or

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import _json_numbers
+
 __all__ = [
     "Backbone",
     "Head",
@@ -86,7 +88,7 @@ class Backbone:
     activation: str = "relu"
 
     def __post_init__(self) -> None:
-        if self.activation not in _ACTIVATIONS:
+        if not isinstance(self.activation, str) or self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if len(self.weights) != len(self.biases) or not self.weights:
             raise ValueError("weights and biases must pair up, at least one layer")
@@ -337,13 +339,28 @@ def model_to_checkpoint_obj(model: Model, config_hash: str = "") -> dict:
 
 
 def model_from_checkpoint_obj(obj: dict) -> Model:
-    if obj.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"not a recognized checkpoint (format={obj.get('format')!r})")
-    model = Model(tuple(int(v) for v in obj["dims"]), int(obj["k"]), obj["activation"])
-    params = obj["params"]
+    """The model a checkpoint object holds; anything else is a ValueError.
+    ``k`` and ``dims`` take integers and ``params`` finite JSON numbers, as
+    many as the layout needs: that is checked before the model is allocated."""
+    if not isinstance(obj, dict) or obj.get("format") != CHECKPOINT_FORMAT:
+        raise ValueError(f"not a JSON object of the checkpoint format {CHECKPOINT_FORMAT!r}")
+    k, dims, activation, params = (obj.get(key) for key in ("k", "dims", "activation", "params"))
+    if not (isinstance(dims, list) and dims and all(type(v) is int for v in (k, *dims))):
+        raise ValueError(f"checkpoint k and dims must be integers, got k={k!r}, dims={dims!r}")
+    if not isinstance(params, dict):
+        raise ValueError("checkpoint params must be an object of arrays")
+    values = {name: _json_numbers(v, f"checkpoint parameter {name!r}")
+              for name, v in params.items()}
+    expected = sum(math.prod(shape) for shape in _shapes(tuple(dims), k))
+    if sum(v.size for v in values.values()) != expected:
+        raise ValueError(f"checkpoint params do not hold the {expected} values of k={k}, "
+                         f"dims={dims}")
+    model = Model(tuple(dims), k, activation)
     for name, p in model.parameters():
-        flat = np.asarray(params[name], dtype=np.float64)
-        if flat.size != p.size:
-            raise ValueError(f"checkpoint parameter {name!r} has {flat.size} values, expected {p.size}")
-        p[...] = flat.reshape(p.shape)
+        if name not in values or values[name].size != p.size:
+            raise ValueError(f"checkpoint parameter {name!r} is missing or does not hold "
+                             f"{p.size} values")
+        p[...] = values[name].reshape(p.shape)
+    if not np.all(np.isfinite(model.flat)):
+        raise ValueError("checkpoint holds a non-finite parameter")
     return model

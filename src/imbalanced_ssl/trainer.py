@@ -69,7 +69,6 @@ class TrainResult:
     model: Model
     match: AnchorMatch | None
     estimated_counts: np.ndarray | None
-    threshold_state: ThresholdState
     metrics_rows: list[dict]
     loss_rows: list[dict]
     threshold_rows: list[dict]
@@ -211,8 +210,8 @@ def _epoch_rows(model: Model, dataset: Dataset, t: TrainSection, head_classes: n
     return row, threshold_rows, bias_rows
 
 
-def train(config: RunConfig, dataset: Dataset | None = None, run_dir: str | None = None,
-          stop_after_estimation: bool = False) -> TrainResult:
+def train(config: RunConfig, dataset: Dataset | None = None,
+          run_dir: str | None = None) -> TrainResult:
     """Run the full pipeline.  Deterministic per (config, seed); never reads
     unlabeled ground truth (the dataset audit counter must not move)."""
     if dataset is None:
@@ -251,8 +250,6 @@ def train(config: RunConfig, dataset: Dataset | None = None, run_dir: str | None
     threshold_rows: list[dict] = []
     bias_rows: list[dict] = []
     for epoch in range(t.epochs):
-        if stop_after_estimation and match is not None:
-            break
         hists = []
         for _ in range(t.steps_per_epoch):
             try:
@@ -278,9 +275,9 @@ def train(config: RunConfig, dataset: Dataset | None = None, run_dir: str | None
     summary = _summary(config, dataset, model, match, estimated, metrics_rows,
                        len(loss_rows), dataset.audit_reads - audit_start)
     result = TrainResult(model=model, match=match, estimated_counts=estimated,
-                         threshold_state=state, metrics_rows=metrics_rows,
-                         loss_rows=loss_rows, threshold_rows=threshold_rows,
-                         bias_rows=bias_rows, summary=summary, dataset=dataset)
+                         metrics_rows=metrics_rows, loss_rows=loss_rows,
+                         threshold_rows=threshold_rows, bias_rows=bias_rows, summary=summary,
+                         dataset=dataset)
     if run_dir is not None:
         write_run_artifacts(run_dir, config, result)
     return result

@@ -4,6 +4,8 @@ The acceptance tests register one summary line each; the terminal hook prints
 the block after the run so the pass/fail ledger is visible without -s.
 """
 
+from dataclasses import replace
+
 ACCEPTANCE_LINES: list[str] = []
 
 
@@ -24,8 +26,11 @@ def param_order(model) -> list[str]:
 
 
 def run_estimation_phase(config, dataset=None):
-    """Train through the estimation epochs only, then match.  Returns
-    (model, match, estimated_counts)."""
+    """Train through the estimation epochs only, then match: the config's run
+    cut short to end with the estimation phase (at least one epoch of it).
+    Returns (model, match, estimated_counts)."""
     from imbalanced_ssl.trainer import train
-    result = train(config, dataset=dataset, stop_after_estimation=True)
+    n = config.train.resolved_estimation_epochs()
+    short = replace(config, train=replace(config.train, epochs=n, estimation_epochs=n))
+    result = train(short, dataset=dataset)
     return result.model, result.match, result.estimated_counts

@@ -16,7 +16,7 @@ import pytest
 
 from conftest import param_order, record_acceptance, run_estimation_phase
 from imbalanced_ssl.cli import main as cli_main
-from imbalanced_ssl.config import RunConfig, default_config
+from imbalanced_ssl.config import RunConfig
 from imbalanced_ssl.control import calibrate_logits, init_thresholds
 from imbalanced_ssl.data import TaskSpec, generate
 from imbalanced_ssl.diagnostics import bias_pattern_report, evaluate
@@ -44,7 +44,7 @@ def _mark(ok: bool) -> str:
 def _protocol_config(seed, unlabeled_kind="inverse", labeled_gamma=100.0):
     """The reference protocol: 10 classes in 16 dimensions, long-tail labeled
     split (100 max), 500-max unlabeled split of the requested shape."""
-    cfg = default_config()
+    cfg = RunConfig()
     data = replace(cfg.data, unlabeled_kind=unlabeled_kind,
                    labeled_gamma=labeled_gamma)
     return RunConfig(task=cfg.task, data=data,

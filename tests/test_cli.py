@@ -178,6 +178,12 @@ def test_train_rejects_out_of_range_config_file(tmp_path, capsys, text):
     ({"data": {"labeled_max": 1e2}}, "labeled_max"),
     ({"train": {"learning_rate": True}}, "learning_rate"),
     ({"task": {"spread": "4"}}, "spread"),
+    ({"anchors": {"as_variance": "false"}}, "as_variance"),
+    ({"train": {"reweight_unlabeled": [1]}}, "reweight_unlabeled"),
+    ({"train": {"reweight_unlabeled": 0}}, "reweight_unlabeled"),
+    ({"data": {"labeled_kind": ["consist"]}}, "labeled_kind"),
+    ({"task": {"spread": 10**400}}, "spread"),  # no float holds it
+    ({"train": {"epochs": 2**64}}, "epochs"),  # no 64-bit integer holds it
 ])
 def test_train_rejects_mistyped_config(tmp_path, capsys, obj, needle):
     with pytest.raises(ConfigError, match=needle):
@@ -278,6 +284,122 @@ def test_evaluate_corrupt_checkpoint_is_usage_error(tmp_path, capsys):
     assert main(["evaluate", str(run)]) == 2
 
 
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A finished tiny run with a small model: its config.json and
+    checkpoint.json, for evaluate's input checks."""
+    tmp = tmp_path_factory.mktemp("small_run")
+    obj = _tiny_config_obj(seed=2)
+    obj["train"].update(hidden=[8], feature=4)
+    cfg = tmp / "config.json"
+    cfg.write_text(json.dumps(obj))
+    run = tmp / "run"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train", str(cfg), "--out", str(run)]) == 0
+    return {name: json.loads((run / name).read_text())
+            for name in ("config.json", "checkpoint.json")}
+
+
+def _evaluate_in_process(tmp, config, checkpoint):
+    """Write a run directory and evaluate it in-process: (exit code, stderr)."""
+    for name, obj in (("config.json", config), ("checkpoint.json", checkpoint)):
+        with open(os.path.join(tmp, name), "w") as fh:
+            json.dump(obj, fh)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["evaluate", tmp])
+    return code, err.getvalue()
+
+
+def _with_param(ckpt, name, i, value):
+    params = dict(ckpt["params"])
+    params[name] = [*params[name][:i], value, *params[name][i + 1:]]
+    return {**ckpt, "params": params}
+
+
+CORRUPT_CHECKPOINTS = {
+    "root-list": lambda c: [c],
+    "dims-int": lambda c: {**c, "dims": 5},
+    "params-list": lambda c: {**c, "params": [1, 2]},
+    "k-null": lambda c: {**c, "k": None},
+    "activation-list": lambda c: {**c, "activation": ["relu"]},
+    "k-fractional": lambda c: {**c, "k": c["k"] + 0.7},
+    "nan-param": lambda c: _with_param(c, "head_output.b", 0, float("nan")),
+    "k-huge": lambda c: {**c, "k": 2**40},  # must fail before any allocation
+    "dims-bool": lambda c: {**c, "dims": [True, *c["dims"][1:]]},
+    "param-string": lambda c: _with_param(c, "backbone.w0", 3, "0.5"),
+    "param-missing": lambda c: {**c, "params": {n: v for n, v in c["params"].items()
+                                                if n != "head_original.b"}},
+    "param-short": lambda c: {**c, "params": {**c["params"],
+                                              "backbone.b0": c["params"]["backbone.b0"][1:]}},
+    "param-nested": lambda c: _with_param(c, "backbone.b0", 0, [0.5]),
+    "overflowing-weight": lambda c: _with_param(c, "backbone.w0", 0, 1e308),
+}
+
+
+@pytest.mark.parametrize("corrupt", list(CORRUPT_CHECKPOINTS.values()),
+                         ids=list(CORRUPT_CHECKPOINTS))
+def test_evaluate_rejects_a_corrupt_checkpoint(small_run, tmp_path, corrupt):
+    bad = corrupt(json.loads(json.dumps(small_run["checkpoint.json"])))
+    code, err = _evaluate_in_process(str(tmp_path), small_run["config.json"], bad)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_evaluate_rejects_a_checkpoint_of_another_class_count(small_run, tmp_path):
+    config = json.loads(json.dumps(small_run["config.json"]))
+    config["task"]["k"] += 1
+    code, err = _evaluate_in_process(str(tmp_path), config, small_run["checkpoint.json"])
+    assert code == 2 and "classes" in err
+
+
+def test_evaluate_accepts_the_small_run(small_run, tmp_path):
+    code, err = _evaluate_in_process(str(tmp_path), small_run["config.json"],
+                                     small_run["checkpoint.json"])
+    assert (code, err) == (0, "")
+
+
+_NUMBER = st.one_of(st.floats(), st.integers(), st.integers(-3, 80))
+
+
+@st.composite
+def _checkpoint_mutation(draw, ckpt):
+    """A real checkpoint with one part replaced: the root, a top-level key,
+    a parameter array or one entry of it, by arbitrary JSON or numbers."""
+    where = draw(st.sampled_from(["root", "key", "drop", "array", "entry", "entry", "dims"]))
+    if where == "root":
+        return draw(_JSON)
+    if where in ("key", "drop"):
+        key = draw(st.sampled_from([*ckpt, "extra"]))
+        if where == "drop":
+            return {n: v for n, v in ckpt.items() if n != key}
+        return {**ckpt, key: draw(st.one_of(_NUMBER, _JSON))}
+    if where == "dims":
+        return {**ckpt, "dims": draw(st.lists(st.integers(-2, 40), max_size=5)),
+                "k": draw(st.integers(-1, 12))}
+    name = draw(st.sampled_from(sorted(ckpt["params"])))
+    if where == "array":
+        return {**ckpt, "params": {**ckpt["params"], name: draw(st.one_of(_JSON, st.lists(
+            _NUMBER, max_size=40)))}}
+    i = draw(st.integers(0, len(ckpt["params"][name]) - 1))
+    return _with_param(ckpt, name, i, draw(st.one_of(_NUMBER, _JSON)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_evaluate_fuzz_exits_zero_or_two_without_a_traceback(small_run, data):
+    """Any corruption of a real checkpoint either evaluates (exit 0) or is a
+    usage error (exit 2 with an ``error:`` line); nothing escapes as an
+    exception or a warning."""
+    ckpt = data.draw(_checkpoint_mutation(small_run["checkpoint.json"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = _evaluate_in_process(tmp, small_run["config.json"], ckpt)
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error:")
+
+
 def test_match_distribution_recovers_generator(tmp_path, capsys):
     counts = tmp_path / "counts.json"
     counts.write_text(json.dumps([500, 300, 180, 108, 65, 39, 23, 14, 8, 5]))
@@ -358,6 +480,21 @@ def test_match_distribution_rejects_bad_numbers_and_anchor_files(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [["--gamma", "0.5"], ["--gamma", "100"], ["--as-variance"]])
+def test_match_distribution_rejects_default_anchor_flags_with_an_anchor_file(tmp_path, capsys,
+                                                                             flags):
+    path = tmp_path / "counts.json"
+    path.write_text("[10, 20, 30, 40]")
+    anchors = tmp_path / "anchors.json"
+    anchors.write_text(json.dumps([{"proportions": [1, 2, 3, 4], "c": 4}]))
+    assert main(["match-distribution", str(path), "--anchors", str(anchors), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and flags[0] in captured.err
+    assert "o* =" not in captured.out
+    # the same flags shape the default anchors
+    assert main(["match-distribution", str(path), "--gamma", "100", "--as-variance"]) == 0
 
 
 @pytest.mark.parametrize("gamma", ["0.5", "0", "-1", "inf", "nan"])

@@ -1,0 +1,112 @@
+"""RunConfig: the JSON round trip and the hash, over generated documents."""
+
+import json
+import math
+from dataclasses import fields, replace
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from imbalanced_ssl.config import ConfigError, RunConfig
+from imbalanced_ssl.distributions import SHAPES
+
+SECTIONS = {f.name: f.default_factory for f in fields(RunConfig) if f.name != "output_dir"}
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# what a loaded field holds, by its annotation
+HOLDS = {
+    "float": lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v)),
+    "int": _is_int,
+    "int | None": lambda v: v is None or _is_int(v),
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "tuple[int, ...]": lambda v: isinstance(v, tuple) and all(map(_is_int, v)),
+}
+
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=2)),
+    max_leaves=4)
+
+
+def _valid(annotation, default):
+    """Values of the field's type, mostly in range."""
+    return {
+        "float": st.one_of(st.just(default), st.floats(0.0, 1.0), st.floats(1.0, 500.0),
+                           st.integers(0, 500)),
+        "int": st.one_of(st.just(default), st.integers(-1, 300)),
+        "int | None": st.one_of(st.none(), st.integers(-1, 300)),
+        "bool": st.booleans(),
+        "str": st.sampled_from([default, *SHAPES, "self", "expansive"]),
+        "tuple[int, ...]": st.lists(st.integers(-1, 128), max_size=3),
+    }[annotation]
+
+
+def _wrong():
+    """Values of any type, non-finite floats and integers no 64-bit field holds."""
+    return st.one_of(_JSON, st.sampled_from([math.nan, math.inf, -math.inf]),
+                     st.integers(2**63, 2**70), st.integers(-(2**70), -(2**63) - 1))
+
+
+def _rarely(draw):
+    # hypothesis shrinks integers toward 0, so the rare case is the top one
+    return draw(st.integers(0, 9)) == 9
+
+
+@st.composite
+def _section(draw, cls):
+    """A section object: clean (its fields of the right type) or mixed
+    (wrong types, non-finite numbers and now and then an unknown key)."""
+    clean = draw(st.booleans())
+    defaults = cls()
+    obj = {}
+    for f in fields(cls):
+        if draw(st.booleans()):
+            value = _valid(f.type, getattr(defaults, f.name))
+            obj[f.name] = draw(value if clean else st.one_of(value, value, _wrong()))
+    if not clean and _rarely(draw):
+        obj[draw(st.text(min_size=1, max_size=3))] = draw(_JSON)
+    return obj
+
+
+@st.composite
+def _document(draw):
+    """A config document of generated sections, now and then with a bad
+    ``output_dir`` or an unknown top-level key."""
+    obj = {name: draw(_section(cls)) for name, cls in SECTIONS.items() if draw(st.booleans())}
+    if draw(st.booleans()):
+        obj["output_dir"] = draw(st.one_of(st.text(max_size=4), st.none()))
+    if _rarely(draw):
+        obj["output_dir"] = draw(_JSON)
+    if _rarely(draw):
+        obj[draw(st.text(max_size=3))] = draw(_JSON)
+    return obj
+
+
+def _text(config):
+    return json.dumps(config.to_json_obj(), sort_keys=True)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_document())
+def test_config_round_trip_and_hash_are_stable(obj):
+    """A document either is a ConfigError or loads into a config whose
+    fields hold their annotated types, whose resolved form reloads to the
+    same text and hash, and whose hash ignores ``output_dir``."""
+    try:
+        config = RunConfig.from_json_obj(obj)
+    except ConfigError:
+        return
+    for name in SECTIONS:
+        section = getattr(config, name)
+        for f in fields(section):
+            assert HOLDS[f.type](getattr(section, f.name)), (name, f.name)
+    back = RunConfig.from_json_obj(json.loads(json.dumps(config.to_json_obj())))
+    assert _text(back) == _text(config)
+    assert back.config_hash() == config.config_hash()
+    assert replace(config, output_dir="elsewhere").config_hash() == config.config_hash()

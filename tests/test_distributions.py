@@ -226,7 +226,8 @@ def test_match_tie_breaks_to_lowest_index():
 
 def test_anchor_set_json_roundtrip():
     aset = default_anchor_set(10, 100.0)
-    obj = aset.to_json_obj()
+    obj = [{"kind": a.kind, "proportions": a.proportions.tolist(), "c": c}
+           for a, c in zip(aset.anchors, aset.expansion_factors)]
     json.dumps(obj)  # must be serializable as-is
     back = anchor_set_from_json(obj)
     assert tuple(float(c) for c in back.expansion_factors) == tuple(

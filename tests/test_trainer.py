@@ -11,7 +11,7 @@ import pytest
 
 from imbalanced_ssl import network, trainer
 from conftest import run_estimation_phase
-from imbalanced_ssl.config import RunConfig, default_config
+from imbalanced_ssl.config import RunConfig
 from imbalanced_ssl.network import init_model, model_from_checkpoint_obj
 from imbalanced_ssl.trainer import (
     TrainingAborted,
@@ -21,7 +21,7 @@ from imbalanced_ssl.trainer import (
 
 
 def _tiny_config(seed=0, **train_kw):
-    cfg = default_config()
+    cfg = RunConfig()
     task = replace(cfg.task, k=4, d=6, seed=seed)
     data = replace(cfg.data, labeled_max=20, unlabeled_max=40, test_per_class=25)
     tr_kw = dict(seed=seed, epochs=4, steps_per_epoch=12, estimation_epochs=1,
@@ -89,12 +89,6 @@ def test_estimation_phase_snapshot():
     assert est.sum() == cfg.build_dataset().n_unlabeled
     assert match.kind in (
         "consist", "uniform", "inverse", "gaussian", "gaussian-inverse")
-
-
-def test_stop_after_estimation_flag():
-    cfg = _tiny_config(seed=7)
-    res = train(cfg, stop_after_estimation=True)
-    assert len(res.metrics_rows) == cfg.train.resolved_estimation_epochs()
 
 
 def _reject_constant(token):
