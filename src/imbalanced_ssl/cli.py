@@ -107,7 +107,7 @@ def cmd_verify_theorem(args) -> int:
             "max_abs_diff": diff,
         })
     if args.out:
-        _write_csv(args.out, rows, list(rows[0]))
+        _write_csv(args.out, rows)
     failures = sum(row["max_abs_diff"] > args.tolerance for row in rows)
     print(f"verify-theorem: {len(rows)} grid points, {args.samples} samples each")
     print(f"worst per-component |analytic - MC| = {worst:.6f} (tolerance {args.tolerance})")

@@ -17,11 +17,11 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .data import TaskSpec, generate
+from .data import generate
 from .distributions import SHAPES, AnchorSet, default_anchor_set, make_distribution
 
 __all__ = [
@@ -35,6 +35,13 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Invalid or malformed run configuration (CLI exit code 2)."""
+
+
+# The most float64 values that any one array sized by the config (k, d, the
+# split sizes, the layer widths, the batch sizes) may hold: 2**24, 128 MiB.
+# The largest such array of the bundled workloads, eval-heavy's test-set
+# forward, holds 640,000.
+MAX_ARRAY_VALUES = 2**24
 
 
 def _take(obj: dict, section: str, cls):
@@ -77,6 +84,11 @@ def _check_types(section) -> None:
 
 @dataclass(frozen=True)
 class TaskSection:
+    """Geometry of the synthetic task: K classes in D dims.  ``spread``
+    scales the unit-direction class centers; ``noise`` is the isotropic
+    per-class standard deviation and also the base scale of the augmentation
+    operators."""
+
     k: int = 10
     d: int = 16
     spread: float = 4.0
@@ -85,6 +97,10 @@ class TaskSection:
 
     def __post_init__(self) -> None:
         _check_types(self)
+        if self.k < 2 or self.d < 2:
+            raise ConfigError("k and d must be >= 2")
+        if not (self.spread > 0.0 and self.noise > 0.0):
+            raise ConfigError("spread and noise must be > 0")
 
 
 @dataclass(frozen=True)
@@ -191,6 +207,32 @@ class RunConfig:
     anchors: AnchorSection = field(default_factory=AnchorSection)
     output_dir: str | None = None
 
+    def __post_init__(self) -> None:
+        for what, values in self._array_sizes():
+            if values > MAX_ARRAY_VALUES:
+                raise ConfigError(f"{what} size an array of {values} float64 values, "
+                                  f"more than the {MAX_ARRAY_VALUES} one array may hold")
+
+    def _array_sizes(self):
+        """(the fields, float64 values) of each array a run allocates whose
+        size the config sets: the layer weights, and every row count (the
+        classes, the splits at their largest, the step's batch) at every
+        layer width, the stacked logits included."""
+        k, t, data = self.task.k, self.train, self.data
+        widths = [("task.d", self.task.d),
+                  *((f"train.hidden[{i}]", h) for i, h in enumerate(t.hidden)),
+                  ("train.feature", t.feature), ("3 heads x task.k", 3 * k)]
+        for (a, fan_in), (b, fan_out) in zip(widths, widths[1:]):
+            yield f"{a} and {b}", fan_in * fan_out
+        rows = [("task.k", k), ("task.k x data.labeled_max", k * data.labeled_max),
+                ("task.k x data.unlabeled_max", k * data.unlabeled_max),
+                ("task.k x data.test_per_class", k * data.test_per_class),
+                ("train.labeled_batch + 2 x train.unlabeled_batch",
+                 t.labeled_batch + 2 * t.unlabeled_batch)]
+        for a, n in rows:
+            for b, width in widths:
+                yield f"{a} rows of {b}", n * width
+
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RunConfig":
         if not isinstance(obj, dict):
@@ -208,7 +250,7 @@ class RunConfig:
         """Fully resolved form: every default materialized, derived values
         (task seed, estimation epochs) spelled out."""
         obj = dataclasses.asdict(self)
-        obj["task"]["seed"] = self.train.seed if self.task.seed is None else self.task.seed
+        obj["task"] = dataclasses.asdict(self.resolved_task())
         obj["train"]["estimation_epochs"] = self.train.resolved_estimation_epochs()
         return obj
 
@@ -220,8 +262,13 @@ class RunConfig:
         payload = json.dumps(obj, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()
 
+    def resolved_task(self) -> TaskSection:
+        """The task with its seed resolved: None follows the training seed."""
+        return replace(self.task, seed=self.train.seed if self.task.seed is None
+                       else self.task.seed)
+
     def build_dataset(self):
-        task = TaskSpec(**self.to_json_obj()["task"])
+        task = self.resolved_task()
         labeled = make_distribution(self.data.labeled_kind, task.k, self.data.labeled_max,
                                     gamma=self.data.labeled_gamma,
                                     as_variance=self.anchors.as_variance)

@@ -22,7 +22,6 @@ from .network import Model
 
 __all__ = [
     "ThresholdState",
-    "BiasVector",
     "init_thresholds",
     "update_thresholds",
     "extract_bias_vector",
@@ -81,20 +80,6 @@ class ThresholdState:
         return int(self.rho_b.size)
 
 
-@dataclass(frozen=True)
-class BiasVector:
-    """Snapshot of the output head's bias term."""
-
-    b_opt: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.b_opt, dtype=np.float64).copy()
-        if arr.ndim != 1 or not np.all(np.isfinite(arr)):
-            raise ValueError("bias vector must be a finite vector")
-        arr.flags.writeable = False
-        object.__setattr__(self, "b_opt", arr)
-
-
 def init_thresholds(c: float, gamma_u: float, head_classes: np.ndarray,
                     alpha: float = DEFAULT_ALPHA, nu: float = DEFAULT_NU,
                     rho_max: float = DEFAULT_RHO_MAX,
@@ -151,9 +136,12 @@ def update_thresholds(state: ThresholdState, b_opt: np.ndarray) -> ThresholdStat
     return ticked
 
 
-def extract_bias_vector(model: Model) -> BiasVector:
-    """The output head's bias term, copied.  Never another head's."""
-    return BiasVector(b_opt=model.heads["output"].b.copy())
+def extract_bias_vector(model: Model) -> np.ndarray:
+    """The output head's bias term, as a read-only copy.  Never another
+    head's."""
+    b_opt = model.heads["output"].b.copy()
+    b_opt.flags.writeable = False
+    return b_opt
 
 
 def calibrate_logits(model: Model, features: np.ndarray) -> np.ndarray:

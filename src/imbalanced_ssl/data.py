@@ -14,13 +14,16 @@ evaluation and oracle tests may pay the toll.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .distributions import ClassDistribution
 
+if TYPE_CHECKING:
+    from .config import TaskSection
+
 __all__ = [
-    "TaskSpec",
     "Dataset",
     "class_centers",
     "generate",
@@ -40,32 +43,6 @@ _UNLABELED_STREAM = 2
 _TEST_STREAM = 3
 
 
-@dataclass(frozen=True)
-class TaskSpec:
-    """Geometry of the synthetic task.
-
-    ``spread`` scales the unit-direction class centers; ``noise`` is the
-    isotropic per-class standard deviation and also the base scale for the
-    augmentation operators.
-    """
-
-    k: int = 10
-    d: int = 16
-    spread: float = 4.0
-    noise: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ValueError("k must be >= 2")
-        if self.d < 2:
-            raise ValueError("d must be >= 2")
-        if not (self.spread > 0.0 and np.isfinite(self.spread)):
-            raise ValueError("spread must be a positive finite real")
-        if not (self.noise > 0.0 and np.isfinite(self.noise)):
-            raise ValueError("noise must be a positive finite real")
-
-
 @dataclass
 class Dataset:
     """Labeled/unlabeled/test splits with exact class counts.
@@ -73,7 +50,7 @@ class Dataset:
     ``audit_reads`` counts every access to the unlabeled ground truth.
     """
 
-    task: TaskSpec
+    task: TaskSection  # its seed resolved
     centers: np.ndarray
     labeled_x: np.ndarray
     labeled_y: np.ndarray
@@ -97,9 +74,10 @@ class Dataset:
         return int(self.unlabeled_x.shape[0])
 
 
-def class_centers(task: TaskSpec) -> np.ndarray:
+def class_centers(task: TaskSection) -> np.ndarray:
     """K pseudo-random unit directions scaled by spread, redrawn until all
-    pairwise distances reach spread/2."""
+    pairwise distances reach spread/2; a task whose K centers do not fit in
+    D dims that way is a ValueError."""
     rng = np.random.default_rng([task.seed, _CENTER_STREAM])
     centers = np.empty((task.k, task.d), dtype=np.float64)
     min_dist = task.spread / 2.0
@@ -114,7 +92,7 @@ def class_centers(task: TaskSpec) -> np.ndarray:
                 centers[k] = candidate
                 break
         else:
-            raise RuntimeError(
+            raise ValueError(
                 f"could not place {task.k} centers at pairwise distance >= {min_dist} in {task.d} dims"
             )
     return centers
@@ -151,14 +129,17 @@ def _sample_split(centers: np.ndarray, counts: np.ndarray, noise: float,
     return np.concatenate(xs, axis=0), np.concatenate(ys, axis=0)
 
 
-def generate(task: TaskSpec, labeled_dist: ClassDistribution | np.ndarray,
+def generate(task: TaskSection, labeled_dist: ClassDistribution | np.ndarray,
              unlabeled_dist: ClassDistribution | np.ndarray,
              test_per_class: int) -> Dataset:
     """Draw the three splits.  Per-class histograms equal the requested
     counts exactly; the test split is balanced at ``test_per_class``.
 
     An all-zero unlabeled count vector is allowed (purely supervised runs).
+    ``task.seed`` must be resolved (``RunConfig.resolved_task``).
     """
+    if task.seed is None:
+        raise ValueError("the task seed must be resolved before generating")
     if test_per_class < 1:
         raise ValueError("test_per_class must be >= 1")
     labeled_counts = _as_counts(labeled_dist, task.k, "labeled")

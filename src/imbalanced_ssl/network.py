@@ -9,8 +9,10 @@ backbone gradient accumulates every head's contribution.
 Storage: every parameter is a view into one contiguous float64 vector,
 ``Model.flat``, laid out as the backbone layers (weight then bias) followed by
 the heads stacked in HEAD_NAMES order, all weights ``(H*K, Q)`` then all
-biases ``(H*K,)``.  ``Model.grad`` has the same layout; ``backward`` writes
-into it and ``sgd_step`` updates ``flat`` with three vector operations.
+biases ``(H*K,)``; ``_carve`` is the one place that cuts it.  ``Model.grad``
+has the same layout; the first ``backward`` allocates it and every call
+writes into it, and ``sgd_step`` updates ``flat`` with three vector
+operations.
 
 Checkpoint format (normative field order): a JSON object with keys
 ``format``, ``config_hash``, ``k``, ``dims``, ``activation``, and ``params``;
@@ -28,7 +30,6 @@ import numpy as np
 from .distributions import _json_numbers
 
 __all__ = [
-    "Backbone",
     "Head",
     "Model",
     "OptimizerState",
@@ -82,41 +83,9 @@ _ACTIVATIONS = {
 
 
 @dataclass
-class Backbone:
-    weights: list[np.ndarray]  # layer i: (dims[i+1], dims[i])
-    biases: list[np.ndarray]
-    activation: str = "relu"
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.activation, str) or self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if len(self.weights) != len(self.biases) or not self.weights:
-            raise ValueError("weights and biases must pair up, at least one layer")
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
-
-
-@dataclass
 class Head:
     w: np.ndarray  # (K, Q)
     b: np.ndarray  # (K,)
-
-
-@dataclass
-class _Slots:
-    """One flat vector cut into the parameter shapes, as views."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    head_w: np.ndarray  # (H * K, Q), heads in HEAD_NAMES order
-    head_b: np.ndarray  # (H * K,)
-
-    def head(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Head i's (K, Q) weights and (K,) biases."""
-        k = self.head_b.size // len(HEAD_NAMES)
-        return self.head_w[i * k:(i + 1) * k], self.head_b[i * k:(i + 1) * k]
 
 
 def _shapes(dims: tuple[int, ...], k: int):
@@ -129,50 +98,49 @@ def _shapes(dims: tuple[int, ...], k: int):
     yield (len(HEAD_NAMES) * k,)
 
 
-def _carve(buf: np.ndarray, dims: tuple[int, ...], k: int) -> _Slots:
+def _carve(buf: np.ndarray, dims: tuple[int, ...], k: int):
+    """``buf`` cut into the parameter shapes, as views: (weights, biases,
+    head_w, head_b), one weight (dims[i+1], dims[i]) and one bias per backbone
+    layer, then the stacked heads (H * K, Q) and (H * K,) in HEAD_NAMES order."""
     views, at = [], 0
     for shape in _shapes(dims, k):
         n = math.prod(shape)
         views.append(buf[at:at + n].reshape(shape))
         at += n
-    return _Slots(weights=views[:-2:2], biases=views[1:-2:2], head_w=views[-2],
-                  head_b=views[-1])
+    return views[:-2:2], views[1:-2:2], views[-2], views[-1]
+
+
+def _split_heads(head_w: np.ndarray, head_b: np.ndarray, k: int):
+    """(name, (K, Q) weights, (K,) biases) of each head, as views of the
+    stacked blocks."""
+    h = len(HEAD_NAMES)
+    return zip(HEAD_NAMES, head_w.reshape(h, k, -1), head_b.reshape(h, k))
 
 
 class Model:
     """The backbone and the three heads over one flat float64 vector.
 
-    ``flat`` holds every parameter.  ``backbone.weights``/``biases``, the
-    stacked heads ``head_w`` (H * K, Q) and ``head_b`` (H * K,), and each
+    ``flat`` holds every parameter.  The backbone's ``weights``/``biases``,
+    the stacked heads ``head_w`` (H * K, Q) and ``head_b`` (H * K,), and each
     ``heads[name].w``/``.b`` are views into it, so writing through any of
-    them in place writes ``flat``.  ``grad`` is the gradient vector of the
-    same layout that backward() fills.
+    them in place writes ``flat``.  ``grad``, the gradient vector of the same
+    layout, is training state: None until the first backward() allocates it.
     """
 
     def __init__(self, dims: tuple[int, ...], k: int, activation: str = "relu"):
         dims = tuple(int(v) for v in dims)
+        if not isinstance(activation, str) or activation not in _ACTIVATIONS:
+            raise ValueError(f"unknown activation {activation!r}")
         if k < 2:
             raise ValueError("k must be >= 2")
         if len(dims) < 2 or min(dims) < 1:
             raise ValueError(f"need at least one layer and every width >= 1, got dims {dims}")
-        size = sum(math.prod(shape) for shape in _shapes(dims, k))
-        self.flat = np.zeros(size, dtype=np.float64)
-        self.grad = np.zeros(size, dtype=np.float64)
-        params = _carve(self.flat, dims, k)
-        self.backbone = Backbone(weights=params.weights, biases=params.biases,
-                                 activation=activation)
-        self.head_w, self.head_b = params.head_w, params.head_b
-        self.heads = {name: Head(*params.head(i)) for i, name in enumerate(HEAD_NAMES)}
-        self._grad = _carve(self.grad, dims, k)
-        self._k = k
-
-    @property
-    def k(self) -> int:
-        return self._k
-
-    @property
-    def d(self) -> int:
-        return self.backbone.dims[0]
+        self.dims, self.k, self.activation = dims, k, activation
+        self.flat = np.zeros(sum(math.prod(shape) for shape in _shapes(dims, k)))
+        self.weights, self.biases, self.head_w, self.head_b = _carve(self.flat, dims, k)
+        self.heads = {name: Head(w, b) for name, w, b in _split_heads(self.head_w, self.head_b, k)}
+        self.grad: np.ndarray | None = None
+        self._grad = None  # the carve of grad, made with it
 
     def parameters(self, buf: np.ndarray | None = None) -> list[tuple[str, np.ndarray]]:
         """All parameters in the normative order (backbone layers first,
@@ -183,13 +151,12 @@ class Model:
             buf = self.flat
         if buf.shape != self.flat.shape:
             raise ValueError(f"vector of shape {buf.shape}, expected {self.flat.shape}")
-        p = _carve(buf, self.backbone.dims, self.k)
+        weights, biases, head_w, head_b = _carve(buf, self.dims, self.k)
         out = []
-        for i, (w, b) in enumerate(zip(p.weights, p.biases)):
+        for i, (w, b) in enumerate(zip(weights, biases)):
             out.append((f"backbone.w{i}", w))
             out.append((f"backbone.b{i}", b))
-        for i, name in enumerate(HEAD_NAMES):
-            w, b = p.head(i)
+        for name, w, b in _split_heads(head_w, head_b, self.k):
             out.append((f"head_{name}.w", w))
             out.append((f"head_{name}.b", b))
         return out
@@ -202,7 +169,7 @@ def init_model(k: int, d: int, hidden: tuple[int, ...] = (64, 64), feature: int 
     The weights are drawn layer by layer, then the heads in HEAD_NAMES order."""
     model = Model((d, *hidden, feature), k, activation)
     rng = np.random.default_rng([seed, _MODEL_INIT_STREAM])
-    for w in (*model.backbone.weights, model.head_w):
+    for w in (*model.weights, model.head_w):
         limit = np.sqrt(6.0 / w.shape[1])
         w[...] = rng.uniform(-limit, limit, size=w.shape)
     return model
@@ -222,13 +189,13 @@ class ForwardCache:
 
 def forward_features_cached(model: Model, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     xb = np.asarray(x, dtype=np.float64)
-    if xb.ndim != 2 or xb.shape[1] != model.d:
-        raise ValueError(f"input shape {xb.shape} incompatible with feature dim {model.d}")
-    act, _ = _ACTIVATIONS[model.backbone.activation]
+    if xb.ndim != 2 or xb.shape[1] != model.dims[0]:
+        raise ValueError(f"input shape {xb.shape} incompatible with feature dim {model.dims[0]}")
+    act, _ = _ACTIVATIONS[model.activation]
     pre_acts = []
     acts = []
     a = xb
-    for w, b in zip(model.backbone.weights, model.backbone.biases):
+    for w, b in zip(model.weights, model.biases):
         z = a @ w.T + b
         a = act(z)
         pre_acts.append(z)
@@ -270,10 +237,10 @@ def backward(model: Model, cache: ForwardCache, head_grads: np.ndarray) -> np.nd
     whose slab is zero contributes nothing.  The heads' parameter gradients
     and dL/dfeatures each come from one matmul over the stacked heads.
 
-    The gradients are written into ``model.grad`` and that vector is
-    returned; the next call overwrites it.  ``model.parameters(grad)`` names
-    its slices."""
-    _, act_grad = _ACTIVATIONS[model.backbone.activation]
+    The gradients are written into ``model.grad``, which the first call
+    allocates, and that vector is returned; the next call overwrites it.
+    ``model.parameters(grad)`` names its slices."""
+    _, act_grad = _ACTIVATIONS[model.activation]
     feats = cache.acts[-1]
     n = feats.shape[0]
     g = np.asarray(head_grads, dtype=np.float64)
@@ -281,17 +248,20 @@ def backward(model: Model, cache: ForwardCache, head_grads: np.ndarray) -> np.nd
         raise ValueError(f"head gradient shape {g.shape}, "
                          f"expected {(n, len(HEAD_NAMES), model.k)}")
     g = g.reshape(n, -1)
-    out = model._grad
-    np.matmul(g.T, feats, out=out.head_w)
-    np.sum(g, axis=0, out=out.head_b)
+    if model.grad is None:
+        model.grad = np.zeros_like(model.flat)
+        model._grad = _carve(model.grad, model.dims, model.k)
+    weights, biases, head_w, head_b = model._grad
+    np.matmul(g.T, feats, out=head_w)
+    np.sum(g, axis=0, out=head_b)
     da = g @ model.head_w
-    for i in range(len(model.backbone.weights) - 1, -1, -1):
+    for i in range(len(model.weights) - 1, -1, -1):
         dz = da * act_grad(cache.pre_acts[i])
         a_prev = cache.x if i == 0 else cache.acts[i - 1]
-        np.matmul(dz.T, a_prev, out=out.weights[i])
-        np.sum(dz, axis=0, out=out.biases[i])
+        np.matmul(dz.T, a_prev, out=weights[i])
+        np.sum(dz, axis=0, out=biases[i])
         if i > 0:
-            da = dz @ model.backbone.weights[i]
+            da = dz @ model.weights[i]
     return model.grad
 
 
@@ -332,8 +302,8 @@ def model_to_checkpoint_obj(model: Model, config_hash: str = "") -> dict:
         "format": CHECKPOINT_FORMAT,
         "config_hash": config_hash,
         "k": model.k,
-        "dims": list(model.backbone.dims),
-        "activation": model.backbone.activation,
+        "dims": list(model.dims),
+        "activation": model.activation,
         "params": {name: p.ravel().tolist() for name, p in model.parameters()},
     }
 

@@ -56,8 +56,8 @@ _PROBE_AUG_STREAM = 23
 
 
 class TrainingAborted(RuntimeError):
-    """Non-finite logits or loss; carries a diagnostic snapshot (CLI exit
-    code 3)."""
+    """Non-finite logits, loss or parameters, or parameters that overflow an
+    epoch's measurement; carries a diagnostic snapshot (CLI exit code 3)."""
 
     def __init__(self, message: str, snapshot: dict):
         super().__init__(message)
@@ -105,8 +105,8 @@ def _train_step(model: Model, opt: OptimizerState, state: ThresholdState,
     carries the loss components, a non-finite one as None (the whole record
     None when the logits already were not), so abort.json is strict JSON.
     Floating-point warnings are off from the forward pass through the update:
-    an overflow there shows up as non-finite logits or loss, at this step or
-    the next, and the check reports it.
+    an overflow there shows up as non-finite logits or loss at this step or
+    the next, or, after an epoch's last step, in ``train``'s parameter check.
     """
     xl, yl = _sample_batch(batch_rng, dataset.labeled_x, t.labeled_batch, dataset.labeled_y)
     xu = _sample_batch(batch_rng, dataset.unlabeled_x, t.unlabeled_batch)
@@ -157,25 +157,15 @@ def _estimate_and_match(model: Model, dataset: Dataset, anchor_set: AnchorSet,
 _EVALUATED = ("original", "output", "calibrated", "expansive")
 _SUMMARY_METRICS = (*(f"{m}_{name}" for name in _EVALUATED for m in ("acc", "bacc")),
                     "recall_head", "recall_nonhead", "mu_hat", "denoise_bound")
-_THRESHOLD_COLUMNS = ("epoch", "class", "rho_b", "rho_e", "b_opt")
-
-
-def _metric_columns(k: int) -> list[str]:
-    return ["epoch", *_SUMMARY_METRICS, "mask_rate_head", "mask_rate_nonhead",
-            *(f"recall_{c}" for c in range(k)),
-            *(f"hist_{name}_{c}" for name in network.HEAD_NAMES for c in range(k))]
-
-
-def _bias_columns(k: int) -> list[str]:
-    return ["epoch", "head", *(f"b_{c}" for c in range(k))]
 
 
 def _epoch_rows(model: Model, dataset: Dataset, t: TrainSection, head_classes: np.ndarray,
                 probe: np.ndarray, match: AnchorMatch | None, state: ThresholdState,
                 epoch: int, epoch_losses: list[dict], epoch_hists: list[dict]):
     """One epoch's measurement: the metrics.csv row, the thresholds.csv rows
-    and the bias.csv rows.  ``epoch_losses``/``epoch_hists`` are the epoch's
-    per-step loss rows and pseudo-label histograms."""
+    and the bias.csv rows, each with its keys in column order (the CSV
+    headers are read off them).  ``epoch_losses``/``epoch_hists`` are the
+    epoch's per-step loss rows and pseudo-label histograms."""
     k = model.k
     reports = evaluate(model, dataset.test_x, dataset.test_y)
     cal = reports["calibrated"]
@@ -200,7 +190,7 @@ def _epoch_rows(model: Model, dataset: Dataset, t: TrainSection, head_classes: n
         for c in range(k):
             row[f"hist_{name}_{c}"] = int(hist[c])
 
-    b_opt = extract_bias_vector(model).b_opt
+    b_opt = extract_bias_vector(model)
     threshold_rows = [{"epoch": epoch, "class": c, "rho_b": float(state.rho_b[c]),
                        "rho_e": float(state.rho_e[c]), "b_opt": float(b_opt[c])}
                       for c in range(k)]
@@ -249,28 +239,40 @@ def train(config: RunConfig, dataset: Dataset | None = None,
     loss_rows: list[dict] = []
     threshold_rows: list[dict] = []
     bias_rows: list[dict] = []
-    for epoch in range(t.epochs):
-        hists = []
-        for _ in range(t.steps_per_epoch):
-            try:
+    try:
+        for epoch in range(t.epochs):
+            hists = []
+            for _ in range(t.steps_per_epoch):
                 state, loss_row, hist = _train_step(
                     model, opt, state, class_weights, match is not None, dataset, t, adj,
                     head_classes, batch_rng, aug_rng, epoch=epoch, step=len(loss_rows))
-            except TrainingAborted as err:
-                if run_dir is not None:
-                    _write_abort(run_dir, config, model, err.snapshot)
-                raise
-            loss_rows.append(loss_row)
-            hists.append(hist)
-        if epoch == est_epochs - 1:
-            match, estimated, state, class_weights = _estimate_and_match(
-                model, dataset, anchor_set, head_classes, t)
-        metrics_row, t_rows, b_rows = _epoch_rows(
-            model, dataset, t, head_classes, probe, match, state, epoch,
-            loss_rows[-t.steps_per_epoch:], hists)
-        metrics_rows.append(metrics_row)
-        threshold_rows += t_rows
-        bias_rows += b_rows
+                loss_rows.append(loss_row)
+                hists.append(hist)
+            # the step checks the logits from before its update; the epoch's
+            # last update is checked here, by the parameters and by the
+            # measurement that reads them
+            step = len(loss_rows) - 1
+            snapshot = {"epoch": epoch, "step": step, "components": None}
+            if not np.isfinite(model.flat).all():
+                raise TrainingAborted(f"non-finite parameters after step {step}", snapshot)
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    if epoch == est_epochs - 1:
+                        match, estimated, state, class_weights = _estimate_and_match(
+                            model, dataset, anchor_set, head_classes, t)
+                    metrics_row, t_rows, b_rows = _epoch_rows(
+                        model, dataset, t, head_classes, probe, match, state, epoch,
+                        loss_rows[-t.steps_per_epoch:], hists)
+            except FloatingPointError as exc:
+                raise TrainingAborted(f"parameters after step {step} overflow the epoch's "
+                                      f"measurement ({exc})", snapshot) from exc
+            metrics_rows.append(metrics_row)
+            threshold_rows += t_rows
+            bias_rows += b_rows
+    except TrainingAborted as err:
+        if run_dir is not None:
+            _write_abort(run_dir, config, model, err.snapshot)
+        raise
 
     summary = _summary(config, dataset, model, match, estimated, metrics_rows,
                        len(loss_rows), dataset.audit_reads - audit_start)
@@ -321,7 +323,9 @@ def _csv_cell(value) -> str:
     return repr(float(value))
 
 
-def _write_csv(path: str, rows: list[dict], columns) -> None:
+def _write_csv(path: str, rows: list[dict]) -> None:
+    """The rows under a header of the first row's keys, in its order."""
+    columns = list(rows[0])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
@@ -344,14 +348,11 @@ def _write_abort(run_dir: str, config: RunConfig, model: Model, snapshot: dict) 
 
 def write_run_artifacts(run_dir: str, config: RunConfig, result: TrainResult) -> None:
     os.makedirs(run_dir, exist_ok=True)
-    k = result.model.k
     _json_dump(os.path.join(run_dir, "config.json"), config.to_json_obj())
-    for name, rows, columns in (
-            ("metrics.csv", result.metrics_rows, _metric_columns(k)),
-            ("losses.csv", result.loss_rows, _LOSS_COLUMNS),
-            ("thresholds.csv", result.threshold_rows, _THRESHOLD_COLUMNS),
-            ("bias.csv", result.bias_rows, _bias_columns(k))):
-        _write_csv(os.path.join(run_dir, name), rows, columns)
+    for name, rows in (("metrics.csv", result.metrics_rows), ("losses.csv", result.loss_rows),
+                       ("thresholds.csv", result.threshold_rows),
+                       ("bias.csv", result.bias_rows)):
+        _write_csv(os.path.join(run_dir, name), rows)
     _json_dump(os.path.join(run_dir, "checkpoint.json"),
                network.model_to_checkpoint_obj(result.model, config.config_hash()))
     _json_dump(os.path.join(run_dir, "summary.json"), result.summary)

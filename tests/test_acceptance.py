@@ -16,9 +16,9 @@ import pytest
 
 from conftest import param_order, record_acceptance, run_estimation_phase
 from imbalanced_ssl.cli import main as cli_main
-from imbalanced_ssl.config import RunConfig
+from imbalanced_ssl.config import RunConfig, TaskSection
 from imbalanced_ssl.control import calibrate_logits, init_thresholds
-from imbalanced_ssl.data import TaskSpec, generate
+from imbalanced_ssl.data import generate
 from imbalanced_ssl.diagnostics import bias_pattern_report, evaluate
 from imbalanced_ssl.distributions import (default_anchor_set, head_mask,
                                           make_distribution, match_anchor)
@@ -148,7 +148,7 @@ def test_monotonicity_properties():
 def _param(model, name):
     kind, leaf = name.split(".", 1)
     if kind == "backbone":
-        store = model.backbone.weights if leaf[0] == "w" else model.backbone.biases
+        store = model.weights if leaf[0] == "w" else model.biases
         return store[int(leaf[1:])]
     head = model.heads[kind.removeprefix("head_")]
     return head.w if leaf == "w" else head.b
@@ -438,7 +438,7 @@ def test_calibration_identity():
 
 
 def test_anchor_recovery_with_true_labels():
-    task = TaskSpec(k=10, d=16, spread=4.0, noise=1.0, seed=123)
+    task = TaskSection(k=10, d=16, spread=4.0, noise=1.0, seed=123)
     labeled = make_distribution("consist", 10, 100, gamma=100.0)
     anchors = default_anchor_set(10, gamma=100.0)
     recovered = []

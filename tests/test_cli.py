@@ -184,6 +184,20 @@ def test_train_rejects_out_of_range_config_file(tmp_path, capsys, text):
     ({"data": {"labeled_kind": ["consist"]}}, "labeled_kind"),
     ({"task": {"spread": 10**400}}, "spread"),  # no float holds it
     ({"train": {"epochs": 2**64}}, "epochs"),  # no 64-bit integer holds it
+    ({"task": {"k": 1}}, "'task'"),
+    ({"task": {"d": 1}}, "'task'"),
+    ({"task": {"noise": 0}}, "'task'"),
+    # sizes far over config.MAX_ARRAY_VALUES: rejected before any allocation
+    ({"data": {"test_per_class": 10**15}}, "test_per_class"),
+    ({"data": {"labeled_max": 10**15}}, "labeled_max"),
+    ({"data": {"unlabeled_max": 10**15}}, "unlabeled_max"),
+    ({"task": {"k": 10**9}}, "task.k"),
+    ({"task": {"d": 10**12}}, "task.d"),
+    ({"train": {"hidden": [10**9]}}, "hidden"),
+    ({"train": {"hidden": [64, 10**12, 64]}}, "hidden"),
+    ({"train": {"feature": 10**12}}, "feature"),
+    ({"train": {"labeled_batch": 10**15}}, "labeled_batch"),
+    ({"train": {"unlabeled_batch": 10**15}}, "unlabeled_batch"),
 ])
 def test_train_rejects_mistyped_config(tmp_path, capsys, obj, needle):
     with pytest.raises(ConfigError, match=needle):
@@ -195,6 +209,36 @@ def test_train_rejects_mistyped_config(tmp_path, capsys, obj, needle):
     assert err.startswith("error:") and needle in err
     assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+def test_train_rejects_a_task_whose_centers_do_not_fit(tmp_path, capsys):
+    # 50 centers pairwise 2 apart on a circle of radius 4 cannot be placed
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"task": {"k": 50, "d": 2}}))
+    assert main(["train", str(bad), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "could not place 50 centers" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("lr", ["1e200", "1e308"])
+def test_train_aborts_on_a_divergent_last_update(tmp_path, capsys, lr):
+    # the one step's logits are finite; only its update diverges, and the
+    # epoch's measurement of the updated parameters overflows (the suite
+    # raises a RuntimeWarning as an error, so none may escape on the way)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"train": {{"learning_rate": {lr}, "epochs": 1, "steps_per_epoch": 1}}}}')
+    run = tmp_path / "run"
+    assert main(["train", str(cfg), "--out", str(run)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("aborted:") and "after step 0" in err
+    assert sorted(os.listdir(run)) == ["abort.json", "checkpoint.json"]
+    abort = json.loads((run / "abort.json").read_text(), parse_constant=_reject_constant)
+    assert abort == {"epoch": 0, "step": 0, "components": None}
+
+
+def _reject_constant(token):
+    raise ValueError(f"not strict JSON: {token}")
 
 
 def test_config_accepts_integral_numbers_in_float_fields():

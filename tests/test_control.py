@@ -184,16 +184,16 @@ def _model(seed=0):
 
 def test_bias_vector_is_a_copy_of_output_bias():
     m = _model()
-    assert np.array_equal(extract_bias_vector(m).b_opt, np.zeros(4))
+    assert np.array_equal(extract_bias_vector(m), np.zeros(4))
     m.heads["output"].b[:] = [0.5, -1.0, 2.0, 0.0]
     m.heads["original"].b[:] = [9.0] * 4
     m.heads["expansive"].b[:] = [-9.0] * 4
     vec = extract_bias_vector(m)
-    assert vec.b_opt.tolist() == [0.5, -1.0, 2.0, 0.0]
+    assert vec.tolist() == [0.5, -1.0, 2.0, 0.0]
     with pytest.raises(ValueError):
-        vec.b_opt[0] = 123.0  # snapshot is read-only
+        vec[0] = 123.0  # snapshot is read-only
     m.heads["output"].b[0] = 77.0
-    assert vec.b_opt[0] == 0.5  # and detached from the live model
+    assert vec[0] == 0.5  # and detached from the live model
 
 
 def test_calibration_strips_exactly_the_bias():
@@ -212,8 +212,8 @@ def test_calibration_can_flip_the_argmax():
     # sample 0, and stripping it flips the winner
     m = init_model(k=2, d=2, hidden=(2,), feature=2, seed=0)
     # in place: the parameters are views into the model's flat vector
-    m.backbone.weights[0][...] = np.eye(2)
-    m.backbone.biases[0][...] = 0.0
+    m.weights[0][...] = np.eye(2)
+    m.biases[0][...] = 0.0
     m.heads["output"].w[:] = np.eye(2)
     m.heads["output"].b[:] = [1.0, 0.0]
     x = np.array([[0.4, 0.8]])

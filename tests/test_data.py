@@ -5,9 +5,9 @@ import csv
 import numpy as np
 import pytest
 
+from imbalanced_ssl.config import TaskSection
 from imbalanced_ssl.data import (
     Dataset,
-    TaskSpec,
     class_centers,
     generate,
     strong_augment_batch,
@@ -16,11 +16,11 @@ from imbalanced_ssl.data import (
 from imbalanced_ssl.distributions import make_distribution
 
 
-TASK = TaskSpec(k=10, d=16, spread=4.0, noise=1.0, seed=0)
+TASK = TaskSection(k=10, d=16, spread=4.0, noise=1.0, seed=0)
 
 
 def _small_dataset(seed=0):
-    task = TaskSpec(k=4, d=6, spread=5.0, noise=0.5, seed=seed)
+    task = TaskSection(k=4, d=6, spread=5.0, noise=0.5, seed=seed)
     labeled = np.array([20, 10, 5, 2])
     unlabeled = np.array([8, 16, 24, 40])
     return task, generate(task, labeled, unlabeled, test_per_class=30)
@@ -38,8 +38,8 @@ def test_centers_shape_and_separation():
 
 def test_centers_deterministic_per_seed():
     a = class_centers(TASK)
-    b = class_centers(TaskSpec(k=10, d=16, spread=4.0, noise=1.0, seed=0))
-    c = class_centers(TaskSpec(k=10, d=16, spread=4.0, noise=1.0, seed=1))
+    b = class_centers(TaskSection(k=10, d=16, spread=4.0, noise=1.0, seed=0))
+    c = class_centers(TaskSection(k=10, d=16, spread=4.0, noise=1.0, seed=1))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -66,7 +66,7 @@ def test_generation_deterministic():
 
 
 def test_accepts_class_distribution_objects():
-    task = TaskSpec(k=10, d=8, spread=4.0, noise=1.0, seed=3)
+    task = TaskSection(k=10, d=8, spread=4.0, noise=1.0, seed=3)
     labeled = make_distribution("consist", 10, 50, 100.0)
     unlabeled = make_distribution("inverse", 10, 100, 100.0)
     ds = generate(task, labeled, unlabeled, test_per_class=10)
@@ -151,11 +151,16 @@ def test_csv_export_byte_stable(tmp_path):
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        TaskSpec(k=1, d=4, spread=4.0, noise=1.0, seed=0)
+        TaskSection(k=1, d=4, spread=4.0, noise=1.0, seed=0)
     with pytest.raises(ValueError):
-        TaskSpec(k=3, d=0, spread=4.0, noise=1.0, seed=0)
+        TaskSection(k=3, d=0, spread=4.0, noise=1.0, seed=0)
     with pytest.raises(ValueError):
-        TaskSpec(k=3, d=4, spread=-1.0, noise=1.0, seed=0)
-    task = TaskSpec(k=3, d=4, spread=4.0, noise=1.0, seed=0)
+        TaskSection(k=3, d=4, spread=-1.0, noise=1.0, seed=0)
+    task = TaskSection(k=3, d=4, spread=4.0, noise=1.0, seed=0)
     with pytest.raises(ValueError):
         generate(task, np.array([5, 5]), np.array([5, 5, 5]), test_per_class=5)
+    with pytest.raises(ValueError, match="seed"):  # the seed follows the run's: unresolved
+        generate(TaskSection(k=3, d=4), np.array([5, 5, 5]), np.array([5, 5, 5]),
+                 test_per_class=5)
+    with pytest.raises(ValueError, match="could not place"):
+        class_centers(TaskSection(k=50, d=2, seed=0))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from imbalanced_ssl.data import TaskSpec, generate
+from imbalanced_ssl.config import TaskSection
+from imbalanced_ssl.data import generate
 from imbalanced_ssl.diagnostics import (
     bias_pattern_report,
     evaluate,
@@ -35,7 +36,7 @@ def test_spearman_extremes_and_constant():
 
 
 def _separable():
-    task = TaskSpec(k=4, d=8, spread=12.0, noise=0.3, seed=1)
+    task = TaskSection(k=4, d=8, spread=12.0, noise=0.3, seed=1)
     return task, generate(task, np.array([40] * 4), np.array([10] * 4),
                           test_per_class=50)
 

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import param_order
 from imbalanced_ssl.diagnostics import evaluate
@@ -37,15 +39,15 @@ def test_init_deterministic_and_biases_zero():
     for name in HEAD_NAMES:
         assert np.array_equal(a.heads[name].w, b.heads[name].w)
         assert np.all(a.heads[name].b == 0.0)
-    assert np.all(np.concatenate(a.backbone.biases) == 0.0)
-    assert not np.array_equal(a.backbone.weights[0], c.backbone.weights[0])
+    assert np.all(np.concatenate(a.biases) == 0.0)
+    assert not np.array_equal(a.weights[0], c.weights[0])
     # the three heads start distinct from each other
     assert not np.array_equal(a.heads["original"].w, a.heads["output"].w)
 
 
 def test_init_weight_scale_follows_fan_in():
     m = init_model(k=5, d=100, hidden=(64,), feature=32, seed=2)
-    w0 = m.backbone.weights[0]
+    w0 = m.weights[0]
     bound = np.sqrt(6.0 / 100)
     assert np.abs(w0).max() <= bound + 1e-12
     assert np.abs(w0).max() > 0.5 * bound
@@ -137,7 +139,7 @@ def test_backward_matches_finite_differences():
 def _param_array(model: Model, name: str) -> np.ndarray:
     kind, leaf = name.split(".", 1)
     if kind == "backbone":
-        store = model.backbone.weights if leaf[0] == "w" else model.backbone.biases
+        store = model.weights if leaf[0] == "w" else model.biases
         return store[int(leaf[1:])]
     head = model.heads[kind.removeprefix("head_")]
     return head.w if leaf == "w" else head.b
@@ -213,8 +215,6 @@ def _assert_flat_backed(model):
     assert np.shares_memory(model.head_b, model.flat)
     assert sum(p.size for _, p in model.parameters()) == model.flat.size
     assert len(names) == len(set(names))
-    assert model.grad.shape == model.flat.shape
-    assert not np.shares_memory(model.grad, model.flat)
 
 
 def test_every_parameter_is_a_view_into_the_flat_vector():
@@ -223,6 +223,14 @@ def test_every_parameter_is_a_view_into_the_flat_vector():
     back = model_from_checkpoint_obj(json.loads(json.dumps(model_to_checkpoint_obj(m))))
     _assert_flat_backed(back)
     assert np.array_equal(back.flat, m.flat)
+    # the gradient vector is training state: the first backward allocates it
+    assert m.grad is None and back.grad is None
+    _, cache = forward_features_cached(m, np.ones((2, 4)))
+    grad = backward(m, cache, np.ones((2, len(HEAD_NAMES), m.k)))
+    assert grad is m.grad and grad.shape == m.flat.shape
+    assert not np.shares_memory(m.grad, m.flat)
+    assert backward(m, cache, np.zeros((2, len(HEAD_NAMES), m.k))) is grad
+    assert not grad.any()
     # writing through a head view writes the stacked heads and the flat vector
     m.heads["expansive"].b[:] = 4.0
     assert np.all(m.head_b[2 * m.k:] == 4.0)
@@ -235,9 +243,38 @@ def test_checkpoint_roundtrip_exact():
     back = model_from_checkpoint_obj(json.loads(text))
     for n in param_order(m):
         assert np.array_equal(_param_array(m, n), _param_array(back, n))
-    assert back.backbone.activation == m.backbone.activation
+    assert back.activation == m.activation
     assert obj["config_hash"] == "abc123"
     assert obj["format"]
+
+
+# finite values at the edges of float64: signed zeros, subnormals, extremes
+_EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                1.7976931348623157e308]
+
+
+@st.composite
+def _random_model(draw):
+    k = draw(st.integers(2, 5))
+    dims = tuple(draw(st.lists(st.integers(1, 5), min_size=2, max_size=4)))
+    model = Model(dims, k, draw(st.sampled_from(["relu", "softplus"])))
+    values = st.one_of(st.sampled_from(_EDGE_VALUES),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    model.flat[:] = draw(st.lists(values, min_size=model.flat.size,
+                                  max_size=model.flat.size))
+    return model
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_random_model())
+def test_checkpoint_round_trip_is_bitwise(model):
+    """JSON out and back gives the same layout and the same bits in flat,
+    every parameter a view into it, and no gradient vector."""
+    back = model_from_checkpoint_obj(json.loads(json.dumps(model_to_checkpoint_obj(model))))
+    assert back.flat.tobytes() == model.flat.tobytes()
+    assert (back.dims, back.k, back.activation) == (model.dims, model.k, model.activation)
+    _assert_flat_backed(back)
+    assert back.grad is None
 
 
 def test_checkpoint_rejects_garbage():

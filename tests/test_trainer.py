@@ -142,6 +142,29 @@ def test_nonfinite_loss_from_finite_logits_records_components(tmp_path, monkeypa
     assert math.isfinite(components["l_basic"]) and math.isfinite(components["l_sup_e"])
 
 
+def test_nonfinite_parameters_after_an_epoch_abort(tmp_path, monkeypatch):
+    # the epoch's last update (its third) leaves an infinite weight, which no
+    # step checks: the parameter check at the end of the epoch does
+    updates = []
+
+    def overflowing_step(model, grad, state):
+        network.sgd_step(model, grad, state)
+        updates.append(1)
+        if len(updates) == 3:
+            model.flat[0] = np.inf
+
+    monkeypatch.setattr(trainer, "sgd_step", overflowing_step)
+    cfg = _tiny_config(seed=15, epochs=2, steps_per_epoch=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(TrainingAborted, match="non-finite parameters after step 2"):
+            train(cfg, run_dir=str(tmp_path / "run"))
+    with open(tmp_path / "run" / "abort.json") as fh:
+        assert json.load(fh, parse_constant=_reject_constant) == {
+            "epoch": 0, "step": 2, "components": None}
+    assert sorted(os.listdir(tmp_path / "run")) == ["abort.json", "checkpoint.json"]
+
+
 def test_one_test_set_forward_per_epoch(monkeypatch):
     # every evaluated view (three heads and the calibrated output head) is
     # read off one backbone forward of the test set
