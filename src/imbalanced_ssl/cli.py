@@ -147,12 +147,12 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("--calibrated evaluates the output head; it cannot be "
                           f"combined with --head {args.head}")
     ckpt = _read_json(os.path.join(args.run_dir, "checkpoint.json"), "run artifact")
-    cfg_obj = _read_json(os.path.join(args.run_dir, "config.json"), "run artifact")
     try:
         model = network.model_from_checkpoint_obj(ckpt)
     except ValueError as exc:
         raise ConfigError(f"corrupt checkpoint: {exc}") from exc
-    config = RunConfig.from_json_obj(cfg_obj)
+    config = RunConfig.from_json_obj(
+        _read_json(os.path.join(args.run_dir, "config.json"), "run artifact"))
     if model.k != config.task.k:
         raise ConfigError(f"checkpoint has {model.k} classes, the run's config {config.task.k}")
     dataset = config.build_dataset()

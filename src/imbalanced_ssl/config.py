@@ -23,6 +23,7 @@ import numpy as np
 
 from .data import generate
 from .distributions import SHAPES, AnchorSet, default_anchor_set, make_distribution
+from .losses import LOSS_COLUMNS
 
 __all__ = [
     "ConfigError",
@@ -38,7 +39,8 @@ class ConfigError(ValueError):
 
 
 # The most float64 values that any one array sized by the config (k, d, the
-# split sizes, the layer widths, the batch sizes) may hold: 2**24, 128 MiB.
+# split sizes, the layer widths, the batch sizes, the step count) may hold:
+# 2**24, 128 MiB.
 # The largest such array of the bundled workloads, eval-heavy's test-set
 # forward, holds 640,000.
 MAX_ARRAY_VALUES = 2**24
@@ -215,9 +217,10 @@ class RunConfig:
 
     def _array_sizes(self):
         """(the fields, float64 values) of each array a run allocates whose
-        size the config sets: the layer weights, and every row count (the
+        size the config sets: the layer weights, every row count (the
         classes, the splits at their largest, the step's batch) at every
-        layer width, the stacked logits included."""
+        layer width, the stacked logits included, and the losses.csv rows,
+        one per step, that a run holds until it ends."""
         k, t, data = self.task.k, self.train, self.data
         widths = [("task.d", self.task.d),
                   *((f"train.hidden[{i}]", h) for i, h in enumerate(t.hidden)),
@@ -232,6 +235,8 @@ class RunConfig:
         for a, n in rows:
             for b, width in widths:
                 yield f"{a} rows of {b}", n * width
+        yield (f"train.epochs x train.steps_per_epoch rows of {len(LOSS_COLUMNS)} losses.csv "
+               "columns", t.epochs * t.steps_per_epoch * len(LOSS_COLUMNS))
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RunConfig":

@@ -27,6 +27,8 @@ __all__ = [
     "LogitAdjustment",
     "LossReport",
     "StepLosses",
+    "LOSS_COMPONENTS",
+    "LOSS_COLUMNS",
     "cross_entropy_with_grad",
     "balanced_softmax_loss",
     "masked_consistency_from_logits",
@@ -183,6 +185,13 @@ def masked_consistency_from_logits(weak_logits: np.ndarray, strong_logits: np.nd
     grad[~included] = 0.0
     return LossReport(value=value, logit_gradients=grad, mask=included,
                       pseudo_labels=pseudo)
+
+
+# the loss components of one step (StepLosses fields), in losses.csv and
+# abort.json, and the losses.csv columns: the step, its components and its
+# mask rates
+LOSS_COMPONENTS = ("total", "l_basic", "l_sup_b", "l_con_b", "l_sup_e", "l_con_e")
+LOSS_COLUMNS = ("step", *LOSS_COMPONENTS, "mask_rate_head", "mask_rate_nonhead")
 
 
 @dataclass

@@ -28,6 +28,10 @@ __all__ = [
     "denoising_bound",
 ]
 
+# Rows of the Monte Carlo oracle drawn and reduced at once: its working set is
+# a few MB whatever the sample count, so more samples cost time, not memory.
+_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class BinaryMixtureSpec:
@@ -119,8 +123,12 @@ def monte_carlo_pseudo_label_probabilities(
     reproduce it bit-for-bit from the same seed:
 
     * generator: Philox4x64 keyed with ``seed``, counter starting at 0;
-    * one row of three uniform doubles in [0, 1) per sample, drawn as a single
-      row-major (n_samples, 3) block: ``u_label, u_bm1, u_bm2``;
+    * one row of three uniform doubles in [0, 1) per sample, the rows of one
+      row-major (n_samples, 3) block: ``u_label, u_bm1, u_bm2``.  The block is
+      drawn in consecutive row blocks of ``_BLOCK`` rows (the last one
+      shorter), each ``rng.random((m, 3))`` on the same generator; consecutive
+      draws continue one stream, so these are the uniforms of a single
+      ``(n_samples, 3)`` draw, and the counts add up across blocks;
     * class:  Y = +1 iff ``u_label < gamma``;
     * normal variate via the Box-Muller cosine branch on complemented
       uniforms (keeps the log argument in (0, 1]):
@@ -129,22 +137,25 @@ def monte_carlo_pseudo_label_probabilities(
       ``s = 1 / (1 + exp(-beta * ((x - delta_p) - (mu1 + mu2) / 2)))``,
       pseudo-label +1 if s > rho, -1 if s < 1 - rho, else 0.
     """
+    n_samples = int(n_samples)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    u = rng.random((int(n_samples), 3))
-    positive = u[:, 0] < spec.gamma
-    z = np.sqrt(-2.0 * np.log1p(-u[:, 1])) * np.cos(2.0 * np.pi * u[:, 2])
-    x = np.where(
-        positive,
-        spec.mu2 + spec.sigma2 * z,
-        spec.mu1 + spec.sigma1 * z,
-    )
     mid = 0.5 * (spec.mu1 + spec.mu2)
-    with np.errstate(over="ignore"):
-        score = 1.0 / (1.0 + np.exp(-spec.beta * ((x - spec.delta_p) - mid)))
-    n_pos = int(np.count_nonzero(score > spec.rho))
-    n_neg = int(np.count_nonzero(score < 1.0 - spec.rho))
+    n_pos = n_neg = 0
+    for start in range(0, n_samples, _BLOCK):
+        u = rng.random((min(_BLOCK, n_samples - start), 3))
+        positive = u[:, 0] < spec.gamma
+        z = np.sqrt(-2.0 * np.log1p(-u[:, 1])) * np.cos(2.0 * np.pi * u[:, 2])
+        x = np.where(
+            positive,
+            spec.mu2 + spec.sigma2 * z,
+            spec.mu1 + spec.sigma1 * z,
+        )
+        with np.errstate(over="ignore"):
+            score = 1.0 / (1.0 + np.exp(-spec.beta * ((x - spec.delta_p) - mid)))
+        n_pos += int(np.count_nonzero(score > spec.rho))
+        n_neg += int(np.count_nonzero(score < 1.0 - spec.rho))
     n = float(n_samples)
     return PseudoLabelProbabilities(
         p_pos=n_pos / n,

@@ -14,10 +14,18 @@ has the same layout; the first ``backward`` allocates it and every call
 writes into it, and ``sgd_step`` updates ``flat`` with three vector
 operations.
 
+Inference (``forward_features``) keeps no cache: each layer's matmul result
+takes the bias and the activation in place, so only the current layer's
+activations and the previous layer's are alive.  Training
+(``forward_features_cached``) keeps every layer's pre-activation and
+activation for ``backward``.
+
 Checkpoint format (normative field order): a JSON object with keys
 ``format``, ``config_hash``, ``k``, ``dims``, ``activation``, and ``params``;
 ``params`` maps each name in PARAM_ORDER to its array flattened row-major
-(C order).  JSON floats round-trip exactly (shortest-repr encoding).
+(C order).  JSON floats round-trip exactly (shortest-repr encoding).  A
+non-finite value, which only the checkpoint of an aborted run holds, is
+written as null, so the file stays strict JSON and the reader rejects it.
 """
 
 from __future__ import annotations
@@ -53,16 +61,16 @@ CHECKPOINT_FORMAT = "imbalanced-ssl-checkpoint-v1"
 _MODEL_INIT_STREAM = 10
 
 
-def _relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0)
+def _relu(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(z, 0.0, out=out)
 
 
 def _relu_grad(z: np.ndarray) -> np.ndarray:
     return (z > 0.0).astype(np.float64)
 
 
-def _softplus(z: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, z)
+def _softplus(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.logaddexp(0.0, z, out=out)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -187,10 +195,18 @@ class ForwardCache:
                             acts=[a[start:] for a in self.acts])
 
 
-def forward_features_cached(model: Model, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+def _input(model: Model, x: np.ndarray) -> np.ndarray:
+    """``x`` as a float64 (N, D) array for the model's input width D."""
     xb = np.asarray(x, dtype=np.float64)
     if xb.ndim != 2 or xb.shape[1] != model.dims[0]:
         raise ValueError(f"input shape {xb.shape} incompatible with feature dim {model.dims[0]}")
+    return xb
+
+
+def forward_features_cached(model: Model, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """The features of ``x`` and the cache of every layer that ``backward``
+    reads."""
+    xb = _input(model, x)
     act, _ = _ACTIVATIONS[model.activation]
     pre_acts = []
     acts = []
@@ -204,8 +220,16 @@ def forward_features_cached(model: Model, x: np.ndarray) -> tuple[np.ndarray, Fo
 
 
 def forward_features(model: Model, x: np.ndarray) -> np.ndarray:
-    feats, _ = forward_features_cached(model, x)
-    return feats
+    """The features of ``x``, equal to ``forward_features_cached(model, x)[0]``
+    with no cache kept: each layer's matmul result takes its bias and its
+    activation in place.  ``x`` itself is never written."""
+    act, _ = _ACTIVATIONS[model.activation]
+    a = _input(model, x)
+    for w, b in zip(model.weights, model.biases):
+        a = a @ w.T
+        a += b
+        a = act(a, out=a)
+    return a
 
 
 def head_logits(head: Head, features: np.ndarray) -> np.ndarray:
@@ -304,14 +328,16 @@ def model_to_checkpoint_obj(model: Model, config_hash: str = "") -> dict:
         "k": model.k,
         "dims": list(model.dims),
         "activation": model.activation,
-        "params": {name: p.ravel().tolist() for name, p in model.parameters()},
+        "params": {name: [v if math.isfinite(v) else None for v in p.ravel().tolist()]
+                   for name, p in model.parameters()},
     }
 
 
 def model_from_checkpoint_obj(obj: dict) -> Model:
     """The model a checkpoint object holds; anything else is a ValueError.
     ``k`` and ``dims`` take integers and ``params`` finite JSON numbers, as
-    many as the layout needs: that is checked before the model is allocated."""
+    many as the layout needs: that is checked before the model is allocated.
+    The error names the parameter at fault."""
     if not isinstance(obj, dict) or obj.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a JSON object of the checkpoint format {CHECKPOINT_FORMAT!r}")
     k, dims, activation, params = (obj.get(key) for key in ("k", "dims", "activation", "params"))
@@ -330,7 +356,7 @@ def model_from_checkpoint_obj(obj: dict) -> Model:
         if name not in values or values[name].size != p.size:
             raise ValueError(f"checkpoint parameter {name!r} is missing or does not hold "
                              f"{p.size} values")
+        if not np.isfinite(values[name]).all():
+            raise ValueError(f"checkpoint parameter {name!r} holds a non-finite value")
         p[...] = values[name].reshape(p.shape)
-    if not np.all(np.isfinite(model.flat)):
-        raise ValueError("checkpoint holds a non-finite parameter")
     return model

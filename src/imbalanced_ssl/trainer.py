@@ -38,7 +38,7 @@ from .data import Dataset, strong_augment_batch, weak_augment_batch
 from .diagnostics import bias_pattern_report, evaluate, separation_violation_rate
 from .distributions import (AnchorMatch, AnchorSet, head_mask, match_anchor,
                             rescale_anchor)
-from .losses import LogitAdjustment, total_loss
+from .losses import LOSS_COLUMNS, LOSS_COMPONENTS, LogitAdjustment, total_loss
 from .mixture import denoising_bound
 from .network import Model, OptimizerState, init_model, sgd_step
 
@@ -85,11 +85,6 @@ def _sample_batch(rng: np.random.Generator, x: np.ndarray, batch: int,
     return x[idx], y[idx]
 
 
-# the loss components of one step, in losses.csv and abort.json
-_LOSS_COMPONENTS = ("total", "l_basic", "l_sup_b", "l_con_b", "l_sup_e", "l_con_e")
-_LOSS_COLUMNS = ("step", *_LOSS_COMPONENTS, "mask_rate_head", "mask_rate_nonhead")
-
-
 def _train_step(model: Model, opt: OptimizerState, state: ThresholdState,
                 class_weights: np.ndarray | None, control: bool, dataset: Dataset,
                 t: TrainSection, adj: LogitAdjustment, head_classes: np.ndarray,
@@ -120,9 +115,9 @@ def _train_step(model: Model, opt: OptimizerState, state: ThresholdState,
             lambda_u=t.lambda_u, lambda_basic=t.lambda_basic,
             class_weights=class_weights, output_pseudo_source=t.output_pseudo_source,
         )
-        row = {"step": step, **{col: getattr(losses, col) for col in _LOSS_COLUMNS[1:]}}
+        row = {"step": step, **{col: getattr(losses, col) for col in LOSS_COLUMNS[1:]}}
         if not (losses.finite_logits and np.isfinite(losses.total)):
-            components = ({name: _finite_or_none(row[name]) for name in _LOSS_COMPONENTS}
+            components = ({name: _finite_or_none(row[name]) for name in LOSS_COMPONENTS}
                           if losses.finite_logits else None)
             what = "loss" if losses.finite_logits else "logits"
             raise TrainingAborted(f"non-finite {what} at step {step}",
@@ -334,8 +329,10 @@ def _write_csv(path: str, rows: list[dict]) -> None:
 
 
 def _json_dump(path: str, obj) -> None:
+    """``obj`` as strict JSON: a NaN or an infinity raises ValueError, it is
+    never written as a bare token."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

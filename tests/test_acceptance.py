@@ -361,6 +361,7 @@ def test_loss_identities():
 # gate 5: threshold controller initialization and full-run trajectories
 
 
+@pytest.mark.slow
 def test_threshold_init_and_trajectories(inverse_runs):
     hm = head_mask(10)
     st6 = init_thresholds(6.0, 100.0, hm, rho_max=0.95, rho_floor=0.5)
@@ -468,6 +469,7 @@ def test_anchor_recovery_with_true_labels():
 # gate 8: end-to-end margins of the calibrated head over the plain head
 
 
+@pytest.mark.slow
 def test_end_to_end_calibrated_gains(inverse_runs):
     runs, elapsed = inverse_runs
     nonhead = ~head_mask(10)
@@ -501,6 +503,7 @@ def test_end_to_end_calibrated_gains(inverse_runs):
 # gate 9: sign pattern of the learned biases under a mirrored unlabeled pool
 
 
+@pytest.mark.slow
 def test_bias_sign_patterns(consist_runs):
     hits = 0
     details = []
@@ -520,6 +523,7 @@ def test_bias_sign_patterns(consist_runs):
 # gate 10: the trained estimator picks the right anchor
 
 
+@pytest.mark.slow
 def test_estimator_anchor_matching():
     results = {}
     for kind in ANCHOR_KINDS:

@@ -4,11 +4,13 @@ import json
 import math
 from dataclasses import fields, replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imbalanced_ssl.config import ConfigError, RunConfig
+from imbalanced_ssl.config import MAX_ARRAY_VALUES, ConfigError, RunConfig
 from imbalanced_ssl.distributions import SHAPES
+from imbalanced_ssl.losses import LOSS_COLUMNS
 
 SECTIONS = {f.name: f.default_factory for f in fields(RunConfig) if f.name != "output_dir"}
 
@@ -110,3 +112,15 @@ def test_config_round_trip_and_hash_are_stable(obj):
     assert _text(back) == _text(config)
     assert back.config_hash() == config.config_hash()
     assert replace(config, output_dir="elsewhere").config_hash() == config.config_hash()
+
+
+@pytest.mark.parametrize("epochs,steps_per_epoch", [(2, MAX_ARRAY_VALUES // len(LOSS_COLUMNS)),
+                                                    (10**9, 10**9)])
+def test_step_count_is_bounded(epochs, steps_per_epoch):
+    # a run holds one losses.csv row per step until it ends, so the step
+    # count is capped like every other config-sized array, naming both fields
+    most = MAX_ARRAY_VALUES // len(LOSS_COLUMNS)
+    RunConfig.from_json_obj({"train": {"epochs": 1, "steps_per_epoch": most}})
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_json_obj({"train": {"epochs": epochs, "steps_per_epoch": steps_per_epoch}})
+    assert "train.epochs x train.steps_per_epoch" in str(err.value)

@@ -5,11 +5,14 @@ here the closed form is checked against scipy's normal CDF plugged into the
 same decision geometry, plus small simulations and the validation contract.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 from imbalanced_ssl.mixture import (
+    _BLOCK,
     BinaryMixtureSpec,
     denoising_bound,
     monte_carlo_pseudo_label_probabilities,
@@ -92,6 +95,42 @@ def test_monte_carlo_agrees_at_small_scale():
         assert m.p_pos == pytest.approx(a.p_pos, abs=0.01)
         assert m.p_neg == pytest.approx(a.p_neg, abs=0.01)
         assert m.p_mask == pytest.approx(a.p_mask, abs=0.01)
+
+
+def _one_block_counts(spec, n, seed):
+    """(n_pos, n_neg) by the oracle's documented recipe, with the uniforms
+    drawn as one (n, 3) block."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    u = rng.random((n, 3))
+    z = np.sqrt(-2.0 * np.log1p(-u[:, 1])) * np.cos(2.0 * np.pi * u[:, 2])
+    x = np.where(u[:, 0] < spec.gamma, spec.mu2 + spec.sigma2 * z, spec.mu1 + spec.sigma1 * z)
+    mid = 0.5 * (spec.mu1 + spec.mu2)
+    with np.errstate(over="ignore"):
+        score = 1.0 / (1.0 + np.exp(-spec.beta * ((x - spec.delta_p) - mid)))
+    return int(np.count_nonzero(score > spec.rho)), int(np.count_nonzero(score < 1.0 - spec.rho))
+
+
+@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7])
+def test_streamed_oracle_counts_equal_one_block_draw(n):
+    # the row blocks continue one Philox stream, so the counts are exactly
+    # those of a single (n, 3) draw, at and around every block boundary
+    spec = _spec()
+    got = monte_carlo_pseudo_label_probabilities(spec, n_samples=n, seed=7)
+    n_pos, n_neg = _one_block_counts(spec, n, 7)
+    assert (got.p_pos, got.p_neg, got.p_mask) == (n_pos / n, n_neg / n,
+                                                  (n - n_pos - n_neg) / n)
+
+
+def test_oracle_working_set_does_not_grow_with_samples():
+    # numpy reports its buffers to tracemalloc, so the peak is a count of
+    # bytes, not a timing; one (1e6, 3) draw alone would be 24 MB
+    tracemalloc.start()
+    try:
+        monte_carlo_pseudo_label_probabilities(_spec(), n_samples=1_000_000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_masking_grows_with_threshold():

@@ -1,6 +1,7 @@
 """MLP backbone, heads, exact gradients, SGD step, checkpoint round-trip."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,40 @@ def test_forward_shapes_and_nonnegativity():
     assert np.all(f >= 0.0)  # post-activation features
     z = head_logits(m.heads["output"], f)
     assert z.shape == (7, 3)
+
+
+def _default_widths(activation):
+    """A model at the default widths (16 -> 64 -> 64 -> 32, 10 classes) with
+    every parameter, the biases included, away from its initial value."""
+    m = init_model(k=10, d=16, seed=3, activation=activation)
+    m.flat += np.random.default_rng(4).normal(scale=0.2, size=m.flat.size)
+    return m
+
+
+@pytest.mark.parametrize("rows", [1, 10_000])
+@pytest.mark.parametrize("activation", ["relu", "softplus"])
+def test_inference_forward_equals_the_cached_forward(activation, rows):
+    m = _default_widths(activation)
+    x = np.random.default_rng(rows).normal(scale=3.0, size=(rows, 16))
+    before = x.copy()
+    feats = forward_features(m, x)
+    assert np.array_equal(feats, forward_features_cached(m, x)[0])
+    assert np.array_equal(x, before)
+
+
+def test_inference_forward_keeps_no_cache():
+    # numpy reports its buffers to tracemalloc: the cached forward holds
+    # every layer's pre-activation and activation (about 25 MB at 10,000
+    # rows), the inference forward at most two layers' activations
+    m = _default_widths("relu")
+    x = np.random.default_rng(0).normal(size=(10_000, 16))
+    tracemalloc.start()
+    try:
+        forward_features(m, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def test_head_logits_affine():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from imbalanced_ssl import network, trainer
+from imbalanced_ssl.cli import main
 from conftest import run_estimation_phase
 from imbalanced_ssl.config import RunConfig
 from imbalanced_ssl.network import init_model, model_from_checkpoint_obj
@@ -142,7 +143,7 @@ def test_nonfinite_loss_from_finite_logits_records_components(tmp_path, monkeypa
     assert math.isfinite(components["l_basic"]) and math.isfinite(components["l_sup_e"])
 
 
-def test_nonfinite_parameters_after_an_epoch_abort(tmp_path, monkeypatch):
+def test_nonfinite_parameters_after_an_epoch_abort(tmp_path, monkeypatch, capsys):
     # the epoch's last update (its third) leaves an infinite weight, which no
     # step checks: the parameter check at the end of the epoch does
     updates = []
@@ -163,6 +164,17 @@ def test_nonfinite_parameters_after_an_epoch_abort(tmp_path, monkeypatch):
         assert json.load(fh, parse_constant=_reject_constant) == {
             "epoch": 0, "step": 2, "components": None}
     assert sorted(os.listdir(tmp_path / "run")) == ["abort.json", "checkpoint.json"]
+    # the infinite weight is written as null, so the checkpoint is strict
+    # JSON, and evaluating it is a usage error that names the parameter
+    with open(tmp_path / "run" / "checkpoint.json") as fh:
+        params = json.load(fh, parse_constant=_reject_constant)["params"]
+    assert params["backbone.w0"][0] is None
+    assert sum(v is None for values in params.values() for v in values) == 1
+    capsys.readouterr()
+    assert main(["evaluate", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'backbone.w0'" in err
+    assert "Traceback" not in err
 
 
 def test_one_test_set_forward_per_epoch(monkeypatch):
