@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import network
-from .config import ConfigError, RunConfig
+from .config import AnchorSection, ConfigError, RunConfig
 from .diagnostics import evaluate
 from .distributions import (anchor_set_from_json, counts_from_json, default_anchor_set,
                             match_anchor)
@@ -76,7 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
     md.add_argument("--anchors", default=None,
                     help="JSON anchor set (default: the five standard anchors)")
     md.add_argument("--gamma", type=float, default=None,
-                    help="imbalance ratio for the default long-tail anchors (default 100)")
+                    help="imbalance ratio for the default long-tail anchors "
+                         f"(default {AnchorSection().gamma:g})")
     md.add_argument("--as-variance", action="store_true",
                     help="read the default bell anchor's width literally as a variance")
     md.add_argument("--json", dest="json_out", default=None,
@@ -107,7 +108,7 @@ def cmd_verify_theorem(args) -> int:
             "max_abs_diff": diff,
         })
     if args.out:
-        _write_csv(args.out, rows)
+        _write_csv(args.out, rows[0], (row.values() for row in rows))
     failures = sum(row["max_abs_diff"] > args.tolerance for row in rows)
     print(f"verify-theorem: {len(rows)} grid points, {args.samples} samples each")
     print(f"worst per-component |analytic - MC| = {worst:.6f} (tolerance {args.tolerance})")
@@ -199,7 +200,7 @@ def cmd_match_distribution(args) -> int:
         if anchor_set.k != counts.size:
             raise ConfigError(f"anchor set has {anchor_set.k} classes, counts have {counts.size}")
     else:
-        gamma = 100.0 if args.gamma is None else args.gamma
+        gamma = AnchorSection().gamma if args.gamma is None else args.gamma
         anchor_set = default_anchor_set(counts.size, gamma=gamma, as_variance=args.as_variance)
     match = match_anchor(counts, anchor_set)
     print(f"{'anchor':<20} {'c':>4} {'KL':>12}")

@@ -128,6 +128,9 @@ class DataSection:
 
 @dataclass(frozen=True)
 class TrainSection:
+    """The training, controller and probe constants.  This section is the one
+    place each is written and range-checked; the modules take them from it."""
+
     epochs: int = 60
     steps_per_epoch: int = 180
     estimation_epochs: int | None = None  # None: 10% of epochs, at least 1
@@ -167,10 +170,14 @@ class TrainSection:
             raise ConfigError("output_pseudo_source must be 'self' or 'expansive'")
         if not 0.0 < self.rho_floor < self.rho_max <= 1.0:
             raise ConfigError("need 0 < rho_floor < rho_max <= 1")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError("dropout must lie in [0, 1)")
+        for name in ("learning_rate", "alpha"):
+            if not getattr(self, name) > 0.0:
+                raise ConfigError(f"{name} must be > 0")
+        for name in ("momentum", "dropout"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1)")
         for name in ("weak_strength", "strong_strength", "tau_b", "tau_e", "lambda_u",
-                     "lambda_basic"):
+                     "lambda_basic", "weight_decay"):
             if getattr(self, name) < 0.0:
                 raise ConfigError(f"{name} must be >= 0")
         if self.feature < 1 or any(h < 1 for h in self.hidden):
@@ -219,8 +226,8 @@ class RunConfig:
         """(the fields, float64 values) of each array a run allocates whose
         size the config sets: the layer weights, every row count (the
         classes, the splits at their largest, the step's batch) at every
-        layer width, the stacked logits included, and the losses.csv rows,
-        one per step, that a run holds until it ends."""
+        layer width, the stacked logits included, and the loss record, one
+        row of losses.csv columns per step, that ``train`` allocates."""
         k, t, data = self.task.k, self.train, self.data
         widths = [("task.d", self.task.d),
                   *((f"train.hidden[{i}]", h) for i, h in enumerate(t.hidden)),

@@ -31,9 +31,6 @@ __all__ = [
     "strong_augment_batch",
 ]
 
-DEFAULT_STRONG_STRENGTH = 1.0
-DEFAULT_DROPOUT = 0.2
-
 # Seed-stream tags: generation draws centers, labeled, unlabeled, and test
 # samples from default_rng([seed, tag]) so the splits are independent and
 # reproducible.

@@ -4,6 +4,7 @@ and rank statistics for the bias-pattern report.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,11 +28,13 @@ def _predict_output(model: Model, x: np.ndarray) -> np.ndarray:
     return np.argmax(network.head_logits(model.heads["output"], feats), axis=1)
 
 
-def separation_violation_rate(model: Model, samples: np.ndarray, n_aug: int,
-                              noise: float, strength: float = synth.DEFAULT_STRONG_STRENGTH,
-                              dropout: float = synth.DEFAULT_DROPOUT, seed: int = 0) -> float:
+def separation_violation_rate(model: Model, samples: np.ndarray, n_aug: int, noise: float,
+                              strength: float, dropout: float,
+                              seed: int | Sequence[int]) -> float:
     """Fraction of samples whose output-head prediction flips under at least
     one of n_aug strong augmentations, relative to the unaugmented prediction.
+    The augmentations draw from ``np.random.default_rng(seed)``; the trainer
+    seeds each epoch's probe with ``[train seed, stream, epoch]``.
 
     Empirical stand-in for the expansion assumption's violation rate; feeds
     the denoising bound 2c/(c-3)*mu.

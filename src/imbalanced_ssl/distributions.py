@@ -80,8 +80,7 @@ class ClassDistribution:
         return rounded.astype(np.int64)
 
 
-def shape_proportions(kind: str, k: int, gamma: float = 100.0,
-                      as_variance: bool = False) -> np.ndarray:
+def shape_proportions(kind: str, k: int, gamma: float, as_variance: bool) -> np.ndarray:
     """Proportions of a named shape over ``k`` classes; 1 <= gamma < inf.
 
     consist is geometric, p_i proportional to gamma^(-i/(k-1)) (max/min =
@@ -110,8 +109,8 @@ def shape_proportions(kind: str, k: int, gamma: float = 100.0,
     return weights / weights.sum()
 
 
-def make_distribution(kind: str, k: int, n_max: int, gamma: float = 100.0,
-                      as_variance: bool = False) -> ClassDistribution:
+def make_distribution(kind: str, k: int, n_max: int, gamma: float,
+                      as_variance: bool) -> ClassDistribution:
     """Counts for a named shape: its proportions scaled so the largest class
     holds exactly ``n_max`` samples, rounded half up, at least 1 per class."""
     if n_max < 1:
@@ -232,7 +231,7 @@ def anchor_set_from_json(obj: list[dict]) -> AnchorSet:
     return AnchorSet(anchors=tuple(anchors), expansion_factors=tuple(factors))
 
 
-def default_anchor_set(k: int, gamma: float = 100.0, as_variance: bool = False) -> AnchorSet:
+def default_anchor_set(k: int, gamma: float, as_variance: bool) -> AnchorSet:
     """One anchor per entry of ``SHAPES``, in its order: the shape's exact
     proportions (no count rounding) with its expansion factor."""
     return AnchorSet(

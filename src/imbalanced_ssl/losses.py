@@ -17,11 +17,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import network
 from .network import ForwardCache, Model, softmax
+
+if TYPE_CHECKING:
+    from .config import TrainSection
 
 __all__ = [
     "LogitAdjustment",
@@ -235,11 +239,11 @@ def _aggregate_mask_rates(pseudo: np.ndarray, included: np.ndarray,
 
 def total_loss(model: Model, labeled_x: np.ndarray, labeled_y: np.ndarray,
                x_weak: np.ndarray, x_strong: np.ndarray, adj: LogitAdjustment,
-               thresholds: np.ndarray, head_classes: np.ndarray, tau_b: float = 2.0,
-               tau_e: float = 4.0, lambda_u: float = 2.0, lambda_basic: float = 1.0,
-               class_weights: np.ndarray | None = None,
-               output_pseudo_source: str = "self") -> StepLosses:
-    """L = L_basic + L_sup^b + lambda_u * L_con^b + L_sup^e + lambda_u * L_con^e.
+               thresholds: np.ndarray, head_classes: np.ndarray, t: TrainSection,
+               class_weights: np.ndarray | None = None) -> StepLosses:
+    """L = L_basic + L_sup^b + lambda_u * L_con^b + L_sup^e + lambda_u * L_con^e,
+    with tau_b, tau_e, lambda_u, lambda_basic and output_pseudo_source read
+    from ``t``.
 
     ``thresholds`` is (3, K), one row per head in HEAD_NAMES order, as
     ``ThresholdState.thresholds`` holds it.  L_basic lives on the original
@@ -257,8 +261,6 @@ def total_loss(model: Model, labeled_x: np.ndarray, labeled_y: np.ndarray,
     One backbone forward covers ``[weak; labeled; strong]``, one matmul gives
     every head's logits, and each loss runs once over the head axis.
     """
-    if output_pseudo_source not in ("self", "expansive"):
-        raise ValueError("output_pseudo_source must be 'self' or 'expansive'")
     k = model.k
     n_w = np.shape(x_weak)[0]
     n_wl = n_w + np.shape(labeled_x)[0]
@@ -269,8 +271,8 @@ def total_loss(model: Model, labeled_x: np.ndarray, labeled_y: np.ndarray,
     z_w, z_l, z_s = logits[:n_w], logits[n_w:n_wl], logits[n_wl:]
 
     # head rows follow HEAD_NAMES: original, output, expansive
-    sup, g_sup = balanced_softmax_loss(z_l, labeled_y, [0.0, tau_b, tau_e], adj)
-    if output_pseudo_source == "expansive":
+    sup, g_sup = balanced_softmax_loss(z_l, labeled_y, [0.0, t.tau_b, t.tau_e], adj)
+    if t.output_pseudo_source == "expansive":
         z_w = z_w[:, [0, 2, 2]]
     weights = (None if class_weights is None
                else np.stack([np.ones(k), class_weights, class_weights]))
@@ -278,10 +280,10 @@ def total_loss(model: Model, labeled_x: np.ndarray, labeled_y: np.ndarray,
 
     ce_o, sup_b, sup_e = sup.tolist()
     con_o, con_b, con_e = con.value.tolist()
-    l_basic = ce_o + lambda_basic * con_o
-    total = l_basic + sup_b + lambda_u * con_b + sup_e + lambda_u * con_e
+    l_basic = ce_o + t.lambda_basic * con_o
+    total = l_basic + sup_b + t.lambda_u * con_b + sup_e + t.lambda_u * con_e
 
-    g_con = con.logit_gradients * np.array([lambda_basic, lambda_u, lambda_u])[:, None]
+    g_con = con.logit_gradients * np.array([t.lambda_basic, t.lambda_u, t.lambda_u])[:, None]
     heads = len(network.HEAD_NAMES)
     kept = np.bincount((con.pseudo_labels + k * np.arange(heads))[con.mask],
                        minlength=heads * k).reshape(heads, k)

@@ -170,8 +170,8 @@ class Model:
         return out
 
 
-def init_model(k: int, d: int, hidden: tuple[int, ...] = (64, 64), feature: int = 32,
-               seed: int = 0, activation: str = "relu") -> Model:
+def init_model(k: int, d: int, hidden: tuple[int, ...], feature: int, seed: int,
+               activation: str = "relu") -> Model:
     """He-style uniform fan-in init for all weights; every bias starts at
     zero so later bias drift is attributable to optimization pressure alone.
     The weights are drawn layer by layer, then the heads in HEAD_NAMES order."""
@@ -294,20 +294,13 @@ class OptimizerState:
     """SGD with classic momentum and decoupled-from-nothing weight decay:
     v <- m*v + g + wd*p; p <- p - lr*v.  Decay applies to weights and biases
     alike so the bias term stays free to drift under data pressure only.
-    ``velocity`` is one vector in the layout of ``Model.flat``."""
+    ``velocity`` is one vector in the layout of ``Model.flat``.  The constants
+    are a ``TrainSection``'s, range-checked there."""
 
-    learning_rate: float = 0.03
-    momentum: float = 0.9
-    weight_decay: float = 0.0005
+    learning_rate: float
+    momentum: float
+    weight_decay: float
     velocity: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if not self.learning_rate > 0.0:
-            raise ValueError("learning_rate must be > 0")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0.0:
-            raise ValueError("weight_decay must be >= 0")
 
 
 def sgd_step(model: Model, grad: np.ndarray, state: OptimizerState) -> None:

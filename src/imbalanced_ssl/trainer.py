@@ -70,7 +70,7 @@ class TrainResult:
     match: AnchorMatch | None
     estimated_counts: np.ndarray | None
     metrics_rows: list[dict]
-    loss_rows: list[dict]
+    losses: np.ndarray  # (steps, len(LOSS_COLUMNS)) float64, one losses.csv row per step
     threshold_rows: list[dict]
     bias_rows: list[dict]
     summary: dict
@@ -89,16 +89,18 @@ def _train_step(model: Model, opt: OptimizerState, state: ThresholdState,
                 class_weights: np.ndarray | None, control: bool, dataset: Dataset,
                 t: TrainSection, adj: LogitAdjustment, head_classes: np.ndarray,
                 batch_rng: np.random.Generator, aug_rng: np.random.Generator,
-                epoch: int, step: int) -> tuple[ThresholdState, dict, dict]:
+                epoch: int, step: int, losses_row: np.ndarray) -> tuple[ThresholdState, dict]:
     """One SGD step on a fresh labeled batch and a weak/strong pair of one
     unlabeled batch (one backbone forward over all three, one backward), then
     one controller tick when ``control`` is on.
 
-    Returns the thresholds after the tick, the losses.csv row and the step's
+    Writes the step's losses.csv row, in LOSS_COLUMNS order, into
+    ``losses_row`` and returns the thresholds after the tick and the step's
     per-head pseudo-label histograms.  Divergence is one explicit check: the
     step's logits and total loss must be finite, otherwise TrainingAborted
-    carries the loss components, a non-finite one as None (the whole record
-    None when the logits already were not), so abort.json is strict JSON.
+    carries the loss components read from that row, a non-finite one as None
+    (the whole record None when the logits already were not), so abort.json
+    is strict JSON.
     Floating-point warnings are off from the forward pass through the update:
     an overflow there shows up as non-finite logits or loss at this step or
     the next, or, after an epoch's last step, in ``train``'s parameter check.
@@ -109,15 +111,12 @@ def _train_step(model: Model, opt: OptimizerState, state: ThresholdState,
     weak = weak_augment_batch(xu, noise, t.weak_strength, aug_rng)
     strong = strong_augment_batch(xu, noise, t.strong_strength, t.dropout, aug_rng)
     with np.errstate(over="ignore", invalid="ignore"):
-        losses = total_loss(
-            model, xl, yl, weak, strong, adj, thresholds=state.thresholds,
-            head_classes=head_classes, tau_b=t.tau_b, tau_e=t.tau_e,
-            lambda_u=t.lambda_u, lambda_basic=t.lambda_basic,
-            class_weights=class_weights, output_pseudo_source=t.output_pseudo_source,
-        )
-        row = {"step": step, **{col: getattr(losses, col) for col in LOSS_COLUMNS[1:]}}
+        losses = total_loss(model, xl, yl, weak, strong, adj, state.thresholds, head_classes,
+                            t, class_weights)
+        losses_row[:] = [step, *(getattr(losses, col) for col in LOSS_COLUMNS[1:])]
         if not (losses.finite_logits and np.isfinite(losses.total)):
-            components = ({name: _finite_or_none(row[name]) for name in LOSS_COMPONENTS}
+            # the row is the step, then the LOSS_COMPONENTS, then the mask rates
+            components = (dict(zip(LOSS_COMPONENTS, map(_finite_or_none, losses_row[1:])))
                           if losses.finite_logits else None)
             what = "loss" if losses.finite_logits else "logits"
             raise TrainingAborted(f"non-finite {what} at step {step}",
@@ -125,7 +124,7 @@ def _train_step(model: Model, opt: OptimizerState, state: ThresholdState,
         sgd_step(model, network.backward(model, losses.cache, losses.head_grads), opt)
     if control:
         state = update_thresholds(state, model.heads["output"].b)
-    return state, row, losses.pseudo_hist
+    return state, losses.pseudo_hist
 
 
 def _estimate_and_match(model: Model, dataset: Dataset, anchor_set: AnchorSet,
@@ -136,9 +135,7 @@ def _estimate_and_match(model: Model, dataset: Dataset, anchor_set: AnchorSet,
     from the matched anchor.  Returns (match, estimated, state, class_weights)."""
     estimated = estimate_unlabeled_distribution(model, dataset.unlabeled_x)
     match = match_anchor(estimated, anchor_set)
-    state = init_thresholds(match.expansion_factor, match.gamma_u, head_classes,
-                            alpha=t.alpha, nu=t.nu, rho_max=t.rho_max,
-                            rho_floor=t.rho_floor)
+    state = init_thresholds(match.expansion_factor, match.gamma_u, head_classes, t)
     class_weights = None
     if t.reweight_unlabeled:
         q = rescale_anchor(anchor_set.anchors[match.index].proportions,
@@ -156,11 +153,12 @@ _SUMMARY_METRICS = (*(f"{m}_{name}" for name in _EVALUATED for m in ("acc", "bac
 
 def _epoch_rows(model: Model, dataset: Dataset, t: TrainSection, head_classes: np.ndarray,
                 probe: np.ndarray, match: AnchorMatch | None, state: ThresholdState,
-                epoch: int, epoch_losses: list[dict], epoch_hists: list[dict]):
+                epoch: int, epoch_losses: np.ndarray, epoch_hists: list[dict]):
     """One epoch's measurement: the metrics.csv row, the thresholds.csv rows
     and the bias.csv rows, each with its keys in column order (the CSV
     headers are read off them).  ``epoch_losses``/``epoch_hists`` are the
-    epoch's per-step loss rows and pseudo-label histograms."""
+    epoch's rows of the loss record and its per-step pseudo-label
+    histograms."""
     k = model.k
     reports = evaluate(model, dataset.test_x, dataset.test_y)
     cal = reports["calibrated"]
@@ -177,7 +175,9 @@ def _epoch_rows(model: Model, dataset: Dataset, t: TrainSection, head_classes: n
     row["denoise_bound"] = (denoising_bound(match.expansion_factor, row["mu_hat"])
                             if match is not None else None)
     for col in ("mask_rate_head", "mask_rate_nonhead"):
-        row[col] = float(np.mean([r[col] for r in epoch_losses]))
+        # one column's mean sums in the order np.mean over a list of the
+        # values did; a 2-D mean over axis 0 would not, and its last bits differ
+        row[col] = float(epoch_losses[:, LOSS_COLUMNS.index(col)].mean())
     for c, r in enumerate(cal.per_class_recall):
         row[f"recall_{c}"] = float(r)
     for name in network.HEAD_NAMES:
@@ -207,15 +207,13 @@ def train(config: RunConfig, dataset: Dataset | None = None,
     t = config.train
     k = dataset.task.k
 
-    model = init_model(k=k, d=dataset.task.d, hidden=t.hidden, feature=t.feature,
-                       seed=t.seed)
-    opt = OptimizerState(learning_rate=t.learning_rate, momentum=t.momentum,
-                         weight_decay=t.weight_decay)
+    model = init_model(k, dataset.task.d, t.hidden, t.feature, t.seed)
+    opt = OptimizerState(t.learning_rate, t.momentum, t.weight_decay)
     adj = LogitAdjustment.from_counts(dataset.labeled_counts())
     head_classes = head_mask(k)
     anchor_set = config.anchors.build(k)
-    state = ThresholdState(rho_b=np.full(k, t.rho_max), rho_e=np.full(k, t.rho_max),
-                           alpha=t.alpha, nu=t.nu, rho_max=t.rho_max, rho_floor=t.rho_floor)
+    state = ThresholdState(np.full((len(network.HEAD_NAMES), k), t.rho_max),
+                           alpha=t.alpha, nu=t.nu, rho_floor=t.rho_floor)
 
     batch_rng = np.random.default_rng([t.seed, _BATCH_STREAM])
     aug_rng = np.random.default_rng([t.seed, _AUG_STREAM])
@@ -230,23 +228,23 @@ def train(config: RunConfig, dataset: Dataset | None = None,
         match, estimated, state, class_weights = _estimate_and_match(
             model, dataset, anchor_set, head_classes, t)
 
+    # RunConfig._array_sizes caps this array's size at load
+    losses = np.empty((t.epochs * t.steps_per_epoch, len(LOSS_COLUMNS)))
     metrics_rows: list[dict] = []
-    loss_rows: list[dict] = []
     threshold_rows: list[dict] = []
     bias_rows: list[dict] = []
     try:
         for epoch in range(t.epochs):
             hists = []
-            for _ in range(t.steps_per_epoch):
-                state, loss_row, hist = _train_step(
+            first = epoch * t.steps_per_epoch
+            for step in range(first, first + t.steps_per_epoch):
+                state, hist = _train_step(
                     model, opt, state, class_weights, match is not None, dataset, t, adj,
-                    head_classes, batch_rng, aug_rng, epoch=epoch, step=len(loss_rows))
-                loss_rows.append(loss_row)
+                    head_classes, batch_rng, aug_rng, epoch, step, losses[step])
                 hists.append(hist)
             # the step checks the logits from before its update; the epoch's
             # last update is checked here, by the parameters and by the
             # measurement that reads them
-            step = len(loss_rows) - 1
             snapshot = {"epoch": epoch, "step": step, "components": None}
             if not np.isfinite(model.flat).all():
                 raise TrainingAborted(f"non-finite parameters after step {step}", snapshot)
@@ -257,7 +255,7 @@ def train(config: RunConfig, dataset: Dataset | None = None,
                             model, dataset, anchor_set, head_classes, t)
                     metrics_row, t_rows, b_rows = _epoch_rows(
                         model, dataset, t, head_classes, probe, match, state, epoch,
-                        loss_rows[-t.steps_per_epoch:], hists)
+                        losses[first:step + 1], hists)
             except FloatingPointError as exc:
                 raise TrainingAborted(f"parameters after step {step} overflow the epoch's "
                                       f"measurement ({exc})", snapshot) from exc
@@ -270,9 +268,9 @@ def train(config: RunConfig, dataset: Dataset | None = None,
         raise
 
     summary = _summary(config, dataset, model, match, estimated, metrics_rows,
-                       len(loss_rows), dataset.audit_reads - audit_start)
+                       len(losses), dataset.audit_reads - audit_start)
     result = TrainResult(model=model, match=match, estimated_counts=estimated,
-                         metrics_rows=metrics_rows, loss_rows=loss_rows,
+                         metrics_rows=metrics_rows, losses=losses,
                          threshold_rows=threshold_rows, bias_rows=bias_rows, summary=summary,
                          dataset=dataset)
     if run_dir is not None:
@@ -318,14 +316,12 @@ def _csv_cell(value) -> str:
     return repr(float(value))
 
 
-def _write_csv(path: str, rows: list[dict]) -> None:
-    """The rows under a header of the first row's keys, in its order."""
-    columns = list(rows[0])
+def _write_csv(path: str, columns, rows) -> None:
+    """A header of ``columns``, then each row's values in that order."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_csv_cell(row.get(col)) for col in columns])
+        writer.writerows([_csv_cell(value) for value in row] for row in rows)
 
 
 def _json_dump(path: str, obj) -> None:
@@ -346,10 +342,13 @@ def _write_abort(run_dir: str, config: RunConfig, model: Model, snapshot: dict) 
 def write_run_artifacts(run_dir: str, config: RunConfig, result: TrainResult) -> None:
     os.makedirs(run_dir, exist_ok=True)
     _json_dump(os.path.join(run_dir, "config.json"), config.to_json_obj())
-    for name, rows in (("metrics.csv", result.metrics_rows), ("losses.csv", result.loss_rows),
+    for name, rows in (("metrics.csv", result.metrics_rows),
                        ("thresholds.csv", result.threshold_rows),
                        ("bias.csv", result.bias_rows)):
-        _write_csv(os.path.join(run_dir, name), rows)
+        _write_csv(os.path.join(run_dir, name), rows[0], (row.values() for row in rows))
+    # the step column is held as a float64 and written as the integer it is
+    _write_csv(os.path.join(run_dir, "losses.csv"), LOSS_COLUMNS,
+               ([int(row[0]), *row[1:]] for row in result.losses.tolist()))
     _json_dump(os.path.join(run_dir, "checkpoint.json"),
                network.model_to_checkpoint_obj(result.model, config.config_hash()))
     _json_dump(os.path.join(run_dir, "summary.json"), result.summary)

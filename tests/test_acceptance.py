@@ -16,7 +16,7 @@ import pytest
 
 from conftest import param_order, record_acceptance, run_estimation_phase
 from imbalanced_ssl.cli import main as cli_main
-from imbalanced_ssl.config import RunConfig, TaskSection
+from imbalanced_ssl.config import RunConfig, TaskSection, TrainSection
 from imbalanced_ssl.control import calibrate_logits, init_thresholds
 from imbalanced_ssl.data import generate
 from imbalanced_ssl.diagnostics import bias_pattern_report, evaluate
@@ -263,7 +263,7 @@ def _component_loss(model, component, case, want_grads):
                     case["adj"],
                     thresholds=_case_thresholds(case),
                     head_classes=head_mask(case["k"]),
-                    tau_b=2.0, tau_e=4.0, lambda_u=2.0, lambda_basic=1.0)
+                    t=TrainSection())
     if not want_grads:
         return st.total, None
     return st.total, _named_grads(model, st.cache, st.head_grads)
@@ -342,7 +342,7 @@ def test_loss_identities():
                         case["adj"],
                         thresholds=_case_thresholds(case),
                         head_classes=head_mask(case["k"]),
-                        tau_b=2.0, tau_e=4.0, lambda_u=2.0, lambda_basic=1.0)
+                        t=TrainSection())
         resum = (st.l_basic + st.l_sup_b + 2.0 * st.l_con_b
                  + st.l_sup_e + 2.0 * st.l_con_e)
         worst_sum = max(worst_sum, abs(st.total - resum))
@@ -364,8 +364,8 @@ def test_loss_identities():
 @pytest.mark.slow
 def test_threshold_init_and_trajectories(inverse_runs):
     hm = head_mask(10)
-    st6 = init_thresholds(6.0, 100.0, hm, rho_max=0.95, rho_floor=0.5)
-    st4 = init_thresholds(4.0, 100.0, hm, rho_max=0.95, rho_floor=0.5)
+    st6 = init_thresholds(6.0, 100.0, hm, TrainSection())
+    st4 = init_thresholds(4.0, 100.0, hm, TrainSection())
     init_ok = (np.all(st6.rho_b[~hm] == 0.75) and np.all(st6.rho_e[~hm] == 0.35)
                and np.all(st4.rho_b[~hm] == 0.95)
                and np.all(st4.rho_e[~hm] == 0.75)
@@ -440,13 +440,13 @@ def test_calibration_identity():
 
 def test_anchor_recovery_with_true_labels():
     task = TaskSection(k=10, d=16, spread=4.0, noise=1.0, seed=123)
-    labeled = make_distribution("consist", 10, 100, gamma=100.0)
-    anchors = default_anchor_set(10, gamma=100.0)
+    labeled = make_distribution("consist", 10, 100, gamma=100.0, as_variance=False)
+    anchors = default_anchor_set(10, gamma=100.0, as_variance=False)
     recovered = []
     worst_kl = 0.0
     min_total = None
     for kind in ANCHOR_KINDS:
-        unlabeled = make_distribution(kind, 10, 500, gamma=100.0)
+        unlabeled = make_distribution(kind, 10, 500, gamma=100.0, as_variance=False)
         ds = generate(task, labeled, unlabeled, 10)
         counts = np.bincount(ds.unlabeled_true_labels(), minlength=10)
         total = int(counts.sum())

@@ -133,13 +133,23 @@ OUT_OF_RANGE_TRAIN = [
     {"tau_e": -0.5},
     {"lambda_u": -5.0},
     {"lambda_basic": -1.0},
+    # the optimizer and controller constants, checked where the others are
+    {"learning_rate": 0.0},
+    {"momentum": 1.0},
+    {"momentum": -0.1},
+    {"weight_decay": -1e-4},
+    {"alpha": 0.0},
+    {"rho_floor": 0.95},
 ]
 
 
 @pytest.mark.parametrize("train", OUT_OF_RANGE_TRAIN)
 def test_config_rejects_out_of_range_train_values(train):
-    with pytest.raises(ConfigError):
+    # at load, naming the section and the field
+    with pytest.raises(ConfigError) as err:
         RunConfig.from_json_obj({"train": train})
+    assert "'train'" in str(err.value)
+    assert any(name in str(err.value) for name in train), str(err.value)
 
 
 @pytest.mark.parametrize("text", [

@@ -1,14 +1,20 @@
-"""RunConfig: the JSON round trip and the hash, over generated documents."""
+"""RunConfig: the JSON round trip and the hash, over generated documents,
+and the sections as the one source of the training and anchor constants."""
 
+import importlib
+import inspect
 import json
 import math
+import pkgutil
 from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imbalanced_ssl.config import MAX_ARRAY_VALUES, ConfigError, RunConfig
+import imbalanced_ssl
+from imbalanced_ssl.config import (MAX_ARRAY_VALUES, AnchorSection, ConfigError, RunConfig,
+                                   TrainSection)
 from imbalanced_ssl.distributions import SHAPES
 from imbalanced_ssl.losses import LOSS_COLUMNS
 
@@ -124,3 +130,50 @@ def test_step_count_is_bounded(epochs, steps_per_epoch):
     with pytest.raises(ConfigError) as err:
         RunConfig.from_json_obj({"train": {"epochs": epochs, "steps_per_epoch": steps_per_epoch}})
     assert "train.epochs x train.steps_per_epoch" in str(err.value)
+
+
+SECTION_FIELDS = {f.name for section in (TrainSection, AnchorSection) for f in fields(section)}
+
+
+def _package_modules():
+    """Every module of the package but config, where the constants live."""
+    for info in pkgutil.iter_modules(imbalanced_ssl.__path__):
+        if info.name != "config":
+            yield importlib.import_module(f"imbalanced_ssl.{info.name}")
+
+
+def _callables(module):
+    """(qualified name, object) of each function and class the module
+    defines, and of each class's methods."""
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj) or inspect.isclass(obj):
+            yield f"{module.__name__}.{name}", obj
+        if inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if inspect.isfunction(member):
+                    yield f"{module.__name__}.{name}.{attr}", member
+
+
+def test_no_parameter_defaults_a_section_field():
+    # a keyword default named after a TrainSection or AnchorSection field
+    # would be a second copy of the section's default, unchecked by it
+    repeated = []
+    for module in _package_modules():
+        for where, obj in _callables(module):
+            try:
+                params = inspect.signature(obj).parameters.values()
+            except (TypeError, ValueError):
+                continue
+            repeated += [f"{where}({p.name}={p.default!r})" for p in params
+                         if p.name in SECTION_FIELDS and p.default is not p.empty]
+    assert not repeated, repeated
+
+
+def test_no_module_constant_names_a_section_field():
+    # e.g. a DEFAULT_ALPHA next to TrainSection.alpha
+    repeated = [f"{module.__name__}.{name}" for module in _package_modules()
+                for name in vars(module)
+                if name.isupper() and name.lower().removeprefix("default_") in SECTION_FIELDS]
+    assert not repeated, repeated

@@ -1,10 +1,13 @@
 """Threshold initialization and decay, bias extraction, calibration."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from imbalanced_ssl.config import TrainSection
 from imbalanced_ssl.control import (
     ThresholdState,
     calibrate_logits,
@@ -17,10 +20,11 @@ from imbalanced_ssl.diagnostics import evaluate
 from imbalanced_ssl.network import forward_features, head_logits, init_model
 
 HEAD5 = np.array([True] * 5 + [False] * 5)
+T = TrainSection()
 
 
 def test_init_known_values_large_factor():
-    st = init_thresholds(c=6.0, gamma_u=100.0, head_classes=HEAD5)
+    st = init_thresholds(c=6.0, gamma_u=100.0, head_classes=HEAD5, t=T)
     assert st.rho_b[0] == pytest.approx(0.95, abs=1e-12)
     assert st.rho_e[0] == pytest.approx(0.95, abs=1e-12)
     # saturated scaling: rho_b = 0.95 - (2/10), rho_e = 0.95 - (3/5)
@@ -33,25 +37,25 @@ def test_init_known_values_large_factor():
 
 
 def test_init_known_values_small_factor():
-    st = init_thresholds(c=4.0, gamma_u=100.0, head_classes=HEAD5)
+    st = init_thresholds(c=4.0, gamma_u=100.0, head_classes=HEAD5, t=T)
     assert st.rho_b[9] == pytest.approx(0.95, abs=1e-12)
     assert st.rho_e[9] == pytest.approx(0.75, abs=1e-12)
 
 
 def test_init_ratio_scaling_unsaturated():
     # gamma_u 25: min(25/50, 1) = 0.5 for rho_b, min(25/20, 1) = 1 for rho_e
-    st = init_thresholds(c=6.0, gamma_u=25.0, head_classes=HEAD5)
+    st = init_thresholds(c=6.0, gamma_u=25.0, head_classes=HEAD5, t=T)
     assert st.rho_b[9] == pytest.approx(0.95 - 0.2 * 0.5, abs=1e-12)
     assert st.rho_e[9] == pytest.approx(0.35, abs=1e-12)
 
 
 def test_init_rejects_nonpositive_threshold():
     with pytest.raises(ValueError):
-        init_thresholds(c=9.0, gamma_u=1000.0, head_classes=HEAD5)
+        init_thresholds(c=9.0, gamma_u=1000.0, head_classes=HEAD5, t=T)
 
 
 def test_update_decays_only_flagged_classes():
-    st = init_thresholds(c=4.0, gamma_u=100.0, head_classes=HEAD5)
+    st = init_thresholds(c=4.0, gamma_u=100.0, head_classes=HEAD5, t=T)
     new = update_thresholds(st, np.array([2.0] + [0.0] * 9))
     assert new.rho_b[0] == pytest.approx(st.rho_b[0] - 0.005, abs=1e-15)
     assert new.rho_e[0] == pytest.approx(st.rho_e[0] - 0.005, abs=1e-15)
@@ -64,7 +68,7 @@ def test_update_decays_only_flagged_classes():
 
 def test_update_clamps_at_floor():
     st = init_thresholds(c=4.0, gamma_u=100.0, head_classes=HEAD5,
-                         alpha=0.2, rho_floor=0.5)
+                         t=replace(T, alpha=0.2, rho_floor=0.5))
     bias = np.full(10, 5.0)
     for _ in range(5):
         st = update_thresholds(st, bias)
@@ -74,7 +78,7 @@ def test_update_clamps_at_floor():
 
 
 def test_entries_born_below_floor_are_frozen():
-    st = init_thresholds(c=6.0, gamma_u=100.0, head_classes=HEAD5)
+    st = init_thresholds(c=6.0, gamma_u=100.0, head_classes=HEAD5, t=T)
     assert st.rho_e[9] == pytest.approx(0.35)  # below the 0.5 floor by design
     bias = np.full(10, 5.0)
     for _ in range(60):
@@ -86,7 +90,7 @@ def test_entries_born_below_floor_are_frozen():
 
 def test_trajectories_nonincreasing_under_any_bias():
     rng = np.random.default_rng(0)
-    st = init_thresholds(c=6.0, gamma_u=100.0, head_classes=HEAD5)
+    st = init_thresholds(c=6.0, gamma_u=100.0, head_classes=HEAD5, t=T)
     prev_b, prev_e = st.rho_b.copy(), st.rho_e.copy()
     for _ in range(200):
         st = update_thresholds(st, rng.normal(0, 2, size=10))
@@ -97,15 +101,16 @@ def test_trajectories_nonincreasing_under_any_bias():
 
 @st.composite
 def _controller_runs(draw):
-    """A valid threshold state and a sequence of arbitrary finite output-head
-    bias vectors to tick it with."""
+    """A threshold state with constants that pass TrainSection's check, and
+    a sequence of arbitrary finite output-head bias vectors to tick it with."""
     k = draw(st.integers(2, 12))
     rho_max = draw(st.floats(0.01, 1.0))
-    rho_floor = draw(st.floats(0.0, rho_max, exclude_min=True, exclude_max=True))
+    t = replace(T, rho_max=rho_max, alpha=draw(st.floats(1e-6, 1.0)),
+                nu=draw(st.floats(-5.0, 5.0)),
+                rho_floor=draw(st.floats(0.0, rho_max, exclude_min=True, exclude_max=True)))
     entries = st.lists(st.floats(0.0, rho_max, exclude_min=True), min_size=k, max_size=k)
-    state = ThresholdState(rho_b=np.array(draw(entries)), rho_e=np.array(draw(entries)),
-                           alpha=draw(st.floats(1e-6, 1.0)), nu=draw(st.floats(-5.0, 5.0)),
-                           rho_max=rho_max, rho_floor=rho_floor)
+    thresholds = np.array([np.full(k, rho_max), draw(entries), draw(entries)])
+    state = ThresholdState(thresholds, alpha=t.alpha, nu=t.nu, rho_floor=t.rho_floor)
     bias = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=k, max_size=k)
     return state, draw(st.lists(bias, max_size=40))
 
@@ -127,11 +132,11 @@ def test_update_never_raises_nor_sinks_below_the_floor(run):
 
 
 def test_tick_leaves_the_thresholds_read_only():
-    st = init_thresholds(c=6.0, gamma_u=100.0, head_classes=HEAD5)
+    st = init_thresholds(c=6.0, gamma_u=100.0, head_classes=HEAD5, t=T)
     new = update_thresholds(st, np.array([2.0] * 5 + [0.0] * 5))
     assert new is not st
     assert np.all(new.rho_b[:5] < st.rho_b[:5])
-    for name in ("alpha", "nu", "rho_max", "rho_floor"):
+    for name in ("alpha", "nu", "rho_floor"):
         assert getattr(new, name) == getattr(st, name)
     for state in (st, new):
         for rho in (state.rho_b, state.rho_e):
@@ -142,12 +147,12 @@ def test_tick_leaves_the_thresholds_read_only():
 
 
 def test_state_carries_the_threshold_matrix_across_ticks():
-    st = init_thresholds(c=6.0, gamma_u=100.0, head_classes=HEAD5)
+    st = init_thresholds(c=6.0, gamma_u=100.0, head_classes=HEAD5, t=T)
     new = update_thresholds(st, np.array([2.0] * 5 + [0.0] * 5))
     for state in (st, new):
         # one row per head: original at rho_max, then rho_b and rho_e as views
         assert state.thresholds.shape == (3, 10)
-        assert np.all(state.thresholds[0] == state.rho_max)
+        assert np.all(state.thresholds[0] == T.rho_max)
         assert state.rho_b.base is state.thresholds and state.rho_e.base is state.thresholds
         assert np.array_equal(state.thresholds[1:], np.stack([state.rho_b, state.rho_e]))
         with pytest.raises(ValueError):
@@ -157,7 +162,8 @@ def test_state_carries_the_threshold_matrix_across_ticks():
 
 def test_tick_reads_the_live_output_bias_without_copying_it():
     m = _model()
-    st = init_thresholds(c=4.0, gamma_u=100.0, head_classes=np.array([True, True, False, False]))
+    st = init_thresholds(c=4.0, gamma_u=100.0, head_classes=np.array([True, True, False, False]),
+                         t=T)
     m.heads["output"].b[:] = [0.0, 0.0, 3.0, 0.0]
     new = update_thresholds(st, m.heads["output"].b)
     assert new.rho_b[2] == pytest.approx(st.rho_b[2] - st.alpha)
@@ -165,17 +171,10 @@ def test_tick_reads_the_live_output_bias_without_copying_it():
 
 
 def test_state_validation():
+    # the constants are checked once, by TrainSection (see test_cli's
+    # OUT_OF_RANGE_TRAIN); a tick still checks its bias vector
     with pytest.raises(ValueError):
-        ThresholdState(rho_b=np.full(3, 0.9), rho_e=np.full(3, -0.1),
-                       alpha=0.005, nu=1.0, rho_max=0.95, rho_floor=0.5)
-    with pytest.raises(ValueError):
-        ThresholdState(rho_b=np.full(3, 0.99), rho_e=np.full(3, 0.9),
-                       alpha=0.005, nu=1.0, rho_max=0.95, rho_floor=0.5)
-    with pytest.raises(ValueError):
-        ThresholdState(rho_b=np.full(3, 0.9), rho_e=np.full(3, 0.9),
-                       alpha=0.005, nu=1.0, rho_max=0.95, rho_floor=0.96)
-    with pytest.raises(ValueError):
-        update_thresholds(init_thresholds(4.0, 100.0, HEAD5), np.zeros(7))
+        update_thresholds(init_thresholds(4.0, 100.0, HEAD5, T), np.zeros(7))
 
 
 def _model(seed=0):

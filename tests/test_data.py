@@ -67,8 +67,8 @@ def test_generation_deterministic():
 
 def test_accepts_class_distribution_objects():
     task = TaskSection(k=10, d=8, spread=4.0, noise=1.0, seed=3)
-    labeled = make_distribution("consist", 10, 50, 100.0)
-    unlabeled = make_distribution("inverse", 10, 100, 100.0)
+    labeled = make_distribution("consist", 10, 50, 100.0, False)
+    unlabeled = make_distribution("inverse", 10, 100, 100.0, False)
     ds = generate(task, labeled, unlabeled, test_per_class=10)
     assert ds.labeled_counts().tolist() == labeled.counts.astype(int).tolist()
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from imbalanced_ssl.config import TaskSection
+from imbalanced_ssl.config import TaskSection, TrainSection
 from imbalanced_ssl.data import generate
 from imbalanced_ssl.diagnostics import (
     bias_pattern_report,
@@ -48,7 +48,8 @@ def _train_quick(task, ds, steps=300):
                                         forward_features_cached, head_logits,
                                         init_model, sgd_step)
     m = init_model(k=task.k, d=task.d, hidden=(32, 32), feature=16, seed=0)
-    st = OptimizerState(learning_rate=0.01)
+    t = TrainSection()
+    st = OptimizerState(0.01, t.momentum, t.weight_decay)
     rng = np.random.default_rng(2)
     for _ in range(steps):
         idx = rng.integers(0, ds.labeled_x.shape[0], size=32)
@@ -97,12 +98,14 @@ def test_recall_over_masks():
 def test_separation_violation_rate_bounds_and_determinism():
     task, ds = _separable()
     m = _train_quick(task, ds)
-    r1 = separation_violation_rate(m, ds.test_x[:80], n_aug=4, noise=task.noise, seed=9)
-    r2 = separation_violation_rate(m, ds.test_x[:80], n_aug=4, noise=task.noise, seed=9)
+    t = TrainSection()
+    aug = dict(n_aug=4, strength=t.strong_strength, dropout=t.dropout)
+    r1 = separation_violation_rate(m, ds.test_x[:80], noise=task.noise, seed=9, **aug)
+    r2 = separation_violation_rate(m, ds.test_x[:80], noise=task.noise, seed=9, **aug)
     assert r1 == r2
     assert 0.0 <= r1 <= 1.0
     # a wildly noisy augmentation must flip more predictions
-    r_loud = separation_violation_rate(m, ds.test_x[:80], n_aug=4, noise=50.0, seed=9)
+    r_loud = separation_violation_rate(m, ds.test_x[:80], noise=50.0, seed=9, **aug)
     assert r_loud > r1
 
 

@@ -34,9 +34,9 @@ def _hand_longtail(k, n_max, gamma):
 
 
 def test_longtail_known_vectors():
-    assert make_distribution("consist", 10, 100, 100.0).counts.tolist() == [
+    assert make_distribution("consist", 10, 100, 100.0, False).counts.tolist() == [
         100, 60, 36, 22, 13, 8, 5, 3, 2, 1]
-    assert make_distribution("consist", 10, 500, 100.0).counts.tolist() == [
+    assert make_distribution("consist", 10, 500, 100.0, False).counts.tolist() == [
         500, 300, 180, 108, 65, 39, 23, 14, 8, 5]
 
 
@@ -46,12 +46,12 @@ def test_longtail_matches_hand_rule():
         k = int(rng.integers(2, 15))
         n_max = int(rng.integers(5, 2000))
         gamma = float(rng.uniform(1.5, 500.0))
-        got = make_distribution("consist", k, n_max, gamma).counts.tolist()
+        got = make_distribution("consist", k, n_max, gamma, False).counts.tolist()
         assert got == _hand_longtail(k, n_max, gamma)
 
 
 def test_uniform_counts():
-    d = make_distribution("uniform", 7, 42)
+    d = make_distribution("uniform", 7, 42, 100.0, False)
     assert d.counts.tolist() == [42] * 7
     assert imbalance_ratio(d) == 1.0
 
@@ -65,29 +65,29 @@ def test_five_anchor_shapes_at_500():
         "gaussian-inverse": [500, 118, 40, 20, 14, 14, 20, 40, 118, 500],
     }
     for kind, counts in expected.items():
-        d = make_distribution(kind, 10, 500, 100.0)
+        d = make_distribution(kind, 10, 500, 100.0, False)
         assert d.kind == kind
         assert d.counts.tolist() == counts
 
 
 def test_inverse_is_reversed_longtail():
-    lt = make_distribution("consist", 10, 500, 100.0).counts
-    inv = make_distribution("inverse", 10, 500, 100.0).counts
+    lt = make_distribution("consist", 10, 500, 100.0, False).counts
+    inv = make_distribution("inverse", 10, 500, 100.0, False).counts
     assert inv.tolist() == lt[::-1].tolist()
 
 
 def test_bell_and_valley_are_symmetric():
     for kind in ("gaussian", "gaussian-inverse"):
-        c = make_distribution(kind, 10, 500, 100.0).counts
+        c = make_distribution(kind, 10, 500, 100.0, False).counts
         assert c.tolist() == c[::-1].tolist()
-    bell = make_distribution("gaussian", 10, 500, 100.0).counts
-    valley = make_distribution("gaussian-inverse", 10, 500, 100.0).counts
+    bell = make_distribution("gaussian", 10, 500, 100.0, False).counts
+    valley = make_distribution("gaussian-inverse", 10, 500, 100.0, False).counts
     assert bell.argmax() in (4, 5) and valley.argmin() in (4, 5)
     assert valley[0] == valley[-1] == 500
 
 
 def test_gaussian_variance_flag_narrows_the_bell():
-    loose = make_distribution("gaussian", 10, 500, 100.0)
+    loose = make_distribution("gaussian", 10, 500, 100.0, False)
     tight = make_distribution("gaussian", 10, 500, 100.0, as_variance=True)
     # literal-variance reading shrinks the width, starving the edge classes
     assert tight.counts[0] < loose.counts[0]
@@ -97,24 +97,24 @@ def test_gaussian_variance_flag_narrows_the_bell():
 
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
-        make_distribution("bimodal", 10, 100)
+        make_distribution("bimodal", 10, 100, 100.0, False)
 
 
 @pytest.mark.parametrize("gamma", [0.5, 0.0, -1.0, math.inf, math.nan])
 @pytest.mark.parametrize("kind", list(SHAPES))
 def test_every_shape_requires_a_finite_gamma_of_at_least_one(kind, gamma):
     with pytest.raises(ValueError, match="gamma"):
-        shape_proportions(kind, 10, gamma)
+        shape_proportions(kind, 10, gamma, False)
     with pytest.raises(ValueError, match="gamma"):
-        make_distribution(kind, 10, 100, gamma)
+        make_distribution(kind, 10, 100, gamma, False)
 
 
 def test_default_anchor_set_follows_the_shape_table():
-    aset = default_anchor_set(10, 100.0)
+    aset = default_anchor_set(10, 100.0, False)
     assert [a.kind for a in aset.anchors] == list(SHAPES)
     assert aset.expansion_factors == tuple(SHAPES.values()) == (4, 5, 6, 4, 6)
     for a in aset.anchors:
-        assert np.array_equal(a.counts, shape_proportions(a.kind, 10, 100.0))
+        assert np.array_equal(a.counts, shape_proportions(a.kind, 10, 100.0, False))
 
 
 @st.composite
@@ -196,7 +196,7 @@ def test_rescale_preserves_total():
 
 
 def test_match_recovers_every_generator():
-    aset = default_anchor_set(10, 100.0)
+    aset = default_anchor_set(10, 100.0, False)
     for i, anchor in enumerate(aset.anchors):
         m = match_anchor(anchor.counts.astype(float), aset)
         assert m.index == i
@@ -206,8 +206,8 @@ def test_match_recovers_every_generator():
 
 
 def test_match_reports_expansion_factor_and_gamma():
-    aset = default_anchor_set(10, 100.0)
-    m = match_anchor(make_distribution("inverse", 10, 500, 100.0).counts, aset)
+    aset = default_anchor_set(10, 100.0, False)
+    m = match_anchor(make_distribution("inverse", 10, 500, 100.0, False).counts, aset)
     assert m.expansion_factor == 6
     assert m.gamma_u == pytest.approx(100.0, rel=1e-6)
     u = match_anchor(np.full(10, 77.0), aset)
@@ -225,7 +225,7 @@ def test_match_tie_breaks_to_lowest_index():
 
 
 def test_anchor_set_json_roundtrip():
-    aset = default_anchor_set(10, 100.0)
+    aset = default_anchor_set(10, 100.0, False)
     obj = [{"kind": a.kind, "proportions": a.proportions.tolist(), "c": c}
            for a, c in zip(aset.anchors, aset.expansion_factors)]
     json.dumps(obj)  # must be serializable as-is

@@ -5,10 +5,12 @@ The per-head oracles below (one head, one view, one forward at a time) are
 the reference the fused training step is checked against."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from imbalanced_ssl.config import TrainSection
 from imbalanced_ssl.losses import (
     LogitAdjustment,
     LossReport,
@@ -26,6 +28,8 @@ from imbalanced_ssl.network import (
     init_model,
     softmax,
 )
+
+T = TrainSection()
 
 
 def _model(seed=0, k=3, d=4):
@@ -214,7 +218,7 @@ def test_total_loss_decomposition():
     out = total_loss(m, lx, ly, xw, xs, adj,
                      thresholds=np.stack([np.full(3, 0.95), rho, rho * 0.9]),
                      head_classes=np.array([True, True, False]),
-                     tau_b=2.0, tau_e=4.0, lambda_u=2.0, lambda_basic=1.5)
+                     t=replace(T, lambda_basic=1.5))
     # lambda_basic is folded into l_basic itself; lambda_u scales the two
     # balanced consistency terms
     want = (out.l_basic + out.l_sup_b + 2.0 * out.l_con_b
@@ -227,7 +231,7 @@ def test_total_loss_base_term_matches_base_loss():
     lx, ly, xw, xs, adj = _step_inputs(6)
     rho = np.full(3, 0.8)
     out = total_loss(m, lx, ly, xw, xs, adj, thresholds=np.stack([np.full(3, 0.95), rho, rho]),
-                     head_classes=np.array([True, True, False]))
+                     head_classes=np.array([True, True, False]), t=T)
     assert out.l_basic == pytest.approx(
         base_loss(m, lx, ly, xw, xs, rho_max=0.95), abs=1e-12)
 
@@ -237,7 +241,7 @@ def test_total_loss_bookkeeping_fields():
     lx, ly, xw, xs, adj = _step_inputs(7)
     rho = np.full(3, 0.5)
     out = total_loss(m, lx, ly, xw, xs, adj, thresholds=np.stack([np.full(3, 0.95), rho, rho]),
-                     head_classes=np.array([True, True, False]))
+                     head_classes=np.array([True, True, False]), t=T)
     for name in ("original", "output", "expansive"):
         hist = out.pseudo_hist[name]
         assert hist.sum() <= xw.shape[0]
@@ -258,21 +262,21 @@ def test_pseudo_source_switch_changes_the_teacher():
     rho = np.full(3, 0.5)
     kw = dict(adj=adj, thresholds=np.stack([np.full(3, 0.95), rho, rho]),
               head_classes=np.array([True, True, False]))
-    self_taught = total_loss(m, lx, ly, xw, xs, **kw)
+    self_taught = total_loss(m, lx, ly, xw, xs, t=T, **kw)
     cross_taught = total_loss(m, lx, ly, xw, xs,
-                              output_pseudo_source="expansive", **kw)
+                              t=replace(T, output_pseudo_source="expansive"), **kw)
     assert cross_taught.pseudo_hist["output"][2] == xw.shape[0]
     assert self_taught.pseudo_hist["output"][2] < xw.shape[0]
+    # any other source is refused where the constants are checked
     with pytest.raises(ValueError):
-        total_loss(m, lx, ly, xw, xs, output_pseudo_source="nonsense", **kw)
+        replace(T, output_pseudo_source="nonsense")
 
 
-def _reference_step(m, lx, ly, xw, xs, adj, thresholds, head_classes,
-                    tau_b, tau_e, lambda_u, lambda_basic, class_weights,
-                    output_pseudo_source):
+def _reference_step(m, lx, ly, xw, xs, adj, thresholds, head_classes, t, class_weights):
     """The training step head by head: three forwards, 2-D losses per head
     and one backward per back-propagated view, gradients summed."""
     k = m.k
+    tau_b, tau_e, lambda_u, lambda_basic = t.tau_b, t.tau_e, t.lambda_u, t.lambda_basic
     rho_o, rho_b, rho_e = thresholds
     feats_l, cache_l = forward_features_cached(m, lx)
     feats_w = forward_features(m, xw)
@@ -283,7 +287,7 @@ def _reference_step(m, lx, ly, xw, xs, adj, thresholds, head_classes,
     ce_o, g_ce_o = cross_entropy_with_grad(logits_l["original"], ly)
     sup_b, g_sup_b = cross_entropy_with_grad(logits_l["output"], ly, tau_b * adj.delta_p)
     sup_e, g_sup_e = cross_entropy_with_grad(logits_l["expansive"], ly, tau_e * adj.delta_p)
-    teacher = "output" if output_pseudo_source == "self" else "expansive"
+    teacher = "output" if t.output_pseudo_source == "self" else "expansive"
     con_o = masked_consistency_from_logits(logits_w["original"], logits_s["original"],
                                            rho_o)
     con_b = masked_consistency_from_logits(logits_w[teacher], logits_s["output"], rho_b,
@@ -340,9 +344,9 @@ def test_fused_step_matches_per_head_reference(source, weighted):
     rho_max = float(_margin_safe_thresholds(m, "original", xw, rng, 1)[0])
     kw = dict(thresholds=np.stack([np.full(k, rho_max), rho_b, rho_e]),
               head_classes=np.arange(k) < 2,
-              tau_b=2.0, tau_e=4.0, lambda_u=1.7, lambda_basic=0.6,
-              class_weights=rng.uniform(0.3, 3.0, size=k) if weighted else None,
-              output_pseudo_source=source)
+              t=replace(T, tau_b=2.0, tau_e=4.0, lambda_u=1.7, lambda_basic=0.6,
+                        output_pseudo_source=source),
+              class_weights=rng.uniform(0.3, 3.0, size=k) if weighted else None)
 
     want, want_grads, want_hist, want_rates, want_strong_x = _reference_step(
         m, lx, ly, xw, xs, adj, **kw)

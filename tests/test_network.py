@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import param_order
+from imbalanced_ssl.config import TrainSection
 from imbalanced_ssl.diagnostics import evaluate
 from imbalanced_ssl.network import (
     HEAD_NAMES,
@@ -67,7 +68,9 @@ def test_forward_shapes_and_nonnegativity():
 def _default_widths(activation):
     """A model at the default widths (16 -> 64 -> 64 -> 32, 10 classes) with
     every parameter, the biases included, away from its initial value."""
-    m = init_model(k=10, d=16, seed=3, activation=activation)
+    t = TrainSection()
+    m = init_model(k=10, d=16, hidden=t.hidden, feature=t.feature, seed=3,
+                   activation=activation)
     m.flat += np.random.default_rng(4).normal(scale=0.2, size=m.flat.size)
     return m
 

@@ -1,8 +1,10 @@
 """End-to-end trainer behavior on deliberately tiny runs."""
 
+import gc
 import json
 import math
 import os
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -13,6 +15,7 @@ from imbalanced_ssl import network, trainer
 from imbalanced_ssl.cli import main
 from conftest import run_estimation_phase
 from imbalanced_ssl.config import RunConfig
+from imbalanced_ssl.losses import LOSS_COLUMNS
 from imbalanced_ssl.network import init_model, model_from_checkpoint_obj
 from imbalanced_ssl.trainer import (
     TrainingAborted,
@@ -40,10 +43,10 @@ def test_run_completes_with_wellformed_rows():
     for col in ("epoch", "bacc_original", "bacc_output", "bacc_calibrated",
                 "bacc_expansive", "recall_head", "recall_nonhead"):
         assert col in row
-    assert len(res.loss_rows) == 4 * 12
-    assert {"total", "l_basic", "l_sup_b", "l_con_b", "l_sup_e", "l_con_e"} <= set(
-        res.loss_rows[0])
-    assert all(np.isfinite(r["total"]) for r in res.loss_rows)
+    # one losses.csv row per step, in LOSS_COLUMNS order
+    assert res.losses.shape == (4 * 12, len(LOSS_COLUMNS))
+    assert res.losses[:, 0].tolist() == list(range(4 * 12))
+    assert np.isfinite(res.losses).all()
 
 
 def test_never_reads_unlabeled_ground_truth():
@@ -76,11 +79,36 @@ def test_thresholds_logged_nonincreasing():
 def test_deterministic_rerun_is_bitwise_identical():
     a = train(_tiny_config(seed=4))
     b = train(_tiny_config(seed=4))
-    assert a.loss_rows == b.loss_rows
+    assert np.array_equal(a.losses, b.losses)
     assert a.metrics_rows == b.metrics_rows
     assert a.summary["o_star"] == b.summary["o_star"]
     c = train(_tiny_config(seed=5))
-    assert c.loss_rows != a.loss_rows
+    assert not np.array_equal(c.losses, a.losses)
+
+
+def _memory_held_after_training(steps_per_epoch):
+    """Bytes tracemalloc sees held, result included, after a two-epoch run of
+    a very small model."""
+    cfg = _tiny_config(epochs=2, steps_per_epoch=steps_per_epoch, labeled_batch=8,
+                       unlabeled_batch=8, hidden=(4,), feature=4, probe_size=8, probe_n_aug=1)
+    tracemalloc.start()
+    try:
+        result = train(cfg)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.losses.shape == (2 * steps_per_epoch, len(LOSS_COLUMNS))
+    return held
+
+
+def test_loss_record_costs_one_float64_row_per_step():
+    # the loss record is one (steps, 9) float64 array: 72 bytes a step, the
+    # size RunConfig._array_sizes caps
+    _memory_held_after_training(5)  # first-call allocations
+    short, long = _memory_held_after_training(10), _memory_held_after_training(510)
+    per_step = (long - short) / 1000
+    assert 64 <= per_step <= 96, per_step
 
 
 def test_estimation_phase_snapshot():
@@ -128,8 +156,8 @@ def test_nonfinite_loss_from_finite_logits_records_components(tmp_path, monkeypa
     # finite output-head logits 2e308 apart overflow the log-softmax, so the
     # balanced supervised loss is infinite on the very first step; the
     # infinite components are recorded as null
-    def tilted_model(**kwargs):
-        model = init_model(**kwargs)
+    def tilted_model(*args, **kwargs):
+        model = init_model(*args, **kwargs)
         model.heads["output"].b[:2] = (1e308, -1e308)
         return model
 
@@ -228,7 +256,7 @@ def test_one_forward_and_one_backward_per_step(monkeypatch):
     monkeypatch.setattr(network, "backward", counting_backward)
     res = train(cfg)
     steps = cfg.train.epochs * cfg.train.steps_per_epoch
-    assert len(res.loss_rows) == steps
+    assert len(res.losses) == steps
     assert calls == {"forward_features_cached": steps, "backward": steps}
 
 
