@@ -14,7 +14,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -99,14 +99,10 @@ def cmd_verify_theorem(args) -> int:
         mc = monte_carlo_pseudo_label_probabilities(spec, args.samples, args.seed + i)
         diff = float(np.max(np.abs(ana.as_array() - mc.as_array())))
         worst = max(worst, diff)
-        rows.append({
-            "gamma": gamma, "mu1": -1.0, "mu2": 1.0, "sigma1": 1.0, "sigma2": 1.0,
-            "beta": beta, "rho": rho, "delta_p": delta_p,
-            "p_pos_analytic": ana.p_pos, "p_neg_analytic": ana.p_neg,
-            "p_mask_analytic": ana.p_mask,
-            "p_pos_mc": mc.p_pos, "p_neg_mc": mc.p_neg, "p_mask_mc": mc.p_mask,
-            "max_abs_diff": diff,
-        })
+        rows.append({**asdict(spec),
+                     **{f"{key}_analytic": v for key, v in asdict(ana).items()},
+                     **{f"{key}_mc": v for key, v in asdict(mc).items()},
+                     "max_abs_diff": diff})
     if args.out:
         _write_csv(args.out, rows[0], (row.values() for row in rows))
     failures = sum(row["max_abs_diff"] > args.tolerance for row in rows)

@@ -96,18 +96,9 @@ def evaluate(model: Model, test_x: np.ndarray, test_y: np.ndarray) -> dict[str, 
 
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:
-    order = np.argsort(v, kind="stable")
-    sorted_v = v[order]
-    ranks = np.empty(v.size, dtype=np.float64)
-    base = np.arange(1, v.size + 1, dtype=np.float64)
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and sorted_v[j + 1] == sorted_v[i]:
-            j += 1
-        ranks[order[i : j + 1]] = base[i : j + 1].mean()
-        i = j + 1
-    return ranks
+    """1-based ranks of ``v``, each tie group given the mean of its ranks."""
+    _, inv, counts = np.unique(v, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inv]
 
 
 def spearman_correlation(a: np.ndarray, b: np.ndarray) -> float:

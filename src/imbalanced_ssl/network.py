@@ -14,11 +14,12 @@ has the same layout; the first ``backward`` allocates it and every call
 writes into it, and ``sgd_step`` updates ``flat`` with three vector
 operations.
 
-Inference (``forward_features``) keeps no cache: each layer's matmul result
-takes the bias and the activation in place, so only the current layer's
-activations and the previous layer's are alive.  Training
-(``forward_features_cached``) keeps every layer's pre-activation and
-activation for ``backward``.
+Both forwards run the same statements: each layer's matmul result takes the
+bias and the activation in place.  Inference (``forward_features``) keeps no
+cache, so only the current layer's activations and the previous layer's are
+alive.  Training (``forward_features_cached``) keeps every layer's activation,
+and ``backward`` reads each activation's derivative off it (``a > 0`` for
+relu, ``1 - exp(-a)`` for softplus), so no pre-activation is stored.
 
 Checkpoint format (normative field order): a JSON object with keys
 ``format``, ``config_hash``, ``k``, ``dims``, ``activation``, and ``params``;
@@ -65,28 +66,17 @@ def _relu(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(z, 0.0, out=out)
 
 
-def _relu_grad(z: np.ndarray) -> np.ndarray:
-    return (z > 0.0).astype(np.float64)
-
-
 def _softplus(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.logaddexp(0.0, z, out=out)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
+# each activation with its derivative written from its output a = act(z):
+# relu'(z) = [a > 0], softplus'(z) = sigmoid(z) = 1 - exp(-a)
 _ACTIVATIONS = {
-    "relu": (_relu, _relu_grad),
+    "relu": (_relu, lambda a: a > 0.0),
     # smooth variant: reserved for finite-difference gradient checks, where
     # the ReLU kink would contaminate the comparison
-    "softplus": (_softplus, _sigmoid),
+    "softplus": (_softplus, lambda a: -np.expm1(-a)),
 }
 
 
@@ -185,14 +175,13 @@ def init_model(k: int, d: int, hidden: tuple[int, ...], feature: int, seed: int,
 
 @dataclass
 class ForwardCache:
-    x: np.ndarray                 # (N, D)
-    pre_acts: list[np.ndarray]    # z per layer, (N, dims[i+1])
-    acts: list[np.ndarray]        # activation(z) per layer; acts[-1] = features
+    x: np.ndarray           # (N, D)
+    acts: list[np.ndarray]  # each layer's activation, (N, dims[i+1]); acts[-1] = features;
+                            # backward reads the activation's derivative off it
 
     def tail(self, start: int) -> "ForwardCache":
         """The cache of rows ``start:`` of the batch, as views."""
-        return ForwardCache(x=self.x[start:], pre_acts=[z[start:] for z in self.pre_acts],
-                            acts=[a[start:] for a in self.acts])
+        return ForwardCache(x=self.x[start:], acts=[a[start:] for a in self.acts])
 
 
 def _input(model: Model, x: np.ndarray) -> np.ndarray:
@@ -204,19 +193,18 @@ def _input(model: Model, x: np.ndarray) -> np.ndarray:
 
 
 def forward_features_cached(model: Model, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """The features of ``x`` and the cache of every layer that ``backward``
-    reads."""
+    """The features of ``x`` and the cache that ``backward`` reads: the
+    statements of ``forward_features``, each layer's activation kept."""
     xb = _input(model, x)
     act, _ = _ACTIVATIONS[model.activation]
-    pre_acts = []
     acts = []
     a = xb
     for w, b in zip(model.weights, model.biases):
-        z = a @ w.T + b
-        a = act(z)
-        pre_acts.append(z)
+        a = a @ w.T
+        a += b
+        a = act(a, out=a)
         acts.append(a)
-    return a, ForwardCache(x=xb, pre_acts=pre_acts, acts=acts)
+    return a, ForwardCache(x=xb, acts=acts)
 
 
 def forward_features(model: Model, x: np.ndarray) -> np.ndarray:
@@ -259,7 +247,8 @@ def backward(model: Model, cache: ForwardCache, head_grads: np.ndarray) -> np.nd
     """Exact gradients given dL/dlogits of every head as one (N, H, K) array,
     heads in HEAD_NAMES order, already carrying any 1/N averaging; a head
     whose slab is zero contributes nothing.  The heads' parameter gradients
-    and dL/dfeatures each come from one matmul over the stacked heads.
+    and dL/dfeatures each come from one matmul over the stacked heads.  Each
+    backbone layer's activation derivative is read off its cached activation.
 
     The gradients are written into ``model.grad``, which the first call
     allocates, and that vector is returned; the next call overwrites it.
@@ -280,12 +269,12 @@ def backward(model: Model, cache: ForwardCache, head_grads: np.ndarray) -> np.nd
     np.sum(g, axis=0, out=head_b)
     da = g @ model.head_w
     for i in range(len(model.weights) - 1, -1, -1):
-        dz = da * act_grad(cache.pre_acts[i])
+        da *= act_grad(cache.acts[i])  # now dL/dz of layer i
         a_prev = cache.x if i == 0 else cache.acts[i - 1]
-        np.matmul(dz.T, a_prev, out=weights[i])
-        np.sum(dz, axis=0, out=biases[i])
+        np.matmul(da.T, a_prev, out=weights[i])
+        np.sum(da, axis=0, out=biases[i])
         if i > 0:
-            da = dz @ model.weights[i]
+            da = da @ model.weights[i]
     return model.grad
 
 

@@ -89,14 +89,16 @@ def _train_step(model: Model, opt: OptimizerState, state: ThresholdState,
                 class_weights: np.ndarray | None, control: bool, dataset: Dataset,
                 t: TrainSection, adj: LogitAdjustment, head_classes: np.ndarray,
                 batch_rng: np.random.Generator, aug_rng: np.random.Generator,
-                epoch: int, step: int, losses_row: np.ndarray) -> tuple[ThresholdState, dict]:
+                epoch: int, step: int, losses_row: np.ndarray,
+                hist: np.ndarray) -> ThresholdState:
     """One SGD step on a fresh labeled batch and a weak/strong pair of one
     unlabeled batch (one backbone forward over all three, one backward), then
     one controller tick when ``control`` is on.
 
     Writes the step's losses.csv row, in LOSS_COLUMNS order, into
-    ``losses_row`` and returns the thresholds after the tick and the step's
-    per-head pseudo-label histograms.  Divergence is one explicit check: the
+    ``losses_row``, adds the pseudo-labels each head kept into the epoch's
+    (3, K) histogram ``hist``, rows in HEAD_NAMES order, and returns the
+    thresholds after the tick.  Divergence is one explicit check: the
     step's logits and total loss must be finite, otherwise TrainingAborted
     carries the loss components read from that row, a non-finite one as None
     (the whole record None when the logits already were not), so abort.json
@@ -122,9 +124,10 @@ def _train_step(model: Model, opt: OptimizerState, state: ThresholdState,
             raise TrainingAborted(f"non-finite {what} at step {step}",
                                   {"epoch": epoch, "step": step, "components": components})
         sgd_step(model, network.backward(model, losses.cache, losses.head_grads), opt)
+    hist += [losses.pseudo_hist[name] for name in network.HEAD_NAMES]
     if control:
         state = update_thresholds(state, model.heads["output"].b)
-    return state, losses.pseudo_hist
+    return state
 
 
 def _estimate_and_match(model: Model, dataset: Dataset, anchor_set: AnchorSet,
@@ -153,12 +156,12 @@ _SUMMARY_METRICS = (*(f"{m}_{name}" for name in _EVALUATED for m in ("acc", "bac
 
 def _epoch_rows(model: Model, dataset: Dataset, t: TrainSection, head_classes: np.ndarray,
                 probe: np.ndarray, match: AnchorMatch | None, state: ThresholdState,
-                epoch: int, epoch_losses: np.ndarray, epoch_hists: list[dict]):
+                epoch: int, epoch_losses: np.ndarray, hist: np.ndarray):
     """One epoch's measurement: the metrics.csv row, the thresholds.csv rows
     and the bias.csv rows, each with its keys in column order (the CSV
-    headers are read off them).  ``epoch_losses``/``epoch_hists`` are the
-    epoch's rows of the loss record and its per-step pseudo-label
-    histograms."""
+    headers are read off them).  ``epoch_losses`` is the epoch's rows of the
+    loss record and ``hist`` the (3, K) count of the pseudo-labels each head
+    kept over the epoch, rows in HEAD_NAMES order."""
     k = model.k
     reports = evaluate(model, dataset.test_x, dataset.test_y)
     cal = reports["calibrated"]
@@ -180,10 +183,9 @@ def _epoch_rows(model: Model, dataset: Dataset, t: TrainSection, head_classes: n
         row[col] = float(epoch_losses[:, LOSS_COLUMNS.index(col)].mean())
     for c, r in enumerate(cal.per_class_recall):
         row[f"recall_{c}"] = float(r)
-    for name in network.HEAD_NAMES:
-        hist = np.sum([h[name] for h in epoch_hists], axis=0)
-        for c in range(k):
-            row[f"hist_{name}_{c}"] = int(hist[c])
+    for name, counts in zip(network.HEAD_NAMES, hist.tolist()):
+        for c, n in enumerate(counts):
+            row[f"hist_{name}_{c}"] = n
 
     b_opt = extract_bias_vector(model)
     threshold_rows = [{"epoch": epoch, "class": c, "rho_b": float(state.rho_b[c]),
@@ -235,13 +237,12 @@ def train(config: RunConfig, dataset: Dataset | None = None,
     bias_rows: list[dict] = []
     try:
         for epoch in range(t.epochs):
-            hists = []
+            hist = np.zeros((len(network.HEAD_NAMES), k), dtype=np.int64)
             first = epoch * t.steps_per_epoch
             for step in range(first, first + t.steps_per_epoch):
-                state, hist = _train_step(
+                state = _train_step(
                     model, opt, state, class_weights, match is not None, dataset, t, adj,
-                    head_classes, batch_rng, aug_rng, epoch, step, losses[step])
-                hists.append(hist)
+                    head_classes, batch_rng, aug_rng, epoch, step, losses[step], hist)
             # the step checks the logits from before its update; the epoch's
             # last update is checked here, by the parameters and by the
             # measurement that reads them
@@ -255,7 +256,7 @@ def train(config: RunConfig, dataset: Dataset | None = None,
                             model, dataset, anchor_set, head_classes, t)
                     metrics_row, t_rows, b_rows = _epoch_rows(
                         model, dataset, t, head_classes, probe, match, state, epoch,
-                        losses[first:step + 1], hists)
+                        losses[first:step + 1], hist)
             except FloatingPointError as exc:
                 raise TrainingAborted(f"parameters after step {step} overflow the epoch's "
                                       f"measurement ({exc})", snapshot) from exc

@@ -45,7 +45,10 @@ def test_verify_theorem_passes_at_modest_sample_count(tmp_path, capsys):
     assert "OK" in text
     lines = out.read_text().splitlines()
     assert len(lines) == 37
-    assert lines[0].startswith("gamma,")
+    # the spec's fields in declaration order, then each probability analytic and sampled
+    assert lines[0] == ("gamma,mu1,mu2,sigma1,sigma2,beta,rho,delta_p,"
+                        "p_pos_analytic,p_neg_analytic,p_mask_analytic,"
+                        "p_pos_mc,p_neg_mc,p_mask_mc,max_abs_diff")
 
 
 def test_verify_theorem_fails_at_absurd_tolerance(capsys):

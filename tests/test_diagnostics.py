@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from scipy.stats import spearmanr
+from scipy.stats import rankdata, spearmanr
 
 from imbalanced_ssl.config import TaskSection, TrainSection
 from imbalanced_ssl.data import generate
 from imbalanced_ssl.diagnostics import (
+    _average_ranks,
     bias_pattern_report,
     evaluate,
     separation_violation_rate,
@@ -20,6 +21,7 @@ def test_spearman_matches_scipy_with_ties():
     for _ in range(20):
         a = rng.integers(0, 6, size=12).astype(float)
         b = rng.integers(0, 6, size=12).astype(float)
+        assert np.array_equal(_average_ranks(a), rankdata(a))
         want = spearmanr(a, b).statistic
         got = spearman_correlation(a, b)
         if np.isnan(want):

@@ -12,6 +12,7 @@ from conftest import param_order
 from imbalanced_ssl.config import TrainSection
 from imbalanced_ssl.diagnostics import evaluate
 from imbalanced_ssl.network import (
+    _ACTIVATIONS,
     HEAD_NAMES,
     Model,
     OptimizerState,
@@ -86,19 +87,61 @@ def test_inference_forward_equals_the_cached_forward(activation, rows):
     assert np.array_equal(x, before)
 
 
-def test_inference_forward_keeps_no_cache():
-    # numpy reports its buffers to tracemalloc: the cached forward holds
-    # every layer's pre-activation and activation (about 25 MB at 10,000
-    # rows), the inference forward at most two layers' activations
+def _forward_peak(forward):
+    """tracemalloc's peak while ``forward`` runs at 10,000 rows and the default
+    widths; numpy reports its buffers to tracemalloc."""
     m = _default_widths("relu")
     x = np.random.default_rng(0).normal(size=(10_000, 16))
     tracemalloc.start()
     try:
-        forward_features(m, x)
+        forward(m, x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 2**20
+    return peak
+
+
+def test_inference_forward_keeps_no_cache():
+    # at most two layers' activations are alive at once
+    assert _forward_peak(forward_features) < 12 * 2**20
+
+
+def test_training_forward_keeps_each_activation_once():
+    # the cache holds each layer's activation and nothing more: (64 + 64 + 32)
+    # float64 a row, 12.2 MiB at 10,000 rows (a pre-activation kept as well
+    # would double it)
+    assert _forward_peak(forward_features_cached) < 14 * 2**20
+
+
+def _stable_sigmoid(z):
+    """The reference sigmoid: 1 / (1 + exp(-z)) for z >= 0, exp(z) / (1 + exp(z))
+    below, so neither branch overflows."""
+    out = np.empty_like(z)
+    pos = z >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+_SUBNORMALS = st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308,
+                        allow_subnormal=True)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(st.floats(-745.0, 745.0), _SUBNORMALS,
+                          st.sampled_from([-0.0, 0.0, -745.0, 745.0])),
+                min_size=1, max_size=64))
+def test_activation_derivative_read_off_the_output(values):
+    """backward reads each activation's derivative off its output a = act(z):
+    relu's [a > 0] is [z > 0] everywhere, the signed zeros included, and
+    softplus's 1 - exp(-a) is sigmoid(z) to within 4 ulp."""
+    z = np.array(values)
+    relu, relu_grad = _ACTIVATIONS["relu"]
+    assert np.array_equal(relu_grad(relu(z)), z > 0.0)
+    softplus, softplus_grad = _ACTIVATIONS["softplus"]
+    want = _stable_sigmoid(z)
+    assert np.all(np.abs(softplus_grad(softplus(z)) - want) <= 4 * np.spacing(want))
 
 
 def test_head_logits_affine():

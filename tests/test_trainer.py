@@ -86,29 +86,39 @@ def test_deterministic_rerun_is_bitwise_identical():
     assert not np.array_equal(c.losses, a.losses)
 
 
-def _memory_held_after_training(steps_per_epoch):
-    """Bytes tracemalloc sees held, result included, after a two-epoch run of
-    a very small model."""
-    cfg = _tiny_config(epochs=2, steps_per_epoch=steps_per_epoch, labeled_batch=8,
+def _memory_held_after_training(steps_per_epoch, epochs=2):
+    """Bytes tracemalloc sees held, result included, after a run of a very
+    small model, and the peak it saw during the run."""
+    cfg = _tiny_config(epochs=epochs, steps_per_epoch=steps_per_epoch, labeled_batch=8,
                        unlabeled_batch=8, hidden=(4,), feature=4, probe_size=8, probe_n_aug=1)
     tracemalloc.start()
     try:
         result = train(cfg)
         gc.collect()
-        held, _ = tracemalloc.get_traced_memory()
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert result.losses.shape == (2 * steps_per_epoch, len(LOSS_COLUMNS))
-    return held
+    assert result.losses.shape == (epochs * steps_per_epoch, len(LOSS_COLUMNS))
+    return held, peak
 
 
 def test_loss_record_costs_one_float64_row_per_step():
     # the loss record is one (steps, 9) float64 array: 72 bytes a step, the
     # size RunConfig._array_sizes caps
     _memory_held_after_training(5)  # first-call allocations
-    short, long = _memory_held_after_training(10), _memory_held_after_training(510)
+    (short, _), (long, _) = _memory_held_after_training(10), _memory_held_after_training(510)
     per_step = (long - short) / 1000
     assert 64 <= per_step <= 96, per_step
+
+
+def test_epoch_peak_grows_by_the_loss_row_alone():
+    # an epoch sums its pseudo-label counts into one (3, K) array as the steps
+    # run, so a step adds to the peak no more than its loss row's 72 bytes
+    _memory_held_after_training(5, epochs=1)  # first-call allocations
+    (_, short), (_, long) = (_memory_held_after_training(10, epochs=1),
+                             _memory_held_after_training(1010, epochs=1))
+    per_step = (long - short) / 1000
+    assert per_step <= 96, per_step
 
 
 def test_estimation_phase_snapshot():
