@@ -200,10 +200,10 @@ def cmd_match_distribution(args) -> int:
         anchor_set = default_anchor_set(counts.size, gamma=gamma, as_variance=args.as_variance)
     match = match_anchor(counts, anchor_set)
     print(f"{'anchor':<20} {'c':>4} {'KL':>12}")
-    for i, (anchor, c, kl) in enumerate(zip(anchor_set.anchors, anchor_set.expansion_factors,
-                                            match.kl_values)):
+    for i, (kind, c, kl) in enumerate(zip(anchor_set.kinds, anchor_set.expansion_factors,
+                                          match.kl_values)):
         marker = "  <-- o*" if i == match.index else ""
-        print(f"{anchor.kind:<20} {c:>4g} {kl:>12.6f}{marker}")
+        print(f"{kind:<20} {c:>4g} {kl:>12.6f}{marker}")
     print(f"o* = {match.kind}, c = {match.expansion_factor:g}, gamma_u = {match.gamma_u:.4f}")
     if args.json_out:
         _json_dump(args.json_out, {

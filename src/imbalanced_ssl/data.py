@@ -18,8 +18,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .distributions import ClassDistribution
-
 if TYPE_CHECKING:
     from .config import TaskSection
 
@@ -95,19 +93,19 @@ def class_centers(task: TaskSection) -> np.ndarray:
     return centers
 
 
-def _as_counts(dist: ClassDistribution | np.ndarray, k: int, name: str) -> np.ndarray:
-    if isinstance(dist, ClassDistribution):
-        counts = dist.int_counts()
-    else:
-        arr = np.asarray(dist)
-        counts = np.rint(arr).astype(np.int64)
-        if not np.allclose(arr, counts):
-            raise ValueError(f"{name} counts must be integers")
-        if np.any(counts < 0):
-            raise ValueError(f"{name} counts must be nonnegative")
-    if counts.size != k:
-        raise ValueError(f"{name} distribution has length {counts.size}, task has {k} classes")
-    return counts
+def _as_counts(counts: np.ndarray, k: int, name: str) -> np.ndarray:
+    """``counts`` as int64; every entry must be a nonnegative, exactly
+    integral number that an int64 holds, one per class."""
+    arr = np.asarray(counts)
+    if not (np.abs(arr) < 2.0 ** 63).all():  # also false for a NaN
+        raise ValueError(f"{name} counts must be finite and fit in an int64")
+    if not np.array_equal(arr, np.rint(arr)):
+        raise ValueError(f"{name} counts must be integers")
+    if np.any(arr < 0):
+        raise ValueError(f"{name} counts must be nonnegative")
+    if arr.shape != (k,):
+        raise ValueError(f"{name} counts have shape {arr.shape}, task has {k} classes")
+    return arr.astype(np.int64)
 
 
 def _sample_split(centers: np.ndarray, counts: np.ndarray, noise: float,
@@ -126,11 +124,11 @@ def _sample_split(centers: np.ndarray, counts: np.ndarray, noise: float,
     return np.concatenate(xs, axis=0), np.concatenate(ys, axis=0)
 
 
-def generate(task: TaskSection, labeled_dist: ClassDistribution | np.ndarray,
-             unlabeled_dist: ClassDistribution | np.ndarray,
+def generate(task: TaskSection, labeled_counts: np.ndarray, unlabeled_counts: np.ndarray,
              test_per_class: int) -> Dataset:
     """Draw the three splits.  Per-class histograms equal the requested
-    counts exactly; the test split is balanced at ``test_per_class``.
+    counts (integral arrays, such as ``make_distribution`` returns) exactly;
+    the test split is balanced at ``test_per_class``.
 
     An all-zero unlabeled count vector is allowed (purely supervised runs).
     ``task.seed`` must be resolved (``RunConfig.resolved_task``).
@@ -139,8 +137,8 @@ def generate(task: TaskSection, labeled_dist: ClassDistribution | np.ndarray,
         raise ValueError("the task seed must be resolved before generating")
     if test_per_class < 1:
         raise ValueError("test_per_class must be >= 1")
-    labeled_counts = _as_counts(labeled_dist, task.k, "labeled")
-    unlabeled_counts = _as_counts(unlabeled_dist, task.k, "unlabeled")
+    labeled_counts = _as_counts(labeled_counts, task.k, "labeled")
+    unlabeled_counts = _as_counts(unlabeled_counts, task.k, "unlabeled")
     centers = class_centers(task)
     lx, ly = _sample_split(centers, labeled_counts, task.noise,
                            np.random.default_rng([task.seed, _LABELED_STREAM]))

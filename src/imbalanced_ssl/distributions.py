@@ -1,11 +1,13 @@
 """Class shapes, imbalance measures, and anchor matching.
 
-Class index 0 is always the most frequent *labeled* class; "head" classes are
-the first half of that ordering.  ``SHAPES`` lists the five class shapes in
-anchor order with the expansion factor each initializes the thresholds from
-once matched.  ``shape_proportions`` writes each shape once, as proportions;
-they are the KL-matching anchors (``default_anchor_set``) and, scaled so the
-largest class holds ``n_max``, the split counts (``make_distribution``).
+A class distribution is a plain array: split counts are an int64 vector, and
+the anchors are one read-only (A, K) matrix of normalised rows in
+``AnchorSet``.  ``SHAPES`` lists the five class shapes in anchor order with
+the expansion factor each initializes the thresholds from once matched.
+``shape_proportions`` writes each shape once, as proportions; they are the
+KL-matching anchors (``default_anchor_set``) and, scaled so the largest class
+holds ``n_max``, the split counts (``make_distribution``).  The "head"
+classes are the half with the most labeled samples (``head_mask``).
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "SHAPES",
-    "ClassDistribution",
     "AnchorSet",
     "AnchorMatch",
     "shape_proportions",
@@ -35,49 +36,6 @@ KL_SMOOTHING = 1e-6
 
 # The five class shapes in anchor order, each with its expansion factor.
 SHAPES = {"consist": 4, "uniform": 5, "inverse": 6, "gaussian": 4, "gaussian-inverse": 6}
-
-
-@dataclass(frozen=True)
-class ClassDistribution:
-    """Per-class weights: raw counts for data splits, proportions for anchors.
-
-    ``counts`` is any nonnegative vector with at least one positive entry, a
-    finite total and length >= 2; ``proportions`` normalizes it.  ``kind``
-    names one of ``SHAPES`` or is "custom".
-    """
-
-    counts: np.ndarray
-    kind: str = "custom"
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.counts, dtype=np.float64).copy()
-        if arr.ndim != 1 or arr.size < 2:
-            raise ValueError("a class distribution needs at least 2 classes")
-        with np.errstate(over="ignore"):
-            if not np.isfinite(arr.sum()) or np.any(arr < 0.0):
-                raise ValueError("class counts must be finite and nonnegative, "
-                                 "with a finite total")
-        if not np.any(arr > 0.0):
-            raise ValueError("class counts must not all be zero")
-        if not (isinstance(self.kind, str) and (self.kind in SHAPES or self.kind == "custom")):
-            raise ValueError(f"unknown distribution kind {self.kind!r}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "counts", arr)
-
-    @property
-    def k(self) -> int:
-        return int(self.counts.size)
-
-    @property
-    def proportions(self) -> np.ndarray:
-        return self.counts / float(self.counts.sum())
-
-    def int_counts(self) -> np.ndarray:
-        """Counts as integers; rejects non-integral weights."""
-        rounded = np.rint(self.counts)
-        if not np.allclose(self.counts, rounded, atol=1e-9):
-            raise ValueError("distribution does not hold integer counts")
-        return rounded.astype(np.int64)
 
 
 def shape_proportions(kind: str, k: int, gamma: float, as_variance: bool) -> np.ndarray:
@@ -110,23 +68,24 @@ def shape_proportions(kind: str, k: int, gamma: float, as_variance: bool) -> np.
 
 
 def make_distribution(kind: str, k: int, n_max: int, gamma: float,
-                      as_variance: bool) -> ClassDistribution:
-    """Counts for a named shape: its proportions scaled so the largest class
-    holds exactly ``n_max`` samples, rounded half up, at least 1 per class."""
+                      as_variance: bool) -> np.ndarray:
+    """int64 counts for a named shape: its proportions scaled so the largest
+    class holds exactly ``n_max`` samples, rounded half up, at least 1 per
+    class."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     p = shape_proportions(kind, k, gamma, as_variance)
-    counts = np.maximum(np.floor(p / p.max() * n_max + 0.5), 1.0)
-    return ClassDistribution(counts=counts, kind=kind)
+    return np.maximum(np.floor(p / p.max() * n_max + 0.5), 1.0).astype(np.int64)
 
 
-def head_mask(k: int) -> np.ndarray:
-    """True for head classes: the first ceil(k/2) indices of the descending
-    labeled-count order."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    mask = np.zeros(k, dtype=bool)
-    mask[: math.ceil(k / 2)] = True
+def head_mask(labeled_counts: np.ndarray) -> np.ndarray:
+    """True for head classes: the ceil(K/2) classes with the most labeled
+    samples, a tie going to the lower class index."""
+    counts = np.asarray(labeled_counts)
+    if counts.ndim != 1 or counts.size < 2:
+        raise ValueError("head_mask needs a vector of at least 2 class counts")
+    mask = np.zeros(counts.size, dtype=bool)
+    mask[np.argsort(-counts, kind="stable")[: math.ceil(counts.size / 2)]] = True
     return mask
 
 
@@ -173,25 +132,44 @@ def kl_divergence(estimated: np.ndarray, rescaled: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class AnchorSet:
-    """Candidate unlabeled-distribution shapes with per-anchor expansion factors."""
+    """Candidate unlabeled-distribution shapes: anchor ``a`` is row ``a`` of
+    ``proportions`` (A, K), named ``kinds[a]`` (one of ``SHAPES`` or
+    "custom"), with expansion factor ``expansion_factors[a]``.
 
-    anchors: tuple[ClassDistribution, ...]
+    The rows may be given as any nonnegative weights with a finite, positive
+    total; each is stored normalised, and the matrix is read-only.
+    """
+
+    kinds: tuple[str, ...]
+    proportions: np.ndarray
     expansion_factors: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not self.anchors:
-            raise ValueError("anchor set must not be empty")
-        if len(self.anchors) != len(self.expansion_factors):
-            raise ValueError("one expansion factor per anchor required")
+        rows = np.array(self.proportions, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[0] == 0:
+            raise ValueError("anchor set must be a nonempty (anchors, classes) matrix")
+        if rows.shape[1] < 2:
+            raise ValueError("an anchor needs at least 2 classes")
+        if not len(self.kinds) == rows.shape[0] == len(self.expansion_factors):
+            raise ValueError("one kind and one expansion factor per anchor required")
+        with np.errstate(over="ignore"):
+            if np.any(rows < 0.0) or not np.isfinite(rows.sum(axis=1)).all():
+                raise ValueError("anchor proportions must be finite and nonnegative, "
+                                 "with a finite total")
+        if not np.any(rows > 0.0, axis=1).all():
+            raise ValueError("anchor proportions must not all be zero")
+        for kind in self.kinds:
+            if not (isinstance(kind, str) and (kind in SHAPES or kind == "custom")):
+                raise ValueError(f"unknown distribution kind {kind!r}")
         if any(not 3.0 < c < math.inf for c in self.expansion_factors):
             raise ValueError("every expansion factor must be finite and exceed 3")
-        k = self.anchors[0].k
-        if any(a.k != k for a in self.anchors):
-            raise ValueError("all anchors must share the same class count")
+        rows = np.stack([row / float(row.sum()) for row in rows])
+        rows.flags.writeable = False
+        object.__setattr__(self, "proportions", rows)
 
     @property
     def k(self) -> int:
-        return self.anchors[0].k
+        return int(self.proportions.shape[1])
 
 
 def _json_numbers(values, what: str) -> np.ndarray:
@@ -220,25 +198,24 @@ def anchor_set_from_json(obj: list[dict]) -> AnchorSet:
     if not (isinstance(obj, list) and all(isinstance(row, dict) for row in obj)):
         raise ValueError('an anchor set is a JSON array of {"proportions": [...], "c": ...} '
                          "objects")
-    anchors = []
-    factors = []
-    for row in obj:
-        if "proportions" not in row or "c" not in row:
-            raise ValueError('every anchor needs "proportions" and "c"')
-        anchors.append(ClassDistribution(counts=_json_numbers(row["proportions"], "proportions"),
-                                         kind=row.get("kind", "custom")))
-        factors.append(float(_json_numbers([row["c"]], "c")[0]))
-    return AnchorSet(anchors=tuple(anchors), expansion_factors=tuple(factors))
+    if any("proportions" not in row or "c" not in row for row in obj):
+        raise ValueError('every anchor needs "proportions" and "c"')
+    rows = [_json_numbers(row["proportions"], "proportions") for row in obj]
+    if len({row.size for row in rows}) > 1:
+        raise ValueError("all anchors must share the same class count")
+    return AnchorSet(kinds=tuple(row.get("kind", "custom") for row in obj),
+                     proportions=np.array(rows),
+                     expansion_factors=tuple(float(_json_numbers([row["c"]], "c")[0])
+                                             for row in obj))
 
 
 def default_anchor_set(k: int, gamma: float, as_variance: bool) -> AnchorSet:
     """One anchor per entry of ``SHAPES``, in its order: the shape's exact
     proportions (no count rounding) with its expansion factor."""
-    return AnchorSet(
-        anchors=tuple(ClassDistribution(counts=shape_proportions(kind, k, gamma, as_variance),
-                                        kind=kind) for kind in SHAPES),
-        expansion_factors=tuple(SHAPES.values()),
-    )
+    return AnchorSet(kinds=tuple(SHAPES),
+                     proportions=[shape_proportions(kind, k, gamma, as_variance)
+                                  for kind in SHAPES],
+                     expansion_factors=tuple(SHAPES.values()))
 
 
 @dataclass(frozen=True)
@@ -265,20 +242,18 @@ def match_anchor(estimated: np.ndarray, anchor_set: AnchorSet) -> AnchorMatch:
         finite = n.ndim == 1 and np.isfinite(n.sum())
     if not finite:
         raise ValueError("estimated counts must be a vector of finite numbers with a finite total")
-    kls = tuple(
-        kl_divergence(n, rescale_anchor(a.proportions, n)) for a in anchor_set.anchors
-    )
+    kls = tuple(kl_divergence(n, rescale_anchor(row, n)) for row in anchor_set.proportions)
     index = int(np.argmin(kls))
-    best = anchor_set.anchors[index]
-    q = rescale_anchor(best.proportions, n)
+    kind = anchor_set.kinds[index]
+    q = rescale_anchor(anchor_set.proportions[index], n)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         gamma_u = float(q.max() / q.min())
     if not math.isfinite(gamma_u):
-        raise ValueError(f"the matched anchor {best.kind!r} rescaled to the estimated total "
+        raise ValueError(f"the matched anchor {kind!r} rescaled to the estimated total "
                          "has no finite max/min ratio")
     return AnchorMatch(
         index=index,
-        kind=best.kind,
+        kind=kind,
         expansion_factor=anchor_set.expansion_factors[index],
         gamma_u=gamma_u,
         kl_values=kls,

@@ -208,6 +208,8 @@ class StepLosses:
     every head, an (N_labeled + N_strong, H, K) array with the weights folded
     in: one backward(model, cache, head_grads) gives the step's gradients.
     ``cache_strong`` is the strong rows' part of the same cache.
+    ``kept`` is the (3, K) int64 count of the pseudo-labels each head kept,
+    rows in HEAD_NAMES order.
     ``finite_logits`` is the step's one finiteness check on its logits; when
     it is False no value in the bundle is meaningful.
     """
@@ -221,10 +223,15 @@ class StepLosses:
     head_grads: np.ndarray
     cache: ForwardCache
     cache_strong: ForwardCache
-    pseudo_hist: dict[str, np.ndarray]
+    kept: np.ndarray
     mask_rate_head: float
     mask_rate_nonhead: float
     finite_logits: bool
+
+    @property
+    def pseudo_hist(self) -> dict[str, np.ndarray]:
+        """``kept`` by head name, for the benchmark's consistency counters."""
+        return dict(zip(network.HEAD_NAMES, self.kept))
 
 
 def _aggregate_mask_rates(pseudo: np.ndarray, included: np.ndarray,
@@ -294,7 +301,7 @@ def total_loss(model: Model, labeled_x: np.ndarray, labeled_y: np.ndarray,
         l_sup_e=sup_e, l_con_e=con_e,
         head_grads=np.concatenate([g_sup, g_con]),
         cache=cache.tail(n_w), cache_strong=cache.tail(n_wl),
-        pseudo_hist=dict(zip(network.HEAD_NAMES, kept)),
+        kept=kept,
         mask_rate_head=rate_head, mask_rate_nonhead=rate_nonhead,
         finite_logits=finite_logits,
     )

@@ -124,7 +124,7 @@ def _train_step(model: Model, opt: OptimizerState, state: ThresholdState,
             raise TrainingAborted(f"non-finite {what} at step {step}",
                                   {"epoch": epoch, "step": step, "components": components})
         sgd_step(model, network.backward(model, losses.cache, losses.head_grads), opt)
-    hist += [losses.pseudo_hist[name] for name in network.HEAD_NAMES]
+    hist += losses.kept
     if control:
         state = update_thresholds(state, model.heads["output"].b)
     return state
@@ -141,7 +141,7 @@ def _estimate_and_match(model: Model, dataset: Dataset, anchor_set: AnchorSet,
     state = init_thresholds(match.expansion_factor, match.gamma_u, head_classes, t)
     class_weights = None
     if t.reweight_unlabeled:
-        q = rescale_anchor(anchor_set.anchors[match.index].proportions,
+        q = rescale_anchor(anchor_set.proportions[match.index],
                            np.asarray(estimated, dtype=np.float64))
         inv = 1.0 / q
         class_weights = inv / inv.mean()
@@ -212,7 +212,7 @@ def train(config: RunConfig, dataset: Dataset | None = None,
     model = init_model(k, dataset.task.d, t.hidden, t.feature, t.seed)
     opt = OptimizerState(t.learning_rate, t.momentum, t.weight_decay)
     adj = LogitAdjustment.from_counts(dataset.labeled_counts())
-    head_classes = head_mask(k)
+    head_classes = head_mask(dataset.labeled_counts())
     anchor_set = config.anchors.build(k)
     state = ThresholdState(np.full((len(network.HEAD_NAMES), k), t.rho_max),
                            alpha=t.alpha, nu=t.nu, rho_floor=t.rho_floor)

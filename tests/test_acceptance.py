@@ -206,9 +206,10 @@ def _grad_case(rng, component):
             "y": rng.integers(0, k, size=8),
             "x_w": x_w,
             "x_s": x_w + rng.normal(scale=0.4, size=(9, d)),
-            "adj": LogitAdjustment.from_counts(rng.integers(1, 60, size=k)),
+            "counts": rng.integers(1, 60, size=k),
             "t": {},
         }
+        case["adj"] = LogitAdjustment.from_counts(case["counts"])
         for head in need:
             t = _safe_threshold(model, head, x_w, rng)
             if t is None:
@@ -262,7 +263,7 @@ def _component_loss(model, component, case, want_grads):
     st = total_loss(model, case["x_l"], case["y"], case["x_w"], case["x_s"],
                     case["adj"],
                     thresholds=_case_thresholds(case),
-                    head_classes=head_mask(case["k"]),
+                    head_classes=head_mask(case["counts"]),
                     t=TrainSection())
     if not want_grads:
         return st.total, None
@@ -341,7 +342,7 @@ def test_loss_identities():
         st = total_loss(model, case["x_l"], case["y"], case["x_w"], case["x_s"],
                         case["adj"],
                         thresholds=_case_thresholds(case),
-                        head_classes=head_mask(case["k"]),
+                        head_classes=head_mask(case["counts"]),
                         t=TrainSection())
         resum = (st.l_basic + st.l_sup_b + 2.0 * st.l_con_b
                  + st.l_sup_e + 2.0 * st.l_con_e)
@@ -363,7 +364,8 @@ def test_loss_identities():
 
 @pytest.mark.slow
 def test_threshold_init_and_trajectories(inverse_runs):
-    hm = head_mask(10)
+    runs, _ = inverse_runs
+    hm = head_mask(runs[0].dataset.labeled_counts())
     st6 = init_thresholds(6.0, 100.0, hm, TrainSection())
     st4 = init_thresholds(4.0, 100.0, hm, TrainSection())
     init_ok = (np.all(st6.rho_b[~hm] == 0.75) and np.all(st6.rho_e[~hm] == 0.35)
@@ -372,7 +374,6 @@ def test_threshold_init_and_trajectories(inverse_runs):
                and np.all(st6.rho_b[hm] == 0.95)
                and np.all(st6.rho_e[hm] == 0.95))
 
-    runs, _ = inverse_runs
     tol = 1e-12
     floor = 0.5
     traj_ok = True
@@ -472,11 +473,11 @@ def test_anchor_recovery_with_true_labels():
 @pytest.mark.slow
 def test_end_to_end_calibrated_gains(inverse_runs):
     runs, elapsed = inverse_runs
-    nonhead = ~head_mask(10)
     bacc_gaps = []
     nh_gaps = []
     for res in runs:
         ds = res.dataset
+        nonhead = ~head_mask(ds.labeled_counts())
         reports = evaluate(res.model, ds.test_x, ds.test_y)
         orig, cal = reports["original"], reports["calibrated"]
         bacc_gaps.append(cal.balanced_accuracy - orig.balanced_accuracy)

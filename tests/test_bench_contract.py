@@ -97,12 +97,13 @@ def test_counter_hooks_read_real_objects():
     x_l, y_l = rng.normal(size=(8, d)), rng.integers(0, k, size=8)
     x_w = rng.normal(size=(12, d))
     x_s = x_w + rng.normal(size=(12, d))
-    state = init_thresholds(4.0, 100.0, head_mask(k), TrainSection())
+    labeled_counts = np.array([8, 4, 2, 1])
+    state = init_thresholds(4.0, 100.0, head_mask(labeled_counts), TrainSection())
     tr = _Counters()
 
     # the calls of one training step, as the tracer sees them
-    step = (model, x_l, y_l, x_w, x_s, LogitAdjustment.from_counts(np.array([8, 4, 2, 1])),
-            state.thresholds, head_mask(k), TrainSection())
+    step = (model, x_l, y_l, x_w, x_s, LogitAdjustment.from_counts(labeled_counts),
+            state.thresholds, head_mask(labeled_counts), TrainSection())
     losses = total_loss(*step)
     hooks["losses:total_loss"](tr, step, {}, losses)
     grads = (model, losses.cache, losses.head_grads)
@@ -118,8 +119,8 @@ def test_counter_hooks_read_real_objects():
         hooks["control:update_thresholds"](tr, (state, b), {}, ticked)
         state = ticked
 
-    kept = {f"losses.consistency.kept_rows.{h}": int(losses.pseudo_hist[h].sum())
-            for h in HEAD_NAMES}
+    kept = {f"losses.consistency.kept_rows.{h}": int(row.sum())
+            for h, row in zip(HEAD_NAMES, losses.kept)}
     assert tr.counters == {"losses.consistency.attempted_rows": 12, **kept,
                            "network.backward.rows": 8 + 12,
                            "network.forward_features.rows": 8,

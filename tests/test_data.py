@@ -1,6 +1,7 @@
 """Synthetic Gaussian-cluster task: counts, determinism, augmentation, audit."""
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -65,12 +66,14 @@ def test_generation_deterministic():
     assert not np.array_equal(a.labeled_x, c.labeled_x)
 
 
-def test_accepts_class_distribution_objects():
+def test_accepts_make_distribution_counts():
     task = TaskSection(k=10, d=8, spread=4.0, noise=1.0, seed=3)
     labeled = make_distribution("consist", 10, 50, 100.0, False)
     unlabeled = make_distribution("inverse", 10, 100, 100.0, False)
+    assert labeled.dtype == unlabeled.dtype == np.int64
     ds = generate(task, labeled, unlabeled, test_per_class=10)
-    assert ds.labeled_counts().tolist() == labeled.counts.astype(int).tolist()
+    assert ds.labeled_counts().tolist() == labeled.tolist()
+    assert np.bincount(ds.unlabeled_true_labels(), minlength=10).tolist() == unlabeled.tolist()
 
 
 def test_audit_counter_tracks_ground_truth_reads():
@@ -159,6 +162,14 @@ def test_spec_validation():
     task = TaskSection(k=3, d=4, spread=4.0, noise=1.0, seed=0)
     with pytest.raises(ValueError):
         generate(task, np.array([5, 5]), np.array([5, 5, 5]), test_per_class=5)
+    # integrality is exact, whatever the count's size, and a NaN or a count
+    # no int64 holds is refused before any cast could warn
+    for bad in ([200000.4, 5, 5], [5.4, 5, 5], [np.nan, 5, 5], [np.inf, 5, 5], [1e30, 5, 5],
+                [-1, 5, 5]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="labeled counts"):
+                generate(task, np.array(bad), np.array([5, 5, 5]), test_per_class=5)
     with pytest.raises(ValueError, match="seed"):  # the seed follows the run's: unresolved
         generate(TaskSection(k=3, d=4), np.array([5, 5, 5]), np.array([5, 5, 5]),
                  test_per_class=5)

@@ -242,10 +242,9 @@ def test_total_loss_bookkeeping_fields():
     rho = np.full(3, 0.5)
     out = total_loss(m, lx, ly, xw, xs, adj, thresholds=np.stack([np.full(3, 0.95), rho, rho]),
                      head_classes=np.array([True, True, False]), t=T)
-    for name in ("original", "output", "expansive"):
-        hist = out.pseudo_hist[name]
-        assert hist.sum() <= xw.shape[0]
-        assert hist.min() >= 0
+    assert out.kept.shape == (len(HEAD_NAMES), 3) and out.kept.dtype == np.int64
+    assert np.all(out.kept.sum(axis=1) <= xw.shape[0])
+    assert out.kept.min() >= 0
     assert 0.0 <= out.mask_rate_head <= 1.0
     assert 0.0 <= out.mask_rate_nonhead <= 1.0
     # one gradient bundle over the labeled and strong rows, for all heads
@@ -265,8 +264,9 @@ def test_pseudo_source_switch_changes_the_teacher():
     self_taught = total_loss(m, lx, ly, xw, xs, t=T, **kw)
     cross_taught = total_loss(m, lx, ly, xw, xs,
                               t=replace(T, output_pseudo_source="expansive"), **kw)
-    assert cross_taught.pseudo_hist["output"][2] == xw.shape[0]
-    assert self_taught.pseudo_hist["output"][2] < xw.shape[0]
+    output = HEAD_NAMES.index("output")
+    assert cross_taught.kept[output, 2] == xw.shape[0]
+    assert self_taught.kept[output, 2] < xw.shape[0]
     # any other source is refused where the constants are checked
     with pytest.raises(ValueError):
         replace(T, output_pseudo_source="nonsense")
@@ -358,8 +358,8 @@ def test_fused_step_matches_per_head_reference(source, weighted):
     assert set(grads) == set(want_grads)
     for name, g in want_grads.items():
         assert np.max(np.abs(grads[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
-    for head in HEAD_NAMES:
-        assert np.array_equal(st.pseudo_hist[head], want_hist[head]), head
+    for head, kept in zip(HEAD_NAMES, st.kept):
+        assert np.array_equal(kept, want_hist[head]), head
     assert (st.mask_rate_head, st.mask_rate_nonhead) == want_rates
     assert np.array_equal(st.cache_strong.x, want_strong_x)
     # the masks are not degenerate: some rows kept and some dropped per head

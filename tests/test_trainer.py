@@ -15,6 +15,7 @@ from imbalanced_ssl import network, trainer
 from imbalanced_ssl.cli import main
 from conftest import run_estimation_phase
 from imbalanced_ssl.config import RunConfig
+from imbalanced_ssl.diagnostics import evaluate
 from imbalanced_ssl.losses import LOSS_COLUMNS
 from imbalanced_ssl.network import init_model, model_from_checkpoint_obj
 from imbalanced_ssl.trainer import (
@@ -47,6 +48,20 @@ def test_run_completes_with_wellformed_rows():
     assert res.losses.shape == (4 * 12, len(LOSS_COLUMNS))
     assert res.losses[:, 0].tolist() == list(range(4 * 12))
     assert np.isfinite(res.losses).all()
+
+
+def test_head_classes_are_the_most_frequent_labeled_classes():
+    """An inverse labeled split puts its most frequent classes last; they are
+    the head classes that recall_head measures."""
+    cfg = _tiny_config(seed=3, epochs=2)
+    res = train(replace(cfg, data=replace(cfg.data, labeled_kind="inverse")))
+    ds = res.dataset
+    assert ds.labeled_counts().tolist() == [1, 1, 4, 20]
+    head = np.arange(ds.task.k) >= 2
+    cal = evaluate(res.model, ds.test_x, ds.test_y)["calibrated"]
+    assert cal.recall_over(head) != cal.recall_over(~head)
+    assert res.metrics_rows[-1]["recall_head"] == cal.recall_over(head)
+    assert res.metrics_rows[-1]["recall_nonhead"] == cal.recall_over(~head)
 
 
 def test_never_reads_unlabeled_ground_truth():
