@@ -1,6 +1,7 @@
 """Decoupled sampling control: threshold initialization from the matched
 anchor's expansion factor, bias-driven per-class threshold decay, bias-vector
-extraction, logit calibration, and unlabeled-count estimation.
+extraction, logit calibration, blocked inference (``predict``), and
+unlabeled-count estimation.
 
 The controller reads exactly one signal: the output head's bias term, a proxy
 for accumulated optimization imbalance.  Each step, every class whose bias
@@ -16,6 +17,7 @@ constants, taken from the ``TrainSection`` that checked them at load.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -33,8 +35,16 @@ __all__ = [
     "update_thresholds",
     "extract_bias_vector",
     "calibrate_logits",
+    "predict",
     "estimate_unlabeled_distribution",
 ]
+
+# Inference forwards its input in blocks of _ROWS to 2 * _ROWS - 1 rows.  The
+# last block takes the remainder: a block of a few rows takes OpenBLAS's
+# small-matrix path, whose results differ in the last bits from those of one
+# forward over all rows, while blocks of _ROWS rows or more matched it bit for
+# bit at every row count tried (OpenBLAS 0.3.31, 1 and 2 threads).
+_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -125,11 +135,36 @@ def calibrate_logits(model: Model, features: np.ndarray) -> np.ndarray:
     return features @ model.heads["output"].w.T
 
 
+def _blocks(n: int) -> list[tuple[int, int]]:
+    """(start, stop) bounds tiling [0, n): blocks of _ROWS rows, the last
+    one holding the remainder too, so one block when n < 2 * _ROWS."""
+    edges = [*range(0, _ROWS * max(n // _ROWS, 1), _ROWS), n]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def predict(model: Model, x: np.ndarray, views: Sequence[str]) -> np.ndarray:
+    """The (len(views), N) argmax predictions of each view over the rows of
+    ``x`` (lowest index wins ties).  A view is a head name, read off that
+    head's logits, or "calibrated", read off ``calibrate_logits``.  The rows
+    are forwarded in blocks (``_blocks``), so no features or logits outlive
+    their block, and the predictions equal those of one forward over all
+    rows."""
+    x = np.asarray(x, dtype=np.float64)
+    preds = np.empty((len(views), x.shape[0]), dtype=np.intp)
+    for start, stop in _blocks(x.shape[0]):
+        feats = network.forward_features(model, x[start:stop])
+        for out, view in zip(preds, views):
+            z = (calibrate_logits(model, feats) if view == "calibrated"
+                 else network.head_logits(model.heads[view], feats))
+            out[start:stop] = np.argmax(z, axis=1)
+    return preds
+
+
 def estimate_unlabeled_distribution(model: Model, unlabeled_x: np.ndarray) -> np.ndarray:
     """Histogram of calibrated predictions (lowest index wins ties) over the
     unlabeled split; sums to the split size by construction."""
     x = np.asarray(unlabeled_x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("unlabeled set must be a nonempty (M, D) array")
-    preds = np.argmax(calibrate_logits(model, network.forward_features(model, x)), axis=1)
-    return np.bincount(preds, minlength=model.k).astype(np.int64)
+    return np.bincount(predict(model, x, ("calibrated",))[0],
+                       minlength=model.k).astype(np.int64)

@@ -110,18 +110,18 @@ def _as_counts(counts: np.ndarray, k: int, name: str) -> np.ndarray:
 
 def _sample_split(centers: np.ndarray, counts: np.ndarray, noise: float,
                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """counts[c] rows around each center c in class order, drawn into one
+    preallocated array: center + noise * N(0, I), and the labels."""
     k, d = centers.shape
-    xs = []
-    ys = []
-    for cls in range(k):
-        n = int(counts[cls])
-        if n == 0:
-            continue
-        xs.append(centers[cls] + noise * rng.standard_normal((n, d)))
-        ys.append(np.full(n, cls, dtype=np.int64))
-    if not xs:
-        return np.empty((0, d), dtype=np.float64), np.empty(0, dtype=np.int64)
-    return np.concatenate(xs, axis=0), np.concatenate(ys, axis=0)
+    x = np.empty((int(counts.sum()), d), dtype=np.float64)
+    at = 0
+    for cls, n in enumerate(counts.tolist()):
+        block = x[at:at + n]
+        rng.standard_normal(out=block)
+        block *= noise
+        block += centers[cls]
+        at += n
+    return x, np.repeat(np.arange(k, dtype=np.int64), counts)
 
 
 def generate(task: TaskSection, labeled_counts: np.ndarray, unlabeled_counts: np.ndarray,

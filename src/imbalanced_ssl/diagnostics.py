@@ -11,7 +11,7 @@ import numpy as np
 
 from . import data as synth
 from . import network
-from .control import calibrate_logits
+from .control import predict
 from .network import Model
 
 __all__ = [
@@ -21,11 +21,6 @@ __all__ = [
     "spearman_correlation",
     "bias_pattern_report",
 ]
-
-
-def _predict_output(model: Model, x: np.ndarray) -> np.ndarray:
-    feats = network.forward_features(model, x)
-    return np.argmax(network.head_logits(model.heads["output"], feats), axis=1)
 
 
 def separation_violation_rate(model: Model, samples: np.ndarray, n_aug: int, noise: float,
@@ -44,12 +39,12 @@ def separation_violation_rate(model: Model, samples: np.ndarray, n_aug: int, noi
         raise ValueError("samples must be a nonempty (N, D) array")
     if n_aug < 1:
         raise ValueError("n_aug must be >= 1")
-    base = _predict_output(model, x)
+    base = predict(model, x, ("output",))[0]
     violated = np.zeros(x.shape[0], dtype=bool)
     rng = np.random.default_rng(seed)
     for _ in range(n_aug):
         aug = synth.strong_augment_batch(x, noise, strength, dropout, rng)
-        violated |= _predict_output(model, aug) != base
+        violated |= predict(model, aug, ("output",))[0] != base
     return float(violated.mean())
 
 
@@ -65,8 +60,7 @@ class EvalReport:
 
 
 def _report(preds: np.ndarray, y: np.ndarray, k: int) -> EvalReport:
-    confusion = np.zeros((k, k), dtype=np.int64)
-    np.add.at(confusion, (y, preds), 1)
+    confusion = np.bincount(y * k + preds, minlength=k * k).reshape(k, k)
     row = confusion.sum(axis=1)
     if np.any(row == 0):
         raise ValueError("every class needs at least one test sample")
@@ -79,20 +73,20 @@ def _report(preds: np.ndarray, y: np.ndarray, k: int) -> EvalReport:
     )
 
 
+_VIEWS = (*network.HEAD_NAMES, "calibrated")
+
+
 def evaluate(model: Model, test_x: np.ndarray, test_y: np.ndarray) -> dict[str, EvalReport]:
-    """One report per view, all from one backbone forward: each head in
-    HEAD_NAMES predicts from its own logits, and "calibrated" from the output
-    head's bias-stripped logits.  Argmax ties go to the lowest class index;
-    balanced accuracy is the mean per-class recall."""
+    """One report per view, all from one blocked pass of ``predict``: each
+    head in HEAD_NAMES predicts from its own logits, and "calibrated" from
+    the output head's bias-stripped logits.  Argmax ties go to the lowest
+    class index; balanced accuracy is the mean per-class recall."""
     x = np.asarray(test_x, dtype=np.float64)
     y = np.asarray(test_y)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("test set must be nonempty")
-    feats = network.forward_features(model, x)
-    logits = {name: network.head_logits(model.heads[name], feats)
-              for name in network.HEAD_NAMES}
-    logits["calibrated"] = calibrate_logits(model, feats)
-    return {view: _report(np.argmax(z, axis=1), y, model.k) for view, z in logits.items()}
+    preds = predict(model, x, _VIEWS)
+    return {view: _report(p, y, model.k) for view, p in zip(_VIEWS, preds)}
 
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:

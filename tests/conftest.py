@@ -6,6 +6,8 @@ the block after the run so the pass/fail ledger is visible without -s.
 
 from dataclasses import replace
 
+import numpy as np
+
 ACCEPTANCE_LINES: list[str] = []
 
 
@@ -23,6 +25,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def param_order(model) -> list[str]:
     """The model's parameter names in the checkpoint's normative order."""
     return [name for name, _ in model.parameters()]
+
+
+def default_widths(activation="relu"):
+    """A model at the default widths (16 -> 64 -> 64 -> 32, 10 classes) with
+    every parameter, the biases included, away from its initial value."""
+    from imbalanced_ssl.config import TrainSection
+    from imbalanced_ssl.network import init_model
+    t = TrainSection()
+    m = init_model(k=10, d=16, hidden=t.hidden, feature=t.feature, seed=3,
+                   activation=activation)
+    m.flat += np.random.default_rng(4).normal(scale=0.2, size=m.flat.size)
+    return m
 
 
 def run_estimation_phase(config, dataset=None):

@@ -1,5 +1,9 @@
-"""Threshold initialization and decay, bias extraction, calibration."""
+"""Threshold initialization and decay, bias extraction, calibration, blocked
+inference."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -7,17 +11,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import default_widths
 from imbalanced_ssl.config import TrainSection
 from imbalanced_ssl.control import (
+    _ROWS,
     ThresholdState,
+    _blocks,
     calibrate_logits,
     estimate_unlabeled_distribution,
     extract_bias_vector,
     init_thresholds,
+    predict,
     update_thresholds,
 )
 from imbalanced_ssl.diagnostics import evaluate
-from imbalanced_ssl.network import forward_features, head_logits, init_model
+from imbalanced_ssl.network import HEAD_NAMES, forward_features, head_logits, init_model
 
 HEAD5 = np.array([True] * 5 + [False] * 5)
 T = TrainSection()
@@ -241,3 +249,69 @@ def test_estimated_distribution_is_a_histogram():
     assert est.sum() == 300
     preds = np.argmax(calibrate_logits(m, forward_features(m, x)), axis=1)
     assert np.array_equal(est, np.bincount(preds, minlength=4))
+
+
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2047, 2048, 2049, 3073, 10_000])
+def test_blocks_tile_the_rows(n):
+    bounds = _blocks(n)
+    assert bounds[0][0] == 0 and bounds[-1][1] == n
+    assert all(stop == start for (_, stop), (start, _) in zip(bounds, bounds[1:]))
+    sizes = [stop - start for start, stop in bounds]
+    if n < 2 * _ROWS:
+        assert sizes == [n]
+    else:
+        assert all(_ROWS <= size < 2 * _ROWS for size in sizes)
+
+
+def _monolithic(m, x, view):
+    """One forward over every row of ``x``, and the view's argmax."""
+    f = forward_features(m, x)
+    z = calibrate_logits(m, f) if view == "calibrated" else head_logits(m.heads[view], f)
+    return np.argmax(z, axis=1)
+
+
+@pytest.mark.parametrize("n", [1025, 10_000])
+def test_predict_equals_one_forward(n):
+    m = default_widths()
+    x = np.random.default_rng(n).normal(scale=2.0, size=(n, 16))
+    views = (*HEAD_NAMES, "calibrated")
+    preds = predict(m, x, views)
+    assert preds.shape == (len(views), n)
+    for view, got in zip(views, preds):
+        assert np.array_equal(got, _monolithic(m, x, view)), view
+
+
+def test_estimated_distribution_over_blocks_equals_one_forward():
+    m = default_widths()
+    x = np.random.default_rng(6).normal(scale=2.0, size=(3_000, 16))
+    want = np.bincount(_monolithic(m, x, "calibrated"), minlength=10)
+    assert np.array_equal(estimate_unlabeled_distribution(m, x), want)
+
+
+_THREADED_FORWARD = """
+import sys
+import numpy as np
+from conftest import default_widths
+from imbalanced_ssl.control import predict
+from imbalanced_ssl.network import HEAD_NAMES, forward_features
+m = default_widths()
+x = np.random.default_rng(7).normal(scale=2.0, size=(10_000, 16))
+sys.stdout.buffer.write(forward_features(m, x).tobytes())
+sys.stdout.buffer.write(predict(m, x, (*HEAD_NAMES, "calibrated")).tobytes())
+"""
+
+
+def test_inference_is_identical_across_blas_thread_counts():
+    # OpenBLAS reads its thread count when it loads, so each count gets its
+    # own process
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    out = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, tests])}
+        run = subprocess.run([sys.executable, "-c", _THREADED_FORWARD], env=env,
+                             capture_output=True, timeout=120, check=True)
+        out.append(run.stdout)
+    assert len(out[0]) == 10_000 * 32 * 8 + 4 * 10_000 * np.dtype(np.intp).itemsize
+    assert out[0] == out[1]

@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 from scipy.stats import rankdata, spearmanr
 
+from conftest import default_widths
 from imbalanced_ssl.config import TaskSection, TrainSection
-from imbalanced_ssl.data import generate
+from imbalanced_ssl.data import generate, strong_augment_batch
 from imbalanced_ssl.diagnostics import (
     _average_ranks,
+    _report,
     bias_pattern_report,
     evaluate,
     separation_violation_rate,
     spearman_correlation,
 )
-from imbalanced_ssl.network import init_model
+from imbalanced_ssl.network import forward_features, head_logits, init_model
 
 
 def test_spearman_matches_scipy_with_ties():
@@ -109,6 +111,34 @@ def test_separation_violation_rate_bounds_and_determinism():
     # a wildly noisy augmentation must flip more predictions
     r_loud = separation_violation_rate(m, ds.test_x[:80], noise=50.0, seed=9, **aug)
     assert r_loud > r1
+
+
+def test_separation_violation_rate_over_blocks_equals_one_forward():
+    m = default_widths()
+    x = np.random.default_rng(8).normal(scale=2.0, size=(3_000, 16))
+    t = TrainSection()
+
+    def output(v):
+        return np.argmax(head_logits(m.heads["output"], forward_features(m, v)), axis=1)
+
+    base = output(x)
+    violated = np.zeros(x.shape[0], dtype=bool)
+    rng = np.random.default_rng(9)
+    for _ in range(3):
+        violated |= output(strong_augment_batch(x, 1.0, t.strong_strength, t.dropout, rng)) != base
+    got = separation_violation_rate(m, x, 3, 1.0, t.strong_strength, t.dropout, seed=9)
+    assert 0.0 < got == violated.mean()
+
+
+def test_confusion_counts_every_pair():
+    rng = np.random.default_rng(10)
+    y = np.repeat(np.arange(6), 50)
+    preds = rng.integers(0, 6, size=y.size)
+    want = np.zeros((6, 6), dtype=np.int64)
+    np.add.at(want, (y, preds), 1)
+    rep = _report(preds, y, 6)
+    assert rep.confusion.dtype == np.int64
+    assert np.array_equal(rep.confusion, want)
 
 
 def test_bias_pattern_report_keys_and_signs():

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import param_order
-from imbalanced_ssl.config import TrainSection
+from conftest import default_widths, param_order
 from imbalanced_ssl.diagnostics import evaluate
 from imbalanced_ssl.network import (
     _ACTIVATIONS,
@@ -66,20 +65,10 @@ def test_forward_shapes_and_nonnegativity():
     assert z.shape == (7, 3)
 
 
-def _default_widths(activation):
-    """A model at the default widths (16 -> 64 -> 64 -> 32, 10 classes) with
-    every parameter, the biases included, away from its initial value."""
-    t = TrainSection()
-    m = init_model(k=10, d=16, hidden=t.hidden, feature=t.feature, seed=3,
-                   activation=activation)
-    m.flat += np.random.default_rng(4).normal(scale=0.2, size=m.flat.size)
-    return m
-
-
 @pytest.mark.parametrize("rows", [1, 10_000])
 @pytest.mark.parametrize("activation", ["relu", "softplus"])
 def test_inference_forward_equals_the_cached_forward(activation, rows):
-    m = _default_widths(activation)
+    m = default_widths(activation)
     x = np.random.default_rng(rows).normal(scale=3.0, size=(rows, 16))
     before = x.copy()
     feats = forward_features(m, x)
@@ -90,7 +79,7 @@ def test_inference_forward_equals_the_cached_forward(activation, rows):
 def _forward_peak(forward):
     """tracemalloc's peak while ``forward`` runs at 10,000 rows and the default
     widths; numpy reports its buffers to tracemalloc."""
-    m = _default_widths("relu")
+    m = default_widths("relu")
     x = np.random.default_rng(0).normal(size=(10_000, 16))
     tracemalloc.start()
     try:
@@ -111,6 +100,13 @@ def test_training_forward_keeps_each_activation_once():
     # float64 a row, 12.2 MiB at 10,000 rows (a pre-activation kept as well
     # would double it)
     assert _forward_peak(forward_features_cached) < 14 * 2**20
+
+
+def test_evaluate_streams_row_blocks():
+    # every view's predictions come from row blocks of 1,024 to 2,047 rows; one
+    # forward over all 10,000 rows would hold two 64-wide layers, 9.8 MiB
+    y = np.arange(10_000) % 10
+    assert _forward_peak(lambda m, x: evaluate(m, x, y)) < 4 * 2**20
 
 
 def _stable_sigmoid(z):

@@ -232,7 +232,7 @@ def test_nonfinite_parameters_after_an_epoch_abort(tmp_path, monkeypatch, capsys
 
 def test_one_test_set_forward_per_epoch(monkeypatch):
     # every evaluated view (three heads and the calibrated output head) is
-    # read off one backbone forward of the test set
+    # read off one blocked pass over the test set; its 100 rows are one block
     cfg = _tiny_config(seed=13)
     ds = cfg.build_dataset()
     forward = network.forward_features
