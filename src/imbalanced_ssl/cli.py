@@ -155,7 +155,7 @@ def cmd_evaluate(args) -> int:
     dataset = config.build_dataset()
     view = "calibrated" if args.calibrated else args.head
     with np.errstate(over="raise", invalid="raise"):  # weights that overflow: exit 2
-        report = evaluate(model, dataset.test_x, dataset.test_y)[view]
+        report = evaluate(model, dataset.test_x, dataset.test_y, (view,))[view]
     payload = {
         "head": args.head,
         "calibrated": bool(args.calibrated),

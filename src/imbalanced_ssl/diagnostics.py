@@ -76,17 +76,19 @@ def _report(preds: np.ndarray, y: np.ndarray, k: int) -> EvalReport:
 _VIEWS = (*network.HEAD_NAMES, "calibrated")
 
 
-def evaluate(model: Model, test_x: np.ndarray, test_y: np.ndarray) -> dict[str, EvalReport]:
-    """One report per view, all from one blocked pass of ``predict``: each
-    head in HEAD_NAMES predicts from its own logits, and "calibrated" from
-    the output head's bias-stripped logits.  Argmax ties go to the lowest
-    class index; balanced accuracy is the mean per-class recall."""
+def evaluate(model: Model, test_x: np.ndarray, test_y: np.ndarray,
+             views: Sequence[str] = _VIEWS) -> dict[str, EvalReport]:
+    """One report per view in ``views`` (every view by default), all from
+    one blocked pass of ``predict``: each head in HEAD_NAMES predicts from
+    its own logits, and "calibrated" from the output head's bias-stripped
+    logits.  Argmax ties go to the lowest class index; balanced accuracy is
+    the mean per-class recall."""
     x = np.asarray(test_x, dtype=np.float64)
     y = np.asarray(test_y)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("test set must be nonempty")
-    preds = predict(model, x, _VIEWS)
-    return {view: _report(p, y, model.k) for view, p in zip(_VIEWS, preds)}
+    preds = predict(model, x, views)
+    return {view: _report(p, y, model.k) for view, p in zip(views, preds)}
 
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:

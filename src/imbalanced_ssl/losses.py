@@ -6,15 +6,35 @@ over its batch (the 1/N is folded in), so backward() can consume the bundles
 directly.  Weighting factors (lambda_u on consistency terms, lambda_basic on
 the base term) are folded into the bundles as well.
 
-Head axis: the loss functions work over the last (class) axis, so they take
-either (N, K) logits of one head or (N, H, K) logits of H stacked heads.  With
-a head axis, the per-class inputs (adjustment, thresholds, class weights) are
-(H, K), one row per head, and every value comes back per head.  The training
-step calls each loss once for all three heads.
+Class-major layout: the loss functions take logits with the class axis
+first, (K, N) for one head or (K, N, H) for H stacked heads: the row-major
+(N, K) or (N, H, K) logits with their class axis moved to the front.  Every
+max, exp-sum and argmax over the K classes is then a few vector operations
+over all N * H rows at once, where NumPy would run one short inner loop per
+row over a last axis of K (10 by default).  Gradients come back in the same
+layout; the per-row outputs (values per head, mask, pseudo-labels) are (N,)
+or (N, H); thresholds and class weights are (K,) or (H, K), one row per
+head, and a logit adjustment broadcasts against the class-major logits.
+The training step transposes its (N, 3, K) logits once, calls each loss
+once for all three heads, and writes the gradients back into one
+(N, 3, K) array for ``backward``.
+
+Every value, gradient and mask equals the row-major arithmetic's bit for
+bit, by three rules:
+
+- class sums follow NumPy's own last-axis order (``_class_sum``): pairwise
+  summation, whose blocks of 8 terms are combined as
+  ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) with the remainder added one by one;
+- each batch mean or sum runs over a C-contiguous (N,) or (N, H) array of
+  gathered values, as the row-major code's did; over a transposed view it
+  would add in another order;
+- the matmuls stay row-major: the logits come from ``stacked_head_logits``
+  and the gradients go to ``backward`` as (N, 3, K) arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -22,7 +42,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import network
-from .network import ForwardCache, Model, softmax
+from .network import ForwardCache, Model
 
 if TYPE_CHECKING:
     from .config import TrainSection
@@ -34,7 +54,6 @@ __all__ = [
     "LOSS_COMPONENTS",
     "LOSS_COLUMNS",
     "cross_entropy_with_grad",
-    "balanced_softmax_loss",
     "masked_consistency_from_logits",
     "total_loss",
 ]
@@ -72,9 +91,10 @@ class LogitAdjustment:
 
 @dataclass
 class LossReport:
-    """Value plus logit-level gradients; consistency losses also carry the
-    inclusion mask and the pseudo-labels.  With a head axis the value is one
-    per head and mask/pseudo-labels are (N, H)."""
+    """Value plus logit-level gradients, class-major like the logits;
+    consistency losses also carry the inclusion mask and the pseudo-labels.
+    With a head axis the value is one per head and mask/pseudo-labels are
+    (N, H)."""
 
     value: float | np.ndarray
     logit_gradients: np.ndarray
@@ -82,59 +102,127 @@ class LossReport:
     pseudo_labels: np.ndarray | None = None
 
 
-def _softmax_and_log(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Softmax and log-softmax over the last axis from one shift and one exp;
-    the softmax is bit-identical to network.softmax."""
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    total = np.sum(e, axis=-1, keepdims=True)
-    return e / total, shifted - np.log(total)
+@functools.lru_cache(maxsize=64)
+def _rows(shape: tuple[int, ...], start: int = 0, step: int = 1) -> np.ndarray:
+    """start, start + step, ... laid out in ``shape``, read-only; one per
+    argument set, built on first use.  With the defaults, the flat offset of
+    each row of (N,) or (N, H) rows within one class of a C-ordered
+    class-major array, so a gather at ``_rows(rows) + classes * N_rows``
+    comes out C-contiguous in the row-major layout."""
+    out = np.arange(start, start + step * math.prod(shape), step).reshape(shape)
+    out.flags.writeable = False
+    return out
 
 
-def _flat_at(shape: tuple[int, ...], classes: np.ndarray) -> np.ndarray:
-    """Flat index of the entry ``classes[i, ...]`` on the last axis of a
-    C-ordered array of ``shape``, at every leading position; ``classes``
-    broadcasts against the leading shape.  The loss inputs are made
-    C-contiguous, so their ``reshape(-1)`` is a view."""
-    return np.arange(0, math.prod(shape), shape[-1]).reshape(shape[:-1]) + classes
+@functools.lru_cache(maxsize=64)
+def _grid(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """``np.indices(shape, sparse=True)``, read-only: with a class index
+    array of ``shape`` in front, the index of one entry per row of a
+    class-major array of any memory layout.  One per shape."""
+    grid = np.indices(shape, sparse=True)
+    for g in grid:
+        g.flags.writeable = False
+    return grid
+
+
+@functools.lru_cache(maxsize=64)
+def _descending(k: int, ndim: int) -> np.ndarray:
+    """K-1, ..., 0 down the class axis of an ``ndim``-dimensional class-major
+    array, in the smallest unsigned type that holds K-1: the weight that
+    ranks the lowest class first in ``_class_argmax``."""
+    out = np.arange(k - 1, -1, -1, dtype=np.min_scalar_type(k - 1))
+    out = out.reshape(k, *(1,) * (ndim - 1))
+    out.flags.writeable = False
+    return out
+
+
+def _class_sum(x: np.ndarray) -> np.ndarray:
+    """``np.sum(axis=-1)`` of the row-major array, bit for bit, taken over
+    the class axis of the class-major one.
+
+    NumPy adds a last axis's terms to +0.0 by pairwise summation: below 8
+    terms one by one; up to 128 terms, blocks of 8 terms go into 8
+    accumulators combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the
+    remainder is added one by one; longer axes split in two halves at a
+    multiple of 8.  ``np.add.reduce`` over the class axis starts from +0.0
+    and adds one class at a time, so it gives the short sums and the root
+    of each block tree, which keeps the sign of a zero sum NumPy's too."""
+    k = x.shape[0]
+    if k < 8:
+        return np.add.reduce(x, axis=0)
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        return _class_sum(x[:half]) + _class_sum(x[half:])
+    blocks = k - k % 8
+    acc = x[:8]
+    if blocks > 8:
+        acc = acc.copy()
+        for i in range(8, blocks, 8):
+            acc += x[i:i + 8]
+    pairs = acc[0::2] + acc[1::2]
+    total = np.add.reduce(pairs[0::2] + pairs[1::2], axis=0)
+    for i in range(blocks, k):
+        total += x[i]
+    return total
+
+
+def _class_argmax(x: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """``np.argmax(axis=-1)`` of the row-major array over the class axis of
+    the class-major one, given its class maximum ``top``: the lowest class
+    holding it, as intp.  A row without one (NaN input) gets K - 1."""
+    k = x.shape[0]
+    ranked = np.maximum.reduce((x == top) * _descending(k, x.ndim), axis=0)
+    return ((k - 1) - ranked).astype(np.intp)
+
+
+def _softmax(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax over the class axis of the C-ordered class-major logits
+    ``x``, in place: the shift, the exp and the division all run in ``x``.
+    Returns (top, total), the logits' class maximum and the class sum of
+    exp(logits - top).  Every probability equals the row-major softmax's bit
+    for bit, and so does a log-softmax entry taken as (logit - top) -
+    log(total) where it is needed."""
+    top = np.maximum.reduce(x, axis=0)
+    np.subtract(x, top, out=x)
+    np.exp(x, out=x)
+    total = _class_sum(x)
+    np.divide(x, total, out=x)
+    return top, total
 
 
 def _check_batch(logits: np.ndarray) -> None:
-    if logits.ndim not in (2, 3) or logits.shape[0] == 0:
-        raise ValueError("logits must be a nonempty (N, K) or (N, H, K) array")
+    if logits.ndim not in (2, 3) or logits.shape[1] == 0:
+        raise ValueError("logits must be a nonempty class-major (K, N) or (K, N, H) array")
 
 
 def cross_entropy_with_grad(logits: np.ndarray, y: np.ndarray,
                             adjustment: np.ndarray | None = None
                             ) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean CE of (logits + adjustment) against y; gradient is
-    (softmax(adjusted) - onehot(y)) / N.  With (N, H, K) logits, y labels
-    every head and the value is one mean per head."""
-    z = np.ascontiguousarray(logits, dtype=np.float64)
+    (softmax(adjusted) - onehot(y)) / N.  Class-major (K, N) logits, or
+    (K, N, H) with y labeling every head and one mean per head; the
+    adjustment broadcasts against the class-major logits, so a per-class
+    shift is (K, 1) for one head."""
+    z = np.asarray(logits, dtype=np.float64)
     y = np.asarray(y)
     _check_batch(z)
-    n = z.shape[0]
+    k, n = z.shape[:2]
     if y.shape != (n,):
         raise ValueError("labels must be a vector matching the batch")
-    if y.min() < 0 or y.max() >= z.shape[-1]:
-        raise ValueError(f"labels must lie in [0, {z.shape[-1]})")
-    adjusted = z if adjustment is None else z + adjustment
-    grad, logp = _softmax_and_log(adjusted)
-    at_y = _flat_at(z.shape, y.reshape(n, *(1,) * (z.ndim - 2)))
-    value = -logp.reshape(-1)[at_y].mean(axis=0)
+    if np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= k:
+        raise ValueError(f"labels must lie in [0, {k})")
+    # the adjusted logits in a new C-ordered array, for the flat gathers, that
+    # the softmax then turns into the gradient
+    grad = (np.array(z, order="C") if adjustment is None
+            else np.add(z, adjustment, order="C"))
+    at_y = _rows(z.shape[1:]) + y.reshape(n, *(1,) * (z.ndim - 2)) * z[0].size
+    z_y = grad.reshape(-1)[at_y]
+    top, total = _softmax(grad)
+    # the mean of -logp over the batch, summed in the row-major order
+    value = np.add.reduce((z_y - top) - np.log(total), axis=0) / -n
     grad.reshape(-1)[at_y] -= 1.0
     grad /= n
     return value, grad
-
-
-def balanced_softmax_loss(logits: np.ndarray, y: np.ndarray, tau,
-                          adj: LogitAdjustment) -> tuple[float | np.ndarray, np.ndarray]:
-    """CE on logits shifted by tau * delta_p; tau=0 reduces to plain CE.
-    With (N, H, K) logits, tau holds one value per head."""
-    tau = np.asarray(tau, dtype=np.float64)
-    if not np.all(tau >= 0.0):
-        raise ValueError("tau must be >= 0")
-    return cross_entropy_with_grad(logits, y, adjustment=np.multiply.outer(tau, adj.delta_p))
 
 
 def _check_thresholds(thresholds: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -144,7 +232,8 @@ def _check_thresholds(thresholds: np.ndarray, shape: tuple[int, ...]) -> np.ndar
     rho = np.asarray(thresholds, dtype=np.float64)
     if rho.shape != shape:
         raise ValueError(f"thresholds must have shape {shape}")
-    if not np.all((rho > 0.0) & (rho <= 1.0)):
+    if not (np.minimum.reduce(rho, axis=None) > 0.0
+            and np.maximum.reduce(rho, axis=None) <= 1.0):
         raise ValueError("thresholds must lie in (0, 1]")
     return rho
 
@@ -155,38 +244,49 @@ def masked_consistency_from_logits(weak_logits: np.ndarray, strong_logits: np.nd
     """Pseudo-label from the weak view, include iff its confidence reaches
     the pseudo-class threshold, CE on the strong view over included samples,
     averaged over the FULL batch.  Gradients flow only through the strong
-    view and are exactly zero on excluded rows.  With (N, H, K) logits,
-    thresholds and class weights are (H, K), one row per head.
+    view and are exactly zero on excluded rows (for finite logits).
+    Class-major (K, N) logits with (K,) thresholds and class weights, or
+    (K, N, H) logits with (H, K) ones, one row per head.  Both views go
+    through one softmax.
     """
-    w = np.ascontiguousarray(weak_logits, dtype=np.float64)
-    s = np.ascontiguousarray(strong_logits, dtype=np.float64)
+    w = np.asarray(weak_logits, dtype=np.float64)
+    s = np.asarray(strong_logits, dtype=np.float64)
     _check_batch(w)
     if w.shape != s.shape:
         raise ValueError("weak/strong logits must have matching shapes")
-    n = w.shape[0]
-    rho = _check_thresholds(thresholds, w.shape[1:])
-    probs_w = softmax(w)
-    pseudo = np.argmax(probs_w, axis=-1)
-    at = _flat_at(w.shape, pseudo)
+    k, n = w.shape[:2]
+    rho = _check_thresholds(thresholds, (*w.shape[2:], k))
+    # the weak rows, then the strong rows, in a new C-ordered array that the
+    # softmax turns into their probabilities
+    probs = np.concatenate([w, s], axis=1, out=np.empty((k, 2 * n, *w.shape[2:])))
+    top, total = _softmax(probs)
+    probs_w = probs[:, :n]
+    conf = np.maximum.reduce(probs_w, axis=0)
+    pseudo = _class_argmax(probs_w, conf)
     # the pseudo-class entry of each row's per-class inputs: (K,) or (H, K)
-    at_class = _flat_at(rho.shape, pseudo)
-    included = probs_w.reshape(-1)[at] >= rho.reshape(-1)[at_class]
+    at_class = pseudo + _rows(rho.shape[:-1], step=k)
+    included = conf >= rho.reshape(-1)[at_class]
 
+    s_at = s[(pseudo, *_grid(pseudo.shape))]  # each strong row's pseudo-class logit
+    per_sample = -((s_at - top[n:]) - np.log(total[n:]))
     if class_weights is None:
-        weights = np.ones(pseudo.shape, dtype=np.float64)
+        scale = 1.0 / n
     else:
         cw = np.asarray(class_weights, dtype=np.float64)
         if cw.shape != rho.shape:
             raise ValueError(f"class_weights must have shape {rho.shape}")
         weights = cw.reshape(-1)[at_class]
-
-    grad, logp = _softmax_and_log(s)
-    per_sample = -logp.reshape(-1)[at] * weights
-    value = (per_sample * included).sum(axis=0) / n
-
-    grad.reshape(-1)[at] -= 1.0
-    grad *= (weights / n)[..., None]
-    grad[~included] = 0.0
+        per_sample *= weights
+        scale = weights / n
+    value = np.add.reduce(per_sample * included, axis=0) / n
+    # the gradient: the strong probabilities less 1 at each kept row's
+    # pseudo-class (s[0].size entries on from the weak rows'), then scaled;
+    # an excluded row keeps its probabilities, all >= +0.0, and is scaled by
+    # +0.0, so it comes out +0.0 throughout
+    at = _rows(pseudo.shape, start=s[0].size) + pseudo * probs[0].size
+    probs.reshape(-1)[at] -= included
+    grad = probs[:, n:]
+    grad *= np.where(included, scale, 0.0)
     return LossReport(value=value, logit_gradients=grad, mask=included,
                       pseudo_labels=pseudo)
 
@@ -234,14 +334,46 @@ class StepLosses:
         return dict(zip(network.HEAD_NAMES, self.kept))
 
 
-def _aggregate_mask_rates(pseudo: np.ndarray, included: np.ndarray,
-                          head_classes: np.ndarray) -> tuple[float, float]:
-    is_head = head_classes[pseudo]
+def _kept_and_mask_rates(pseudo: np.ndarray, included: np.ndarray,
+                         head_classes: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """From the (N, 3) pseudo-labels and inclusion mask: the (3, K) count of
+    the pseudo-labels each head kept, and the output head's share of rows
+    dropped among those it labels a head class and among the rest."""
+    k = head_classes.size
+    heads = pseudo.shape[1]
+    # one count of every row by (kept or not, head, pseudo-class)
+    codes = pseudo + _rows((heads,), step=k) + (heads * k) * included
+    counts = np.bincount(codes.reshape(-1), minlength=2 * heads * k).reshape(2, heads, k)
+    output = counts[:, network.HEAD_NAMES.index("output")]
+    dropped_head, kept_head = (output @ head_classes).tolist()
+    dropped, kept = np.add.reduce(output, axis=1).tolist()
     rates = []
-    for sel in (is_head, ~is_head):
-        total = int(sel.sum())
-        rates.append(0.0 if total == 0 else 1.0 - float(included[sel].sum()) / total)
-    return rates[0], rates[1]
+    for n_kept, n_dropped in ((kept_head, dropped_head),
+                              (kept - kept_head, dropped - dropped_head)):
+        total = n_kept + n_dropped
+        rates.append(0.0 if total == 0 else 1.0 - n_kept / total)
+    return counts[1], rates[0], rates[1]
+
+
+@functools.lru_cache(maxsize=8)
+def _step_constants(delta_p: bytes, tau_b: float, tau_e: float, lambda_basic: float,
+                    lambda_u: float, n_labeled: int, n_strong: int
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """A run's fixed step inputs, built once and read-only, heads in
+    HEAD_NAMES order: the logit adjustment tau_h * delta_p[c] with tau =
+    (0, tau_b, tau_e), at every (c, row, h) of the (K, N_labeled, 3)
+    class-major labeled logits, and the consistency weights (lambda_basic,
+    lambda_u, lambda_u) at every (row, h) of the (N_strong, 3) strong rows.
+    ``delta_p`` is ``LogitAdjustment.delta_p``'s bytes.  Both arrays are
+    spelled out in full, as NumPy iterates a broadcast head axis of length 3
+    one row at a time."""
+    tau_delta = np.multiply.outer([0.0, tau_b, tau_e], np.frombuffer(delta_p))
+    adjustment = np.ascontiguousarray(
+        np.broadcast_to(tau_delta.T[:, None, :], (tau_delta.shape[1], n_labeled, 3)))
+    lambdas = np.tile([lambda_basic, lambda_u, lambda_u], (n_strong, 1))
+    for a in (adjustment, lambdas):
+        a.flags.writeable = False
+    return adjustment, lambdas
 
 
 def total_loss(model: Model, labeled_x: np.ndarray, labeled_y: np.ndarray,
@@ -266,21 +398,27 @@ def total_loss(model: Model, labeled_x: np.ndarray, labeled_y: np.ndarray,
     never which terms exist.
 
     One backbone forward covers ``[weak; labeled; strong]``, one matmul gives
-    every head's logits, and each loss runs once over the head axis.
+    every head's logits, one copy makes them class-major, and each loss runs
+    once over the head axis.
     """
     k = model.k
     n_w = np.shape(x_weak)[0]
     n_wl = n_w + np.shape(labeled_x)[0]
     feats, cache = network.forward_features_cached(
         model, np.concatenate([x_weak, labeled_x, x_strong]))
-    logits = network.stacked_head_logits(model, feats)
-    finite_logits = bool(np.isfinite(logits).all())
-    z_w, z_l, z_s = logits[:n_w], logits[n_w:n_wl], logits[n_wl:]
+    # the losses run class-major: one copy of the (N, 3, K) logits to (K, N, 3),
+    # which leaves the row-major logits to be freed
+    z = np.ascontiguousarray(network.stacked_head_logits(model, feats).transpose(2, 0, 1))
+    finite_logits = bool(np.isfinite(z).all())
+    z_w, z_l, z_s = z[:, :n_w], z[:, n_w:n_wl], z[:, n_wl:]
+    n_l, n_s = n_wl - n_w, z.shape[1] - n_wl
+    adjustment, lambdas = _step_constants(adj.delta_p.tobytes(), t.tau_b, t.tau_e,
+                                          t.lambda_basic, t.lambda_u, n_l, n_s)
 
     # head rows follow HEAD_NAMES: original, output, expansive
-    sup, g_sup = balanced_softmax_loss(z_l, labeled_y, [0.0, t.tau_b, t.tau_e], adj)
+    sup, g_sup = cross_entropy_with_grad(z_l, labeled_y, adjustment)
     if t.output_pseudo_source == "expansive":
-        z_w = z_w[:, [0, 2, 2]]
+        z_w = z_w[..., [0, 2, 2]]
     weights = (None if class_weights is None
                else np.stack([np.ones(k), class_weights, class_weights]))
     con = masked_consistency_from_logits(z_w, z_s, thresholds, class_weights=weights)
@@ -290,16 +428,18 @@ def total_loss(model: Model, labeled_x: np.ndarray, labeled_y: np.ndarray,
     l_basic = ce_o + t.lambda_basic * con_o
     total = l_basic + sup_b + t.lambda_u * con_b + sup_e + t.lambda_u * con_e
 
-    g_con = con.logit_gradients * np.array([t.lambda_basic, t.lambda_u, t.lambda_u])[:, None]
-    heads = len(network.HEAD_NAMES)
-    kept = np.bincount((con.pseudo_labels + k * np.arange(heads))[con.mask],
-                       minlength=heads * k).reshape(heads, k)
-    rate_head, rate_nonhead = _aggregate_mask_rates(
-        con.pseudo_labels[:, 1], con.mask[:, 1], np.asarray(head_classes, dtype=bool))
+    # the (N_labeled + N_strong, 3, K) bundle backward reads, written through
+    # its class-major view
+    head_grads = np.empty((n_l + n_s, len(network.HEAD_NAMES), k))
+    g = head_grads.transpose(2, 0, 1)
+    g[:, :n_l] = g_sup
+    np.multiply(con.logit_gradients, lambdas, out=g[:, n_l:])
+    kept, rate_head, rate_nonhead = _kept_and_mask_rates(
+        con.pseudo_labels, con.mask, np.asarray(head_classes, dtype=bool))
     return StepLosses(
         total=total, l_basic=l_basic, l_sup_b=sup_b, l_con_b=con_b,
         l_sup_e=sup_e, l_con_e=con_e,
-        head_grads=np.concatenate([g_sup, g_con]),
+        head_grads=head_grads,
         cache=cache.tail(n_w), cache_strong=cache.tail(n_wl),
         kept=kept,
         mask_rate_head=rate_head, mask_rate_nonhead=rate_nonhead,

@@ -49,7 +49,6 @@ __all__ = [
     "forward_features_cached",
     "head_logits",
     "stacked_head_logits",
-    "softmax",
     "backward",
     "sgd_step",
     "model_to_checkpoint_obj",
@@ -232,15 +231,6 @@ def stacked_head_logits(model: Model, features: np.ndarray) -> np.ndarray:
     order."""
     return ((features @ model.head_w.T + model.head_b)
             .reshape(features.shape[0], len(HEAD_NAMES), model.k))
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax.  Non-finite logits are not rejected (a row holding
-    NaN or +inf comes out NaN); the training step checks its logits once."""
-    z = np.asarray(logits, dtype=np.float64)
-    shifted = z - np.max(z, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def backward(model: Model, cache: ForwardCache, head_grads: np.ndarray) -> np.ndarray:

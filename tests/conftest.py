@@ -22,6 +22,26 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+def softmax(logits):
+    """Row-wise softmax over the last axis of row-major logits, the
+    reference the class-major losses are checked against.  Non-finite logits
+    are not rejected (a row holding NaN or +inf comes out NaN)."""
+    z = np.asarray(logits, dtype=np.float64)
+    shifted = z - np.max(z, axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def balanced_softmax_loss(logits, y, tau, adj):
+    """CE on row-major (N, K) logits shifted by tau * delta_p, through the
+    class-major cross_entropy_with_grad; tau=0 reduces to plain CE.  Returns
+    the value and the (N, K) gradient."""
+    from imbalanced_ssl.losses import cross_entropy_with_grad
+    value, grad = cross_entropy_with_grad(np.asarray(logits).T, y,
+                                          adjustment=(tau * adj.delta_p)[:, None])
+    return value, grad.T
+
+
 def param_order(model) -> list[str]:
     """The model's parameter names in the checkpoint's normative order."""
     return [name for name, _ in model.parameters()]

@@ -14,7 +14,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import param_order, record_acceptance, run_estimation_phase
+from conftest import (balanced_softmax_loss, param_order, record_acceptance,
+                      run_estimation_phase, softmax)
 from imbalanced_ssl.cli import main as cli_main
 from imbalanced_ssl.config import RunConfig, TaskSection, TrainSection
 from imbalanced_ssl.control import calibrate_logits, init_thresholds
@@ -22,15 +23,14 @@ from imbalanced_ssl.data import generate
 from imbalanced_ssl.diagnostics import bias_pattern_report, evaluate
 from imbalanced_ssl.distributions import (default_anchor_set, head_mask,
                                           make_distribution, match_anchor)
-from imbalanced_ssl.losses import (LogitAdjustment, balanced_softmax_loss,
-                                   cross_entropy_with_grad,
+from imbalanced_ssl.losses import (LogitAdjustment, cross_entropy_with_grad,
                                    masked_consistency_from_logits, total_loss)
 from imbalanced_ssl.mixture import (BinaryMixtureSpec,
                                     monte_carlo_pseudo_label_probabilities,
                                     pseudo_label_probabilities)
 from imbalanced_ssl.network import (HEAD_NAMES, backward, forward_features,
                                     forward_features_cached, head_logits,
-                                    init_model, softmax)
+                                    init_model)
 from imbalanced_ssl.trainer import train
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -243,7 +243,8 @@ def _component_loss(model, component, case, want_grads):
         feats, cache = forward_features_cached(model, case["x_l"])
         z = head_logits(model.heads[head], feats)
         if tau is None:
-            value, g = cross_entropy_with_grad(z, case["y"])
+            value, g = cross_entropy_with_grad(z.T, case["y"])
+            g = g.T
         else:
             value, g = balanced_softmax_loss(z, case["y"], tau, case["adj"])
         if not want_grads:
@@ -255,10 +256,10 @@ def _component_loss(model, component, case, want_grads):
         feats_s, cache = forward_features_cached(model, case["x_s"])
         z_s = head_logits(model.heads[head], feats_s)
         rep = masked_consistency_from_logits(
-            z_w, z_s, np.full(case["k"], case["t"][head]))
+            z_w.T, z_s.T, np.full(case["k"], case["t"][head]))
         if not want_grads:
             return rep.value, None
-        return rep.value, _named_grads(model, cache, _only_head(head, rep.logit_gradients))
+        return rep.value, _named_grads(model, cache, _only_head(head, rep.logit_gradients.T))
     # whole objective, assembled exactly the way the training step does
     st = total_loss(model, case["x_l"], case["y"], case["x_w"], case["x_s"],
                     case["adj"],
@@ -326,10 +327,10 @@ def test_loss_identities():
         logits = rng.normal(scale=3.0, size=(12, k))
         y = rng.integers(0, k, size=12)
         adj = LogitAdjustment.from_counts(rng.integers(1, 100, size=k))
-        ce, g_ce = cross_entropy_with_grad(logits, y)
+        ce, g_ce = cross_entropy_with_grad(logits.T, y)
         b0, g_b0 = balanced_softmax_loss(logits, y, 0.0, adj)
         worst_tau0 = max(worst_tau0, abs(b0 - ce),
-                         float(np.max(np.abs(g_b0 - g_ce))))
+                         float(np.max(np.abs(g_b0 - g_ce.T))))
         uniform = LogitAdjustment.from_counts(
             np.full(k, int(rng.integers(1, 50))))
         bu, _ = balanced_softmax_loss(logits, y, float(rng.uniform(0.0, 4.0)),

@@ -7,13 +7,17 @@ resolves in the package or a workload expects a span that is not traced.
 It also loads each training workload's config through the package, so a
 renamed, dropped or re-defaulted config key fails here first, and it feeds
 the counter hooks real objects, so a reshape that drops an attribute a hook
-reads fails here too, not first in a traced run.
+reads fails here too, not first in a traced run.  Last, it runs each
+workload's smoke config through bench/op.py with tracing on and checks that
+every expected span fires, so a traced function the workload stops calling
+fails here rather than in a traced benchmark run.
 """
 
 import importlib
 import importlib.util
 import json
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -126,3 +130,36 @@ def test_counter_hooks_read_real_objects():
                            "network.forward_features.rows": 8,
                            "network.forward_features_cached.rows": 8,
                            "control.decay_ticks": 1}
+
+
+def _merge(base: dict, over: dict) -> dict:
+    out = dict(base)
+    for key, value in over.items():
+        out[key] = _merge(base[key], value) if isinstance(value, dict) else value
+    return out
+
+
+@pytest.mark.parametrize("workload", sorted(_workloads()))
+def test_expected_spans_fire(workload, tmp_path):
+    # one traced operation, run the way bench/run_bench.py runs it: a fresh
+    # process on bench/op.py with the workload's smoke config; a training
+    # workload that evaluates runs `imbssl evaluate` on every view after it
+    spec = _workloads()[workload]
+    src = os.path.join(os.path.dirname(BENCH), "src")
+    request = {"kind": spec["kind"], "src": src, "out_dir": str(tmp_path), "trace": True}
+    if spec["kind"] == "train":
+        request["config"] = _merge(_merge(spec["config"], spec["smoke"]), {"train": {"seed": 0}})
+        request["evaluate"] = spec["evaluate"]
+    else:
+        request["args"] = [*spec["smoke"]["args"], "--seed", "0"]
+    (tmp_path / "request.json").write_text(json.dumps(request))
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, os.path.join(BENCH, "op.py"),
+                           str(tmp_path / "request.json"), "0.0"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    record = json.loads((tmp_path / "record.json").read_text())
+    assert proc.returncode == 0 and "error" not in record, record.get("traceback", proc.stderr)
+    trace = json.loads((tmp_path / "trace.json").read_text())
+    fired = {trace["names"][span[0]] for span in trace["spans"]}
+    missing = sorted(set(spec["expected_spans"]) - fired)
+    assert not missing, f"{workload}: expected spans that never fired: {missing}"

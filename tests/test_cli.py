@@ -312,6 +312,29 @@ def test_evaluate_reports_metrics(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["head"] == "expansive"
 
 
+def test_evaluate_reports_the_all_views_report_of_its_view(tmp_path, capsys):
+    # `evaluate` predicts its one view only; its report is the one an
+    # evaluation of every view gives that view, to the last digit
+    from imbalanced_ssl.diagnostics import evaluate
+    from imbalanced_ssl.network import model_from_checkpoint_obj
+    cfg = _write_config(tmp_path)
+    run = tmp_path / "run"
+    assert main(["train", cfg, "--out", str(run)]) == 0
+    capsys.readouterr()
+    model = model_from_checkpoint_obj(json.loads((run / "checkpoint.json").read_text()))
+    dataset = RunConfig.from_json_obj(json.loads((run / "config.json").read_text())).build_dataset()
+    reports = evaluate(model, dataset.test_x, dataset.test_y)
+    for args, view in ((["--head", "original"], "original"), (["--head", "output"], "output"),
+                       (["--head", "expansive"], "expansive"), (["--calibrated"], "calibrated")):
+        assert main(["evaluate", str(run), *args]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        want = reports[view]
+        assert printed["accuracy"] == want.accuracy, view
+        assert printed["balanced_accuracy"] == want.balanced_accuracy, view
+        assert printed["per_class_recall"] == want.per_class_recall.tolist(), view
+        assert printed["confusion"] == want.confusion.tolist(), view
+
+
 def test_evaluate_rejects_calibrated_with_another_head(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     run = tmp_path / "run"

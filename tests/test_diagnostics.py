@@ -61,8 +61,8 @@ def _train_quick(task, ds, steps=300):
         grads_all = []
         for h in ("original", "output", "expansive"):
             z = head_logits(m.heads[h], f)
-            _, g = cross_entropy_with_grad(z, ds.labeled_y[idx])
-            grads_all.append(g)
+            _, g = cross_entropy_with_grad(z.T, ds.labeled_y[idx])
+            grads_all.append(g.T)
         sgd_step(m, backward(m, cache, np.stack(grads_all, axis=1)), st)
     return m
 
@@ -89,6 +89,21 @@ def test_evaluate_head_selection_and_calibration_flag():
     skewed, fixed = reports["output"], reports["calibrated"]
     assert skewed.per_class_recall[0] == 1.0  # bias drowns everything
     assert fixed.per_class_recall.tolist() != skewed.per_class_recall.tolist()
+
+
+def test_evaluate_of_some_views_equals_their_reports_of_all_views():
+    task, ds = _separable()
+    m = init_model(k=4, d=8, hidden=(6,), feature=4, seed=5)
+    m.heads["output"].b[:] = [3.0, 0.0, -1.0, 0.0]
+    every = evaluate(m, ds.test_x, ds.test_y)
+    for views in (("calibrated",), ("expansive", "original")):
+        some = evaluate(m, ds.test_x, ds.test_y, views)
+        assert list(some) == list(views)
+        for view, rep in some.items():
+            assert rep.accuracy == every[view].accuracy
+            assert rep.balanced_accuracy == every[view].balanced_accuracy
+            assert np.array_equal(rep.per_class_recall, every[view].per_class_recall)
+            assert np.array_equal(rep.confusion, every[view].confusion)
 
 
 def test_recall_over_masks():

@@ -1,20 +1,27 @@
 """Loss components: plain and adjusted cross-entropy, masked consistency,
 and the combined training objective with its exact decomposition.
 
-The per-head oracles below (one head, one view, one forward at a time) are
-the reference the fused training step is checked against."""
+The loss functions take class-major logits, (K, N) or (K, N, H); the hand
+cases below write them row-major and pass the transpose.  The per-head
+oracles (one head, one view, one forward at a time) are the reference the
+fused training step is checked against."""
 
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from conftest import balanced_softmax_loss, default_widths, softmax
 from imbalanced_ssl.config import TrainSection
 from imbalanced_ssl.losses import (
     LogitAdjustment,
     LossReport,
-    balanced_softmax_loss,
+    _class_argmax,
+    _class_sum,
     cross_entropy_with_grad,
     masked_consistency_from_logits,
     total_loss,
@@ -26,7 +33,7 @@ from imbalanced_ssl.network import (
     forward_features_cached,
     head_logits,
     init_model,
-    softmax,
+    stacked_head_logits,
 )
 
 T = TrainSection()
@@ -48,31 +55,32 @@ def consistency_loss(model, head, x_weak, x_strong, thresholds,
     """Consistency between pre-built weak and strong views of one unlabeled
     batch, self-labeled by the given head."""
     head_obj = model.heads[head]
-    return masked_consistency_from_logits(head_logits(head_obj, forward_features(model, x_weak)),
-                                          head_logits(head_obj, forward_features(model, x_strong)),
-                                          thresholds, class_weights=class_weights)
+    return masked_consistency_from_logits(
+        head_logits(head_obj, forward_features(model, x_weak)).T,
+        head_logits(head_obj, forward_features(model, x_strong)).T,
+        thresholds, class_weights=class_weights)
 
 
 def base_loss(model, labeled_x, labeled_y, x_weak, x_strong, rho_max, lambda_basic=1.0):
     """Plain self-training objective on the original head: unadjusted CE plus
     lambda_basic times consistency at one scalar threshold for every class."""
     logits_l = head_logits(model.heads["original"], forward_features(model, labeled_x))
-    ce, _ = cross_entropy_with_grad(logits_l, labeled_y)
+    ce, _ = cross_entropy_with_grad(logits_l.T, labeled_y)
     con = consistency_loss(model, "original", x_weak, x_strong, np.full(model.k, rho_max))
     return ce + lambda_basic * con.value
 
 
 def test_cross_entropy_hand_values():
-    v, g = cross_entropy_with_grad(np.array([[0.0, 0.0]]), np.array([1]))
+    v, g = cross_entropy_with_grad(np.array([[0.0, 0.0]]).T, np.array([1]))
     assert v == pytest.approx(math.log(2.0), abs=1e-15)
-    assert np.allclose(g, [[0.5, -0.5]])
+    assert np.allclose(g.T, [[0.5, -0.5]])
     # grad = (softmax - onehot) / n
     z = np.array([[1.0, -1.0, 0.5], [0.0, 2.0, 0.0]])
     y = np.array([2, 1])
-    v, g = cross_entropy_with_grad(z, y)
+    v, g = cross_entropy_with_grad(z.T, y)
     p = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
     onehot = np.eye(3)[y]
-    assert np.allclose(g, (p - onehot) / 2, atol=1e-12)
+    assert np.allclose(g.T, (p - onehot) / 2, atol=1e-12)
     assert v == pytest.approx(-np.log(p[[0, 1], y]).mean(), abs=1e-12)
 
 
@@ -98,9 +106,9 @@ def test_balanced_tau_zero_is_plain_ce():
     y = rng.integers(0, 5, size=8)
     adj = LogitAdjustment.from_counts(rng.integers(1, 100, size=5))
     v0, g0 = balanced_softmax_loss(z, y, 0.0, adj)
-    v1, g1 = cross_entropy_with_grad(z, y)
+    v1, g1 = cross_entropy_with_grad(z.T, y)
     assert v0 == pytest.approx(v1, abs=1e-12)
-    assert np.allclose(g0, g1, atol=1e-12)
+    assert np.allclose(g0, g1.T, atol=1e-12)
 
 
 def test_balanced_uniform_counts_invariant():
@@ -109,9 +117,9 @@ def test_balanced_uniform_counts_invariant():
     y = rng.integers(0, 5, size=8)
     adj = LogitAdjustment.from_counts(np.full(5, 37))
     v, g = balanced_softmax_loss(z, y, 3.0, adj)
-    v0, g0 = cross_entropy_with_grad(z, y)
+    v0, g0 = cross_entropy_with_grad(z.T, y)
     assert v == pytest.approx(v0, abs=1e-12)
-    assert np.allclose(g, g0, atol=1e-12)
+    assert np.allclose(g, g0.T, atol=1e-12)
 
 
 def test_balanced_tau_raises_rare_class_pressure():
@@ -127,7 +135,7 @@ def test_masked_consistency_hand_case():
     # 0.5 (below); only the middle sample contributes, normalized by batch
     w = np.array([[2.0, 0.0], [3.0, 0.0], [0.0, 0.0]])
     s = np.array([[0.0, 1.0], [1.0, 0.0], [5.0, 0.0]])
-    rep = masked_consistency_from_logits(w, s, thresholds=np.array([0.95, 0.95]))
+    rep = masked_consistency_from_logits(w.T, s.T, thresholds=np.array([0.95, 0.95]))
     assert rep.mask.tolist() == [False, True, False]
     assert rep.pseudo_labels.tolist() == [0, 0, 0]
     kept_ce = -math.log(math.exp(1.0) / (math.exp(1.0) + 1.0))
@@ -138,10 +146,10 @@ def test_masked_consistency_boundary_is_inclusive():
     w = np.array([[3.0, 0.0]])
     s = np.array([[1.0, 0.0]])
     conf = 1.0 / (1.0 + math.exp(-3.0))
-    kept = masked_consistency_from_logits(w, s, thresholds=np.array([conf, conf]))
+    kept = masked_consistency_from_logits(w.T, s.T, thresholds=np.array([conf, conf]))
     assert kept.mask.tolist() == [True]
     above = masked_consistency_from_logits(
-        w, s, thresholds=np.array([np.nextafter(conf, 1.0)] * 2))
+        w.T, s.T, thresholds=np.array([np.nextafter(conf, 1.0)] * 2))
     assert above.mask.tolist() == [False]
 
 
@@ -149,7 +157,7 @@ def test_masked_consistency_per_class_thresholds():
     # two samples, pseudo class 0 and 1, same confidence ~0.953
     w = np.array([[3.0, 0.0], [0.0, 3.0]])
     s = np.array([[1.0, 0.0], [0.0, 1.0]])
-    rep = masked_consistency_from_logits(w, s, thresholds=np.array([0.9, 0.99]))
+    rep = masked_consistency_from_logits(w.T, s.T, thresholds=np.array([0.9, 0.99]))
     assert rep.mask.tolist() == [True, False]
 
 
@@ -157,8 +165,8 @@ def test_masked_consistency_class_weights_scale():
     w = np.array([[3.0, 0.0]])
     s = np.array([[1.0, 0.0]])
     rho = np.array([0.9, 0.9])
-    plain = masked_consistency_from_logits(w, s, rho)
-    doubled = masked_consistency_from_logits(w, s, rho,
+    plain = masked_consistency_from_logits(w.T, s.T, rho)
+    doubled = masked_consistency_from_logits(w.T, s.T, rho,
                                              class_weights=np.array([2.0, 1.0]))
     assert doubled.value == pytest.approx(2 * plain.value, abs=1e-12)
 
@@ -167,11 +175,11 @@ def test_threshold_domain_checked():
     w = np.array([[3.0, 0.0]])
     s = np.array([[1.0, 0.0]])
     with pytest.raises(ValueError):
-        masked_consistency_from_logits(w, s, np.array([0.0, 0.9]))
+        masked_consistency_from_logits(w.T, s.T, np.array([0.0, 0.9]))
     with pytest.raises(ValueError):
-        masked_consistency_from_logits(w, s, np.array([1.1, 0.9]))
+        masked_consistency_from_logits(w.T, s.T, np.array([1.1, 0.9]))
     # everything in (0, 1] is legal, including values below one half
-    masked_consistency_from_logits(w, s, np.array([0.35, 1.0]))
+    masked_consistency_from_logits(w.T, s.T, np.array([0.35, 1.0]))
 
 
 def test_supervised_loss_goes_through_the_head():
@@ -196,7 +204,7 @@ def test_consistency_loss_goes_through_the_head():
     rep = consistency_loss(m, "expansive", xw, xs, rho)
     zw = head_logits(m.heads["expansive"], forward_features(m, xw))
     zs = head_logits(m.heads["expansive"], forward_features(m, xs))
-    want = masked_consistency_from_logits(zw, zs, rho)
+    want = masked_consistency_from_logits(zw.T, zs.T, rho)
     assert rep.value == pytest.approx(want.value, abs=1e-12)
     assert rep.mask.tolist() == want.mask.tolist()
 
@@ -284,25 +292,27 @@ def _reference_step(m, lx, ly, xw, xs, adj, thresholds, head_classes, t, class_w
     logits_l = {h: head_logits(m.heads[h], feats_l) for h in HEAD_NAMES}
     logits_w = {h: head_logits(m.heads[h], feats_w) for h in HEAD_NAMES}
     logits_s = {h: head_logits(m.heads[h], feats_s) for h in HEAD_NAMES}
-    ce_o, g_ce_o = cross_entropy_with_grad(logits_l["original"], ly)
-    sup_b, g_sup_b = cross_entropy_with_grad(logits_l["output"], ly, tau_b * adj.delta_p)
-    sup_e, g_sup_e = cross_entropy_with_grad(logits_l["expansive"], ly, tau_e * adj.delta_p)
+    ce_o, g_ce_o = cross_entropy_with_grad(logits_l["original"].T, ly)
+    sup_b, g_sup_b = cross_entropy_with_grad(logits_l["output"].T, ly,
+                                             (tau_b * adj.delta_p)[:, None])
+    sup_e, g_sup_e = cross_entropy_with_grad(logits_l["expansive"].T, ly,
+                                             (tau_e * adj.delta_p)[:, None])
     teacher = "output" if t.output_pseudo_source == "self" else "expansive"
-    con_o = masked_consistency_from_logits(logits_w["original"], logits_s["original"],
+    con_o = masked_consistency_from_logits(logits_w["original"].T, logits_s["original"].T,
                                            rho_o)
-    con_b = masked_consistency_from_logits(logits_w[teacher], logits_s["output"], rho_b,
+    con_b = masked_consistency_from_logits(logits_w[teacher].T, logits_s["output"].T, rho_b,
                                            class_weights=class_weights)
-    con_e = masked_consistency_from_logits(logits_w["expansive"], logits_s["expansive"], rho_e,
-                                           class_weights=class_weights)
+    con_e = masked_consistency_from_logits(logits_w["expansive"].T, logits_s["expansive"].T,
+                                           rho_e, class_weights=class_weights)
     l_basic = ce_o + lambda_basic * con_o.value
     values = {"total": l_basic + sup_b + lambda_u * con_b.value + sup_e + lambda_u * con_e.value,
               "l_basic": l_basic, "l_sup_b": sup_b, "l_con_b": con_b.value,
               "l_sup_e": sup_e, "l_con_e": con_e.value}
     # backward() overwrites one gradient vector per model, so copy the first
-    grads_l = backward(m, cache_l, np.stack([g_ce_o, g_sup_b, g_sup_e], axis=1)).copy()
-    grads_s = backward(m, cache_s, np.stack([lambda_basic * con_o.logit_gradients,
-                                             lambda_u * con_b.logit_gradients,
-                                             lambda_u * con_e.logit_gradients], axis=1))
+    grads_l = backward(m, cache_l, np.stack([g_ce_o.T, g_sup_b.T, g_sup_e.T], axis=1)).copy()
+    grads_s = backward(m, cache_s, np.stack([lambda_basic * con_o.logit_gradients.T,
+                                             lambda_u * con_b.logit_gradients.T,
+                                             lambda_u * con_e.logit_gradients.T], axis=1))
     grads = dict(m.parameters(grads_l + grads_s))
     hist = {h: np.bincount(rep.pseudo_labels[rep.mask], minlength=k)
             for h, rep in zip(HEAD_NAMES, (con_o, con_b, con_e))}
@@ -364,3 +374,151 @@ def test_fused_step_matches_per_head_reference(source, weighted):
     assert np.array_equal(st.cache_strong.x, want_strong_x)
     # the masks are not degenerate: some rows kept and some dropped per head
     assert all(0 < want_hist[h].sum() < xw.shape[0] for h in HEAD_NAMES)
+
+
+# ---------------------------------------------------------------------------
+# the class-major layout against the row-major arithmetic it replaced
+
+_KS = [*range(2, 41), 127, 128, 129, 300]
+# wide magnitudes, subnormals and both zeros, plus a small pool for ties and
+# -inf entries (no +inf, so no sum meets inf - inf)
+_ELEMENTS = st.one_of(st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
+                      st.sampled_from([0.0, -0.0, 1.0, -2.5, 3e-310, -np.inf]))
+
+
+@st.composite
+def _row_major_blocks(draw):
+    k = draw(st.sampled_from(_KS))
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 3)), k)
+    return draw(hnp.arrays(np.float64, shape, elements=_ELEMENTS))
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _check_reductions(rows):
+    """The class-major max, sum and argmax of row-major ``rows`` (..., K)
+    against NumPy's over the last axis, bit for bit, but for one case: when
+    a row's maximum is zero and the row holds both +0.0 and -0.0, NumPy's
+    vectorised last-axis max returns the zero its lanes meet last, which a
+    reduction over the class axis does not reproduce.  The softmax shift by
+    either zero gives the same probabilities, exp(+0.0) == exp(-0.0)."""
+    cm = np.ascontiguousarray(np.moveaxis(rows, -1, 0))
+    top = np.maximum.reduce(cm, axis=0)
+    assert _same_bits(top + 0.0, np.max(rows, axis=-1) + 0.0)
+    assert _same_bits(_class_sum(cm), np.sum(rows, axis=-1))
+    assert _same_bits(_class_argmax(cm, top), np.argmax(rows, axis=-1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_major_blocks())
+def test_class_major_reductions_equal_numpy_bit_for_bit(rows):
+    _check_reductions(rows)
+    _check_reductions(rows[:, 0])  # one head: (N, K) rows, (K, N) class-major
+
+
+@pytest.mark.parametrize("k", _KS)
+def test_class_sum_follows_numpy_summation_order(k):
+    # every class count, terms of mixed sign over 20 orders of magnitude, so
+    # any other association of the terms changes some last bits
+    rng = np.random.default_rng(k)
+    rows = rng.normal(size=(64, 3, k)) * 10.0 ** rng.integers(-10, 10, size=(64, 3, k))
+    _check_reductions(rows)
+
+
+def _rm_softmax_and_log(logits):
+    shifted = logits - np.max(logits, axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = np.sum(e, axis=-1, keepdims=True)
+    return e / total, shifted - np.log(total)
+
+
+def _rm_flat_at(shape, classes):
+    return np.arange(0, math.prod(shape), shape[-1]).reshape(shape[:-1]) + classes
+
+
+def _rm_total_loss(m, lx, ly, xw, xs, adj, thresholds, head_classes, t, class_weights):
+    """The training step in the row-major (N, 3, K) formulation the
+    class-major loss layer replaced: values, head gradients, kept counts and
+    mask rates."""
+    k, n, n_w, n_wl = m.k, xs.shape[0], xw.shape[0], xw.shape[0] + lx.shape[0]
+    feats, _ = forward_features_cached(m, np.concatenate([xw, lx, xs]))
+    logits = stacked_head_logits(m, feats)
+    z_w, z_l, z_s = logits[:n_w], logits[n_w:n_wl], logits[n_wl:]
+
+    adjusted = z_l + np.multiply.outer([0.0, t.tau_b, t.tau_e], adj.delta_p)
+    g_sup, logp = _rm_softmax_and_log(adjusted)
+    at_y = _rm_flat_at(z_l.shape, ly.reshape(-1, 1))
+    sup = -logp.reshape(-1)[at_y].mean(axis=0)
+    g_sup.reshape(-1)[at_y] -= 1.0
+    g_sup /= lx.shape[0]
+
+    if t.output_pseudo_source == "expansive":
+        z_w = z_w[:, [0, 2, 2]]
+    probs_w = softmax(z_w)
+    pseudo = np.argmax(probs_w, axis=-1)
+    at = _rm_flat_at(z_w.shape, pseudo)
+    at_class = _rm_flat_at(thresholds.shape, pseudo)
+    mask = probs_w.reshape(-1)[at] >= thresholds.reshape(-1)[at_class]
+    weights = (np.ones(pseudo.shape) if class_weights is None
+               else np.stack([np.ones(k), class_weights, class_weights]).reshape(-1)[at_class])
+    g_con, logp = _rm_softmax_and_log(z_s)
+    con = (-logp.reshape(-1)[at] * weights * mask).sum(axis=0) / n
+    g_con.reshape(-1)[at] -= 1.0
+    g_con *= (weights / n)[..., None]
+    g_con[~mask] = 0.0
+    g_con = g_con * np.array([t.lambda_basic, t.lambda_u, t.lambda_u])[:, None]
+
+    ce_o, sup_b, sup_e = sup.tolist()
+    con_o, con_b, con_e = con.tolist()
+    l_basic = ce_o + t.lambda_basic * con_o
+    values = {"total": l_basic + sup_b + t.lambda_u * con_b + sup_e + t.lambda_u * con_e,
+              "l_basic": l_basic, "l_sup_b": sup_b, "l_con_b": con_b,
+              "l_sup_e": sup_e, "l_con_e": con_e}
+    kept = np.bincount((pseudo + k * np.arange(3))[mask], minlength=3 * k).reshape(3, k)
+    is_head = head_classes[pseudo[:, 1]]
+    rates = tuple(0.0 if not sel.any() else 1.0 - float(mask[:, 1][sel].sum()) / int(sel.sum())
+                  for sel in (is_head, ~is_head))
+    return values, np.concatenate([g_sup, g_con]), kept, rates
+
+
+def _step_case(k):
+    """A model with peaked, varied head logits and a (64 labeled, 128 weak +
+    128 strong) batch: at K = 10 the default widths at the train-default
+    step shape."""
+    rng = np.random.default_rng(100 + k)
+    if k == 10:
+        m = default_widths()
+    else:
+        m = init_model(k=k, d=16, hidden=(24, 16), feature=12, seed=k)
+        m.flat += rng.normal(scale=0.2, size=m.flat.size)
+    m.head_w *= 4.0
+    lx = 2.0 * rng.normal(size=(64, m.dims[0]))
+    xw = 2.0 * rng.normal(size=(128, m.dims[0]))
+    xs = xw + rng.normal(size=xw.shape)
+    ly = rng.integers(0, k, size=64)
+    adj = LogitAdjustment.from_counts(rng.integers(1, 100, size=k))
+    thresholds = np.stack([np.full(k, 0.7), rng.uniform(0.3, 0.95, size=k),
+                           rng.uniform(0.2, 0.9, size=k)])
+    return m, lx, ly, xw, xs, adj, thresholds, rng
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("source", ["self", "expansive"])
+@pytest.mark.parametrize("k", [10, 5, 13])
+def test_total_loss_equals_the_row_major_formulation(k, source, weighted):
+    m, lx, ly, xw, xs, adj, thresholds, rng = _step_case(k)
+    kw = dict(head_classes=np.arange(k) < k // 2,
+              t=replace(T, lambda_basic=0.6, lambda_u=1.7, output_pseudo_source=source),
+              class_weights=rng.uniform(0.3, 3.0, size=k) if weighted else None)
+    values, head_grads, kept, rates = _rm_total_loss(m, lx, ly, xw, xs, adj, thresholds, **kw)
+    step = total_loss(m, lx, ly, xw, xs, adj, thresholds, **kw)
+    for name, value in values.items():
+        assert _same_bits(getattr(step, name), value), name
+    assert _same_bits(step.head_grads, head_grads)
+    assert _same_bits(step.kept, kept)
+    assert (step.mask_rate_head, step.mask_rate_nonhead) == rates
+    # the masks are not degenerate: every head keeps some rows and drops some
+    assert np.all((0 < kept.sum(axis=1)) & (kept.sum(axis=1) < xw.shape[0]))

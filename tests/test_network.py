@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import default_widths, param_order
+from conftest import default_widths, param_order, softmax
 from imbalanced_ssl.diagnostics import evaluate
 from imbalanced_ssl.network import (
     _ACTIVATIONS,
@@ -23,7 +23,6 @@ from imbalanced_ssl.network import (
     model_from_checkpoint_obj,
     model_to_checkpoint_obj,
     sgd_step,
-    softmax,
 )
 
 
