@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Commands: verify-theorem, train, evaluate, match-distribution.  Exit codes:
-0 success, 1 tolerance failure, 2 usage/config error, 3 runtime abort.
+0 success, 1 tolerance failure, 2 usage/config error (an unwritable output
+path included), 3 runtime abort.
 Every command is deterministic given (config, seed) and writes only inside
 its run directory.  IMBSSL_OUTPUT_ROOT sets the default output root
 (fallback: ./runs).
@@ -231,7 +232,7 @@ def main(argv=None) -> int:
     except TrainingAborted as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, FloatingPointError) as exc:
+    except (ValueError, FloatingPointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

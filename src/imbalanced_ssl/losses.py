@@ -30,11 +30,19 @@ bit, by three rules:
   would add in another order;
 - the matmuls stay row-major: the logits come from ``stacked_head_logits``
   and the gradients go to ``backward`` as (N, 3, K) arrays.
+
+A run's fixed step inputs are one frozen ``StepPlan``, built and checked
+once by ``step_plan``: the tau-scaled labeled log-prior, the consistency
+weights, the head/non-head split and, once an anchor is matched, the class
+weights.  Only the thresholds change within a run, and the step takes them
+separately.  ``cross_entropy_with_grad`` and
+``masked_consistency_from_logits`` keep their label-range and
+threshold-range checks on every call: they are public functions that take
+any caller's input, and the checks cost a few reductions a step.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -48,45 +56,16 @@ if TYPE_CHECKING:
     from .config import TrainSection
 
 __all__ = [
-    "LogitAdjustment",
     "LossReport",
     "StepLosses",
+    "StepPlan",
     "LOSS_COMPONENTS",
     "LOSS_COLUMNS",
     "cross_entropy_with_grad",
     "masked_consistency_from_logits",
+    "step_plan",
     "total_loss",
 ]
-
-
-@dataclass(frozen=True)
-class LogitAdjustment:
-    """Per-class log-frequency shift: delta_p[k] = log(N_k / sum(N)).
-
-    All entries are <= 0 and their exponentials sum to 1.
-    """
-
-    delta_p: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.delta_p, dtype=np.float64).copy()
-        if arr.ndim != 1:
-            raise ValueError("delta_p must be a vector")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("delta_p must be finite (no zero-count classes)")
-        if np.any(arr > 1e-12):
-            raise ValueError("delta_p entries must be log-proportions (<= 0)")
-        if abs(float(np.exp(arr).sum()) - 1.0) > 1e-9:
-            raise ValueError("exp(delta_p) must sum to 1")
-        arr.flags.writeable = False
-        object.__setattr__(self, "delta_p", arr)
-
-    @classmethod
-    def from_counts(cls, counts: np.ndarray) -> "LogitAdjustment":
-        c = np.asarray(counts, dtype=np.float64)
-        if np.any(c <= 0):
-            raise ValueError("logit adjustment needs strictly positive class counts")
-        return cls(delta_p=np.log(c / c.sum()))
 
 
 @dataclass
@@ -102,38 +81,12 @@ class LossReport:
     pseudo_labels: np.ndarray | None = None
 
 
-@functools.lru_cache(maxsize=64)
 def _rows(shape: tuple[int, ...], start: int = 0, step: int = 1) -> np.ndarray:
-    """start, start + step, ... laid out in ``shape``, read-only; one per
-    argument set, built on first use.  With the defaults, the flat offset of
-    each row of (N,) or (N, H) rows within one class of a C-ordered
-    class-major array, so a gather at ``_rows(rows) + classes * N_rows``
-    comes out C-contiguous in the row-major layout."""
-    out = np.arange(start, start + step * math.prod(shape), step).reshape(shape)
-    out.flags.writeable = False
-    return out
-
-
-@functools.lru_cache(maxsize=64)
-def _grid(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """``np.indices(shape, sparse=True)``, read-only: with a class index
-    array of ``shape`` in front, the index of one entry per row of a
-    class-major array of any memory layout.  One per shape."""
-    grid = np.indices(shape, sparse=True)
-    for g in grid:
-        g.flags.writeable = False
-    return grid
-
-
-@functools.lru_cache(maxsize=64)
-def _descending(k: int, ndim: int) -> np.ndarray:
-    """K-1, ..., 0 down the class axis of an ``ndim``-dimensional class-major
-    array, in the smallest unsigned type that holds K-1: the weight that
-    ranks the lowest class first in ``_class_argmax``."""
-    out = np.arange(k - 1, -1, -1, dtype=np.min_scalar_type(k - 1))
-    out = out.reshape(k, *(1,) * (ndim - 1))
-    out.flags.writeable = False
-    return out
+    """start, start + step, ... laid out in ``shape``.  With the defaults,
+    the flat offset of each row of (N,) or (N, H) rows within one class of a
+    C-ordered class-major array, so a gather at ``_rows(rows) + classes *
+    N_rows`` comes out C-contiguous in the row-major layout."""
+    return np.arange(start, start + step * math.prod(shape), step).reshape(shape)
 
 
 def _class_sum(x: np.ndarray) -> np.ndarray:
@@ -171,7 +124,11 @@ def _class_argmax(x: np.ndarray, top: np.ndarray) -> np.ndarray:
     the class-major one, given its class maximum ``top``: the lowest class
     holding it, as intp.  A row without one (NaN input) gets K - 1."""
     k = x.shape[0]
-    ranked = np.maximum.reduce((x == top) * _descending(k, x.ndim), axis=0)
+    # K-1, ..., 0 down the class axis, in the smallest unsigned type that
+    # holds K-1: the weight that ranks the lowest class first
+    descending = np.arange(k - 1, -1, -1, dtype=np.min_scalar_type(k - 1))
+    ranked = np.maximum.reduce((x == top) * descending.reshape(k, *(1,) * (x.ndim - 1)),
+                               axis=0)
     return ((k - 1) - ranked).astype(np.intp)
 
 
@@ -267,7 +224,8 @@ def masked_consistency_from_logits(weak_logits: np.ndarray, strong_logits: np.nd
     at_class = pseudo + _rows(rho.shape[:-1], step=k)
     included = conf >= rho.reshape(-1)[at_class]
 
-    s_at = s[(pseudo, *_grid(pseudo.shape))]  # each strong row's pseudo-class logit
+    # each strong row's pseudo-class logit
+    s_at = s[(pseudo, *np.indices(pseudo.shape, sparse=True))]
     per_sample = -((s_at - top[n:]) - np.log(total[n:]))
     if class_weights is None:
         scale = 1.0 / n
@@ -355,34 +313,62 @@ def _kept_and_mask_rates(pseudo: np.ndarray, included: np.ndarray,
     return counts[1], rates[0], rates[1]
 
 
-@functools.lru_cache(maxsize=8)
-def _step_constants(delta_p: bytes, tau_b: float, tau_e: float, lambda_basic: float,
-                    lambda_u: float, n_labeled: int, n_strong: int
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """A run's fixed step inputs, built once and read-only, heads in
-    HEAD_NAMES order: the logit adjustment tau_h * delta_p[c] with tau =
-    (0, tau_b, tau_e), at every (c, row, h) of the (K, N_labeled, 3)
-    class-major labeled logits, and the consistency weights (lambda_basic,
-    lambda_u, lambda_u) at every (row, h) of the (N_strong, 3) strong rows.
-    ``delta_p`` is ``LogitAdjustment.delta_p``'s bytes.  Both arrays are
-    spelled out in full, as NumPy iterates a broadcast head axis of length 3
-    one row at a time."""
-    tau_delta = np.multiply.outer([0.0, tau_b, tau_e], np.frombuffer(delta_p))
+@dataclass(frozen=True)
+class StepPlan:
+    """A run's fixed step inputs, built and checked once by ``step_plan``,
+    read-only, heads in HEAD_NAMES order: ``adjustment`` is tau_h *
+    log(n_c / n), tau = (0, tau_b, tau_e), at every (c, row, h) of the
+    (K, labeled_batch, 3) class-major labeled logits, and ``lambdas`` is
+    (lambda_basic, lambda_u, lambda_u) at every (row, h) of the
+    (unlabeled_batch, 3) strong rows, both spelled out in full as NumPy
+    iterates a broadcast head axis of 3 one row at a time; ``head_classes``
+    is the (K,) head mask, ``class_weights`` the (3, K) consistency weights
+    (ones on the original head) or None, and ``t`` the training section."""
+
+    t: TrainSection
+    adjustment: np.ndarray
+    lambdas: np.ndarray
+    head_classes: np.ndarray
+    class_weights: np.ndarray | None
+
+
+def step_plan(t: TrainSection, labeled_counts: np.ndarray, head_classes: np.ndarray,
+              class_weights: np.ndarray | None = None) -> StepPlan:
+    """The StepPlan of a run with training section ``t``, its labeled class
+    counts (all positive), its head mask and, once an anchor is matched,
+    the (K,) consistency class weights of the balanced heads."""
+    counts = np.asarray(labeled_counts, dtype=np.float64)
+    if counts.ndim != 1 or np.any(counts <= 0):
+        raise ValueError("logit adjustment needs a vector of strictly positive class counts")
+    k = counts.size
+    tau_delta = np.multiply.outer([0.0, t.tau_b, t.tau_e], np.log(counts / counts.sum()))
     adjustment = np.ascontiguousarray(
-        np.broadcast_to(tau_delta.T[:, None, :], (tau_delta.shape[1], n_labeled, 3)))
-    lambdas = np.tile([lambda_basic, lambda_u, lambda_u], (n_strong, 1))
-    for a in (adjustment, lambdas):
+        np.broadcast_to(tau_delta.T[:, None, :], (k, t.labeled_batch, 3)))
+    lambdas = np.tile([t.lambda_basic, t.lambda_u, t.lambda_u], (t.unlabeled_batch, 1))
+    head_classes = np.array(head_classes, dtype=bool)
+    if head_classes.shape != (k,):
+        raise ValueError(f"head_classes must have shape {(k,)}")
+    arrays = [adjustment, lambdas, head_classes]
+    if class_weights is not None:
+        cw = np.asarray(class_weights, dtype=np.float64)
+        if cw.shape != (k,):
+            raise ValueError(f"class_weights must have shape {(k,)}")
+        class_weights = np.stack([np.ones(k), cw, cw])
+        arrays.append(class_weights)
+    for a in arrays:
         a.flags.writeable = False
-    return adjustment, lambdas
+    return StepPlan(t=t, adjustment=adjustment, lambdas=lambdas, head_classes=head_classes,
+                    class_weights=class_weights)
 
 
 def total_loss(model: Model, labeled_x: np.ndarray, labeled_y: np.ndarray,
-               x_weak: np.ndarray, x_strong: np.ndarray, adj: LogitAdjustment,
-               thresholds: np.ndarray, head_classes: np.ndarray, t: TrainSection,
-               class_weights: np.ndarray | None = None) -> StepLosses:
+               x_weak: np.ndarray, x_strong: np.ndarray, thresholds: np.ndarray,
+               plan: StepPlan) -> StepLosses:
     """L = L_basic + L_sup^b + lambda_u * L_con^b + L_sup^e + lambda_u * L_con^e,
-    with tau_b, tau_e, lambda_u, lambda_basic and output_pseudo_source read
-    from ``t``.
+    with the tau-scaled logit adjustment, the lambda weights, the head mask
+    and the class weights taken from the run's ``plan``, and
+    output_pseudo_source, lambda_u and lambda_basic from ``plan.t``.  The
+    labeled and strong batches must have the plan's row counts.
 
     ``thresholds`` is (3, K), one row per head in HEAD_NAMES order, as
     ``ThresholdState.thresholds`` holds it.  L_basic lives on the original
@@ -394,16 +380,20 @@ def total_loss(model: Model, labeled_x: np.ndarray, labeled_y: np.ndarray,
     expansive head's pseudo-labels instead.
 
     All three heads train from the first step.  Before an anchor is matched
-    every threshold sits at rho_max; matching only changes the thresholds,
-    never which terms exist.
+    every threshold sits at rho_max; matching only changes the thresholds
+    and the class weights, never which terms exist.
 
     One backbone forward covers ``[weak; labeled; strong]``, one matmul gives
     every head's logits, one copy makes them class-major, and each loss runs
     once over the head axis.
     """
+    t = plan.t
+    n_w, n_l, n_s = (np.shape(x)[0] for x in (x_weak, labeled_x, x_strong))
+    if (n_l, n_s) != (t.labeled_batch, t.unlabeled_batch):
+        raise ValueError(f"the labeled and strong batches have {n_l} and {n_s} rows, "
+                         f"the step plan {t.labeled_batch} and {t.unlabeled_batch}")
     k = model.k
-    n_w = np.shape(x_weak)[0]
-    n_wl = n_w + np.shape(labeled_x)[0]
+    n_wl = n_w + n_l
     feats, cache = network.forward_features_cached(
         model, np.concatenate([x_weak, labeled_x, x_strong]))
     # the losses run class-major: one copy of the (N, 3, K) logits to (K, N, 3),
@@ -411,17 +401,13 @@ def total_loss(model: Model, labeled_x: np.ndarray, labeled_y: np.ndarray,
     z = np.ascontiguousarray(network.stacked_head_logits(model, feats).transpose(2, 0, 1))
     finite_logits = bool(np.isfinite(z).all())
     z_w, z_l, z_s = z[:, :n_w], z[:, n_w:n_wl], z[:, n_wl:]
-    n_l, n_s = n_wl - n_w, z.shape[1] - n_wl
-    adjustment, lambdas = _step_constants(adj.delta_p.tobytes(), t.tau_b, t.tau_e,
-                                          t.lambda_basic, t.lambda_u, n_l, n_s)
 
     # head rows follow HEAD_NAMES: original, output, expansive
-    sup, g_sup = cross_entropy_with_grad(z_l, labeled_y, adjustment)
+    sup, g_sup = cross_entropy_with_grad(z_l, labeled_y, plan.adjustment)
     if t.output_pseudo_source == "expansive":
         z_w = z_w[..., [0, 2, 2]]
-    weights = (None if class_weights is None
-               else np.stack([np.ones(k), class_weights, class_weights]))
-    con = masked_consistency_from_logits(z_w, z_s, thresholds, class_weights=weights)
+    con = masked_consistency_from_logits(z_w, z_s, thresholds,
+                                         class_weights=plan.class_weights)
 
     ce_o, sup_b, sup_e = sup.tolist()
     con_o, con_b, con_e = con.value.tolist()
@@ -433,9 +419,9 @@ def total_loss(model: Model, labeled_x: np.ndarray, labeled_y: np.ndarray,
     head_grads = np.empty((n_l + n_s, len(network.HEAD_NAMES), k))
     g = head_grads.transpose(2, 0, 1)
     g[:, :n_l] = g_sup
-    np.multiply(con.logit_gradients, lambdas, out=g[:, n_l:])
+    np.multiply(con.logit_gradients, plan.lambdas, out=g[:, n_l:])
     kept, rate_head, rate_nonhead = _kept_and_mask_rates(
-        con.pseudo_labels, con.mask, np.asarray(head_classes, dtype=bool))
+        con.pseudo_labels, con.mask, plan.head_classes)
     return StepLosses(
         total=total, l_basic=l_basic, l_sup_b=sup_b, l_con_b=con_b,
         l_sup_e=sup_e, l_con_e=con_e,

@@ -38,7 +38,7 @@ from .data import Dataset, strong_augment_batch, weak_augment_batch
 from .diagnostics import bias_pattern_report, evaluate, separation_violation_rate
 from .distributions import (AnchorMatch, AnchorSet, head_mask, match_anchor,
                             rescale_anchor)
-from .losses import LOSS_COLUMNS, LOSS_COMPONENTS, LogitAdjustment, total_loss
+from .losses import LOSS_COLUMNS, LOSS_COMPONENTS, StepPlan, step_plan, total_loss
 from .mixture import denoising_bound
 from .network import Model, OptimizerState, init_model, sgd_step
 
@@ -85,15 +85,14 @@ def _sample_batch(rng: np.random.Generator, x: np.ndarray, batch: int,
     return x[idx], y[idx]
 
 
-def _train_step(model: Model, opt: OptimizerState, state: ThresholdState,
-                class_weights: np.ndarray | None, control: bool, dataset: Dataset,
-                t: TrainSection, adj: LogitAdjustment, head_classes: np.ndarray,
-                batch_rng: np.random.Generator, aug_rng: np.random.Generator,
-                epoch: int, step: int, losses_row: np.ndarray,
+def _train_step(model: Model, opt: OptimizerState, state: ThresholdState, plan: StepPlan,
+                control: bool, dataset: Dataset, batch_rng: np.random.Generator,
+                aug_rng: np.random.Generator, epoch: int, step: int, losses_row: np.ndarray,
                 hist: np.ndarray) -> ThresholdState:
     """One SGD step on a fresh labeled batch and a weak/strong pair of one
     unlabeled batch (one backbone forward over all three, one backward), then
-    one controller tick when ``control`` is on.
+    one controller tick when ``control`` is on.  The run's ``plan`` holds the
+    step's fixed inputs and its training section; ``state`` the thresholds.
 
     Writes the step's losses.csv row, in LOSS_COLUMNS order, into
     ``losses_row``, adds the pseudo-labels each head kept into the epoch's
@@ -107,14 +106,14 @@ def _train_step(model: Model, opt: OptimizerState, state: ThresholdState,
     an overflow there shows up as non-finite logits or loss at this step or
     the next, or, after an epoch's last step, in ``train``'s parameter check.
     """
+    t = plan.t
     xl, yl = _sample_batch(batch_rng, dataset.labeled_x, t.labeled_batch, dataset.labeled_y)
     xu = _sample_batch(batch_rng, dataset.unlabeled_x, t.unlabeled_batch)
     noise = dataset.task.noise
     weak = weak_augment_batch(xu, noise, t.weak_strength, aug_rng)
     strong = strong_augment_batch(xu, noise, t.strong_strength, t.dropout, aug_rng)
     with np.errstate(over="ignore", invalid="ignore"):
-        losses = total_loss(model, xl, yl, weak, strong, adj, state.thresholds, head_classes,
-                            t, class_weights)
+        losses = total_loss(model, xl, yl, weak, strong, state.thresholds, plan)
         losses_row[:] = [step, *(getattr(losses, col) for col in LOSS_COLUMNS[1:])]
         if not (losses.finite_logits and np.isfinite(losses.total)):
             # the row is the step, then the LOSS_COMPONENTS, then the mask rates
@@ -131,21 +130,22 @@ def _train_step(model: Model, opt: OptimizerState, state: ThresholdState,
 
 
 def _estimate_and_match(model: Model, dataset: Dataset, anchor_set: AnchorSet,
-                        head_classes: np.ndarray, t: TrainSection):
+                        plan: StepPlan):
     """Close the estimation phase: histogram the calibrated predictions on
     the unlabeled split, KL-match it against the anchors, and initialize the
-    thresholds (and, with ``reweight_unlabeled``, the 1/prior class weights)
-    from the matched anchor.  Returns (match, estimated, state, class_weights)."""
+    thresholds from the matched anchor.  Returns (match, estimated, state,
+    plan), the plan rebuilt with the 1/prior class weights of the matched
+    anchor when ``reweight_unlabeled`` is on."""
+    t = plan.t
     estimated = estimate_unlabeled_distribution(model, dataset.unlabeled_x)
     match = match_anchor(estimated, anchor_set)
-    state = init_thresholds(match.expansion_factor, match.gamma_u, head_classes, t)
-    class_weights = None
+    state = init_thresholds(match.expansion_factor, match.gamma_u, plan.head_classes, t)
     if t.reweight_unlabeled:
         q = rescale_anchor(anchor_set.proportions[match.index],
                            np.asarray(estimated, dtype=np.float64))
         inv = 1.0 / q
-        class_weights = inv / inv.mean()
-    return match, estimated, state, class_weights
+        plan = step_plan(t, dataset.labeled_counts(), plan.head_classes, inv / inv.mean())
+    return match, estimated, state, plan
 
 
 # metrics.csv: the leading block is also the summary's "final" record
@@ -200,7 +200,9 @@ def _epoch_rows(model: Model, dataset: Dataset, t: TrainSection, head_classes: n
 def train(config: RunConfig, dataset: Dataset | None = None,
           run_dir: str | None = None) -> TrainResult:
     """Run the full pipeline.  Deterministic per (config, seed); never reads
-    unlabeled ground truth (the dataset audit counter must not move)."""
+    unlabeled ground truth (the dataset audit counter must not move).
+    ``run_dir`` is created before the first step, so a path that cannot be
+    a directory fails at once."""
     if dataset is None:
         dataset = config.build_dataset()
     if dataset.n_unlabeled == 0:
@@ -211,8 +213,10 @@ def train(config: RunConfig, dataset: Dataset | None = None,
 
     model = init_model(k, dataset.task.d, t.hidden, t.feature, t.seed)
     opt = OptimizerState(t.learning_rate, t.momentum, t.weight_decay)
-    adj = LogitAdjustment.from_counts(dataset.labeled_counts())
     head_classes = head_mask(dataset.labeled_counts())
+    plan = step_plan(t, dataset.labeled_counts(), head_classes)
+    if run_dir is not None:
+        os.makedirs(run_dir, exist_ok=True)
     anchor_set = config.anchors.build(k)
     state = ThresholdState(np.full((len(network.HEAD_NAMES), k), t.rho_max),
                            alpha=t.alpha, nu=t.nu, rho_floor=t.rho_floor)
@@ -225,10 +229,9 @@ def train(config: RunConfig, dataset: Dataset | None = None,
                                                  replace=False)].copy()
 
     est_epochs = t.resolved_estimation_epochs()
-    match = estimated = class_weights = None
+    match = estimated = None
     if est_epochs == 0:
-        match, estimated, state, class_weights = _estimate_and_match(
-            model, dataset, anchor_set, head_classes, t)
+        match, estimated, state, plan = _estimate_and_match(model, dataset, anchor_set, plan)
 
     # RunConfig._array_sizes caps this array's size at load
     losses = np.empty((t.epochs * t.steps_per_epoch, len(LOSS_COLUMNS)))
@@ -240,9 +243,8 @@ def train(config: RunConfig, dataset: Dataset | None = None,
             hist = np.zeros((len(network.HEAD_NAMES), k), dtype=np.int64)
             first = epoch * t.steps_per_epoch
             for step in range(first, first + t.steps_per_epoch):
-                state = _train_step(
-                    model, opt, state, class_weights, match is not None, dataset, t, adj,
-                    head_classes, batch_rng, aug_rng, epoch, step, losses[step], hist)
+                state = _train_step(model, opt, state, plan, match is not None, dataset,
+                                    batch_rng, aug_rng, epoch, step, losses[step], hist)
             # the step checks the logits from before its update; the epoch's
             # last update is checked here, by the parameters and by the
             # measurement that reads them
@@ -252,8 +254,8 @@ def train(config: RunConfig, dataset: Dataset | None = None,
             try:
                 with np.errstate(over="raise", invalid="raise"):
                     if epoch == est_epochs - 1:
-                        match, estimated, state, class_weights = _estimate_and_match(
-                            model, dataset, anchor_set, head_classes, t)
+                        match, estimated, state, plan = _estimate_and_match(
+                            model, dataset, anchor_set, plan)
                     metrics_row, t_rows, b_rows = _epoch_rows(
                         model, dataset, t, head_classes, probe, match, state, epoch,
                         losses[first:step + 1], hist)
@@ -334,7 +336,6 @@ def _json_dump(path: str, obj) -> None:
 
 
 def _write_abort(run_dir: str, config: RunConfig, model: Model, snapshot: dict) -> None:
-    os.makedirs(run_dir, exist_ok=True)
     _json_dump(os.path.join(run_dir, "abort.json"), snapshot)
     _json_dump(os.path.join(run_dir, "checkpoint.json"),
                network.model_to_checkpoint_obj(model, config.config_hash()))

@@ -32,13 +32,19 @@ def softmax(logits):
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def balanced_softmax_loss(logits, y, tau, adj):
-    """CE on row-major (N, K) logits shifted by tau * delta_p, through the
-    class-major cross_entropy_with_grad; tau=0 reduces to plain CE.  Returns
-    the value and the (N, K) gradient."""
+def log_prior(counts):
+    """log(n_c / n): the per-class shift that a step plan scales by tau."""
+    c = np.asarray(counts, dtype=np.float64)
+    return np.log(c / c.sum())
+
+
+def balanced_softmax_loss(logits, y, tau, delta_p):
+    """CE on row-major (N, K) logits shifted by tau * delta_p, the log-prior
+    vector, through the class-major cross_entropy_with_grad; tau=0 reduces
+    to plain CE.  Returns the value and the (N, K) gradient."""
     from imbalanced_ssl.losses import cross_entropy_with_grad
     value, grad = cross_entropy_with_grad(np.asarray(logits).T, y,
-                                          adjustment=(tau * adj.delta_p)[:, None])
+                                          adjustment=(tau * delta_p)[:, None])
     return value, grad.T
 
 

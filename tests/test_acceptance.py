@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (balanced_softmax_loss, param_order, record_acceptance,
+from conftest import (balanced_softmax_loss, log_prior, param_order, record_acceptance,
                       run_estimation_phase, softmax)
 from imbalanced_ssl.cli import main as cli_main
 from imbalanced_ssl.config import RunConfig, TaskSection, TrainSection
@@ -23,8 +23,8 @@ from imbalanced_ssl.data import generate
 from imbalanced_ssl.diagnostics import bias_pattern_report, evaluate
 from imbalanced_ssl.distributions import (default_anchor_set, head_mask,
                                           make_distribution, match_anchor)
-from imbalanced_ssl.losses import (LogitAdjustment, cross_entropy_with_grad,
-                                   masked_consistency_from_logits, total_loss)
+from imbalanced_ssl.losses import (cross_entropy_with_grad, masked_consistency_from_logits,
+                                   step_plan, total_loss)
 from imbalanced_ssl.mixture import (BinaryMixtureSpec,
                                     monte_carlo_pseudo_label_probabilities,
                                     pseudo_label_probabilities)
@@ -209,7 +209,7 @@ def _grad_case(rng, component):
             "counts": rng.integers(1, 60, size=k),
             "t": {},
         }
-        case["adj"] = LogitAdjustment.from_counts(case["counts"])
+        case["delta_p"] = log_prior(case["counts"])
         for head in need:
             t = _safe_threshold(model, head, x_w, rng)
             if t is None:
@@ -232,6 +232,17 @@ def _case_thresholds(case):
     return np.stack([np.full(case["k"], case["t"][head]) for head in HEAD_NAMES])
 
 
+def _case_total_loss(model, case):
+    """The whole objective on the case, assembled exactly the way the
+    training step does, under the default training section's step plan at
+    the case's batch sizes."""
+    t = replace(TrainSection(), labeled_batch=case["x_l"].shape[0],
+                unlabeled_batch=case["x_s"].shape[0])
+    return total_loss(model, case["x_l"], case["y"], case["x_w"], case["x_s"],
+                      _case_thresholds(case),
+                      step_plan(t, case["counts"], head_mask(case["counts"])))
+
+
 def _named_grads(model, cache, head_grads):
     """backward()'s gradient vector, copied and split by parameter name."""
     return dict(model.parameters(backward(model, cache, head_grads).copy()))
@@ -246,7 +257,7 @@ def _component_loss(model, component, case, want_grads):
             value, g = cross_entropy_with_grad(z.T, case["y"])
             g = g.T
         else:
-            value, g = balanced_softmax_loss(z, case["y"], tau, case["adj"])
+            value, g = balanced_softmax_loss(z, case["y"], tau, case["delta_p"])
         if not want_grads:
             return value, None
         return value, _named_grads(model, cache, _only_head(head, g))
@@ -260,12 +271,7 @@ def _component_loss(model, component, case, want_grads):
         if not want_grads:
             return rep.value, None
         return rep.value, _named_grads(model, cache, _only_head(head, rep.logit_gradients.T))
-    # whole objective, assembled exactly the way the training step does
-    st = total_loss(model, case["x_l"], case["y"], case["x_w"], case["x_s"],
-                    case["adj"],
-                    thresholds=_case_thresholds(case),
-                    head_classes=head_mask(case["counts"]),
-                    t=TrainSection())
+    st = _case_total_loss(model, case)
     if not want_grads:
         return st.total, None
     return st.total, _named_grads(model, st.cache, st.head_grads)
@@ -326,13 +332,12 @@ def test_loss_identities():
         k = int(rng.integers(3, 9))
         logits = rng.normal(scale=3.0, size=(12, k))
         y = rng.integers(0, k, size=12)
-        adj = LogitAdjustment.from_counts(rng.integers(1, 100, size=k))
+        delta_p = log_prior(rng.integers(1, 100, size=k))
         ce, g_ce = cross_entropy_with_grad(logits.T, y)
-        b0, g_b0 = balanced_softmax_loss(logits, y, 0.0, adj)
+        b0, g_b0 = balanced_softmax_loss(logits, y, 0.0, delta_p)
         worst_tau0 = max(worst_tau0, abs(b0 - ce),
                          float(np.max(np.abs(g_b0 - g_ce.T))))
-        uniform = LogitAdjustment.from_counts(
-            np.full(k, int(rng.integers(1, 50))))
+        uniform = log_prior(np.full(k, int(rng.integers(1, 50))))
         bu, _ = balanced_softmax_loss(logits, y, float(rng.uniform(0.0, 4.0)),
                                       uniform)
         worst_uniform = max(worst_uniform, abs(bu - ce))
@@ -340,11 +345,7 @@ def test_loss_identities():
     worst_sum = 0.0
     for _ in range(10):
         model, case = _grad_case(rng, "total")
-        st = total_loss(model, case["x_l"], case["y"], case["x_w"], case["x_s"],
-                        case["adj"],
-                        thresholds=_case_thresholds(case),
-                        head_classes=head_mask(case["counts"]),
-                        t=TrainSection())
+        st = _case_total_loss(model, case)
         resum = (st.l_basic + st.l_sup_b + 2.0 * st.l_con_b
                  + st.l_sup_e + 2.0 * st.l_con_e)
         worst_sum = max(worst_sum, abs(st.total - resum))
@@ -476,19 +477,23 @@ def test_end_to_end_calibrated_gains(inverse_runs):
     runs, elapsed = inverse_runs
     bacc_gaps = []
     nh_gaps = []
-    for res in runs:
+    details = []
+    for seed, res in zip(SEEDS, runs):
         ds = res.dataset
         nonhead = ~head_mask(ds.labeled_counts())
         reports = evaluate(res.model, ds.test_x, ds.test_y)
         orig, cal = reports["original"], reports["calibrated"]
         bacc_gaps.append(cal.balanced_accuracy - orig.balanced_accuracy)
         nh_gaps.append(cal.recall_over(nonhead) - orig.recall_over(nonhead))
+        anchor = res.match.kind if res.match is not None else "none"
+        details.append(f"seed {seed} {bacc_gaps[-1]:+.3f}/{nh_gaps[-1]:+.3f} {anchor}")
     mean_bacc = float(np.mean(bacc_gaps))
     mean_nh = float(np.mean(nh_gaps))
     ok = mean_bacc >= 0.05 and mean_nh >= 0.10 and elapsed <= 600.0
     record_acceptance(f"gate 08 calibrated-over-plain margins: balanced "
                       f"accuracy {mean_bacc:+.3f} (need +0.050), non-head "
                       f"recall {mean_nh:+.3f} (need +0.100), {len(runs)} seeds "
+                      f"[{', '.join(details)}] "
                       f"in {elapsed:.0f}s (limit 600s) -> {_mark(ok)}")
     assert elapsed <= 600.0
     # Known honest failure at this scale: all three heads feed the shared

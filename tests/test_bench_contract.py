@@ -19,6 +19,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ import pytest
 from imbalanced_ssl.config import RunConfig, TrainSection
 from imbalanced_ssl.control import init_thresholds, update_thresholds
 from imbalanced_ssl.distributions import head_mask
-from imbalanced_ssl.losses import LogitAdjustment, total_loss
+from imbalanced_ssl.losses import step_plan, total_loss
 from imbalanced_ssl.network import (HEAD_NAMES, backward, forward_features,
                                     forward_features_cached, init_model)
 
@@ -106,8 +107,9 @@ def test_counter_hooks_read_real_objects():
     tr = _Counters()
 
     # the calls of one training step, as the tracer sees them
-    step = (model, x_l, y_l, x_w, x_s, LogitAdjustment.from_counts(labeled_counts),
-            state.thresholds, head_mask(labeled_counts), TrainSection())
+    plan = step_plan(replace(TrainSection(), labeled_batch=8, unlabeled_batch=12),
+                     labeled_counts, head_mask(labeled_counts))
+    step = (model, x_l, y_l, x_w, x_s, state.thresholds, plan)
     losses = total_loss(*step)
     hooks["losses:total_loss"](tr, step, {}, losses)
     grads = (model, losses.cache, losses.head_grads)

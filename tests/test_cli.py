@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import imbalanced_ssl
+from imbalanced_ssl import trainer
 from imbalanced_ssl.cli import main
 from imbalanced_ssl.config import (AnchorSection, ConfigError, DataSection, RunConfig,
                                    TaskSection, TrainSection)
@@ -437,6 +438,51 @@ def test_evaluate_accepts_the_small_run(small_run, tmp_path):
     code, err = _evaluate_in_process(str(tmp_path), small_run["config.json"],
                                      small_run["checkpoint.json"])
     assert (code, err) == (0, "")
+
+
+def _run_dir_of(tmp_path, files):
+    run = tmp_path / "run"
+    run.mkdir()
+    for name, obj in files.items():
+        (run / name).write_text(json.dumps(obj))
+    return str(run)
+
+
+def _write_counts(tmp_path):
+    path = tmp_path / "ok.json"
+    path.write_text("[10, 20, 30, 40]")
+    return str(path)
+
+
+# each command that writes a file, with ``bad`` as its output path
+OUTPUT_COMMANDS = {
+    "train": lambda tmp, run, bad: ["train", _write_config(tmp), "--out", bad],
+    "verify-theorem": lambda tmp, run, bad: ["verify-theorem", "--samples", "200",
+                                             "--tolerance", "0.5", "--out", bad],
+    "evaluate": lambda tmp, run, bad: ["evaluate", _run_dir_of(tmp, run), "--json", bad],
+    "match-distribution": lambda tmp, run, bad: [
+        "match-distribution", _write_counts(tmp), "--json", bad],
+}
+
+
+@pytest.mark.parametrize("command", list(OUTPUT_COMMANDS))
+def test_an_unwritable_output_path_is_a_usage_error(command, small_run, tmp_path, capsys,
+                                                     monkeypatch):
+    # a regular file as a parent directory makes the path unwritable even for
+    # a root user, whom file modes do not stop
+    (tmp_path / "afile").write_text("")
+    bad = str(tmp_path / "afile" / "out")
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("train took a step before creating its run directory")
+
+    monkeypatch.setattr(trainer, "_train_step", no_step)
+    argv = OUTPUT_COMMANDS[command](tmp_path, small_run, bad)
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert bad in err
 
 
 _NUMBER = st.one_of(st.floats(), st.integers(), st.integers(-3, 80))

@@ -15,15 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import balanced_softmax_loss, default_widths, softmax
+from conftest import balanced_softmax_loss, default_widths, log_prior, softmax
 from imbalanced_ssl.config import TrainSection
 from imbalanced_ssl.losses import (
-    LogitAdjustment,
     LossReport,
     _class_argmax,
     _class_sum,
     cross_entropy_with_grad,
     masked_consistency_from_logits,
+    step_plan,
     total_loss,
 )
 from imbalanced_ssl.network import (
@@ -43,10 +43,17 @@ def _model(seed=0, k=3, d=4):
     return init_model(k=k, d=d, hidden=(6, 5), feature=4, seed=seed)
 
 
-def supervised_balanced_loss(model, head, x, y, tau, adj) -> LossReport:
+def _plan(lx, xs, counts, head_classes, t=T, class_weights=None):
+    """The step plan of ``t`` at the row counts of the labeled batch ``lx``
+    and the strong batch ``xs``."""
+    return step_plan(replace(t, labeled_batch=lx.shape[0], unlabeled_batch=xs.shape[0]),
+                     counts, head_classes, class_weights)
+
+
+def supervised_balanced_loss(model, head, x, y, tau, delta_p) -> LossReport:
     feats = forward_features(model, x)
     logits = head_logits(model.heads[head], feats)
-    value, grad = balanced_softmax_loss(logits, y, tau, adj)
+    value, grad = balanced_softmax_loss(logits, y, tau, delta_p)
     return LossReport(value=value, logit_gradients=grad)
 
 
@@ -84,15 +91,52 @@ def test_cross_entropy_hand_values():
     assert v == pytest.approx(-np.log(p[[0, 1], y]).mean(), abs=1e-12)
 
 
-def test_adjustment_from_counts():
-    adj = LogitAdjustment.from_counts(np.array([90, 10]))
-    assert np.allclose(adj.delta_p, [math.log(0.9), math.log(0.1)])
+def test_step_plan_adjustment_from_counts():
+    plan = step_plan(replace(T, tau_b=2.0, tau_e=3.0, labeled_batch=4), np.array([90, 10]),
+                     np.array([True, False]))
+    assert plan.adjustment.shape == (2, 4, 3)
+    # tau = (0, tau_b, tau_e) times log(n_c / n), the same on every labeled row
+    want = np.multiply.outer([math.log(0.9), math.log(0.1)], [0.0, 2.0, 3.0])
+    assert np.array_equal(plan.adjustment, np.broadcast_to(want[:, None], (2, 4, 3)))
+    # a class without labeled samples has no log-prior: refused when the plan is built
+    for counts in ([90, 0], [90, -1]):
+        with pytest.raises(ValueError, match="positive class counts"):
+            step_plan(T, np.array(counts), np.array([True, False]))
+
+
+def test_step_plan_arrays_are_read_only():
+    plan = step_plan(T, np.array([20, 8, 2]), np.array([True, True, False]),
+                     class_weights=np.array([0.5, 1.0, 1.5]))
+    assert plan.lambdas.shape == (T.unlabeled_batch, 3)
+    assert plan.class_weights.tolist() == [[1.0] * 3, [0.5, 1.0, 1.5], [0.5, 1.0, 1.5]]
+    for a in (plan.adjustment, plan.lambdas, plan.head_classes, plan.class_weights):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+    # the plan copies the mask it is given, so the caller's stays writable
+    mask = np.array([True, True, False])
+    step_plan(T, np.array([20, 8, 2]), mask)
+    assert mask.flags.writeable
+
+
+@pytest.mark.parametrize("n_l,n_s", [(1, 12), (9, 12), (8, 11)])
+def test_total_loss_refuses_a_batch_the_plan_was_not_built_for(n_l, n_s):
+    m = _model(seed=6)
+    lx, ly, xw, xs, counts = _step_inputs()
+    plan = _plan(lx, xs, counts, np.array([True, True, False]))
+    rng = np.random.default_rng(0)
+    lx, ly = rng.normal(size=(n_l, 4)), rng.integers(0, 3, size=n_l)
+    xw = xs = rng.normal(size=(n_s, 4))
+    # without the check a 1-row labeled batch would broadcast against the
+    # plan's (K, 8, 3) adjustment
+    with pytest.raises(ValueError, match=f"{n_l} and {n_s} rows, the step plan 8 and 12"):
+        total_loss(m, lx, ly, xw, xs, np.full((3, 3), 0.9), plan)
 
 
 def test_balanced_loss_frozen_hand_value():
     # two classes, zero logits, counts 90/10, tau=2, true class = the rare one
-    adj = LogitAdjustment.from_counts(np.array([90, 10]))
-    v, _ = balanced_softmax_loss(np.array([[0.0, 0.0]]), np.array([1]), 2.0, adj)
+    v, _ = balanced_softmax_loss(np.array([[0.0, 0.0]]), np.array([1]), 2.0,
+                                 log_prior([90, 10]))
     assert v == pytest.approx(4.4067192472642525, abs=1e-12)
     # same number from first principles: CE on logits shifted by 2*log(freq)
     shifted = np.array([2 * math.log(0.9), 2 * math.log(0.1)])
@@ -104,8 +148,7 @@ def test_balanced_tau_zero_is_plain_ce():
     rng = np.random.default_rng(0)
     z = rng.normal(size=(8, 5))
     y = rng.integers(0, 5, size=8)
-    adj = LogitAdjustment.from_counts(rng.integers(1, 100, size=5))
-    v0, g0 = balanced_softmax_loss(z, y, 0.0, adj)
+    v0, g0 = balanced_softmax_loss(z, y, 0.0, log_prior(rng.integers(1, 100, size=5)))
     v1, g1 = cross_entropy_with_grad(z.T, y)
     assert v0 == pytest.approx(v1, abs=1e-12)
     assert np.allclose(g0, g1.T, atol=1e-12)
@@ -115,18 +158,16 @@ def test_balanced_uniform_counts_invariant():
     rng = np.random.default_rng(1)
     z = rng.normal(size=(8, 5))
     y = rng.integers(0, 5, size=8)
-    adj = LogitAdjustment.from_counts(np.full(5, 37))
-    v, g = balanced_softmax_loss(z, y, 3.0, adj)
+    v, g = balanced_softmax_loss(z, y, 3.0, log_prior(np.full(5, 37)))
     v0, g0 = cross_entropy_with_grad(z.T, y)
     assert v == pytest.approx(v0, abs=1e-12)
     assert np.allclose(g, g0.T, atol=1e-12)
 
 
 def test_balanced_tau_raises_rare_class_pressure():
-    adj = LogitAdjustment.from_counts(np.array([90, 10]))
     z = np.zeros((1, 2))
     y = np.array([1])
-    losses = [balanced_softmax_loss(z, y, t, adj)[0] for t in (0.0, 1.0, 2.0)]
+    losses = [balanced_softmax_loss(z, y, t, log_prior([90, 10]))[0] for t in (0.0, 1.0, 2.0)]
     assert losses[0] < losses[1] < losses[2]
 
 
@@ -187,10 +228,10 @@ def test_supervised_loss_goes_through_the_head():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(6, 4))
     y = rng.integers(0, 3, size=6)
-    adj = LogitAdjustment.from_counts(np.array([20, 8, 2]))
-    rep = supervised_balanced_loss(m, "output", x, y, 2.0, adj)
+    delta_p = log_prior([20, 8, 2])
+    rep = supervised_balanced_loss(m, "output", x, y, 2.0, delta_p)
     z = head_logits(m.heads["output"], forward_features(m, x))
-    want, wg = balanced_softmax_loss(z, y, 2.0, adj)
+    want, wg = balanced_softmax_loss(z, y, 2.0, delta_p)
     assert rep.value == pytest.approx(want, abs=1e-12)
     assert np.allclose(rep.logit_gradients, wg, atol=1e-12)
 
@@ -215,18 +256,16 @@ def _step_inputs(seed=5, n=12, k=3, d=4):
     labeled_y = rng.integers(0, k, size=8)
     xw = rng.normal(size=(n, d))
     xs = xw + 0.3 * rng.normal(size=(n, d))
-    adj = LogitAdjustment.from_counts(np.array([20, 8, 2]))
-    return labeled_x, labeled_y, xw, xs, adj
+    return labeled_x, labeled_y, xw, xs, np.array([20, 8, 2])
 
 
 def test_total_loss_decomposition():
     m = _model(seed=6)
-    lx, ly, xw, xs, adj = _step_inputs()
+    lx, ly, xw, xs, counts = _step_inputs()
     rho = np.array([0.95, 0.6, 0.45])
-    out = total_loss(m, lx, ly, xw, xs, adj,
-                     thresholds=np.stack([np.full(3, 0.95), rho, rho * 0.9]),
-                     head_classes=np.array([True, True, False]),
-                     t=replace(T, lambda_basic=1.5))
+    out = total_loss(m, lx, ly, xw, xs, np.stack([np.full(3, 0.95), rho, rho * 0.9]),
+                     _plan(lx, xs, counts, np.array([True, True, False]),
+                           t=replace(T, lambda_basic=1.5)))
     # lambda_basic is folded into l_basic itself; lambda_u scales the two
     # balanced consistency terms
     want = (out.l_basic + out.l_sup_b + 2.0 * out.l_con_b
@@ -236,20 +275,20 @@ def test_total_loss_decomposition():
 
 def test_total_loss_base_term_matches_base_loss():
     m = _model(seed=7)
-    lx, ly, xw, xs, adj = _step_inputs(6)
+    lx, ly, xw, xs, counts = _step_inputs(6)
     rho = np.full(3, 0.8)
-    out = total_loss(m, lx, ly, xw, xs, adj, thresholds=np.stack([np.full(3, 0.95), rho, rho]),
-                     head_classes=np.array([True, True, False]), t=T)
+    out = total_loss(m, lx, ly, xw, xs, np.stack([np.full(3, 0.95), rho, rho]),
+                     _plan(lx, xs, counts, np.array([True, True, False])))
     assert out.l_basic == pytest.approx(
         base_loss(m, lx, ly, xw, xs, rho_max=0.95), abs=1e-12)
 
 
 def test_total_loss_bookkeeping_fields():
     m = _model(seed=8)
-    lx, ly, xw, xs, adj = _step_inputs(7)
+    lx, ly, xw, xs, counts = _step_inputs(7)
     rho = np.full(3, 0.5)
-    out = total_loss(m, lx, ly, xw, xs, adj, thresholds=np.stack([np.full(3, 0.95), rho, rho]),
-                     head_classes=np.array([True, True, False]), t=T)
+    out = total_loss(m, lx, ly, xw, xs, np.stack([np.full(3, 0.95), rho, rho]),
+                     _plan(lx, xs, counts, np.array([True, True, False])))
     assert out.kept.shape == (len(HEAD_NAMES), 3) and out.kept.dtype == np.int64
     assert np.all(out.kept.sum(axis=1) <= xw.shape[0])
     assert out.kept.min() >= 0
@@ -265,13 +304,15 @@ def test_pseudo_source_switch_changes_the_teacher():
     # expansive head forced to vote class 2 with near-certainty
     m.heads["expansive"].w[:] = 0.0
     m.heads["expansive"].b[:] = np.array([0.0, 0.0, 50.0])
-    lx, ly, xw, xs, adj = _step_inputs(8)
+    lx, ly, xw, xs, counts = _step_inputs(8)
     rho = np.full(3, 0.5)
-    kw = dict(adj=adj, thresholds=np.stack([np.full(3, 0.95), rho, rho]),
-              head_classes=np.array([True, True, False]))
-    self_taught = total_loss(m, lx, ly, xw, xs, t=T, **kw)
-    cross_taught = total_loss(m, lx, ly, xw, xs,
-                              t=replace(T, output_pseudo_source="expansive"), **kw)
+    thresholds = np.stack([np.full(3, 0.95), rho, rho])
+    head_classes = np.array([True, True, False])
+    self_taught = total_loss(m, lx, ly, xw, xs, thresholds,
+                             _plan(lx, xs, counts, head_classes))
+    cross_taught = total_loss(m, lx, ly, xw, xs, thresholds,
+                              _plan(lx, xs, counts, head_classes,
+                                    t=replace(T, output_pseudo_source="expansive")))
     output = HEAD_NAMES.index("output")
     assert cross_taught.kept[output, 2] == xw.shape[0]
     assert self_taught.kept[output, 2] < xw.shape[0]
@@ -280,7 +321,7 @@ def test_pseudo_source_switch_changes_the_teacher():
         replace(T, output_pseudo_source="nonsense")
 
 
-def _reference_step(m, lx, ly, xw, xs, adj, thresholds, head_classes, t, class_weights):
+def _reference_step(m, lx, ly, xw, xs, delta_p, thresholds, head_classes, t, class_weights):
     """The training step head by head: three forwards, 2-D losses per head
     and one backward per back-propagated view, gradients summed."""
     k = m.k
@@ -294,9 +335,9 @@ def _reference_step(m, lx, ly, xw, xs, adj, thresholds, head_classes, t, class_w
     logits_s = {h: head_logits(m.heads[h], feats_s) for h in HEAD_NAMES}
     ce_o, g_ce_o = cross_entropy_with_grad(logits_l["original"].T, ly)
     sup_b, g_sup_b = cross_entropy_with_grad(logits_l["output"].T, ly,
-                                             (tau_b * adj.delta_p)[:, None])
+                                             (tau_b * delta_p)[:, None])
     sup_e, g_sup_e = cross_entropy_with_grad(logits_l["expansive"].T, ly,
-                                             (tau_e * adj.delta_p)[:, None])
+                                             (tau_e * delta_p)[:, None])
     teacher = "output" if t.output_pseudo_source == "self" else "expansive"
     con_o = masked_consistency_from_logits(logits_w["original"].T, logits_s["original"].T,
                                            rho_o)
@@ -347,7 +388,7 @@ def test_fused_step_matches_per_head_reference(source, weighted):
     ly = rng.integers(0, k, size=24)
     xw = 2.0 * rng.normal(size=(40, d))
     xs = xw + rng.normal(size=(40, d))
-    adj = LogitAdjustment.from_counts(rng.integers(1, 60, size=k))
+    counts = rng.integers(1, 60, size=k)
     teacher = "output" if source == "self" else "expansive"
     rho_b = _margin_safe_thresholds(m, teacher, xw, rng, k)
     rho_e = _margin_safe_thresholds(m, "expansive", xw, rng, k)
@@ -359,8 +400,9 @@ def test_fused_step_matches_per_head_reference(source, weighted):
               class_weights=rng.uniform(0.3, 3.0, size=k) if weighted else None)
 
     want, want_grads, want_hist, want_rates, want_strong_x = _reference_step(
-        m, lx, ly, xw, xs, adj, **kw)
-    st = total_loss(m, lx, ly, xw, xs, adj, **kw)
+        m, lx, ly, xw, xs, log_prior(counts), **kw)
+    st = total_loss(m, lx, ly, xw, xs, kw["thresholds"],
+                    _plan(lx, xs, counts, kw["head_classes"], kw["t"], kw["class_weights"]))
     grads = dict(m.parameters(backward(m, st.cache, st.head_grads)))
 
     for name, value in want.items():
@@ -439,7 +481,7 @@ def _rm_flat_at(shape, classes):
     return np.arange(0, math.prod(shape), shape[-1]).reshape(shape[:-1]) + classes
 
 
-def _rm_total_loss(m, lx, ly, xw, xs, adj, thresholds, head_classes, t, class_weights):
+def _rm_total_loss(m, lx, ly, xw, xs, delta_p, thresholds, head_classes, t, class_weights):
     """The training step in the row-major (N, 3, K) formulation the
     class-major loss layer replaced: values, head gradients, kept counts and
     mask rates."""
@@ -448,7 +490,7 @@ def _rm_total_loss(m, lx, ly, xw, xs, adj, thresholds, head_classes, t, class_we
     logits = stacked_head_logits(m, feats)
     z_w, z_l, z_s = logits[:n_w], logits[n_w:n_wl], logits[n_wl:]
 
-    adjusted = z_l + np.multiply.outer([0.0, t.tau_b, t.tau_e], adj.delta_p)
+    adjusted = z_l + np.multiply.outer([0.0, t.tau_b, t.tau_e], delta_p)
     g_sup, logp = _rm_softmax_and_log(adjusted)
     at_y = _rm_flat_at(z_l.shape, ly.reshape(-1, 1))
     sup = -logp.reshape(-1)[at_y].mean(axis=0)
@@ -499,22 +541,23 @@ def _step_case(k):
     xw = 2.0 * rng.normal(size=(128, m.dims[0]))
     xs = xw + rng.normal(size=xw.shape)
     ly = rng.integers(0, k, size=64)
-    adj = LogitAdjustment.from_counts(rng.integers(1, 100, size=k))
+    counts = rng.integers(1, 100, size=k)
     thresholds = np.stack([np.full(k, 0.7), rng.uniform(0.3, 0.95, size=k),
                            rng.uniform(0.2, 0.9, size=k)])
-    return m, lx, ly, xw, xs, adj, thresholds, rng
+    return m, lx, ly, xw, xs, counts, thresholds, rng
 
 
 @pytest.mark.parametrize("weighted", [False, True])
 @pytest.mark.parametrize("source", ["self", "expansive"])
 @pytest.mark.parametrize("k", [10, 5, 13])
 def test_total_loss_equals_the_row_major_formulation(k, source, weighted):
-    m, lx, ly, xw, xs, adj, thresholds, rng = _step_case(k)
+    m, lx, ly, xw, xs, counts, thresholds, rng = _step_case(k)
     kw = dict(head_classes=np.arange(k) < k // 2,
               t=replace(T, lambda_basic=0.6, lambda_u=1.7, output_pseudo_source=source),
               class_weights=rng.uniform(0.3, 3.0, size=k) if weighted else None)
-    values, head_grads, kept, rates = _rm_total_loss(m, lx, ly, xw, xs, adj, thresholds, **kw)
-    step = total_loss(m, lx, ly, xw, xs, adj, thresholds, **kw)
+    values, head_grads, kept, rates = _rm_total_loss(m, lx, ly, xw, xs, log_prior(counts),
+                                                     thresholds, **kw)
+    step = total_loss(m, lx, ly, xw, xs, thresholds, _plan(lx, xs, counts, **kw))
     for name, value in values.items():
         assert _same_bits(getattr(step, name), value), name
     assert _same_bits(step.head_grads, head_grads)

@@ -1,9 +1,11 @@
 """End-to-end trainer behavior on deliberately tiny runs."""
 
 import gc
+import importlib
 import json
 import math
 import os
+import pkgutil
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -11,12 +13,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import imbalanced_ssl
 from imbalanced_ssl import network, trainer
 from imbalanced_ssl.cli import main
 from conftest import run_estimation_phase
 from imbalanced_ssl.config import RunConfig
 from imbalanced_ssl.diagnostics import evaluate
-from imbalanced_ssl.losses import LOSS_COLUMNS
+from imbalanced_ssl.losses import LOSS_COLUMNS, total_loss
 from imbalanced_ssl.network import init_model, model_from_checkpoint_obj
 from imbalanced_ssl.trainer import (
     TrainingAborted,
@@ -324,3 +327,36 @@ def test_empty_unlabeled_rejected():
     ds.unlabeled_x = ds.unlabeled_x[:0]
     with pytest.raises(ValueError):
         train(cfg, dataset=ds)
+
+
+def test_the_plan_takes_the_class_weights_at_the_match(monkeypatch):
+    # the estimation epoch trains without class weights; the match rebuilds
+    # the plan once, and every later step reads that one plan
+    plans = []
+
+    def recording_total_loss(model, lx, ly, xw, xs, thresholds, plan):
+        plans.append(plan)
+        return total_loss(model, lx, ly, xw, xs, thresholds, plan)
+
+    monkeypatch.setattr(trainer, "total_loss", recording_total_loss)
+    cfg = _tiny_config(seed=16, reweight_unlabeled=True)
+    train(cfg)
+    first = cfg.train.steps_per_epoch
+    assert all(p is plans[0] and p.class_weights is None for p in plans[:first])
+    matched = plans[first]
+    assert all(p is matched for p in plans[first:])
+    weights = matched.class_weights
+    assert weights.shape == (3, 4) and weights[0].tolist() == [1.0] * 4
+    assert np.array_equal(weights[1], weights[2]) and weights[1].mean() == pytest.approx(1.0)
+    assert np.array_equal(matched.adjustment, plans[0].adjustment)
+
+
+def test_no_module_holds_a_process_wide_cache():
+    # a per-run value belongs in the run's step plan; a memoised function
+    # would keep it in a hidden global, keyed anew on every call
+    cached = []
+    for info in pkgutil.iter_modules(imbalanced_ssl.__path__):
+        module = importlib.import_module(f"imbalanced_ssl.{info.name}")
+        cached += [f"{info.name}.{name}" for name, value in vars(module).items()
+                   if callable(value) and hasattr(value, "cache_info")]
+    assert not cached
