@@ -89,6 +89,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_verify_theorem(args) -> int:
     if not 0.0 < args.tolerance < float("inf"):
         raise ConfigError(f"--tolerance must be a positive finite number, got {args.tolerance}")
+    if args.out:
+        # a path that cannot be written fails before the first grid point
+        with open(args.out, "w"):
+            pass
     rows = []
     worst = 0.0
     grid = itertools.product(DEFAULT_GRID["gamma"], DEFAULT_GRID["delta_p"],
@@ -165,11 +169,10 @@ def cmd_evaluate(args) -> int:
         "per_class_recall": [float(r) for r in report.per_class_recall],
         "confusion": report.confusion.tolist(),
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
     if args.json_out:
-        with open(args.json_out, "w") as fh:
-            fh.write(text + "\n")
+        # written first, so a path that cannot be written prints no report
+        _json_dump(args.json_out, payload)
+    print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
 

@@ -19,8 +19,6 @@ import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
 
-import numpy as np
-
 from .data import generate
 from .distributions import SHAPES, AnchorSet, default_anchor_set, make_distribution
 from .losses import LOSS_COLUMNS
@@ -122,8 +120,9 @@ class DataSection:
                 raise ConfigError(f"{name} must be one of {tuple(SHAPES)}")
         if min(self.labeled_gamma, self.unlabeled_gamma) < 1.0:
             raise ConfigError("labeled_gamma and unlabeled_gamma (max/min ratios) must be >= 1")
-        if self.labeled_max < 1 or self.unlabeled_max < 0 or self.test_per_class < 1:
-            raise ConfigError("split sizes must be positive (unlabeled_max may be 0)")
+        for name in ("labeled_max", "unlabeled_max", "test_per_class"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -284,12 +283,8 @@ class RunConfig:
         labeled = make_distribution(self.data.labeled_kind, task.k, self.data.labeled_max,
                                     gamma=self.data.labeled_gamma,
                                     as_variance=self.anchors.as_variance)
-        if self.data.unlabeled_max == 0:
-            unlabeled = np.zeros(task.k, dtype=np.int64)
-        else:
-            unlabeled = make_distribution(self.data.unlabeled_kind, task.k,
-                                          self.data.unlabeled_max,
-                                          gamma=self.data.unlabeled_gamma,
-                                          as_variance=self.anchors.as_variance)
+        unlabeled = make_distribution(self.data.unlabeled_kind, task.k, self.data.unlabeled_max,
+                                      gamma=self.data.unlabeled_gamma,
+                                      as_variance=self.anchors.as_variance)
         return generate(task, labeled, unlabeled, self.data.test_per_class)
 

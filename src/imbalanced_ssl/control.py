@@ -11,14 +11,14 @@ whose initialization already sits below the floor (large expansion factors
 produce these) is frozen there rather than pulled up, so trajectories are
 nonincreasing without exception.
 
-``ThresholdState`` is the read-only (3, K) threshold matrix plus the decay
-constants, taken from the ``TrainSection`` that checked them at load.
+``ThresholdState`` is the read-only (3, K) threshold matrix alone; alpha, nu
+and rho_floor are read off the run's ``TrainSection`` at each tick.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -49,7 +49,7 @@ _ROWS = 1024
 
 @dataclass(frozen=True)
 class ThresholdState:
-    """Per-class confidence thresholds and the controller constants.
+    """Per-class confidence thresholds.
 
     ``thresholds`` is the (3, K) matrix the training step reads, one row per
     head in HEAD_NAMES order: the original head at rho_max, then the balanced
@@ -57,9 +57,6 @@ class ThresholdState:
     ``rho_b`` and ``rho_e`` are views of its rows."""
 
     thresholds: np.ndarray
-    alpha: float
-    nu: float
-    rho_floor: float
 
     def __post_init__(self) -> None:
         self.thresholds.flags.writeable = False
@@ -101,24 +98,26 @@ def init_thresholds(c: float, gamma_u: float, head_classes: np.ndarray,
     thresholds = np.stack([np.full(head.size, t.rho_max),
                            np.where(head, t.rho_max, min(rho_b0, t.rho_max)),
                            np.where(head, t.rho_max, min(rho_e0, t.rho_max))])
-    return ThresholdState(thresholds, alpha=t.alpha, nu=t.nu, rho_floor=t.rho_floor)
+    return ThresholdState(thresholds)
 
 
-def update_thresholds(state: ThresholdState, b_opt: np.ndarray) -> ThresholdState:
+def update_thresholds(state: ThresholdState, b_opt: np.ndarray,
+                      t: TrainSection) -> ThresholdState:
     """One controller tick: rho(k) -= alpha wherever b_opt(k) > nu (signed
     comparison, both heads, same rule), given the output head's bias vector
-    ``b_opt``.  The decay is clamped at rho_floor; entries already below the
-    floor stay where they are, so the trajectory never increases.  A tick
-    with no hot class returns ``state`` itself."""
+    ``b_opt``; alpha, nu and rho_floor are t's.  The decay is clamped at
+    rho_floor; entries already below the floor stay where they are, so the
+    trajectory never increases.  A tick with no hot class returns ``state``
+    itself."""
     if np.shape(b_opt) != state.thresholds.shape[1:]:
         raise ValueError("bias vector length must match class count")
-    hot = np.asarray(b_opt) > state.nu
+    hot = np.asarray(b_opt) > t.nu
     if not hot.any():
         return state
     rho = state.thresholds[1:]
     thresholds = state.thresholds.copy()
-    thresholds[1:] = np.maximum(rho - state.alpha * hot, np.minimum(rho, state.rho_floor))
-    return replace(state, thresholds=thresholds)
+    thresholds[1:] = np.maximum(rho - t.alpha * hot, np.minimum(rho, t.rho_floor))
+    return ThresholdState(thresholds)
 
 
 def extract_bias_vector(model: Model) -> np.ndarray:

@@ -129,8 +129,6 @@ def generate(task: TaskSection, labeled_counts: np.ndarray, unlabeled_counts: np
     """Draw the three splits.  Per-class histograms equal the requested
     counts (integral arrays, such as ``make_distribution`` returns) exactly;
     the test split is balanced at ``test_per_class``.
-
-    An all-zero unlabeled count vector is allowed (purely supervised runs).
     ``task.seed`` must be resolved (``RunConfig.resolved_task``).
     """
     if task.seed is None:

@@ -10,9 +10,10 @@ Storage: every parameter is a view into one contiguous float64 vector,
 ``Model.flat``, laid out as the backbone layers (weight then bias) followed by
 the heads stacked in HEAD_NAMES order, all weights ``(H*K, Q)`` then all
 biases ``(H*K,)``; ``_carve`` is the one place that cuts it.  ``Model.grad``
-has the same layout; the first ``backward`` allocates it and every call
-writes into it, and ``sgd_step`` updates ``flat`` with three vector
-operations.
+and ``Model.velocity`` have the same layout; the first ``backward`` allocates
+the gradient and the first ``sgd_step`` the momentum buffer, and
+``sgd_step`` updates ``flat`` with three vector operations, its constants
+read off the run's ``TrainSection``.
 
 Both forwards run the same statements: each layer's matmul result takes the
 bias and the activation in place.  Inference (``forward_features``) keeps no
@@ -33,15 +34,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .distributions import _json_numbers
 
+if TYPE_CHECKING:
+    from .config import TrainSection
+
 __all__ = [
     "Head",
     "Model",
-    "OptimizerState",
     "HEAD_NAMES",
     "CHECKPOINT_FORMAT",
     "init_model",
@@ -121,7 +125,9 @@ class Model:
     the stacked heads ``head_w`` (H * K, Q) and ``head_b`` (H * K,), and each
     ``heads[name].w``/``.b`` are views into it, so writing through any of
     them in place writes ``flat``.  ``grad``, the gradient vector of the same
-    layout, is training state: None until the first backward() allocates it.
+    layout, and ``velocity``, the momentum buffer, are training state: None
+    until the first backward() or sgd_step() allocates them, and a model read
+    from a checkpoint holds neither.
     """
 
     def __init__(self, dims: tuple[int, ...], k: int, activation: str = "relu"):
@@ -138,6 +144,7 @@ class Model:
         self.heads = {name: Head(w, b) for name, w, b in _split_heads(self.head_w, self.head_b, k)}
         self.grad: np.ndarray | None = None
         self._grad = None  # the carve of grad, made with it
+        self.velocity: np.ndarray | None = None
 
     def parameters(self, buf: np.ndarray | None = None) -> list[tuple[str, np.ndarray]]:
         """All parameters in the normative order (backbone layers first,
@@ -268,29 +275,19 @@ def backward(model: Model, cache: ForwardCache, head_grads: np.ndarray) -> np.nd
     return model.grad
 
 
-@dataclass
-class OptimizerState:
-    """SGD with classic momentum and decoupled-from-nothing weight decay:
-    v <- m*v + g + wd*p; p <- p - lr*v.  Decay applies to weights and biases
-    alike so the bias term stays free to drift under data pressure only.
-    ``velocity`` is one vector in the layout of ``Model.flat``.  The constants
-    are a ``TrainSection``'s, range-checked there."""
-
-    learning_rate: float
-    momentum: float
-    weight_decay: float
-    velocity: np.ndarray | None = None
-
-
-def sgd_step(model: Model, grad: np.ndarray, state: OptimizerState) -> None:
+def sgd_step(model: Model, grad: np.ndarray, t: TrainSection) -> None:
     """One update of ``model.flat`` from ``grad``, a vector of the same
-    layout (backward's result)."""
-    if state.velocity is None:
-        state.velocity = np.zeros_like(model.flat)
-    v = state.velocity
-    v *= state.momentum
-    v += grad + state.weight_decay * model.flat
-    model.flat -= state.learning_rate * v
+    layout (backward's result): SGD with classic momentum and weight decay,
+    v <- m*v + g + wd*p; p <- p - lr*v, with lr, m and wd read off ``t``.
+    Decay applies to weights and biases alike so the bias term stays free to
+    drift under data pressure only.  The first call allocates
+    ``model.velocity``."""
+    if model.velocity is None:
+        model.velocity = np.zeros_like(model.flat)
+    v = model.velocity
+    v *= t.momentum
+    v += grad + t.weight_decay * model.flat
+    model.flat -= t.learning_rate * v
 
 
 def model_to_checkpoint_obj(model: Model, config_hash: str = "") -> dict:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network
-from .config import RunConfig, TrainSection
+from .config import RunConfig
 from .control import (ThresholdState, estimate_unlabeled_distribution, extract_bias_vector,
                       init_thresholds, update_thresholds)
 from .data import Dataset, strong_augment_batch, weak_augment_batch
@@ -40,7 +40,7 @@ from .distributions import (AnchorMatch, AnchorSet, head_mask, match_anchor,
                             rescale_anchor)
 from .losses import LOSS_COLUMNS, LOSS_COMPONENTS, StepPlan, step_plan, total_loss
 from .mixture import denoising_bound
-from .network import Model, OptimizerState, init_model, sgd_step
+from .network import Model, init_model, sgd_step
 
 __all__ = [
     "TrainingAborted",
@@ -85,14 +85,16 @@ def _sample_batch(rng: np.random.Generator, x: np.ndarray, batch: int,
     return x[idx], y[idx]
 
 
-def _train_step(model: Model, opt: OptimizerState, state: ThresholdState, plan: StepPlan,
-                control: bool, dataset: Dataset, batch_rng: np.random.Generator,
+def _train_step(model: Model, state: ThresholdState, plan: StepPlan, control: bool,
+                dataset: Dataset, batch_rng: np.random.Generator,
                 aug_rng: np.random.Generator, epoch: int, step: int, losses_row: np.ndarray,
                 hist: np.ndarray) -> ThresholdState:
     """One SGD step on a fresh labeled batch and a weak/strong pair of one
     unlabeled batch (one backbone forward over all three, one backward), then
     one controller tick when ``control`` is on.  The run's ``plan`` holds the
-    step's fixed inputs and its training section; ``state`` the thresholds.
+    step's fixed inputs and its training section, whose constants the update
+    and the tick read; ``state`` holds the thresholds and ``model`` the
+    momentum buffer.
 
     Writes the step's losses.csv row, in LOSS_COLUMNS order, into
     ``losses_row``, adds the pseudo-labels each head kept into the epoch's
@@ -122,10 +124,10 @@ def _train_step(model: Model, opt: OptimizerState, state: ThresholdState, plan: 
             what = "loss" if losses.finite_logits else "logits"
             raise TrainingAborted(f"non-finite {what} at step {step}",
                                   {"epoch": epoch, "step": step, "components": components})
-        sgd_step(model, network.backward(model, losses.cache, losses.head_grads), opt)
+        sgd_step(model, network.backward(model, losses.cache, losses.head_grads), t)
     hist += losses.kept
     if control:
-        state = update_thresholds(state, model.heads["output"].b)
+        state = update_thresholds(state, model.heads["output"].b, t)
     return state
 
 
@@ -154,15 +156,16 @@ _SUMMARY_METRICS = (*(f"{m}_{name}" for name in _EVALUATED for m in ("acc", "bac
                     "recall_head", "recall_nonhead", "mu_hat", "denoise_bound")
 
 
-def _epoch_rows(model: Model, dataset: Dataset, t: TrainSection, head_classes: np.ndarray,
-                probe: np.ndarray, match: AnchorMatch | None, state: ThresholdState,
-                epoch: int, epoch_losses: np.ndarray, hist: np.ndarray):
+def _epoch_rows(model: Model, dataset: Dataset, plan: StepPlan, probe: np.ndarray,
+                match: AnchorMatch | None, state: ThresholdState, epoch: int,
+                epoch_losses: np.ndarray, hist: np.ndarray):
     """One epoch's measurement: the metrics.csv row, the thresholds.csv rows
     and the bias.csv rows, each with its keys in column order (the CSV
-    headers are read off them).  ``epoch_losses`` is the epoch's rows of the
-    loss record and ``hist`` the (3, K) count of the pseudo-labels each head
-    kept over the epoch, rows in HEAD_NAMES order."""
-    k = model.k
+    headers are read off them).  The probe constants and the head mask are
+    the plan's.  ``epoch_losses`` is the epoch's rows of the loss record and
+    ``hist`` the (3, K) count of the pseudo-labels each head kept over the
+    epoch, rows in HEAD_NAMES order."""
+    k, t, head_classes = model.k, plan.t, plan.head_classes
     reports = evaluate(model, dataset.test_x, dataset.test_y)
     cal = reports["calibrated"]
     row: dict = {"epoch": epoch}
@@ -212,14 +215,11 @@ def train(config: RunConfig, dataset: Dataset | None = None,
     k = dataset.task.k
 
     model = init_model(k, dataset.task.d, t.hidden, t.feature, t.seed)
-    opt = OptimizerState(t.learning_rate, t.momentum, t.weight_decay)
-    head_classes = head_mask(dataset.labeled_counts())
-    plan = step_plan(t, dataset.labeled_counts(), head_classes)
+    plan = step_plan(t, dataset.labeled_counts(), head_mask(dataset.labeled_counts()))
     if run_dir is not None:
         os.makedirs(run_dir, exist_ok=True)
     anchor_set = config.anchors.build(k)
-    state = ThresholdState(np.full((len(network.HEAD_NAMES), k), t.rho_max),
-                           alpha=t.alpha, nu=t.nu, rho_floor=t.rho_floor)
+    state = ThresholdState(np.full((len(network.HEAD_NAMES), k), t.rho_max))
 
     batch_rng = np.random.default_rng([t.seed, _BATCH_STREAM])
     aug_rng = np.random.default_rng([t.seed, _AUG_STREAM])
@@ -243,7 +243,7 @@ def train(config: RunConfig, dataset: Dataset | None = None,
             hist = np.zeros((len(network.HEAD_NAMES), k), dtype=np.int64)
             first = epoch * t.steps_per_epoch
             for step in range(first, first + t.steps_per_epoch):
-                state = _train_step(model, opt, state, plan, match is not None, dataset,
+                state = _train_step(model, state, plan, match is not None, dataset,
                                     batch_rng, aug_rng, epoch, step, losses[step], hist)
             # the step checks the logits from before its update; the epoch's
             # last update is checked here, by the parameters and by the
@@ -257,7 +257,7 @@ def train(config: RunConfig, dataset: Dataset | None = None,
                         match, estimated, state, plan = _estimate_and_match(
                             model, dataset, anchor_set, plan)
                     metrics_row, t_rows, b_rows = _epoch_rows(
-                        model, dataset, t, head_classes, probe, match, state, epoch,
+                        model, dataset, plan, probe, match, state, epoch,
                         losses[first:step + 1], hist)
             except FloatingPointError as exc:
                 raise TrainingAborted(f"parameters after step {step} overflow the epoch's "

@@ -121,8 +121,8 @@ def test_counter_hooks_read_real_objects():
     # a tick that decays class 0, then one that decays nothing
     hot, cold = np.array([2.0, 0.0, 0.0, 0.0]), np.zeros(k)
     for b in (hot, cold):
-        ticked = update_thresholds(state, b)
-        hooks["control:update_thresholds"](tr, (state, b), {}, ticked)
+        ticked = update_thresholds(state, b, plan.t)
+        hooks["control:update_thresholds"](tr, (state, b, plan.t), {}, ticked)
         state = ticked
 
     kept = {f"losses.consistency.kept_rows.{h}": int(row.sum())

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import imbalanced_ssl
-from imbalanced_ssl import trainer
+from imbalanced_ssl import cli, trainer
 from imbalanced_ssl.cli import main
 from imbalanced_ssl.config import (AnchorSection, ConfigError, DataSection, RunConfig,
                                    TaskSection, TrainSection)
@@ -212,6 +212,8 @@ def test_train_rejects_out_of_range_config_file(tmp_path, capsys, text):
     ({"train": {"feature": 10**12}}, "feature"),
     ({"train": {"labeled_batch": 10**15}}, "labeled_batch"),
     ({"train": {"unlabeled_batch": 10**15}}, "unlabeled_batch"),
+    # an empty unlabeled split leaves training nothing to run on
+    ({"data": {"unlabeled_max": 0}}, "unlabeled_max"),
 ])
 def test_train_rejects_mistyped_config(tmp_path, capsys, obj, needle):
     with pytest.raises(ConfigError, match=needle):
@@ -299,9 +301,10 @@ def test_evaluate_reports_metrics(tmp_path, capsys):
     json_out = tmp_path / "eval.json"
     code = main(["evaluate", str(run), "--calibrated", "--json", str(json_out)])
     assert code == 0
-    printed = json.loads(capsys.readouterr().out)
-    on_disk = json.loads(json_out.read_text())
-    assert printed == on_disk
+    out = capsys.readouterr().out
+    # the file holds the printed report byte for byte
+    assert json_out.read_text() == out
+    printed = json.loads(out)
     assert printed["calibrated"] is True
     assert printed["head"] == "output"
     assert 0.0 <= printed["balanced_accuracy"] <= 1.0
@@ -483,6 +486,28 @@ def test_an_unwritable_output_path_is_a_usage_error(command, small_run, tmp_path
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
     assert bad in err
+
+
+def test_verify_theorem_checks_its_output_path_before_sampling(tmp_path, capsys, monkeypatch):
+    (tmp_path / "afile").write_text("")
+    bad = str(tmp_path / "afile" / "x.csv")
+    calls = []
+    monkeypatch.setattr(cli, "monte_carlo_pseudo_label_probabilities",
+                        lambda *args: calls.append(args))
+    assert main(["verify-theorem", "--out", bad]) == 2
+    captured = capsys.readouterr()
+    assert calls == []
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert bad in captured.err and captured.out == ""
+
+
+def test_evaluate_prints_no_report_when_its_json_path_fails(small_run, tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    bad = str(tmp_path / "afile" / "e.json")
+    assert main(["evaluate", _run_dir_of(tmp_path, small_run), "--json", bad]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and bad in captured.err
 
 
 _NUMBER = st.one_of(st.floats(), st.integers(), st.integers(-3, 80))

@@ -6,7 +6,7 @@ import inspect
 import json
 import math
 import pkgutil
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 from hypothesis import given, settings
@@ -169,6 +169,16 @@ def test_no_parameter_defaults_a_section_field():
             repeated += [f"{where}({p.name}={p.default!r})" for p in params
                          if p.name in SECTION_FIELDS and p.default is not p.empty]
     assert not repeated, repeated
+
+
+def test_no_dataclass_copies_a_train_field():
+    # a run's per-object state holds only what changes; a constant such as
+    # learning_rate or alpha is read off the TrainSection (or a plan holding it)
+    train_fields = {f.name for f in fields(TrainSection)}
+    copied = [f"{where}.{f.name}" for module in _package_modules()
+              for where, obj in _callables(module) if is_dataclass(obj)
+              for f in fields(obj) if f.name in train_fields]
+    assert not copied, copied
 
 
 def test_no_module_constant_names_a_section_field():

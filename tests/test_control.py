@@ -64,22 +64,22 @@ def test_init_rejects_nonpositive_threshold():
 
 def test_update_decays_only_flagged_classes():
     st = init_thresholds(c=4.0, gamma_u=100.0, head_classes=HEAD5, t=T)
-    new = update_thresholds(st, np.array([2.0] + [0.0] * 9))
+    new = update_thresholds(st, np.array([2.0] + [0.0] * 9), T)
     assert new.rho_b[0] == pytest.approx(st.rho_b[0] - 0.005, abs=1e-15)
     assert new.rho_e[0] == pytest.approx(st.rho_e[0] - 0.005, abs=1e-15)
     assert np.array_equal(new.rho_b[1:], st.rho_b[1:])
     assert np.array_equal(new.rho_e[1:], st.rho_e[1:])
     # strictly-above-nu semantics
-    same = update_thresholds(st, np.full(10, 1.0))
+    same = update_thresholds(st, np.full(10, 1.0), T)
     assert np.array_equal(same.rho_b, st.rho_b)
 
 
 def test_update_clamps_at_floor():
-    st = init_thresholds(c=4.0, gamma_u=100.0, head_classes=HEAD5,
-                         t=replace(T, alpha=0.2, rho_floor=0.5))
+    t = replace(T, alpha=0.2, rho_floor=0.5)
+    st = init_thresholds(c=4.0, gamma_u=100.0, head_classes=HEAD5, t=t)
     bias = np.full(10, 5.0)
     for _ in range(5):
-        st = update_thresholds(st, bias)
+        st = update_thresholds(st, bias, t)
     assert np.all(st.rho_b >= 0.5 - 1e-15)
     assert np.all(st.rho_e >= 0.5 - 1e-15)
     assert st.rho_b[9] == pytest.approx(0.5)
@@ -90,7 +90,7 @@ def test_entries_born_below_floor_are_frozen():
     assert st.rho_e[9] == pytest.approx(0.35)  # below the 0.5 floor by design
     bias = np.full(10, 5.0)
     for _ in range(60):
-        st = update_thresholds(st, bias)
+        st = update_thresholds(st, bias, T)
     # frozen in place: never decays further, never gets pulled up
     assert st.rho_e[9] == pytest.approx(0.35, abs=1e-12)
     assert st.rho_b[9] == pytest.approx(0.5, abs=1e-12)
@@ -101,7 +101,7 @@ def test_trajectories_nonincreasing_under_any_bias():
     st = init_thresholds(c=6.0, gamma_u=100.0, head_classes=HEAD5, t=T)
     prev_b, prev_e = st.rho_b.copy(), st.rho_e.copy()
     for _ in range(200):
-        st = update_thresholds(st, rng.normal(0, 2, size=10))
+        st = update_thresholds(st, rng.normal(0, 2, size=10), T)
         assert np.all(st.rho_b <= prev_b + 1e-15)
         assert np.all(st.rho_e <= prev_e + 1e-15)
         prev_b, prev_e = st.rho_b.copy(), st.rho_e.copy()
@@ -109,8 +109,9 @@ def test_trajectories_nonincreasing_under_any_bias():
 
 @st.composite
 def _controller_runs(draw):
-    """A threshold state with constants that pass TrainSection's check, and
-    a sequence of arbitrary finite output-head bias vectors to tick it with."""
+    """A threshold state, a sequence of arbitrary finite output-head bias
+    vectors to tick it with, and controller constants that pass
+    TrainSection's check."""
     k = draw(st.integers(2, 12))
     rho_max = draw(st.floats(0.01, 1.0))
     t = replace(T, rho_max=rho_max, alpha=draw(st.floats(1e-6, 1.0)),
@@ -118,9 +119,9 @@ def _controller_runs(draw):
                 rho_floor=draw(st.floats(0.0, rho_max, exclude_min=True, exclude_max=True)))
     entries = st.lists(st.floats(0.0, rho_max, exclude_min=True), min_size=k, max_size=k)
     thresholds = np.array([np.full(k, rho_max), draw(entries), draw(entries)])
-    state = ThresholdState(thresholds, alpha=t.alpha, nu=t.nu, rho_floor=t.rho_floor)
+    state = ThresholdState(thresholds)
     bias = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=k, max_size=k)
-    return state, draw(st.lists(bias, max_size=40))
+    return state, draw(st.lists(bias, max_size=40)), t
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -128,11 +129,11 @@ def _controller_runs(draw):
 def test_update_never_raises_nor_sinks_below_the_floor(run):
     # every tick leaves each entry where it was or lowers it, and never below
     # min(its initial value, rho_floor)
-    state, biases = run
-    lowest = {name: np.minimum(getattr(state, name), state.rho_floor)
+    state, biases, t = run
+    lowest = {name: np.minimum(getattr(state, name), t.rho_floor)
               for name in ("rho_b", "rho_e")}
     for b in biases:
-        new = update_thresholds(state, np.array(b))
+        new = update_thresholds(state, np.array(b), t)
         for name, bound in lowest.items():
             assert np.all(getattr(new, name) <= getattr(state, name))
             assert np.all(getattr(new, name) >= bound)
@@ -141,22 +142,20 @@ def test_update_never_raises_nor_sinks_below_the_floor(run):
 
 def test_tick_leaves_the_thresholds_read_only():
     st = init_thresholds(c=6.0, gamma_u=100.0, head_classes=HEAD5, t=T)
-    new = update_thresholds(st, np.array([2.0] * 5 + [0.0] * 5))
+    new = update_thresholds(st, np.array([2.0] * 5 + [0.0] * 5), T)
     assert new is not st
     assert np.all(new.rho_b[:5] < st.rho_b[:5])
-    for name in ("alpha", "nu", "rho_floor"):
-        assert getattr(new, name) == getattr(st, name)
     for state in (st, new):
         for rho in (state.rho_b, state.rho_e):
             with pytest.raises(ValueError):
                 rho[0] = 0.1
     # a tick with no hot class hands the same state back
-    assert update_thresholds(new, np.zeros(10)) is new
+    assert update_thresholds(new, np.zeros(10), T) is new
 
 
 def test_state_carries_the_threshold_matrix_across_ticks():
     st = init_thresholds(c=6.0, gamma_u=100.0, head_classes=HEAD5, t=T)
-    new = update_thresholds(st, np.array([2.0] * 5 + [0.0] * 5))
+    new = update_thresholds(st, np.array([2.0] * 5 + [0.0] * 5), T)
     for state in (st, new):
         # one row per head: original at rho_max, then rho_b and rho_e as views
         assert state.thresholds.shape == (3, 10)
@@ -173,8 +172,8 @@ def test_tick_reads_the_live_output_bias_without_copying_it():
     st = init_thresholds(c=4.0, gamma_u=100.0, head_classes=np.array([True, True, False, False]),
                          t=T)
     m.heads["output"].b[:] = [0.0, 0.0, 3.0, 0.0]
-    new = update_thresholds(st, m.heads["output"].b)
-    assert new.rho_b[2] == pytest.approx(st.rho_b[2] - st.alpha)
+    new = update_thresholds(st, m.heads["output"].b, T)
+    assert new.rho_b[2] == pytest.approx(st.rho_b[2] - T.alpha)
     assert not np.shares_memory(new.rho_b, m.flat)
 
 
@@ -182,7 +181,7 @@ def test_state_validation():
     # the constants are checked once, by TrainSection (see test_cli's
     # OUT_OF_RANGE_TRAIN); a tick still checks its bias vector
     with pytest.raises(ValueError):
-        update_thresholds(init_thresholds(4.0, 100.0, HEAD5, T), np.zeros(7))
+        update_thresholds(init_thresholds(4.0, 100.0, HEAD5, T), np.zeros(7), T)
 
 
 def _model(seed=0):

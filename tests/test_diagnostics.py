@@ -1,5 +1,7 @@
 """Evaluation reports, rank correlation, augmentation-stability probe."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import rankdata, spearmanr
@@ -48,12 +50,10 @@ def _separable():
 def _train_quick(task, ds, steps=300):
     # a few plain supervised steps are enough on a widely separated task
     from imbalanced_ssl.losses import cross_entropy_with_grad
-    from imbalanced_ssl.network import (OptimizerState, backward,
-                                        forward_features_cached, head_logits,
+    from imbalanced_ssl.network import (backward, forward_features_cached, head_logits,
                                         init_model, sgd_step)
     m = init_model(k=task.k, d=task.d, hidden=(32, 32), feature=16, seed=0)
-    t = TrainSection()
-    st = OptimizerState(0.01, t.momentum, t.weight_decay)
+    t = replace(TrainSection(), learning_rate=0.01)
     rng = np.random.default_rng(2)
     for _ in range(steps):
         idx = rng.integers(0, ds.labeled_x.shape[0], size=32)
@@ -63,7 +63,7 @@ def _train_quick(task, ds, steps=300):
             z = head_logits(m.heads[h], f)
             _, g = cross_entropy_with_grad(z.T, ds.labeled_y[idx])
             grads_all.append(g.T)
-        sgd_step(m, backward(m, cache, np.stack(grads_all, axis=1)), st)
+        sgd_step(m, backward(m, cache, np.stack(grads_all, axis=1)), t)
     return m
 
 

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import default_widths, param_order, softmax
+from imbalanced_ssl.config import TrainSection
 from imbalanced_ssl.diagnostics import evaluate
 from imbalanced_ssl.network import (
     _ACTIVATIONS,
     HEAD_NAMES,
     Model,
-    OptimizerState,
     backward,
     forward_features,
     forward_features_cached,
@@ -234,30 +235,36 @@ def test_sgd_step_hand_example():
     m = _tiny(seed=5)
     name = "head_output.b"
     m.heads["output"].b[:] = np.array([1.0, -1.0, 0.5])
-    st = OptimizerState(learning_rate=0.1, momentum=0.9, weight_decay=0.01)
+    t = replace(TrainSection(), learning_rate=0.1, momentum=0.9, weight_decay=0.01)
     zero = np.zeros_like(m.flat)
 
     g = zero.copy()
     dict(m.parameters(g))[name][:] = [1.0, 0.0, 0.0]
-    sgd_step(m, g, st)
+    assert m.velocity is None
+    sgd_step(m, g, t)
     # v = g + wd*p = [1.01, -0.01, 0.005]; p -= 0.1*v
     assert np.allclose(m.heads["output"].b, [1.0 - 0.101, -1.0 + 0.001, 0.5 - 0.0005])
+    # the momentum buffer is the model's training state, in the flat layout
+    assert m.velocity.shape == m.flat.shape and not np.shares_memory(m.velocity, m.flat)
+    assert np.allclose(dict(m.parameters(m.velocity))[name], [1.01, -0.01, 0.005])
+    back = model_from_checkpoint_obj(json.loads(json.dumps(model_to_checkpoint_obj(m))))
+    assert back.velocity is None and back.grad is None
 
     before = m.heads["output"].b.copy()
     v_prev = np.array([1.01, -0.01, 0.005])
-    sgd_step(m, zero, st)
+    sgd_step(m, zero, t)
     v_next = 0.9 * v_prev + 0.01 * before
     assert np.allclose(m.heads["output"].b, before - 0.1 * v_next)
 
 
-def _per_parameter_sgd_step(model, grads, velocities, state):
+def _per_parameter_sgd_step(model, grads, velocities, t):
     """The update one parameter at a time, with one velocity array per
     parameter name: the reference the flat update must match bit for bit."""
     for name, param in model.parameters():
         v = velocities.setdefault(name, np.zeros_like(param))
-        v *= state.momentum
-        v += grads[name] + state.weight_decay * param
-        param -= state.learning_rate * v
+        v *= t.momentum
+        v += grads[name] + t.weight_decay * param
+        param -= t.learning_rate * v
 
 
 def test_flat_sgd_step_matches_per_parameter_update_bitwise():
@@ -265,17 +272,16 @@ def test_flat_sgd_step_matches_per_parameter_update_bitwise():
     flat_model = init_model(5, 7, hidden=(9, 6), feature=4, seed=3)
     ref_model = init_model(5, 7, hidden=(9, 6), feature=4, seed=3)
     start = flat_model.flat.copy()
-    st = OptimizerState(learning_rate=0.05, momentum=0.9, weight_decay=0.001)
-    ref_st = OptimizerState(learning_rate=0.05, momentum=0.9, weight_decay=0.001)
+    t = replace(TrainSection(), learning_rate=0.05, momentum=0.9, weight_decay=0.001)
     velocities = {}
     for _ in range(25):
         x = rng.normal(size=(11, 7))
         head_grads = rng.normal(size=(11, len(HEAD_NAMES), 5)) / 11
         _, cache = forward_features_cached(flat_model, x)
-        sgd_step(flat_model, backward(flat_model, cache, head_grads), st)
+        sgd_step(flat_model, backward(flat_model, cache, head_grads), t)
         _, ref_cache = forward_features_cached(ref_model, x)
         ref_grads = dict(ref_model.parameters(backward(ref_model, ref_cache, head_grads)))
-        _per_parameter_sgd_step(ref_model, ref_grads, velocities, ref_st)
+        _per_parameter_sgd_step(ref_model, ref_grads, velocities, t)
         for (name, p), (_, q) in zip(flat_model.parameters(), ref_model.parameters()):
             assert np.array_equal(p, q), name
     assert not np.array_equal(flat_model.flat, start)

@@ -204,8 +204,8 @@ def test_nonfinite_parameters_after_an_epoch_abort(tmp_path, monkeypatch, capsys
     # step checks: the parameter check at the end of the epoch does
     updates = []
 
-    def overflowing_step(model, grad, state):
-        network.sgd_step(model, grad, state)
+    def overflowing_step(model, grad, t):
+        network.sgd_step(model, grad, t)
         updates.append(1)
         if len(updates) == 3:
             model.flat[0] = np.inf
