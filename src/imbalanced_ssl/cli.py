@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -89,6 +90,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_verify_theorem(args) -> int:
     if not 0.0 < args.tolerance < float("inf"):
         raise ConfigError(f"--tolerance must be a positive finite number, got {args.tolerance}")
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
+    # grid row i keys its Philox stream with --seed + i, and a key is below 2**128
+    grid_size = math.prod(map(len, DEFAULT_GRID.values()))
+    if not 0 <= args.seed <= 2**128 - grid_size:
+        raise ConfigError(f"--seed must lie in [0, 2**128 - {grid_size}], got {args.seed}")
     if args.out:
         # a path that cannot be written fails before the first grid point
         with open(args.out, "w"):
@@ -229,9 +236,6 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except TrainingAborted as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return 3

@@ -101,6 +101,8 @@ class TaskSection:
             raise ConfigError("k and d must be >= 2")
         if not (self.spread > 0.0 and self.noise > 0.0):
             raise ConfigError("spread and noise must be > 0")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"seed must be >= 0 or null, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -176,7 +178,7 @@ class TrainSection:
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1)")
         for name in ("weak_strength", "strong_strength", "tau_b", "tau_e", "lambda_u",
-                     "lambda_basic", "weight_decay"):
+                     "lambda_basic", "weight_decay", "seed"):
             if getattr(self, name) < 0.0:
                 raise ConfigError(f"{name} must be >= 0")
         if self.feature < 1 or any(h < 1 for h in self.hidden):

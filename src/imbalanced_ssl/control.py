@@ -147,8 +147,10 @@ def predict(model: Model, x: np.ndarray, views: Sequence[str]) -> np.ndarray:
     head's logits, or "calibrated", read off ``calibrate_logits``.  The rows
     are forwarded in blocks (``_blocks``), so no features or logits outlive
     their block, and the predictions equal those of one forward over all
-    rows."""
+    rows.  The one row check of inference: ``x`` is a nonempty (N, D) array."""
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise ValueError(f"inference needs a nonempty (N, D) array, got shape {x.shape}")
     preds = np.empty((len(views), x.shape[0]), dtype=np.intp)
     for start, stop in _blocks(x.shape[0]):
         feats = network.forward_features(model, x[start:stop])
@@ -162,8 +164,5 @@ def predict(model: Model, x: np.ndarray, views: Sequence[str]) -> np.ndarray:
 def estimate_unlabeled_distribution(model: Model, unlabeled_x: np.ndarray) -> np.ndarray:
     """Histogram of calibrated predictions (lowest index wins ties) over the
     unlabeled split; sums to the split size by construction."""
-    x = np.asarray(unlabeled_x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError("unlabeled set must be a nonempty (M, D) array")
-    return np.bincount(predict(model, x, ("calibrated",))[0],
+    return np.bincount(predict(model, unlabeled_x, ("calibrated",))[0],
                        minlength=model.k).astype(np.int64)

@@ -34,11 +34,9 @@ def separation_violation_rate(model: Model, samples: np.ndarray, n_aug: int, noi
     Empirical stand-in for the expansion assumption's violation rate; feeds
     the denoising bound 2c/(c-3)*mu.
     """
-    x = np.asarray(samples, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError("samples must be a nonempty (N, D) array")
     if n_aug < 1:
         raise ValueError("n_aug must be >= 1")
+    x = np.asarray(samples, dtype=np.float64)
     base = predict(model, x, ("output",))[0]
     violated = np.zeros(x.shape[0], dtype=bool)
     rng = np.random.default_rng(seed)
@@ -83,11 +81,8 @@ def evaluate(model: Model, test_x: np.ndarray, test_y: np.ndarray,
     its own logits, and "calibrated" from the output head's bias-stripped
     logits.  Argmax ties go to the lowest class index; balanced accuracy is
     the mean per-class recall."""
-    x = np.asarray(test_x, dtype=np.float64)
     y = np.asarray(test_y)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError("test set must be nonempty")
-    preds = predict(model, x, views)
+    preds = predict(model, test_x, views)
     return {view: _report(p, y, model.k) for view, p in zip(views, preds)}
 
 

@@ -33,9 +33,9 @@ bit, by three rules:
 
 A run's fixed step inputs are one frozen ``StepPlan``, built and checked
 once by ``step_plan``: the tau-scaled labeled log-prior, the consistency
-weights, the head/non-head split and, once an anchor is matched, the class
-weights.  Only the thresholds change within a run, and the step takes them
-separately.  ``cross_entropy_with_grad`` and
+weights, the head/non-head split (``head_mask`` of the labeled counts) and,
+once an anchor is matched, the class weights; the step takes the
+thresholds, which change, separately.  ``cross_entropy_with_grad`` and
 ``masked_consistency_from_logits`` keep their label-range and
 threshold-range checks on every call: they are public functions that take
 any caller's input, and the checks cost a few reductions a step.
@@ -50,6 +50,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import network
+from .distributions import head_mask
 from .network import ForwardCache, Model
 
 if TYPE_CHECKING:
@@ -322,8 +323,9 @@ class StepPlan:
     (lambda_basic, lambda_u, lambda_u) at every (row, h) of the
     (unlabeled_batch, 3) strong rows, both spelled out in full as NumPy
     iterates a broadcast head axis of 3 one row at a time; ``head_classes``
-    is the (K,) head mask, ``class_weights`` the (3, K) consistency weights
-    (ones on the original head) or None, and ``t`` the training section."""
+    is the (K,) ``head_mask`` of the labeled counts, ``class_weights`` the
+    (3, K) consistency weights (ones on the original head) or None, and
+    ``t`` the training section."""
 
     t: TrainSection
     adjustment: np.ndarray
@@ -332,11 +334,12 @@ class StepPlan:
     class_weights: np.ndarray | None
 
 
-def step_plan(t: TrainSection, labeled_counts: np.ndarray, head_classes: np.ndarray,
+def step_plan(t: TrainSection, labeled_counts: np.ndarray, *,
               class_weights: np.ndarray | None = None) -> StepPlan:
     """The StepPlan of a run with training section ``t``, its labeled class
-    counts (all positive), its head mask and, once an anchor is matched,
-    the (K,) consistency class weights of the balanced heads."""
+    counts (all positive), which also give the head mask, and, once an
+    anchor is matched, the (K,) consistency class weights of the balanced
+    heads."""
     counts = np.asarray(labeled_counts, dtype=np.float64)
     if counts.ndim != 1 or np.any(counts <= 0):
         raise ValueError("logit adjustment needs a vector of strictly positive class counts")
@@ -345,9 +348,7 @@ def step_plan(t: TrainSection, labeled_counts: np.ndarray, head_classes: np.ndar
     adjustment = np.ascontiguousarray(
         np.broadcast_to(tau_delta.T[:, None, :], (k, t.labeled_batch, 3)))
     lambdas = np.tile([t.lambda_basic, t.lambda_u, t.lambda_u], (t.unlabeled_batch, 1))
-    head_classes = np.array(head_classes, dtype=bool)
-    if head_classes.shape != (k,):
-        raise ValueError(f"head_classes must have shape {(k,)}")
+    head_classes = head_mask(labeled_counts)
     arrays = [adjustment, lambdas, head_classes]
     if class_weights is not None:
         cw = np.asarray(class_weights, dtype=np.float64)

@@ -15,12 +15,12 @@ the gradient and the first ``sgd_step`` the momentum buffer, and
 ``sgd_step`` updates ``flat`` with three vector operations, its constants
 read off the run's ``TrainSection``.
 
-Both forwards run the same statements: each layer's matmul result takes the
-bias and the activation in place.  Inference (``forward_features``) keeps no
-cache, so only the current layer's activations and the previous layer's are
-alive.  Training (``forward_features_cached``) keeps every layer's activation,
-and ``backward`` reads each activation's derivative off it (``a > 0`` for
-relu, ``1 - exp(-a)`` for softplus), so no pre-activation is stored.
+Both forwards run one layer loop, ``_layers``, whose matmul result takes
+the bias and the activation in place.  Inference (``forward_features``)
+keeps only the current and previous layers' activations alive; training
+(``forward_features_cached``) keeps every layer's, and ``backward`` reads
+each activation's derivative off it (``a > 0`` for relu, ``1 - exp(-a)``
+for softplus), so no pre-activation is stored.
 
 Checkpoint format (normative field order): a JSON object with keys
 ``format``, ``config_hash``, ``k``, ``dims``, ``activation``, and ``params``;
@@ -198,31 +198,30 @@ def _input(model: Model, x: np.ndarray) -> np.ndarray:
     return xb
 
 
-def forward_features_cached(model: Model, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """The features of ``x`` and the cache that ``backward`` reads: the
-    statements of ``forward_features``, each layer's activation kept."""
-    xb = _input(model, x)
+def _layers(model: Model, a: np.ndarray):
+    """Each backbone layer's activation of ``a`` in turn: the matmul result
+    takes its bias and the activation in place; ``a`` is never written."""
     act, _ = _ACTIVATIONS[model.activation]
-    acts = []
-    a = xb
     for w, b in zip(model.weights, model.biases):
         a = a @ w.T
         a += b
         a = act(a, out=a)
-        acts.append(a)
-    return a, ForwardCache(x=xb, acts=acts)
+        yield a
+
+
+def forward_features_cached(model: Model, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """The features of ``x`` and the cache that ``backward`` reads: every
+    layer's activation of ``_layers``, kept."""
+    xb = _input(model, x)
+    acts = list(_layers(model, xb))
+    return acts[-1], ForwardCache(x=xb, acts=acts)
 
 
 def forward_features(model: Model, x: np.ndarray) -> np.ndarray:
     """The features of ``x``, equal to ``forward_features_cached(model, x)[0]``
-    with no cache kept: each layer's matmul result takes its bias and its
-    activation in place.  ``x`` itself is never written."""
-    act, _ = _ACTIVATIONS[model.activation]
-    a = _input(model, x)
-    for w, b in zip(model.weights, model.biases):
-        a = a @ w.T
-        a += b
-        a = act(a, out=a)
+    with no cache kept: only the last activation of ``_layers`` is held."""
+    for a in _layers(model, _input(model, x)):
+        pass
     return a
 
 

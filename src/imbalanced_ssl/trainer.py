@@ -18,11 +18,13 @@ reproducible byte for byte):
 Run-directory artifacts (no timestamps anywhere, reruns are byte-identical):
 config.json, metrics.csv, losses.csv, thresholds.csv, bias.csv,
 checkpoint.json, summary.json; aborted runs write abort.json and
-checkpoint.json only.
+checkpoint.json only.  A reused run directory is cleared of these names
+before the first step, so it never mixes two runs' files.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -36,8 +38,7 @@ from .control import (ThresholdState, estimate_unlabeled_distribution, extract_b
                       init_thresholds, update_thresholds)
 from .data import Dataset, strong_augment_batch, weak_augment_batch
 from .diagnostics import bias_pattern_report, evaluate, separation_violation_rate
-from .distributions import (AnchorMatch, AnchorSet, head_mask, match_anchor,
-                            rescale_anchor)
+from .distributions import AnchorMatch, AnchorSet, match_anchor, rescale_anchor
 from .losses import LOSS_COLUMNS, LOSS_COMPONENTS, StepPlan, step_plan, total_loss
 from .mixture import denoising_bound
 from .network import Model, init_model, sgd_step
@@ -48,6 +49,10 @@ __all__ = [
     "train",
     "write_run_artifacts",
 ]
+
+# every file a run can write into its directory
+_RUN_FILES = ("config.json", "metrics.csv", "losses.csv", "thresholds.csv", "bias.csv",
+             "checkpoint.json", "summary.json", "abort.json")
 
 _BATCH_STREAM = 20
 _AUG_STREAM = 21
@@ -146,7 +151,7 @@ def _estimate_and_match(model: Model, dataset: Dataset, anchor_set: AnchorSet,
         q = rescale_anchor(anchor_set.proportions[match.index],
                            np.asarray(estimated, dtype=np.float64))
         inv = 1.0 / q
-        plan = step_plan(t, dataset.labeled_counts(), plan.head_classes, inv / inv.mean())
+        plan = step_plan(t, dataset.labeled_counts(), class_weights=inv / inv.mean())
     return match, estimated, state, plan
 
 
@@ -205,7 +210,8 @@ def train(config: RunConfig, dataset: Dataset | None = None,
     """Run the full pipeline.  Deterministic per (config, seed); never reads
     unlabeled ground truth (the dataset audit counter must not move).
     ``run_dir`` is created before the first step, so a path that cannot be
-    a directory fails at once."""
+    a directory fails at once, and any of _RUN_FILES a run left there before
+    is deleted."""
     if dataset is None:
         dataset = config.build_dataset()
     if dataset.n_unlabeled == 0:
@@ -215,9 +221,13 @@ def train(config: RunConfig, dataset: Dataset | None = None,
     k = dataset.task.k
 
     model = init_model(k, dataset.task.d, t.hidden, t.feature, t.seed)
-    plan = step_plan(t, dataset.labeled_counts(), head_mask(dataset.labeled_counts()))
+    plan = step_plan(t, dataset.labeled_counts())
     if run_dir is not None:
         os.makedirs(run_dir, exist_ok=True)
+        # a reused directory holds one run's files: the last run's
+        for name in _RUN_FILES:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(run_dir, name))
     anchor_set = config.anchors.build(k)
     state = ThresholdState(np.full((len(network.HEAD_NAMES), k), t.rho_max))
 

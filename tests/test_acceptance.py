@@ -240,7 +240,7 @@ def _case_total_loss(model, case):
                 unlabeled_batch=case["x_s"].shape[0])
     return total_loss(model, case["x_l"], case["y"], case["x_w"], case["x_s"],
                       _case_thresholds(case),
-                      step_plan(t, case["counts"], head_mask(case["counts"])))
+                      step_plan(t, case["counts"]))
 
 
 def _named_grads(model, cache, head_grads):

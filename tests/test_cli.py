@@ -144,6 +144,8 @@ OUT_OF_RANGE_TRAIN = [
     {"weight_decay": -1e-4},
     {"alpha": 0.0},
     {"rho_floor": 0.95},
+    # a seed keys NumPy's generators, which take no negative one
+    {"seed": -1},
 ]
 
 
@@ -214,6 +216,8 @@ def test_train_rejects_out_of_range_config_file(tmp_path, capsys, text):
     ({"train": {"unlabeled_batch": 10**15}}, "unlabeled_batch"),
     # an empty unlabeled split leaves training nothing to run on
     ({"data": {"unlabeled_max": 0}}, "unlabeled_max"),
+    # a seed keys NumPy's generators, which take no negative one
+    ({"task": {"seed": -3}}, "seed"),
 ])
 def test_train_rejects_mistyped_config(tmp_path, capsys, obj, needle):
     with pytest.raises(ConfigError, match=needle):
@@ -251,6 +255,44 @@ def test_train_aborts_on_a_divergent_last_update(tmp_path, capsys, lr):
     assert sorted(os.listdir(run)) == ["abort.json", "checkpoint.json"]
     abort = json.loads((run / "abort.json").read_text(), parse_constant=_reject_constant)
     assert abort == {"epoch": 0, "step": 0, "components": None}
+
+
+def test_train_rejects_a_negative_seed_flag(tmp_path, capsys):
+    assert main(["train", _write_config(tmp_path), "--seed", "-1",
+                 "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err
+    assert not (tmp_path / "run").exists()
+
+
+_FINISHED_RUN_FILES = {"config.json", "metrics.csv", "losses.csv", "thresholds.csv",
+                       "bias.csv", "checkpoint.json", "summary.json"}
+
+
+@pytest.mark.parametrize("aborted_first", [False, True])
+def test_a_reused_run_directory_holds_the_last_run_alone(tmp_path, capsys, aborted_first):
+    ok = _write_config(tmp_path, "ok.json")
+    diverging = tmp_path / "diverging.json"
+    obj = _tiny_config_obj()
+    obj["train"].update(learning_rate=1e300, epochs=1, steps_per_epoch=1)
+    diverging.write_text(json.dumps(obj))
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "notes.txt").write_text("kept")  # not a run's file: left alone
+    runs = [(ok, 0), (str(diverging), 3)]
+    if aborted_first:
+        runs.reverse()
+    for cfg, code in runs:
+        assert main(["train", cfg, "--out", str(run)]) == code
+    capsys.readouterr()
+    last_cfg, last_code = runs[-1]
+    want = {"abort.json", "checkpoint.json"} if last_code == 3 else _FINISHED_RUN_FILES
+    assert set(os.listdir(run)) == want | {"notes.txt"}
+    assert (run / "notes.txt").read_text() == "kept"
+    # the checkpoint is the last run's
+    config = RunConfig.from_json_obj(json.loads(open(last_cfg).read()))
+    ckpt = json.loads((run / "checkpoint.json").read_text(), parse_constant=_reject_constant)
+    assert ckpt["config_hash"] == config.config_hash()
 
 
 def _reject_constant(token):
@@ -499,6 +541,25 @@ def test_verify_theorem_checks_its_output_path_before_sampling(tmp_path, capsys,
     assert calls == []
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert bad in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("flag,value", [("--samples", "0"), ("--samples", "-5"),
+                                        ("--seed", "-1"), ("--seed", str(2**128 - 35))])
+def test_verify_theorem_checks_samples_and_seed_before_writing(tmp_path, capsys, monkeypatch,
+                                                               flag, value):
+    # grid row i keys its Philox stream with --seed + i, and a key is below
+    # 2**128, so the 36-point grid takes seeds up to 2**128 - 36
+    report = tmp_path / "report.csv"
+    report.write_bytes(b"an older report\n")
+    calls = []
+    monkeypatch.setattr(cli, "monte_carlo_pseudo_label_probabilities",
+                        lambda *args: calls.append(args))
+    assert main(["verify-theorem", flag, value, "--out", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert calls == []
+    assert captured.err.startswith("error:") and flag in captured.err
+    assert captured.out == ""
+    assert report.read_bytes() == b"an older report\n"
 
 
 def test_evaluate_prints_no_report_when_its_json_path_fails(small_run, tmp_path, capsys):

@@ -24,7 +24,7 @@ from imbalanced_ssl.control import (
     predict,
     update_thresholds,
 )
-from imbalanced_ssl.diagnostics import evaluate
+from imbalanced_ssl.diagnostics import evaluate, separation_violation_rate
 from imbalanced_ssl.network import HEAD_NAMES, forward_features, head_logits, init_model
 
 HEAD5 = np.array([True] * 5 + [False] * 5)
@@ -285,6 +285,23 @@ def test_estimated_distribution_over_blocks_equals_one_forward():
     x = np.random.default_rng(6).normal(scale=2.0, size=(3_000, 16))
     want = np.bincount(_monolithic(m, x, "calibrated"), minlength=10)
     assert np.array_equal(estimate_unlabeled_distribution(m, x), want)
+
+
+@pytest.mark.parametrize("x", [np.zeros((0, 5)), np.zeros(5), np.zeros(0), np.zeros((2, 5, 1))],
+                         ids=["no-rows", "one-row-1d", "empty-1d", "3d"])
+def test_inference_refuses_anything_but_a_nonempty_row_array(x):
+    # predict holds the one row check of inference; each caller reaches it
+    m = _model(seed=2)
+    calls = {
+        "predict": lambda: predict(m, x, ("output",)),
+        "estimate_unlabeled_distribution": lambda: estimate_unlabeled_distribution(m, x),
+        "evaluate": lambda: evaluate(m, x, np.zeros(len(x), dtype=np.intp)),
+        "separation_violation_rate": lambda: separation_violation_rate(
+            m, x, 2, 1.0, strength=1.0, dropout=0.2, seed=0),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=r"nonempty \(N, D\) array"):
+            call()
 
 
 _THREADED_FORWARD = """

@@ -17,6 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import balanced_softmax_loss, default_widths, log_prior, softmax
 from imbalanced_ssl.config import TrainSection
+from imbalanced_ssl.distributions import head_mask
 from imbalanced_ssl.losses import (
     LossReport,
     _class_argmax,
@@ -43,11 +44,11 @@ def _model(seed=0, k=3, d=4):
     return init_model(k=k, d=d, hidden=(6, 5), feature=4, seed=seed)
 
 
-def _plan(lx, xs, counts, head_classes, t=T, class_weights=None):
+def _plan(lx, xs, counts, t=T, class_weights=None):
     """The step plan of ``t`` at the row counts of the labeled batch ``lx``
     and the strong batch ``xs``."""
     return step_plan(replace(t, labeled_batch=lx.shape[0], unlabeled_batch=xs.shape[0]),
-                     counts, head_classes, class_weights)
+                     counts, class_weights=class_weights)
 
 
 def supervised_balanced_loss(model, head, x, y, tau, delta_p) -> LossReport:
@@ -92,8 +93,7 @@ def test_cross_entropy_hand_values():
 
 
 def test_step_plan_adjustment_from_counts():
-    plan = step_plan(replace(T, tau_b=2.0, tau_e=3.0, labeled_batch=4), np.array([90, 10]),
-                     np.array([True, False]))
+    plan = step_plan(replace(T, tau_b=2.0, tau_e=3.0, labeled_batch=4), np.array([90, 10]))
     assert plan.adjustment.shape == (2, 4, 3)
     # tau = (0, tau_b, tau_e) times log(n_c / n), the same on every labeled row
     want = np.multiply.outer([math.log(0.9), math.log(0.1)], [0.0, 2.0, 3.0])
@@ -101,29 +101,40 @@ def test_step_plan_adjustment_from_counts():
     # a class without labeled samples has no log-prior: refused when the plan is built
     for counts in ([90, 0], [90, -1]):
         with pytest.raises(ValueError, match="positive class counts"):
-            step_plan(T, np.array(counts), np.array([True, False]))
+            step_plan(T, np.array(counts))
 
 
 def test_step_plan_arrays_are_read_only():
-    plan = step_plan(T, np.array([20, 8, 2]), np.array([True, True, False]),
-                     class_weights=np.array([0.5, 1.0, 1.5]))
+    plan = step_plan(T, np.array([20, 8, 2]), class_weights=np.array([0.5, 1.0, 1.5]))
     assert plan.lambdas.shape == (T.unlabeled_batch, 3)
     assert plan.class_weights.tolist() == [[1.0] * 3, [0.5, 1.0, 1.5], [0.5, 1.0, 1.5]]
     for a in (plan.adjustment, plan.lambdas, plan.head_classes, plan.class_weights):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0
-    # the plan copies the mask it is given, so the caller's stays writable
-    mask = np.array([True, True, False])
-    step_plan(T, np.array([20, 8, 2]), mask)
-    assert mask.flags.writeable
+
+
+@pytest.mark.parametrize("counts,head", [
+    ([20, 8, 2], [True, True, False]),
+    ([2, 8, 20, 5], [False, True, True, False]),
+    ([7, 7, 7, 7, 7], [True, True, True, False, False]),
+    ([1, 90], [False, True]),
+])
+def test_step_plan_splits_the_head_from_its_counts(counts, head):
+    plan = step_plan(T, np.array(counts))
+    assert plan.head_classes.tolist() == head
+    assert np.array_equal(plan.head_classes, head_mask(np.array(counts)))
+    # no head mask is taken beside the counts, and the class weights are
+    # keyword-only, so a mask in third place cannot pass for class weights
+    with pytest.raises(TypeError):
+        step_plan(T, np.array(counts), np.ones(len(counts)))
 
 
 @pytest.mark.parametrize("n_l,n_s", [(1, 12), (9, 12), (8, 11)])
 def test_total_loss_refuses_a_batch_the_plan_was_not_built_for(n_l, n_s):
     m = _model(seed=6)
     lx, ly, xw, xs, counts = _step_inputs()
-    plan = _plan(lx, xs, counts, np.array([True, True, False]))
+    plan = _plan(lx, xs, counts)
     rng = np.random.default_rng(0)
     lx, ly = rng.normal(size=(n_l, 4)), rng.integers(0, 3, size=n_l)
     xw = xs = rng.normal(size=(n_s, 4))
@@ -264,8 +275,7 @@ def test_total_loss_decomposition():
     lx, ly, xw, xs, counts = _step_inputs()
     rho = np.array([0.95, 0.6, 0.45])
     out = total_loss(m, lx, ly, xw, xs, np.stack([np.full(3, 0.95), rho, rho * 0.9]),
-                     _plan(lx, xs, counts, np.array([True, True, False]),
-                           t=replace(T, lambda_basic=1.5)))
+                     _plan(lx, xs, counts, t=replace(T, lambda_basic=1.5)))
     # lambda_basic is folded into l_basic itself; lambda_u scales the two
     # balanced consistency terms
     want = (out.l_basic + out.l_sup_b + 2.0 * out.l_con_b
@@ -278,7 +288,7 @@ def test_total_loss_base_term_matches_base_loss():
     lx, ly, xw, xs, counts = _step_inputs(6)
     rho = np.full(3, 0.8)
     out = total_loss(m, lx, ly, xw, xs, np.stack([np.full(3, 0.95), rho, rho]),
-                     _plan(lx, xs, counts, np.array([True, True, False])))
+                     _plan(lx, xs, counts))
     assert out.l_basic == pytest.approx(
         base_loss(m, lx, ly, xw, xs, rho_max=0.95), abs=1e-12)
 
@@ -288,7 +298,7 @@ def test_total_loss_bookkeeping_fields():
     lx, ly, xw, xs, counts = _step_inputs(7)
     rho = np.full(3, 0.5)
     out = total_loss(m, lx, ly, xw, xs, np.stack([np.full(3, 0.95), rho, rho]),
-                     _plan(lx, xs, counts, np.array([True, True, False])))
+                     _plan(lx, xs, counts))
     assert out.kept.shape == (len(HEAD_NAMES), 3) and out.kept.dtype == np.int64
     assert np.all(out.kept.sum(axis=1) <= xw.shape[0])
     assert out.kept.min() >= 0
@@ -307,11 +317,9 @@ def test_pseudo_source_switch_changes_the_teacher():
     lx, ly, xw, xs, counts = _step_inputs(8)
     rho = np.full(3, 0.5)
     thresholds = np.stack([np.full(3, 0.95), rho, rho])
-    head_classes = np.array([True, True, False])
-    self_taught = total_loss(m, lx, ly, xw, xs, thresholds,
-                             _plan(lx, xs, counts, head_classes))
+    self_taught = total_loss(m, lx, ly, xw, xs, thresholds, _plan(lx, xs, counts))
     cross_taught = total_loss(m, lx, ly, xw, xs, thresholds,
-                              _plan(lx, xs, counts, head_classes,
+                              _plan(lx, xs, counts,
                                     t=replace(T, output_pseudo_source="expansive")))
     output = HEAD_NAMES.index("output")
     assert cross_taught.kept[output, 2] == xw.shape[0]
@@ -394,7 +402,7 @@ def test_fused_step_matches_per_head_reference(source, weighted):
     rho_e = _margin_safe_thresholds(m, "expansive", xw, rng, k)
     rho_max = float(_margin_safe_thresholds(m, "original", xw, rng, 1)[0])
     kw = dict(thresholds=np.stack([np.full(k, rho_max), rho_b, rho_e]),
-              head_classes=np.arange(k) < 2,
+              head_classes=head_mask(counts),
               t=replace(T, tau_b=2.0, tau_e=4.0, lambda_u=1.7, lambda_basic=0.6,
                         output_pseudo_source=source),
               class_weights=rng.uniform(0.3, 3.0, size=k) if weighted else None)
@@ -402,7 +410,7 @@ def test_fused_step_matches_per_head_reference(source, weighted):
     want, want_grads, want_hist, want_rates, want_strong_x = _reference_step(
         m, lx, ly, xw, xs, log_prior(counts), **kw)
     st = total_loss(m, lx, ly, xw, xs, kw["thresholds"],
-                    _plan(lx, xs, counts, kw["head_classes"], kw["t"], kw["class_weights"]))
+                    _plan(lx, xs, counts, kw["t"], kw["class_weights"]))
     grads = dict(m.parameters(backward(m, st.cache, st.head_grads)))
 
     for name, value in want.items():
@@ -552,12 +560,13 @@ def _step_case(k):
 @pytest.mark.parametrize("k", [10, 5, 13])
 def test_total_loss_equals_the_row_major_formulation(k, source, weighted):
     m, lx, ly, xw, xs, counts, thresholds, rng = _step_case(k)
-    kw = dict(head_classes=np.arange(k) < k // 2,
+    kw = dict(head_classes=head_mask(counts),
               t=replace(T, lambda_basic=0.6, lambda_u=1.7, output_pseudo_source=source),
               class_weights=rng.uniform(0.3, 3.0, size=k) if weighted else None)
     values, head_grads, kept, rates = _rm_total_loss(m, lx, ly, xw, xs, log_prior(counts),
                                                      thresholds, **kw)
-    step = total_loss(m, lx, ly, xw, xs, thresholds, _plan(lx, xs, counts, **kw))
+    step = total_loss(m, lx, ly, xw, xs, thresholds,
+                      _plan(lx, xs, counts, kw["t"], kw["class_weights"]))
     for name, value in values.items():
         assert _same_bits(getattr(step, name), value), name
     assert _same_bits(step.head_grads, head_grads)
