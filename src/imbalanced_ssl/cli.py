@@ -164,6 +164,9 @@ def cmd_evaluate(args) -> int:
         _read_json(os.path.join(args.run_dir, "config.json"), "run artifact"))
     if model.k != config.task.k:
         raise ConfigError(f"checkpoint has {model.k} classes, the run's config {config.task.k}")
+    if model.dims[0] != config.task.d:
+        raise ConfigError(f"checkpoint takes {model.dims[0]} input features, "
+                          f"the run's config {config.task.d}")
     dataset = config.build_dataset()
     view = "calibrated" if args.calibrated else args.head
     with np.errstate(over="raise", invalid="raise"):  # weights that overflow: exit 2

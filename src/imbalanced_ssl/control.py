@@ -1,7 +1,7 @@
 """Decoupled sampling control: threshold initialization from the matched
 anchor's expansion factor, bias-driven per-class threshold decay, bias-vector
-extraction, logit calibration, blocked inference (``predict``), and
-unlabeled-count estimation.
+extraction, logit calibration, blocked inference (``predict``) of the
+VIEWS, and unlabeled-count estimation.
 
 The controller reads exactly one signal: the output head's bias term, a proxy
 for accumulated optimization imbalance.  Each step, every class whose bias
@@ -30,6 +30,7 @@ if TYPE_CHECKING:
     from .config import TrainSection
 
 __all__ = [
+    "VIEWS",
     "ThresholdState",
     "init_thresholds",
     "update_thresholds",
@@ -38,6 +39,10 @@ __all__ = [
     "predict",
     "estimate_unlabeled_distribution",
 ]
+
+# The views inference predicts from, in the metrics.csv column order: each
+# head's logits, and "calibrated", the output head's with its bias removed
+VIEWS = ("original", "output", "calibrated", "expansive")
 
 # Inference forwards its input in blocks of _ROWS to 2 * _ROWS - 1 rows.  The
 # last block takes the remainder: a block of a few rows takes OpenBLAS's
@@ -142,22 +147,24 @@ def _blocks(n: int) -> list[tuple[int, int]]:
 
 
 def predict(model: Model, x: np.ndarray, views: Sequence[str]) -> np.ndarray:
-    """The (len(views), N) argmax predictions of each view over the rows of
-    ``x`` (lowest index wins ties).  A view is a head name, read off that
-    head's logits, or "calibrated", read off ``calibrate_logits``.  The rows
-    are forwarded in blocks (``_blocks``), so no features or logits outlive
-    their block, and the predictions equal those of one forward over all
-    rows.  The one row check of inference: ``x`` is a nonempty (N, D) array."""
+    """The (len(views), N) argmax predictions of each view in ``views`` (of
+    VIEWS) over the rows of ``x`` (lowest index wins ties).  Every head view
+    of a block is read off one ``head_logits`` matmul and one argmax, and
+    "calibrated" off ``calibrate_logits``.  The rows are forwarded in blocks
+    (``_blocks``), so no features or logits outlive their block, and the
+    predictions equal those of one forward over all rows.  The one row check
+    of inference: ``x`` is a nonempty (N, D) array."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError(f"inference needs a nonempty (N, D) array, got shape {x.shape}")
     preds = np.empty((len(views), x.shape[0]), dtype=np.intp)
     for start, stop in _blocks(x.shape[0]):
         feats = network.forward_features(model, x[start:stop])
+        by_head = np.argmax(network.head_logits(model, feats), axis=2)
         for out, view in zip(preds, views):
-            z = (calibrate_logits(model, feats) if view == "calibrated"
-                 else network.head_logits(model.heads[view], feats))
-            out[start:stop] = np.argmax(z, axis=1)
+            out[start:stop] = (np.argmax(calibrate_logits(model, feats), axis=1)
+                               if view == "calibrated"
+                               else by_head[:, network.HEAD_NAMES.index(view)])
     return preds
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import data as synth
 from . import network
-from .control import predict
+from .control import VIEWS, predict
 from .network import Model
 
 __all__ = [
@@ -71,14 +71,11 @@ def _report(preds: np.ndarray, y: np.ndarray, k: int) -> EvalReport:
     )
 
 
-_VIEWS = (*network.HEAD_NAMES, "calibrated")
-
-
 def evaluate(model: Model, test_x: np.ndarray, test_y: np.ndarray,
-             views: Sequence[str] = _VIEWS) -> dict[str, EvalReport]:
-    """One report per view in ``views`` (every view by default), all from
-    one blocked pass of ``predict``: each head in HEAD_NAMES predicts from
-    its own logits, and "calibrated" from the output head's bias-stripped
+             views: Sequence[str] = VIEWS) -> dict[str, EvalReport]:
+    """One report per view in ``views`` (every view of VIEWS by default),
+    all from one blocked pass of ``predict``: each head predicts from its
+    own logits, and "calibrated" from the output head's bias-stripped
     logits.  Argmax ties go to the lowest class index; balanced accuracy is
     the mean per-class recall."""
     y = np.asarray(test_y)

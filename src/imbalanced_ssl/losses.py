@@ -28,13 +28,14 @@ bit, by three rules:
 - each batch mean or sum runs over a C-contiguous (N,) or (N, H) array of
   gathered values, as the row-major code's did; over a transposed view it
   would add in another order;
-- the matmuls stay row-major: the logits come from ``stacked_head_logits``
+- the matmuls stay row-major: the logits come from ``network.head_logits``
   and the gradients go to ``backward`` as (N, 3, K) arrays.
 
 A run's fixed step inputs are one frozen ``StepPlan``, built and checked
 once by ``step_plan``: the tau-scaled labeled log-prior, the consistency
-weights, the head/non-head split (``head_mask`` of the labeled counts) and,
-once an anchor is matched, the class weights; the step takes the
+weights, the head/non-head split (``head_mask`` of the labeled counts) and
+the class weights, ones until a reweighting match, so reweighted or not the
+step runs one path (1.0 multiplies exactly); the step takes the
 thresholds, which change, separately.  ``cross_entropy_with_grad`` and
 ``masked_consistency_from_logits`` keep their label-range and
 threshold-range checks on every call: they are public functions that take
@@ -71,15 +72,14 @@ __all__ = [
 
 @dataclass
 class LossReport:
-    """Value plus logit-level gradients, class-major like the logits;
-    consistency losses also carry the inclusion mask and the pseudo-labels.
-    With a head axis the value is one per head and mask/pseudo-labels are
-    (N, H)."""
+    """The consistency loss's value and logit-level gradients, class-major
+    like the logits, with its inclusion mask and pseudo-labels.  With a head
+    axis the value is one per head and mask/pseudo-labels are (N, H)."""
 
     value: float | np.ndarray
     logit_gradients: np.ndarray
-    mask: np.ndarray | None = None
-    pseudo_labels: np.ndarray | None = None
+    mask: np.ndarray
+    pseudo_labels: np.ndarray
 
 
 def _rows(shape: tuple[int, ...], start: int = 0, step: int = 1) -> np.ndarray:
@@ -153,14 +153,13 @@ def _check_batch(logits: np.ndarray) -> None:
         raise ValueError("logits must be a nonempty class-major (K, N) or (K, N, H) array")
 
 
-def cross_entropy_with_grad(logits: np.ndarray, y: np.ndarray,
-                            adjustment: np.ndarray | None = None
+def cross_entropy_with_grad(logits: np.ndarray, y: np.ndarray, adjustment: np.ndarray
                             ) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean CE of (logits + adjustment) against y; gradient is
     (softmax(adjusted) - onehot(y)) / N.  Class-major (K, N) logits, or
     (K, N, H) with y labeling every head and one mean per head; the
     adjustment broadcasts against the class-major logits, so a per-class
-    shift is (K, 1) for one head."""
+    shift is (K, 1) for one head and plain CE takes 0.0."""
     z = np.asarray(logits, dtype=np.float64)
     y = np.asarray(y)
     _check_batch(z)
@@ -171,8 +170,7 @@ def cross_entropy_with_grad(logits: np.ndarray, y: np.ndarray,
         raise ValueError(f"labels must lie in [0, {k})")
     # the adjusted logits in a new C-ordered array, for the flat gathers, that
     # the softmax then turns into the gradient
-    grad = (np.array(z, order="C") if adjustment is None
-            else np.add(z, adjustment, order="C"))
+    grad = np.add(z, adjustment, order="C")
     at_y = _rows(z.shape[1:]) + y.reshape(n, *(1,) * (z.ndim - 2)) * z[0].size
     z_y = grad.reshape(-1)[at_y]
     top, total = _softmax(grad)
@@ -197,8 +195,8 @@ def _check_thresholds(thresholds: np.ndarray, shape: tuple[int, ...]) -> np.ndar
 
 
 def masked_consistency_from_logits(weak_logits: np.ndarray, strong_logits: np.ndarray,
-                                   thresholds: np.ndarray,
-                                   class_weights: np.ndarray | None = None) -> LossReport:
+                                   thresholds: np.ndarray, class_weights: np.ndarray
+                                   ) -> LossReport:
     """Pseudo-label from the weak view, include iff its confidence reaches
     the pseudo-class threshold, CE on the strong view over included samples,
     averaged over the FULL batch.  Gradients flow only through the strong
@@ -227,16 +225,12 @@ def masked_consistency_from_logits(weak_logits: np.ndarray, strong_logits: np.nd
 
     # each strong row's pseudo-class logit
     s_at = s[(pseudo, *np.indices(pseudo.shape, sparse=True))]
-    per_sample = -((s_at - top[n:]) - np.log(total[n:]))
-    if class_weights is None:
-        scale = 1.0 / n
-    else:
-        cw = np.asarray(class_weights, dtype=np.float64)
-        if cw.shape != rho.shape:
-            raise ValueError(f"class_weights must have shape {rho.shape}")
-        weights = cw.reshape(-1)[at_class]
-        per_sample *= weights
-        scale = weights / n
+    cw = np.asarray(class_weights, dtype=np.float64)
+    if cw.shape != rho.shape:
+        raise ValueError(f"class_weights must have shape {rho.shape}")
+    weights = cw.reshape(-1)[at_class]
+    per_sample = -((s_at - top[n:]) - np.log(total[n:])) * weights
+    scale = weights / n
     value = np.add.reduce(per_sample * included, axis=0) / n
     # the gradient: the strong probabilities less 1 at each kept row's
     # pseudo-class (s[0].size entries on from the weak rows'), then scaled;
@@ -324,22 +318,22 @@ class StepPlan:
     (unlabeled_batch, 3) strong rows, both spelled out in full as NumPy
     iterates a broadcast head axis of 3 one row at a time; ``head_classes``
     is the (K,) ``head_mask`` of the labeled counts, ``class_weights`` the
-    (3, K) consistency weights (ones on the original head) or None, and
-    ``t`` the training section."""
+    (3, K) consistency weights (ones on the original head, and throughout
+    until a reweighting match), and ``t`` the training section."""
 
     t: TrainSection
     adjustment: np.ndarray
     lambdas: np.ndarray
     head_classes: np.ndarray
-    class_weights: np.ndarray | None
+    class_weights: np.ndarray
 
 
 def step_plan(t: TrainSection, labeled_counts: np.ndarray, *,
               class_weights: np.ndarray | None = None) -> StepPlan:
     """The StepPlan of a run with training section ``t``, its labeled class
-    counts (all positive), which also give the head mask, and, once an
-    anchor is matched, the (K,) consistency class weights of the balanced
-    heads."""
+    counts (all positive), which also give the head mask, and the (K,)
+    consistency class weights of the balanced heads, ones unless a
+    reweighting match gives them."""
     counts = np.asarray(labeled_counts, dtype=np.float64)
     if counts.ndim != 1 or np.any(counts <= 0):
         raise ValueError("logit adjustment needs a vector of strictly positive class counts")
@@ -349,14 +343,11 @@ def step_plan(t: TrainSection, labeled_counts: np.ndarray, *,
         np.broadcast_to(tau_delta.T[:, None, :], (k, t.labeled_batch, 3)))
     lambdas = np.tile([t.lambda_basic, t.lambda_u, t.lambda_u], (t.unlabeled_batch, 1))
     head_classes = head_mask(labeled_counts)
-    arrays = [adjustment, lambdas, head_classes]
-    if class_weights is not None:
-        cw = np.asarray(class_weights, dtype=np.float64)
-        if cw.shape != (k,):
-            raise ValueError(f"class_weights must have shape {(k,)}")
-        class_weights = np.stack([np.ones(k), cw, cw])
-        arrays.append(class_weights)
-    for a in arrays:
+    cw = np.ones(k) if class_weights is None else np.asarray(class_weights, dtype=np.float64)
+    if cw.shape != (k,):
+        raise ValueError(f"class_weights must have shape {(k,)}")
+    class_weights = np.stack([np.ones(k), cw, cw])
+    for a in (adjustment, lambdas, head_classes, class_weights):
         a.flags.writeable = False
     return StepPlan(t=t, adjustment=adjustment, lambdas=lambdas, head_classes=head_classes,
                     class_weights=class_weights)
@@ -399,7 +390,7 @@ def total_loss(model: Model, labeled_x: np.ndarray, labeled_y: np.ndarray,
         model, np.concatenate([x_weak, labeled_x, x_strong]))
     # the losses run class-major: one copy of the (N, 3, K) logits to (K, N, 3),
     # which leaves the row-major logits to be freed
-    z = np.ascontiguousarray(network.stacked_head_logits(model, feats).transpose(2, 0, 1))
+    z = np.ascontiguousarray(network.head_logits(model, feats).transpose(2, 0, 1))
     finite_logits = bool(np.isfinite(z).all())
     z_w, z_l, z_s = z[:, :n_w], z[:, n_w:n_wl], z[:, n_wl:]
 
@@ -407,8 +398,7 @@ def total_loss(model: Model, labeled_x: np.ndarray, labeled_y: np.ndarray,
     sup, g_sup = cross_entropy_with_grad(z_l, labeled_y, plan.adjustment)
     if t.output_pseudo_source == "expansive":
         z_w = z_w[..., [0, 2, 2]]
-    con = masked_consistency_from_logits(z_w, z_s, thresholds,
-                                         class_weights=plan.class_weights)
+    con = masked_consistency_from_logits(z_w, z_s, thresholds, plan.class_weights)
 
     ce_o, sup_b, sup_e = sup.tolist()
     con_o, con_b, con_e = con.value.tolist()

@@ -9,7 +9,9 @@ backbone gradient accumulates every head's contribution.
 Storage: every parameter is a view into one contiguous float64 vector,
 ``Model.flat``, laid out as the backbone layers (weight then bias) followed by
 the heads stacked in HEAD_NAMES order, all weights ``(H*K, Q)`` then all
-biases ``(H*K,)``; ``_carve`` is the one place that cuts it.  ``Model.grad``
+biases ``(H*K,)``; ``_carve`` is the one place that cuts it, and
+``head_logits``, the one logits function of training and inference, reads
+every head off the stacked blocks in one matmul.  ``Model.grad``
 and ``Model.velocity`` have the same layout; the first ``backward`` allocates
 the gradient and the first ``sgd_step`` the momentum buffer, and
 ``sgd_step`` updates ``flat`` with three vector operations, its constants
@@ -52,7 +54,6 @@ __all__ = [
     "forward_features",
     "forward_features_cached",
     "head_logits",
-    "stacked_head_logits",
     "backward",
     "sgd_step",
     "model_to_checkpoint_obj",
@@ -99,6 +100,13 @@ def _shapes(dims: tuple[int, ...], k: int):
     yield (len(HEAD_NAMES) * k,)
 
 
+def _check_layout(dims: tuple[int, ...], k: int) -> None:
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    if len(dims) < 2 or min(dims) < 1:
+        raise ValueError(f"need at least one layer and every width >= 1, got dims {dims}")
+
+
 def _carve(buf: np.ndarray, dims: tuple[int, ...], k: int):
     """``buf`` cut into the parameter shapes, as views: (weights, biases,
     head_w, head_b), one weight (dims[i+1], dims[i]) and one bias per backbone
@@ -134,10 +142,7 @@ class Model:
         dims = tuple(int(v) for v in dims)
         if not isinstance(activation, str) or activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
-        if k < 2:
-            raise ValueError("k must be >= 2")
-        if len(dims) < 2 or min(dims) < 1:
-            raise ValueError(f"need at least one layer and every width >= 1, got dims {dims}")
+        _check_layout(dims, k)
         self.dims, self.k, self.activation = dims, k, activation
         self.flat = np.zeros(sum(math.prod(shape) for shape in _shapes(dims, k)))
         self.weights, self.biases, self.head_w, self.head_b = _carve(self.flat, dims, k)
@@ -225,18 +230,13 @@ def forward_features(model: Model, x: np.ndarray) -> np.ndarray:
     return a
 
 
-def head_logits(head: Head, features: np.ndarray) -> np.ndarray:
-    f = np.asarray(features, dtype=np.float64)
-    if f.ndim != 2 or f.shape[1] != head.w.shape[1]:
-        raise ValueError(f"features shape {f.shape} vs head expects width {head.w.shape[1]}")
-    return f @ head.w.T + head.b
-
-
-def stacked_head_logits(model: Model, features: np.ndarray) -> np.ndarray:
-    """Every head's logits from one matmul: (N, H, K), heads in HEAD_NAMES
-    order."""
-    return ((features @ model.head_w.T + model.head_b)
-            .reshape(features.shape[0], len(HEAD_NAMES), model.k))
+def head_logits(model: Model, features: np.ndarray) -> np.ndarray:
+    """Every head's logits of the (N, Q) ``features`` from one matmul over
+    the stacked heads: (N, H, K), heads in HEAD_NAMES order.  The training
+    step and inference both read their logits here."""
+    z = features @ model.head_w.T
+    z += model.head_b
+    return z.reshape(features.shape[0], len(HEAD_NAMES), model.k)
 
 
 def backward(model: Model, cache: ForwardCache, head_grads: np.ndarray) -> np.ndarray:
@@ -303,14 +303,16 @@ def model_to_checkpoint_obj(model: Model, config_hash: str = "") -> dict:
 
 def model_from_checkpoint_obj(obj: dict) -> Model:
     """The model a checkpoint object holds; anything else is a ValueError.
-    ``k`` and ``dims`` take integers and ``params`` finite JSON numbers, as
-    many as the layout needs: that is checked before the model is allocated.
+    ``k`` and ``dims`` take integers of a valid layout (k >= 2, every width
+    >= 1) and ``params`` finite JSON numbers, as many as the layout needs:
+    that is checked before the model is allocated.
     The error names the parameter at fault."""
     if not isinstance(obj, dict) or obj.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a JSON object of the checkpoint format {CHECKPOINT_FORMAT!r}")
     k, dims, activation, params = (obj.get(key) for key in ("k", "dims", "activation", "params"))
     if not (isinstance(dims, list) and dims and all(type(v) is int for v in (k, *dims))):
         raise ValueError(f"checkpoint k and dims must be integers, got k={k!r}, dims={dims!r}")
+    _check_layout(tuple(dims), k)
     if not isinstance(params, dict):
         raise ValueError("checkpoint params must be an object of arrays")
     values = {name: _json_numbers(v, f"checkpoint parameter {name!r}")

@@ -34,8 +34,8 @@ import numpy as np
 
 from . import network
 from .config import RunConfig
-from .control import (ThresholdState, estimate_unlabeled_distribution, extract_bias_vector,
-                      init_thresholds, update_thresholds)
+from .control import (VIEWS, ThresholdState, estimate_unlabeled_distribution,
+                      extract_bias_vector, init_thresholds, update_thresholds)
 from .data import Dataset, strong_augment_batch, weak_augment_batch
 from .diagnostics import bias_pattern_report, evaluate, separation_violation_rate
 from .distributions import AnchorMatch, AnchorSet, match_anchor, rescale_anchor
@@ -156,8 +156,7 @@ def _estimate_and_match(model: Model, dataset: Dataset, anchor_set: AnchorSet,
 
 
 # metrics.csv: the leading block is also the summary's "final" record
-_EVALUATED = ("original", "output", "calibrated", "expansive")
-_SUMMARY_METRICS = (*(f"{m}_{name}" for name in _EVALUATED for m in ("acc", "bacc")),
+_SUMMARY_METRICS = (*(f"{m}_{name}" for name in VIEWS for m in ("acc", "bacc")),
                     "recall_head", "recall_nonhead", "mu_hat", "denoise_bound")
 
 
@@ -174,7 +173,7 @@ def _epoch_rows(model: Model, dataset: Dataset, plan: StepPlan, probe: np.ndarra
     reports = evaluate(model, dataset.test_x, dataset.test_y)
     cal = reports["calibrated"]
     row: dict = {"epoch": epoch}
-    for name in _EVALUATED:
+    for name in VIEWS:
         row[f"acc_{name}"] = reports[name].accuracy
         row[f"bacc_{name}"] = reports[name].balanced_accuracy
     row["recall_head"] = cal.recall_over(head_classes)

@@ -48,6 +48,14 @@ def balanced_softmax_loss(logits, y, tau, delta_p):
     return value, grad.T
 
 
+def per_head_logits(model, head, features):
+    """One head's logits, ``f @ w.T + b``: the per-head reference that
+    ``network.head_logits``, one matmul over the stacked heads, is checked
+    against."""
+    h = model.heads[head]
+    return features @ h.w.T + h.b
+
+
 def param_order(model) -> list[str]:
     """The model's parameter names in the checkpoint's normative order."""
     return [name for name, _ in model.parameters()]

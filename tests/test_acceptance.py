@@ -14,8 +14,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (balanced_softmax_loss, log_prior, param_order, record_acceptance,
-                      run_estimation_phase, softmax)
+from conftest import (balanced_softmax_loss, log_prior, param_order, per_head_logits,
+                      record_acceptance, run_estimation_phase, softmax)
 from imbalanced_ssl.cli import main as cli_main
 from imbalanced_ssl.config import RunConfig, TaskSection, TrainSection
 from imbalanced_ssl.control import calibrate_logits, init_thresholds
@@ -29,8 +29,7 @@ from imbalanced_ssl.mixture import (BinaryMixtureSpec,
                                     monte_carlo_pseudo_label_probabilities,
                                     pseudo_label_probabilities)
 from imbalanced_ssl.network import (HEAD_NAMES, backward, forward_features,
-                                    forward_features_cached, head_logits,
-                                    init_model)
+                                    forward_features_cached, init_model)
 from imbalanced_ssl.trainer import train
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -167,7 +166,7 @@ def _safe_threshold(model, head, x_w, rng):
     """A confidence cut with a clear margin to every weak-view confidence and
     at least two accepted samples, so finite differencing never crosses a
     mask boundary.  None when this draw of data cannot provide one."""
-    z = head_logits(model.heads[head], forward_features(model, x_w))
+    z = per_head_logits(model, head, forward_features(model, x_w))
     srt = np.sort(z, axis=1)
     if float(np.min(srt[:, -1] - srt[:, -2])) < 1e-3:
         return None
@@ -252,9 +251,9 @@ def _component_loss(model, component, case, want_grads):
     if component in SUP_COMPONENTS:
         head, tau = SUP_COMPONENTS[component]
         feats, cache = forward_features_cached(model, case["x_l"])
-        z = head_logits(model.heads[head], feats)
+        z = per_head_logits(model, head, feats)
         if tau is None:
-            value, g = cross_entropy_with_grad(z.T, case["y"])
+            value, g = cross_entropy_with_grad(z.T, case["y"], 0.0)
             g = g.T
         else:
             value, g = balanced_softmax_loss(z, case["y"], tau, case["delta_p"])
@@ -263,11 +262,11 @@ def _component_loss(model, component, case, want_grads):
         return value, _named_grads(model, cache, _only_head(head, g))
     if component in CON_COMPONENTS:
         head = CON_COMPONENTS[component]
-        z_w = head_logits(model.heads[head], forward_features(model, case["x_w"]))
+        z_w = per_head_logits(model, head, forward_features(model, case["x_w"]))
         feats_s, cache = forward_features_cached(model, case["x_s"])
-        z_s = head_logits(model.heads[head], feats_s)
+        z_s = per_head_logits(model, head, feats_s)
         rep = masked_consistency_from_logits(
-            z_w.T, z_s.T, np.full(case["k"], case["t"][head]))
+            z_w.T, z_s.T, np.full(case["k"], case["t"][head]), np.ones(case["k"]))
         if not want_grads:
             return rep.value, None
         return rep.value, _named_grads(model, cache, _only_head(head, rep.logit_gradients.T))
@@ -333,7 +332,7 @@ def test_loss_identities():
         logits = rng.normal(scale=3.0, size=(12, k))
         y = rng.integers(0, k, size=12)
         delta_p = log_prior(rng.integers(1, 100, size=k))
-        ce, g_ce = cross_entropy_with_grad(logits.T, y)
+        ce, g_ce = cross_entropy_with_grad(logits.T, y, 0.0)
         b0, g_b0 = balanced_softmax_loss(logits, y, 0.0, delta_p)
         worst_tau0 = max(worst_tau0, abs(b0 - ce),
                          float(np.max(np.abs(g_b0 - g_ce.T))))
@@ -424,7 +423,7 @@ def test_calibration_identity():
     x = rng.normal(size=(1000, 16))
     feats = forward_features(model, x)
     cal = calibrate_logits(model, feats)
-    raw = head_logits(model.heads["output"], feats)
+    raw = per_head_logits(model, "output", feats)
     gap = float(np.max(np.abs(cal + model.heads["output"].b - raw)))
     same_argmax = bool(np.all(
         np.argmax(cal, axis=1)

@@ -123,33 +123,36 @@ def test_train_rejects_bad_config(tmp_path, capsys):
     assert main(["train", str(deep)]) == 2
 
 
-OUT_OF_RANGE_TRAIN = [
-    {"dropout": 1.0},
-    {"dropout": 1.5},
-    {"dropout": -0.1},
-    {"weak_strength": -1.0},
-    {"strong_strength": -2.0},
-    {"strong_strength": float("inf")},
-    {"probe_n_aug": 0},
-    {"probe_size": 0},
-    {"tau_b": float("nan"), "lambda_u": float("inf")},
-    {"tau_b": -1.0},
-    {"tau_e": -0.5},
-    {"lambda_u": -5.0},
-    {"lambda_basic": -1.0},
+# each case under a literal id, the one pytest once gave it by its place in
+# the list: a case added anywhere renames no other
+OUT_OF_RANGE_TRAIN = {
+    "train0": {"dropout": 1.0},
+    "train1": {"dropout": 1.5},
+    "train2": {"dropout": -0.1},
+    "train3": {"weak_strength": -1.0},
+    "train4": {"strong_strength": -2.0},
+    "train5": {"strong_strength": float("inf")},
+    "train6": {"probe_n_aug": 0},
+    "train7": {"probe_size": 0},
+    "train8": {"tau_b": float("nan"), "lambda_u": float("inf")},
+    "train9": {"tau_b": -1.0},
+    "train10": {"tau_e": -0.5},
+    "train11": {"lambda_u": -5.0},
+    "train12": {"lambda_basic": -1.0},
     # the optimizer and controller constants, checked where the others are
-    {"learning_rate": 0.0},
-    {"momentum": 1.0},
-    {"momentum": -0.1},
-    {"weight_decay": -1e-4},
-    {"alpha": 0.0},
-    {"rho_floor": 0.95},
+    "train13": {"learning_rate": 0.0},
+    "train14": {"momentum": 1.0},
+    "train15": {"momentum": -0.1},
+    "train16": {"weight_decay": -1e-4},
+    "train17": {"alpha": 0.0},
+    "train18": {"rho_floor": 0.95},
     # a seed keys NumPy's generators, which take no negative one
-    {"seed": -1},
-]
+    "train19": {"seed": -1},
+}
 
 
-@pytest.mark.parametrize("train", OUT_OF_RANGE_TRAIN)
+@pytest.mark.parametrize("train", list(OUT_OF_RANGE_TRAIN.values()),
+                         ids=list(OUT_OF_RANGE_TRAIN))
 def test_config_rejects_out_of_range_train_values(train):
     # at load, naming the section and the field
     with pytest.raises(ConfigError) as err:
@@ -159,7 +162,7 @@ def test_config_rejects_out_of_range_train_values(train):
 
 
 @pytest.mark.parametrize("text", [
-    *(json.dumps({"train": train}) for train in OUT_OF_RANGE_TRAIN),
+    *(json.dumps({"train": train}) for train in OUT_OF_RANGE_TRAIN.values()),
     '{"train": {"tau_b": NaN}}',
     '{"train": {"lambda_u": -Infinity}}',
     '{"train": {"tau_b": 1e400}}',
@@ -178,47 +181,53 @@ def test_train_rejects_out_of_range_config_file(tmp_path, capsys, text):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("obj,needle", [
-    ({"train": {"hidden": [0]}}, "widths"),
-    ({"train": {"feature": 0}}, "widths"),
-    ({"train": {"hidden": [64, -3]}}, "widths"),
-    ({"train": {"seed": 1.5}}, "seed"),
-    ({"train": {"epochs": 1.5}}, "epochs"),
-    ({"train": {"labeled_batch": 2.5}}, "labeled_batch"),
-    ({"train": {"estimation_epochs": 0.5}}, "estimation_epochs"),
-    ({"train": {"hidden": [64.5]}}, "hidden"),
-    ({"train": {"hidden": "64"}}, "hidden"),
-    ({"train": {"epochs": True}}, "epochs"),
-    ({"task": {"k": 4.0}}, "k"),
-    ({"task": {"seed": "1"}}, "seed"),
-    ({"data": {"labeled_max": 1e2}}, "labeled_max"),
-    ({"train": {"learning_rate": True}}, "learning_rate"),
-    ({"task": {"spread": "4"}}, "spread"),
-    ({"anchors": {"as_variance": "false"}}, "as_variance"),
-    ({"train": {"reweight_unlabeled": [1]}}, "reweight_unlabeled"),
-    ({"train": {"reweight_unlabeled": 0}}, "reweight_unlabeled"),
-    ({"data": {"labeled_kind": ["consist"]}}, "labeled_kind"),
-    ({"task": {"spread": 10**400}}, "spread"),  # no float holds it
-    ({"train": {"epochs": 2**64}}, "epochs"),  # no 64-bit integer holds it
-    ({"task": {"k": 1}}, "'task'"),
-    ({"task": {"d": 1}}, "'task'"),
-    ({"task": {"noise": 0}}, "'task'"),
+# each case under a literal id, the one pytest once gave it by its place in
+# the list and its needle: a case added anywhere renames no other
+MISTYPED_CONFIGS = {
+    "obj0-widths": ({"train": {"hidden": [0]}}, "widths"),
+    "obj1-widths": ({"train": {"feature": 0}}, "widths"),
+    "obj2-widths": ({"train": {"hidden": [64, -3]}}, "widths"),
+    "obj3-seed": ({"train": {"seed": 1.5}}, "seed"),
+    "obj4-epochs": ({"train": {"epochs": 1.5}}, "epochs"),
+    "obj5-labeled_batch": ({"train": {"labeled_batch": 2.5}}, "labeled_batch"),
+    "obj6-estimation_epochs": ({"train": {"estimation_epochs": 0.5}}, "estimation_epochs"),
+    "obj7-hidden": ({"train": {"hidden": [64.5]}}, "hidden"),
+    "obj8-hidden": ({"train": {"hidden": "64"}}, "hidden"),
+    "obj9-epochs": ({"train": {"epochs": True}}, "epochs"),
+    "obj10-k": ({"task": {"k": 4.0}}, "k"),
+    "obj11-seed": ({"task": {"seed": "1"}}, "seed"),
+    "obj12-labeled_max": ({"data": {"labeled_max": 1e2}}, "labeled_max"),
+    "obj13-learning_rate": ({"train": {"learning_rate": True}}, "learning_rate"),
+    "obj14-spread": ({"task": {"spread": "4"}}, "spread"),
+    "obj15-as_variance": ({"anchors": {"as_variance": "false"}}, "as_variance"),
+    "obj16-reweight_unlabeled": ({"train": {"reweight_unlabeled": [1]}}, "reweight_unlabeled"),
+    "obj17-reweight_unlabeled": ({"train": {"reweight_unlabeled": 0}}, "reweight_unlabeled"),
+    "obj18-labeled_kind": ({"data": {"labeled_kind": ["consist"]}}, "labeled_kind"),
+    "obj19-spread": ({"task": {"spread": 10**400}}, "spread"),  # no float holds it
+    "obj20-epochs": ({"train": {"epochs": 2**64}}, "epochs"),  # no 64-bit integer holds it
+    "obj21-'task'": ({"task": {"k": 1}}, "'task'"),
+    "obj22-'task'": ({"task": {"d": 1}}, "'task'"),
+    "obj23-'task'": ({"task": {"noise": 0}}, "'task'"),
     # sizes far over config.MAX_ARRAY_VALUES: rejected before any allocation
-    ({"data": {"test_per_class": 10**15}}, "test_per_class"),
-    ({"data": {"labeled_max": 10**15}}, "labeled_max"),
-    ({"data": {"unlabeled_max": 10**15}}, "unlabeled_max"),
-    ({"task": {"k": 10**9}}, "task.k"),
-    ({"task": {"d": 10**12}}, "task.d"),
-    ({"train": {"hidden": [10**9]}}, "hidden"),
-    ({"train": {"hidden": [64, 10**12, 64]}}, "hidden"),
-    ({"train": {"feature": 10**12}}, "feature"),
-    ({"train": {"labeled_batch": 10**15}}, "labeled_batch"),
-    ({"train": {"unlabeled_batch": 10**15}}, "unlabeled_batch"),
+    "obj24-test_per_class": ({"data": {"test_per_class": 10**15}}, "test_per_class"),
+    "obj25-labeled_max": ({"data": {"labeled_max": 10**15}}, "labeled_max"),
+    "obj26-unlabeled_max": ({"data": {"unlabeled_max": 10**15}}, "unlabeled_max"),
+    "obj27-task.k": ({"task": {"k": 10**9}}, "task.k"),
+    "obj28-task.d": ({"task": {"d": 10**12}}, "task.d"),
+    "obj29-hidden": ({"train": {"hidden": [10**9]}}, "hidden"),
+    "obj30-hidden": ({"train": {"hidden": [64, 10**12, 64]}}, "hidden"),
+    "obj31-feature": ({"train": {"feature": 10**12}}, "feature"),
+    "obj32-labeled_batch": ({"train": {"labeled_batch": 10**15}}, "labeled_batch"),
+    "obj33-unlabeled_batch": ({"train": {"unlabeled_batch": 10**15}}, "unlabeled_batch"),
     # an empty unlabeled split leaves training nothing to run on
-    ({"data": {"unlabeled_max": 0}}, "unlabeled_max"),
+    "obj34-unlabeled_max": ({"data": {"unlabeled_max": 0}}, "unlabeled_max"),
     # a seed keys NumPy's generators, which take no negative one
-    ({"task": {"seed": -3}}, "seed"),
-])
+    "obj35-seed": ({"task": {"seed": -3}}, "seed"),
+}
+
+
+@pytest.mark.parametrize("obj,needle", list(MISTYPED_CONFIGS.values()),
+                         ids=list(MISTYPED_CONFIGS))
 def test_train_rejects_mistyped_config(tmp_path, capsys, obj, needle):
     with pytest.raises(ConfigError, match=needle):
         RunConfig.from_json_obj(obj)
@@ -479,6 +488,33 @@ def test_evaluate_rejects_a_checkpoint_of_another_class_count(small_run, tmp_pat
     assert code == 2 and "classes" in err
 
 
+def test_evaluate_rejects_a_checkpoint_of_another_input_width(small_run, tmp_path):
+    # before, the forward refused the test inputs without naming either file
+    config = json.loads(json.dumps(small_run["config.json"]))
+    d = config["task"]["d"]
+    config["task"]["d"] = d + 3
+    code, err = _evaluate_in_process(str(tmp_path), config, small_run["checkpoint.json"])
+    assert code == 2
+    assert err == (f"error: checkpoint takes {d} input features, "
+                   f"the run's config {d + 3}\n")
+
+
+@pytest.mark.parametrize("field,value,needle", [
+    pytest.param("dims", lambda dims: [dims[0], -dims[1], *dims[2:]], "every width >= 1",
+                 id="negative-width"),
+    pytest.param("k", lambda k: -k, "k must be >= 2", id="negative-k"),
+])
+def test_evaluate_rejects_a_nonpositive_width_or_class_count(small_run, tmp_path, field, value,
+                                                             needle):
+    # refused for its layout, before the parameter count is taken from it
+    ckpt = json.loads(json.dumps(small_run["checkpoint.json"]))
+    ckpt[field] = value(ckpt[field])
+    code, err = _evaluate_in_process(str(tmp_path), small_run["config.json"], ckpt)
+    assert code == 2
+    assert err.startswith("error: corrupt checkpoint:") and needle in err
+    assert "values" not in err
+
+
 def test_evaluate_accepts_the_small_run(small_run, tmp_path):
     code, err = _evaluate_in_process(str(tmp_path), small_run["config.json"],
                                      small_run["checkpoint.json"])
@@ -655,26 +691,32 @@ def test_match_distribution_rejects_malformed_input(tmp_path, capsys):
     capsys.readouterr()
 
 
+# a case whose values give pytest no id of their own takes a literal one,
+# the one pytest once gave it by its place in the list
 @pytest.mark.parametrize("counts,anchors", [
-    ([1, 2, 3, 4], None),  # the anchor file holds null
-    ([1, 2, 3, 4], [{"proportions": [1, 2, 3, 4], "c": None}]),
-    ([1, 2, 3, 4], [[1, 2, 3, 4]]),
+    pytest.param([1, 2, 3, 4], None, id="counts0-None"),  # the anchor file holds null
+    pytest.param([1, 2, 3, 4], [{"proportions": [1, 2, 3, 4], "c": None}], id="counts1-anchors1"),
+    pytest.param([1, 2, 3, 4], [[1, 2, 3, 4]], id="counts2-anchors2"),
     ("[1e400, 2, 3, 4]", False),
     ("[NaN, 2, 3, 4]", False),
-    ([1e308, 1e308, 3, 4], False),
-    ([[1, 2], [3, 4]], False),
-    ([1, {}], False),
-    ([1, "2"], False),
-    ([1, True], False),
-    ([1, None], False),
+    pytest.param([1e308, 1e308, 3, 4], False, id="counts5-False"),
+    pytest.param([[1, 2], [3, 4]], False, id="counts6-False"),
+    pytest.param([1, {}], False, id="counts7-False"),
+    pytest.param([1, "2"], False, id="counts8-False"),
+    pytest.param([1, True], False, id="counts9-False"),
+    pytest.param([1, None], False, id="counts10-False"),
     pytest.param("[1, 1%s]" % ("0" * 400), False, id="huge-integer"),  # no float holds it
-    ([1, 2, 3, 4], [{"proportions": ["1", 2, 3, 4], "c": 4}]),
-    ([1, 2, 3, 4], [{"proportions": [1, 2, 3, 4], "c": "4"}]),
-    ([1, 2, 3, 4], [{"proportions": [1, 2, 3, 4], "c": True}]),
-    ([1, 2, 3, 4], [{"proportions": [1, 2, 3, 4], "c": 4, "kind": []}]),
-    ([1, 2, 3, 4], [{"proportions": [1, 2, 3, 4]}]),
-    ([1, 2, 3, 4], [{"proportions": [0, 2, 3, 4], "c": 4}]),  # a zero class: no finite ratio
-    ([1, 1.7e308], [{"proportions": [1, 5e-324], "c": 4}]),
+    pytest.param([1, 2, 3, 4], [{"proportions": ["1", 2, 3, 4], "c": 4}], id="counts12-anchors12"),
+    pytest.param([1, 2, 3, 4], [{"proportions": [1, 2, 3, 4], "c": "4"}], id="counts13-anchors13"),
+    pytest.param([1, 2, 3, 4], [{"proportions": [1, 2, 3, 4], "c": True}],
+                 id="counts14-anchors14"),
+    pytest.param([1, 2, 3, 4], [{"proportions": [1, 2, 3, 4], "c": 4, "kind": []}],
+                 id="counts15-anchors15"),
+    pytest.param([1, 2, 3, 4], [{"proportions": [1, 2, 3, 4]}], id="counts16-anchors16"),
+    # a zero class: no finite ratio
+    pytest.param([1, 2, 3, 4], [{"proportions": [0, 2, 3, 4], "c": 4}],
+                 id="counts17-anchors17"),
+    pytest.param([1, 1.7e308], [{"proportions": [1, 5e-324], "c": 4}], id="counts18-anchors18"),
     # nested too deep for the parser
     pytest.param("[" * 100_000 + "]" * 100_000, False, id="deep-counts"),
     pytest.param([1, 2, 3, 4], "[" * 100_000 + "]" * 100_000, id="deep-anchors"),
@@ -694,7 +736,10 @@ def test_match_distribution_rejects_bad_numbers_and_anchor_files(tmp_path, capsy
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("flags", [["--gamma", "0.5"], ["--gamma", "100"], ["--as-variance"]])
+# literal ids, the ones pytest once gave these cases by their place in the list
+@pytest.mark.parametrize("flags", [pytest.param(["--gamma", "0.5"], id="flags0"),
+                                   pytest.param(["--gamma", "100"], id="flags1"),
+                                   pytest.param(["--as-variance"], id="flags2")])
 def test_match_distribution_rejects_default_anchor_flags_with_an_anchor_file(tmp_path, capsys,
                                                                              flags):
     path = tmp_path / "counts.json"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import rankdata, spearmanr
 
-from conftest import default_widths
+from conftest import default_widths, per_head_logits
 from imbalanced_ssl.config import TaskSection, TrainSection
 from imbalanced_ssl.data import generate, strong_augment_batch
 from imbalanced_ssl.diagnostics import (
@@ -17,7 +17,7 @@ from imbalanced_ssl.diagnostics import (
     separation_violation_rate,
     spearman_correlation,
 )
-from imbalanced_ssl.network import forward_features, head_logits, init_model
+from imbalanced_ssl.network import forward_features, init_model
 
 
 def test_spearman_matches_scipy_with_ties():
@@ -50,8 +50,7 @@ def _separable():
 def _train_quick(task, ds, steps=300):
     # a few plain supervised steps are enough on a widely separated task
     from imbalanced_ssl.losses import cross_entropy_with_grad
-    from imbalanced_ssl.network import (backward, forward_features_cached, head_logits,
-                                        init_model, sgd_step)
+    from imbalanced_ssl.network import backward, forward_features_cached, sgd_step
     m = init_model(k=task.k, d=task.d, hidden=(32, 32), feature=16, seed=0)
     t = replace(TrainSection(), learning_rate=0.01)
     rng = np.random.default_rng(2)
@@ -60,8 +59,8 @@ def _train_quick(task, ds, steps=300):
         f, cache = forward_features_cached(m, ds.labeled_x[idx])
         grads_all = []
         for h in ("original", "output", "expansive"):
-            z = head_logits(m.heads[h], f)
-            _, g = cross_entropy_with_grad(z.T, ds.labeled_y[idx])
+            z = per_head_logits(m, h, f)
+            _, g = cross_entropy_with_grad(z.T, ds.labeled_y[idx], 0.0)
             grads_all.append(g.T)
         sgd_step(m, backward(m, cache, np.stack(grads_all, axis=1)), t)
     return m
@@ -134,7 +133,7 @@ def test_separation_violation_rate_over_blocks_equals_one_forward():
     t = TrainSection()
 
     def output(v):
-        return np.argmax(head_logits(m.heads["output"], forward_features(m, v)), axis=1)
+        return np.argmax(per_head_logits(m, "output", forward_features(m, v)), axis=1)
 
     base = output(x)
     violated = np.zeros(x.shape[0], dtype=bool)

@@ -167,12 +167,13 @@ def test_head_mask_splits_halves():
         head_mask(np.array([3]))
 
 
+# literal ids, the ones pytest once gave these cases by their place in the list
 @pytest.mark.parametrize("kind,head", [
-    ("consist", range(0, 5)),
-    ("uniform", range(0, 5)),
-    ("inverse", range(5, 10)),
-    ("gaussian", (2, 3, 4, 5, 6)),
-    ("gaussian-inverse", (0, 1, 2, 8, 9)),
+    pytest.param("consist", range(0, 5), id="consist-head0"),
+    pytest.param("uniform", range(0, 5), id="uniform-head1"),
+    pytest.param("inverse", range(5, 10), id="inverse-head2"),
+    pytest.param("gaussian", (2, 3, 4, 5, 6), id="gaussian-head3"),
+    pytest.param("gaussian-inverse", (0, 1, 2, 8, 9), id="gaussian-inverse-head4"),
 ])
 def test_head_mask_holds_the_most_frequent_labeled_classes(kind, head):
     counts = make_distribution(kind, 10, 100, 100.0, False)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import balanced_softmax_loss, default_widths, log_prior, softmax
+from conftest import balanced_softmax_loss, default_widths, log_prior, per_head_logits, softmax
 from imbalanced_ssl.config import TrainSection
 from imbalanced_ssl.distributions import head_mask
 from imbalanced_ssl.losses import (
@@ -34,7 +34,6 @@ from imbalanced_ssl.network import (
     forward_features_cached,
     head_logits,
     init_model,
-    stacked_head_logits,
 )
 
 T = TrainSection()
@@ -51,41 +50,38 @@ def _plan(lx, xs, counts, t=T, class_weights=None):
                      counts, class_weights=class_weights)
 
 
-def supervised_balanced_loss(model, head, x, y, tau, delta_p) -> LossReport:
+def supervised_balanced_loss(model, head, x, y, tau, delta_p):
+    """Balanced CE of one head on ``x``: the value and the (N, K) gradient."""
     feats = forward_features(model, x)
-    logits = head_logits(model.heads[head], feats)
-    value, grad = balanced_softmax_loss(logits, y, tau, delta_p)
-    return LossReport(value=value, logit_gradients=grad)
+    return balanced_softmax_loss(per_head_logits(model, head, feats), y, tau, delta_p)
 
 
-def consistency_loss(model, head, x_weak, x_strong, thresholds,
-                     class_weights=None) -> LossReport:
-    """Consistency between pre-built weak and strong views of one unlabeled
-    batch, self-labeled by the given head."""
-    head_obj = model.heads[head]
+def consistency_loss(model, head, x_weak, x_strong, thresholds) -> LossReport:
+    """Unweighted consistency between pre-built weak and strong views of one
+    unlabeled batch, self-labeled by the given head."""
     return masked_consistency_from_logits(
-        head_logits(head_obj, forward_features(model, x_weak)).T,
-        head_logits(head_obj, forward_features(model, x_strong)).T,
-        thresholds, class_weights=class_weights)
+        per_head_logits(model, head, forward_features(model, x_weak)).T,
+        per_head_logits(model, head, forward_features(model, x_strong)).T,
+        thresholds, np.ones(model.k))
 
 
 def base_loss(model, labeled_x, labeled_y, x_weak, x_strong, rho_max, lambda_basic=1.0):
     """Plain self-training objective on the original head: unadjusted CE plus
     lambda_basic times consistency at one scalar threshold for every class."""
-    logits_l = head_logits(model.heads["original"], forward_features(model, labeled_x))
-    ce, _ = cross_entropy_with_grad(logits_l.T, labeled_y)
+    logits_l = per_head_logits(model, "original", forward_features(model, labeled_x))
+    ce, _ = cross_entropy_with_grad(logits_l.T, labeled_y, 0.0)
     con = consistency_loss(model, "original", x_weak, x_strong, np.full(model.k, rho_max))
     return ce + lambda_basic * con.value
 
 
 def test_cross_entropy_hand_values():
-    v, g = cross_entropy_with_grad(np.array([[0.0, 0.0]]).T, np.array([1]))
+    v, g = cross_entropy_with_grad(np.array([[0.0, 0.0]]).T, np.array([1]), 0.0)
     assert v == pytest.approx(math.log(2.0), abs=1e-15)
     assert np.allclose(g.T, [[0.5, -0.5]])
     # grad = (softmax - onehot) / n
     z = np.array([[1.0, -1.0, 0.5], [0.0, 2.0, 0.0]])
     y = np.array([2, 1])
-    v, g = cross_entropy_with_grad(z.T, y)
+    v, g = cross_entropy_with_grad(z.T, y, 0.0)
     p = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
     onehot = np.eye(3)[y]
     assert np.allclose(g.T, (p - onehot) / 2, atol=1e-12)
@@ -114,11 +110,12 @@ def test_step_plan_arrays_are_read_only():
             a[0] = 0
 
 
+# literal ids, the ones pytest once gave these cases by their place in the list
 @pytest.mark.parametrize("counts,head", [
-    ([20, 8, 2], [True, True, False]),
-    ([2, 8, 20, 5], [False, True, True, False]),
-    ([7, 7, 7, 7, 7], [True, True, True, False, False]),
-    ([1, 90], [False, True]),
+    pytest.param([20, 8, 2], [True, True, False], id="counts0-head0"),
+    pytest.param([2, 8, 20, 5], [False, True, True, False], id="counts1-head1"),
+    pytest.param([7, 7, 7, 7, 7], [True, True, True, False, False], id="counts2-head2"),
+    pytest.param([1, 90], [False, True], id="counts3-head3"),
 ])
 def test_step_plan_splits_the_head_from_its_counts(counts, head):
     plan = step_plan(T, np.array(counts))
@@ -160,7 +157,7 @@ def test_balanced_tau_zero_is_plain_ce():
     z = rng.normal(size=(8, 5))
     y = rng.integers(0, 5, size=8)
     v0, g0 = balanced_softmax_loss(z, y, 0.0, log_prior(rng.integers(1, 100, size=5)))
-    v1, g1 = cross_entropy_with_grad(z.T, y)
+    v1, g1 = cross_entropy_with_grad(z.T, y, 0.0)
     assert v0 == pytest.approx(v1, abs=1e-12)
     assert np.allclose(g0, g1.T, atol=1e-12)
 
@@ -170,7 +167,7 @@ def test_balanced_uniform_counts_invariant():
     z = rng.normal(size=(8, 5))
     y = rng.integers(0, 5, size=8)
     v, g = balanced_softmax_loss(z, y, 3.0, log_prior(np.full(5, 37)))
-    v0, g0 = cross_entropy_with_grad(z.T, y)
+    v0, g0 = cross_entropy_with_grad(z.T, y, 0.0)
     assert v == pytest.approx(v0, abs=1e-12)
     assert np.allclose(g, g0.T, atol=1e-12)
 
@@ -187,7 +184,7 @@ def test_masked_consistency_hand_case():
     # 0.5 (below); only the middle sample contributes, normalized by batch
     w = np.array([[2.0, 0.0], [3.0, 0.0], [0.0, 0.0]])
     s = np.array([[0.0, 1.0], [1.0, 0.0], [5.0, 0.0]])
-    rep = masked_consistency_from_logits(w.T, s.T, thresholds=np.array([0.95, 0.95]))
+    rep = masked_consistency_from_logits(w.T, s.T, np.array([0.95, 0.95]), np.ones(2))
     assert rep.mask.tolist() == [False, True, False]
     assert rep.pseudo_labels.tolist() == [0, 0, 0]
     kept_ce = -math.log(math.exp(1.0) / (math.exp(1.0) + 1.0))
@@ -198,10 +195,10 @@ def test_masked_consistency_boundary_is_inclusive():
     w = np.array([[3.0, 0.0]])
     s = np.array([[1.0, 0.0]])
     conf = 1.0 / (1.0 + math.exp(-3.0))
-    kept = masked_consistency_from_logits(w.T, s.T, thresholds=np.array([conf, conf]))
+    kept = masked_consistency_from_logits(w.T, s.T, np.array([conf, conf]), np.ones(2))
     assert kept.mask.tolist() == [True]
     above = masked_consistency_from_logits(
-        w.T, s.T, thresholds=np.array([np.nextafter(conf, 1.0)] * 2))
+        w.T, s.T, np.array([np.nextafter(conf, 1.0)] * 2), np.ones(2))
     assert above.mask.tolist() == [False]
 
 
@@ -209,7 +206,7 @@ def test_masked_consistency_per_class_thresholds():
     # two samples, pseudo class 0 and 1, same confidence ~0.953
     w = np.array([[3.0, 0.0], [0.0, 3.0]])
     s = np.array([[1.0, 0.0], [0.0, 1.0]])
-    rep = masked_consistency_from_logits(w.T, s.T, thresholds=np.array([0.9, 0.99]))
+    rep = masked_consistency_from_logits(w.T, s.T, np.array([0.9, 0.99]), np.ones(2))
     assert rep.mask.tolist() == [True, False]
 
 
@@ -217,9 +214,8 @@ def test_masked_consistency_class_weights_scale():
     w = np.array([[3.0, 0.0]])
     s = np.array([[1.0, 0.0]])
     rho = np.array([0.9, 0.9])
-    plain = masked_consistency_from_logits(w.T, s.T, rho)
-    doubled = masked_consistency_from_logits(w.T, s.T, rho,
-                                             class_weights=np.array([2.0, 1.0]))
+    plain = masked_consistency_from_logits(w.T, s.T, rho, np.ones(2))
+    doubled = masked_consistency_from_logits(w.T, s.T, rho, np.array([2.0, 1.0]))
     assert doubled.value == pytest.approx(2 * plain.value, abs=1e-12)
 
 
@@ -227,11 +223,11 @@ def test_threshold_domain_checked():
     w = np.array([[3.0, 0.0]])
     s = np.array([[1.0, 0.0]])
     with pytest.raises(ValueError):
-        masked_consistency_from_logits(w.T, s.T, np.array([0.0, 0.9]))
+        masked_consistency_from_logits(w.T, s.T, np.array([0.0, 0.9]), np.ones(2))
     with pytest.raises(ValueError):
-        masked_consistency_from_logits(w.T, s.T, np.array([1.1, 0.9]))
+        masked_consistency_from_logits(w.T, s.T, np.array([1.1, 0.9]), np.ones(2))
     # everything in (0, 1] is legal, including values below one half
-    masked_consistency_from_logits(w.T, s.T, np.array([0.35, 1.0]))
+    masked_consistency_from_logits(w.T, s.T, np.array([0.35, 1.0]), np.ones(2))
 
 
 def test_supervised_loss_goes_through_the_head():
@@ -240,11 +236,11 @@ def test_supervised_loss_goes_through_the_head():
     x = rng.normal(size=(6, 4))
     y = rng.integers(0, 3, size=6)
     delta_p = log_prior([20, 8, 2])
-    rep = supervised_balanced_loss(m, "output", x, y, 2.0, delta_p)
-    z = head_logits(m.heads["output"], forward_features(m, x))
+    value, grad = supervised_balanced_loss(m, "output", x, y, 2.0, delta_p)
+    z = per_head_logits(m, "output", forward_features(m, x))
     want, wg = balanced_softmax_loss(z, y, 2.0, delta_p)
-    assert rep.value == pytest.approx(want, abs=1e-12)
-    assert np.allclose(rep.logit_gradients, wg, atol=1e-12)
+    assert value == pytest.approx(want, abs=1e-12)
+    assert np.allclose(grad, wg, atol=1e-12)
 
 
 def test_consistency_loss_goes_through_the_head():
@@ -254,9 +250,9 @@ def test_consistency_loss_goes_through_the_head():
     xs = xw + rng.normal(size=(10, 4))
     rho = np.full(3, 0.4)
     rep = consistency_loss(m, "expansive", xw, xs, rho)
-    zw = head_logits(m.heads["expansive"], forward_features(m, xw))
-    zs = head_logits(m.heads["expansive"], forward_features(m, xs))
-    want = masked_consistency_from_logits(zw.T, zs.T, rho)
+    zw = per_head_logits(m, "expansive", forward_features(m, xw))
+    zs = per_head_logits(m, "expansive", forward_features(m, xs))
+    want = masked_consistency_from_logits(zw.T, zs.T, rho, np.ones(3))
     assert rep.value == pytest.approx(want.value, abs=1e-12)
     assert rep.mask.tolist() == want.mask.tolist()
 
@@ -338,21 +334,23 @@ def _reference_step(m, lx, ly, xw, xs, delta_p, thresholds, head_classes, t, cla
     feats_l, cache_l = forward_features_cached(m, lx)
     feats_w = forward_features(m, xw)
     feats_s, cache_s = forward_features_cached(m, xs)
-    logits_l = {h: head_logits(m.heads[h], feats_l) for h in HEAD_NAMES}
-    logits_w = {h: head_logits(m.heads[h], feats_w) for h in HEAD_NAMES}
-    logits_s = {h: head_logits(m.heads[h], feats_s) for h in HEAD_NAMES}
-    ce_o, g_ce_o = cross_entropy_with_grad(logits_l["original"].T, ly)
+    logits_l = {h: per_head_logits(m, h, feats_l) for h in HEAD_NAMES}
+    logits_w = {h: per_head_logits(m, h, feats_w) for h in HEAD_NAMES}
+    logits_s = {h: per_head_logits(m, h, feats_s) for h in HEAD_NAMES}
+    ce_o, g_ce_o = cross_entropy_with_grad(logits_l["original"].T, ly, 0.0)
     sup_b, g_sup_b = cross_entropy_with_grad(logits_l["output"].T, ly,
                                              (tau_b * delta_p)[:, None])
     sup_e, g_sup_e = cross_entropy_with_grad(logits_l["expansive"].T, ly,
                                              (tau_e * delta_p)[:, None])
     teacher = "output" if t.output_pseudo_source == "self" else "expansive"
+    if class_weights is None:
+        class_weights = np.ones(k)
     con_o = masked_consistency_from_logits(logits_w["original"].T, logits_s["original"].T,
-                                           rho_o)
+                                           rho_o, np.ones(k))
     con_b = masked_consistency_from_logits(logits_w[teacher].T, logits_s["output"].T, rho_b,
-                                           class_weights=class_weights)
+                                           class_weights)
     con_e = masked_consistency_from_logits(logits_w["expansive"].T, logits_s["expansive"].T,
-                                           rho_e, class_weights=class_weights)
+                                           rho_e, class_weights)
     l_basic = ce_o + lambda_basic * con_o.value
     values = {"total": l_basic + sup_b + lambda_u * con_b.value + sup_e + lambda_u * con_e.value,
               "l_basic": l_basic, "l_sup_b": sup_b, "l_con_b": con_b.value,
@@ -375,7 +373,7 @@ def _margin_safe_thresholds(m, head, xw, rng, size):
     of ``head``, so last-bit differences in the logits cannot flip a mask;
     the head's top two logits differ by more than 1e-6 on every row, so no
     pseudo-label can flip either."""
-    z = head_logits(m.heads[head], forward_features(m, xw))
+    z = per_head_logits(m, head, forward_features(m, xw))
     top2 = np.sort(z, axis=1)[:, -2:]
     assert np.min(top2[:, 1] - top2[:, 0]) > 1e-6
     conf = softmax(z).max(axis=1)
@@ -495,7 +493,7 @@ def _rm_total_loss(m, lx, ly, xw, xs, delta_p, thresholds, head_classes, t, clas
     mask rates."""
     k, n, n_w, n_wl = m.k, xs.shape[0], xw.shape[0], xw.shape[0] + lx.shape[0]
     feats, _ = forward_features_cached(m, np.concatenate([xw, lx, xs]))
-    logits = stacked_head_logits(m, feats)
+    logits = head_logits(m, feats)
     z_w, z_l, z_s = logits[:n_w], logits[n_w:n_wl], logits[n_wl:]
 
     adjusted = z_l + np.multiply.outer([0.0, t.tau_b, t.tau_e], delta_p)
@@ -512,12 +510,19 @@ def _rm_total_loss(m, lx, ly, xw, xs, delta_p, thresholds, head_classes, t, clas
     at = _rm_flat_at(z_w.shape, pseudo)
     at_class = _rm_flat_at(thresholds.shape, pseudo)
     mask = probs_w.reshape(-1)[at] >= thresholds.reshape(-1)[at_class]
-    weights = (np.ones(pseudo.shape) if class_weights is None
-               else np.stack([np.ones(k), class_weights, class_weights]).reshape(-1)[at_class])
     g_con, logp = _rm_softmax_and_log(z_s)
-    con = (-logp.reshape(-1)[at] * weights * mask).sum(axis=0) / n
+    per_sample = -logp.reshape(-1)[at]
+    # unweighted, the plain 1/n path, which the step's ones-weighted path
+    # must equal bit for bit
+    if class_weights is None:
+        scale = 1.0 / n
+    else:
+        weights = np.stack([np.ones(k), class_weights, class_weights]).reshape(-1)[at_class]
+        per_sample = per_sample * weights
+        scale = (weights / n)[..., None]
+    con = (per_sample * mask).sum(axis=0) / n
     g_con.reshape(-1)[at] -= 1.0
-    g_con *= (weights / n)[..., None]
+    g_con *= scale
     g_con[~mask] = 0.0
     g_con = g_con * np.array([t.lambda_basic, t.lambda_u, t.lambda_u])[:, None]
 

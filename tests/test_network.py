@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import default_widths, param_order, softmax
+from conftest import default_widths, param_order, per_head_logits, softmax
 from imbalanced_ssl.config import TrainSection
 from imbalanced_ssl.diagnostics import evaluate
 from imbalanced_ssl.network import (
@@ -61,8 +61,8 @@ def test_forward_shapes_and_nonnegativity():
     f = forward_features(m, x)
     assert f.shape == (7, 4)
     assert np.all(f >= 0.0)  # post-activation features
-    z = head_logits(m.heads["output"], f)
-    assert z.shape == (7, 3)
+    z = head_logits(m, f)
+    assert z.shape == (7, len(HEAD_NAMES), 3)
 
 
 @pytest.mark.parametrize("rows", [1, 10_000])
@@ -141,10 +141,20 @@ def test_activation_derivative_read_off_the_output(values):
 
 
 def test_head_logits_affine():
-    m = _tiny()
-    h = m.heads["expansive"]
-    f = np.random.default_rng(1).normal(size=(5, 4))
-    assert np.allclose(head_logits(h, f), f @ h.w.T + h.b)
+    # every head's slab of the one stacked matmul is that head's f @ w.T + b:
+    # bit for bit at 256 rows, and within the last bits at 5, where OpenBLAS
+    # takes its small-matrix path
+    m = default_widths()
+    for rows in (5, 256):
+        f = np.abs(np.random.default_rng(rows).normal(size=(rows, m.dims[-1])))
+        z = head_logits(m, f)
+        assert z.shape == (rows, len(HEAD_NAMES), m.k)
+        for i, name in enumerate(HEAD_NAMES):
+            want = per_head_logits(m, name, f)
+            if rows >= 128:
+                assert np.array_equal(z[:, i], want), name
+            else:
+                assert np.allclose(z[:, i], want, rtol=1e-14, atol=1e-14), name
 
 
 def test_softmax_rows_and_shift_invariance():
@@ -176,13 +186,13 @@ def test_backward_matches_finite_differences():
 
     def loss_value(model):
         f = forward_features(model, x)
-        z = head_logits(model.heads["output"], f)
+        z = per_head_logits(model, "output", f)
         zs = z - z.max(axis=1, keepdims=True)
         logp = zs - np.log(np.exp(zs).sum(axis=1, keepdims=True))
         return -logp[np.arange(6), y].mean()
 
     f, cache = forward_features_cached(m, x)
-    z = head_logits(m.heads["output"], f)
+    z = per_head_logits(m, "output", f)
     p = softmax(z)
     g = p.copy()
     g[np.arange(6), y] -= 1.0

@@ -330,8 +330,8 @@ def test_empty_unlabeled_rejected():
 
 
 def test_the_plan_takes_the_class_weights_at_the_match(monkeypatch):
-    # the estimation epoch trains without class weights; the match rebuilds
-    # the plan once, and every later step reads that one plan
+    # the estimation epoch trains with all-ones class weights; the match
+    # rebuilds the plan once, and every later step reads that one plan
     plans = []
 
     def recording_total_loss(model, lx, ly, xw, xs, thresholds, plan):
@@ -342,7 +342,8 @@ def test_the_plan_takes_the_class_weights_at_the_match(monkeypatch):
     cfg = _tiny_config(seed=16, reweight_unlabeled=True)
     train(cfg)
     first = cfg.train.steps_per_epoch
-    assert all(p is plans[0] and p.class_weights is None for p in plans[:first])
+    assert all(p is plans[0] for p in plans[:first])
+    assert np.array_equal(plans[0].class_weights, np.ones((3, 4)))
     matched = plans[first]
     assert all(p is matched for p in plans[first:])
     weights = matched.class_weights
@@ -360,3 +361,13 @@ def test_no_module_holds_a_process_wide_cache():
         cached += [f"{info.name}.{name}" for name, value in vars(module).items()
                    if callable(value) and hasattr(value, "cache_info")]
     assert not cached
+
+
+def test_every_exported_name_resolves():
+    # a name deleted from a module cannot stay in its __all__
+    missing = []
+    for info in pkgutil.iter_modules(imbalanced_ssl.__path__):
+        module = importlib.import_module(f"imbalanced_ssl.{info.name}")
+        missing += [f"{info.name}.{name}" for name in getattr(module, "__all__", ())
+                    if not hasattr(module, name)]
+    assert not missing
