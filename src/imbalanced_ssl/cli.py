@@ -101,7 +101,7 @@ def cmd_verify_theorem(args) -> int:
         with open(args.out, "w"):
             pass
     rows = []
-    worst = 0.0
+    worst = std_error = 0.0
     grid = itertools.product(DEFAULT_GRID["gamma"], DEFAULT_GRID["delta_p"],
                              DEFAULT_GRID["rho"], DEFAULT_GRID["beta"])
     for i, (gamma, delta_p, rho, beta) in enumerate(grid):
@@ -109,8 +109,12 @@ def cmd_verify_theorem(args) -> int:
                                  beta=beta, rho=rho, delta_p=delta_p)
         ana = pseudo_label_probabilities(spec)
         mc = monte_carlo_pseudo_label_probabilities(spec, args.samples, args.seed + i)
-        diff = float(np.max(np.abs(ana.as_array() - mc.as_array())))
+        p = ana.as_array()
+        diff = float(np.max(np.abs(p - mc.as_array())))
         worst = max(worst, diff)
+        # the standard error of a frequency sampled at the analytic probability
+        p = p.clip(0.0, 1.0)
+        std_error = max(std_error, float(np.max(np.sqrt(p * (1.0 - p) / args.samples))))
         rows.append({**asdict(spec),
                      **{f"{key}_analytic": v for key, v in asdict(ana).items()},
                      **{f"{key}_mc": v for key, v in asdict(mc).items()},
@@ -120,6 +124,8 @@ def cmd_verify_theorem(args) -> int:
     failures = sum(row["max_abs_diff"] > args.tolerance for row in rows)
     print(f"verify-theorem: {len(rows)} grid points, {args.samples} samples each")
     print(f"worst per-component |analytic - MC| = {worst:.6f} (tolerance {args.tolerance})")
+    print(f"largest sampling standard error sqrt(p(1-p)/n) = {std_error:.6f} "
+          f"(tolerance {args.tolerance})")
     if failures:
         print(f"FAIL: {failures} grid point(s) exceeded tolerance", file=sys.stderr)
         return 1

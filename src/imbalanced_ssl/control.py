@@ -58,13 +58,23 @@ class ThresholdState:
 
     ``thresholds`` is the (3, K) matrix the training step reads, one row per
     head in HEAD_NAMES order: the original head at rho_max, then the balanced
-    head's rho_b and the expansive head's rho_e.  It is made read-only here;
-    ``rho_b`` and ``rho_e`` are views of its rows."""
+    head's rho_b and the expansive head's rho_e.  It must be a float array
+    of shape (3, K), K >= 2, every entry finite and in (0, 1]; entries below
+    rho_floor are legal, as ``init_thresholds`` makes them.  It is made
+    read-only here; ``rho_b`` and ``rho_e`` are views of its rows."""
 
     thresholds: np.ndarray
 
     def __post_init__(self) -> None:
-        self.thresholds.flags.writeable = False
+        rho = self.thresholds
+        if not (isinstance(rho, np.ndarray) and np.issubdtype(rho.dtype, np.floating)):
+            raise ValueError("thresholds must be a float array")
+        if rho.ndim != 2 or rho.shape[0] != len(network.HEAD_NAMES) or rho.shape[1] < 2:
+            raise ValueError(f"thresholds must have shape (3, K) with K >= 2, got {rho.shape}")
+        # NaN fails both comparisons, and +-inf one of them
+        if not ((rho > 0.0) & (rho <= 1.0)).all():
+            raise ValueError("thresholds must be finite and lie in (0, 1]")
+        rho.flags.writeable = False
 
     @property
     def rho_b(self) -> np.ndarray:

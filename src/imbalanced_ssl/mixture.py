@@ -8,12 +8,17 @@ confidence ``rho``, -1 below ``1 - rho``, and abstains (0) in between.
 
 ``pseudo_label_probabilities`` evaluates the closed form of the resulting
 three-way distribution; ``monte_carlo_pseudo_label_probabilities`` is the
-deliberately-dumb sampling oracle used to cross-check it.
+deliberately-dumb sampling oracle used to cross-check it.  The oracle counts
+its rows in counter-addressed Philox blocks on one thread per CPU the
+process may use, up to ``_WORKERS``; its threads live inside the call and run
+only ``_block_counts``, so every traced function still runs on one thread.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +33,14 @@ __all__ = [
     "denoising_bound",
 ]
 
-# Rows of the Monte Carlo oracle drawn and reduced at once: its working set is
-# a few MB whatever the sample count, so more samples cost time, not memory.
-_BLOCK = 1 << 16
+# Rows of the Monte Carlo oracle drawn and counted at once, per worker: a
+# block's working set is about 0.7 MB whatever the sample count, so more
+# samples cost time, not memory.  A multiple of 4, so that every block starts
+# on a Philox counter boundary.
+_BLOCK = 1 << 14
+# The most worker threads the oracle runs, whatever the host, so that its
+# rows in flight, _WORKERS * _BLOCK = 65,536, hold a few MB on any host.
+_WORKERS = 4
 
 
 @dataclass(frozen=True)
@@ -114,6 +124,43 @@ def pseudo_label_probabilities(spec: BinaryMixtureSpec) -> PseudoLabelProbabilit
     return PseudoLabelProbabilities(p_pos=p_pos, p_neg=p_neg, p_mask=1.0 - p_pos - p_neg)
 
 
+def _block_counts(spec: BinaryMixtureSpec, seed: int, start: int,
+                  stop: int) -> tuple[int, int]:
+    """(n_pos, n_neg) over the oracle's rows ``start`` to ``stop``.
+
+    The block makes its own generator at its row's Philox counter offset:
+    Philox4x64 steps its counter before it fills four uint64, one counter
+    step per four uniforms, and a row takes three, so row ``start`` (a
+    multiple of four) begins at counter ``3 * start // 4``.  The arithmetic
+    is the documented recipe, op for op, computed in place."""
+    rng = np.random.Generator(np.random.Philox(key=seed, counter=3 * start // 4))
+    u = rng.random((stop - start, 3))
+    positive = u[:, 0] < spec.gamma
+    # z = sqrt(-2 ln(1 - u_bm1)) * cos(2 pi u_bm2)
+    z = np.negative(u[:, 1])
+    np.log1p(z, out=z)
+    z *= -2.0
+    np.sqrt(z, out=z)
+    x = np.multiply(u[:, 2], 2.0 * np.pi)
+    z *= np.cos(x, out=x)
+    # x = mu_Y + sigma_Y * z, into z
+    np.multiply(z, spec.sigma2, out=x)
+    x += spec.mu2
+    z *= spec.sigma1
+    z += spec.mu1
+    np.copyto(z, x, where=positive)
+    # the score, into z
+    z -= spec.delta_p
+    z -= 0.5 * (spec.mu1 + spec.mu2)
+    z *= -spec.beta
+    with np.errstate(over="ignore"):
+        np.exp(z, out=z)
+    z += 1.0
+    np.divide(1.0, z, out=z)
+    return (int(np.count_nonzero(z > spec.rho)),
+            int(np.count_nonzero(z < 1.0 - spec.rho)))
+
+
 def monte_carlo_pseudo_label_probabilities(
     spec: BinaryMixtureSpec, n_samples: int, seed: int
 ) -> PseudoLabelProbabilities:
@@ -124,11 +171,7 @@ def monte_carlo_pseudo_label_probabilities(
 
     * generator: Philox4x64 keyed with ``seed``, counter starting at 0;
     * one row of three uniform doubles in [0, 1) per sample, the rows of one
-      row-major (n_samples, 3) block: ``u_label, u_bm1, u_bm2``.  The block is
-      drawn in consecutive row blocks of ``_BLOCK`` rows (the last one
-      shorter), each ``rng.random((m, 3))`` on the same generator; consecutive
-      draws continue one stream, so these are the uniforms of a single
-      ``(n_samples, 3)`` draw, and the counts add up across blocks;
+      row-major ``rng.random((n_samples, 3))`` draw: ``u_label, u_bm1, u_bm2``;
     * class:  Y = +1 iff ``u_label < gamma``;
     * normal variate via the Box-Muller cosine branch on complemented
       uniforms (keeps the log argument in (0, 1]):
@@ -136,26 +179,51 @@ def monte_carlo_pseudo_label_probabilities(
     * x = mu_Y + sigma_Y * z, score
       ``s = 1 / (1 + exp(-beta * ((x - delta_p) - (mu1 + mu2) / 2)))``,
       pseudo-label +1 if s > rho, -1 if s < 1 - rho, else 0.
+
+    The rows are counted in blocks of ``_BLOCK`` (the last one shorter), each
+    drawn by its own generator started at the block's Philox counter offset,
+    ``3 * start // 4`` for the block that starts at row ``start``: these are
+    exactly the uniforms that the one draw gives those rows.  Every CPU the
+    process may use runs one worker, up to ``_WORKERS``, and each worker
+    counts every W-th block (W the worker count); the counts are integer
+    sums, so the result is the same at any worker count and in any
+    schedule.  Once a block fails, or the call is interrupted, no block that
+    has not started runs, and the call raises.
     """
     n_samples = int(n_samples)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    mid = 0.5 * (spec.mu1 + spec.mu2)
-    n_pos = n_neg = 0
-    for start in range(0, n_samples, _BLOCK):
-        u = rng.random((min(_BLOCK, n_samples - start), 3))
-        positive = u[:, 0] < spec.gamma
-        z = np.sqrt(-2.0 * np.log1p(-u[:, 1])) * np.cos(2.0 * np.pi * u[:, 2])
-        x = np.where(
-            positive,
-            spec.mu2 + spec.sigma2 * z,
-            spec.mu1 + spec.sigma1 * z,
-        )
-        with np.errstate(over="ignore"):
-            score = 1.0 / (1.0 + np.exp(-spec.beta * ((x - spec.delta_p) - mid)))
-        n_pos += int(np.count_nonzero(score > spec.rho))
-        n_neg += int(np.count_nonzero(score < 1.0 - spec.rho))
+    # imported here, so that the training commands, which import this module
+    # through cli, never load the pool
+    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+
+    seed = int(seed)
+    starts = range(0, n_samples, _BLOCK)
+    # the CPUs this process may use; macOS and Windows have no affinity call,
+    # and there it is every CPU
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cpus or 1, _WORKERS, len(starts))
+    stop = threading.Event()
+
+    def count(first: int) -> tuple[int, int]:
+        n_pos = n_neg = 0
+        for start in starts[first::workers]:
+            if stop.is_set():
+                break
+            pos, neg = _block_counts(spec, seed, start, min(start + _BLOCK, n_samples))
+            n_pos += pos
+            n_neg += neg
+        return n_pos, n_neg
+
+    with ThreadPoolExecutor(workers) as pool:
+        try:
+            futures = [pool.submit(count, first) for first in range(workers)]
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:
+            # after a failed block or an interrupt, no further block starts;
+            # leaving the pool joins its threads
+            stop.set()
+        n_pos, n_neg = map(sum, zip(*(future.result() for future in futures)))
     n = float(n_samples)
     return PseudoLabelProbabilities(
         p_pos=n_pos / n,

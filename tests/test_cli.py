@@ -44,6 +44,10 @@ def test_verify_theorem_passes_at_modest_sample_count(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "36 grid points" in text
     assert "OK" in text
+    # the largest sqrt(p(1-p)/n) over the grid: p = 0.5 is not on it, so just below
+    # sqrt(0.25 / 20000) = 0.003536
+    assert "largest sampling standard error sqrt(p(1-p)/n) = 0.0035" in text
+    assert "(tolerance 0.05)" in text.splitlines()[2]
     lines = out.read_text().splitlines()
     assert len(lines) == 37
     # the spec's fields in declaration order, then each probability analytic and sampled
@@ -843,6 +847,27 @@ def test_console_script_is_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "verify-theorem" in proc.stdout
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                    reason="needs an affinity call and at least two CPUs to pin one")
+def test_verify_report_identical_under_a_cpu_limit(tmp_path):
+    # the oracle runs one worker per CPU the process may use; pinned to one
+    # CPU it runs one, and the report keeps every byte
+    src = os.path.dirname(os.path.dirname(imbalanced_ssl.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cpu = min(os.sched_getaffinity(0))
+    pinned = (f"import os, sys; os.sched_setaffinity(0, {{{cpu}}}); "
+              "from imbalanced_ssl.cli import main; sys.exit(main(sys.argv[1:]))")
+    reports = []
+    for name, launch in (("all", ["-m", "imbalanced_ssl.cli"]), ("one", ["-c", pinned])):
+        out = tmp_path / f"{name}.csv"
+        proc = subprocess.run([sys.executable, *launch, "verify-theorem", "--samples", "200000",
+                               "--out", str(out)], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_artifacts_identical_across_blas_thread_counts(tmp_path):

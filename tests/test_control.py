@@ -108,6 +108,40 @@ def test_trajectories_nonincreasing_under_any_bias():
         prev_b, prev_e = st.rho_b.copy(), st.rho_e.copy()
 
 
+def _with_entry(value):
+    rho = np.full((3, 4), 0.9)
+    rho[2, 3] = value
+    return rho
+
+
+@pytest.mark.parametrize("thresholds", [
+    pytest.param([[0.9] * 4] * 3, id="list"),
+    pytest.param(np.ones((3, 4), dtype=np.int64), id="int-dtype"),
+    pytest.param(np.full(4, 0.9), id="1-d"),
+    pytest.param(np.full((3, 4, 1), 0.9), id="3-d"),
+    pytest.param(np.full((2, 4), 0.9), id="two-rows"),
+    pytest.param(np.full((3, 1), 0.9), id="one-class"),
+    pytest.param(_with_entry(np.nan), id="nan"),
+    pytest.param(_with_entry(np.inf), id="inf"),
+    pytest.param(_with_entry(-np.inf), id="-inf"),
+    pytest.param(_with_entry(0.0), id="zero"),
+    pytest.param(_with_entry(-0.1), id="negative"),
+    pytest.param(_with_entry(1.0 + 1e-12), id="above-one"),
+])
+def test_threshold_state_rejects_a_bad_matrix(thresholds):
+    with pytest.raises(ValueError, match="thresholds"):
+        ThresholdState(thresholds)
+
+
+def test_threshold_state_accepts_entries_below_the_floor():
+    # init_thresholds starts the expansive head at 0.35 < rho_floor here
+    state = init_thresholds(c=6.0, gamma_u=100.0, head_classes=HEAD5, t=T)
+    assert state.rho_e.min() < T.rho_floor
+    rho = _with_entry(1e-300)
+    assert ThresholdState(rho).thresholds is rho
+    assert not rho.flags.writeable
+
+
 @st.composite
 def _controller_runs(draw):
     """A threshold state, a sequence of arbitrary finite output-head bias

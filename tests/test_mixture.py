@@ -5,14 +5,23 @@ here the closed form is checked against scipy's normal CDF plugged into the
 same decision geometry, plus small simulations and the validation contract.
 """
 
+import concurrent.futures
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+import imbalanced_ssl
+from imbalanced_ssl import mixture
 from imbalanced_ssl.mixture import (
     _BLOCK,
+    _WORKERS,
     BinaryMixtureSpec,
     denoising_bound,
     monte_carlo_pseudo_label_probabilities,
@@ -110,15 +119,108 @@ def _one_block_counts(spec, n, seed):
     return int(np.count_nonzero(score > spec.rho)), int(np.count_nonzero(score < 1.0 - spec.rho))
 
 
-@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7])
-def test_streamed_oracle_counts_equal_one_block_draw(n):
-    # the row blocks continue one Philox stream, so the counts are exactly
-    # those of a single (n, 3) draw, at and around every block boundary
+def _pin_workers(monkeypatch, cpus):
+    """Make the oracle see ``cpus`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def _pool_sizes(monkeypatch):
+    """Record the worker count of every pool the oracle opens."""
+    sizes = []
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    return sizes
+
+
+# 4 * _BLOCK is the rows the workers hold at once when every one is busy
+@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 4 * _BLOCK - 1, 4 * _BLOCK,
+                               4 * _BLOCK + 1, 8 * _BLOCK + 7])
+def test_streamed_oracle_counts_equal_one_block_draw(n, monkeypatch):
+    # every block starts on a Philox counter boundary, so the blocks' own
+    # generators give exactly the uniforms of a single (n, 3) draw, at and
+    # around the block boundaries and whichever worker counts which block
+    assert 3 * _BLOCK % 4 == 0
     spec = _spec()
+    n_pos, n_neg = _one_block_counts(spec, n, 7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        for workers in range(1, _WORKERS + 1):
+            with monkeypatch.context() as patch:
+                _pin_workers(patch, workers)
+                got = monte_carlo_pseudo_label_probabilities(spec, n_samples=n, seed=7)
+            assert (got.p_pos, got.p_neg, got.p_mask) == (
+                n_pos / n, n_neg / n, (n - n_pos - n_neg) / n), workers
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("cpus, n, workers", [
+    (1, 64 * _BLOCK, 1),
+    (3, 64 * _BLOCK, 3),
+    (64, 64 * _BLOCK, _WORKERS),  # a large host still runs _WORKERS
+    (64, 2 * _BLOCK, 2),  # never more workers than blocks
+])
+def test_oracle_runs_one_worker_per_cpu_up_to_the_cap(cpus, n, workers, monkeypatch):
+    _pin_workers(monkeypatch, cpus)
+    sizes = _pool_sizes(monkeypatch)
+    monte_carlo_pseudo_label_probabilities(_spec(), n_samples=n, seed=0)
+    assert sizes == [workers]
+
+
+@pytest.mark.parametrize("cpus, workers", [(None, 1), (1, 1), (3, 3), (64, _WORKERS)])
+def test_oracle_without_an_affinity_call_takes_the_cpu_count(cpus, workers, monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity; os.cpu_count() may be None
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    sizes = _pool_sizes(monkeypatch)
+    spec = _spec()
+    n = 4 * _BLOCK + 7
     got = monte_carlo_pseudo_label_probabilities(spec, n_samples=n, seed=7)
     n_pos, n_neg = _one_block_counts(spec, n, 7)
-    assert (got.p_pos, got.p_neg, got.p_mask) == (n_pos / n, n_neg / n,
-                                                  (n - n_pos - n_neg) / n)
+    assert sizes == [workers]
+    assert (got.p_pos, got.p_neg) == (n_pos / n, n_neg / n)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_failed_block_stops_the_blocks_not_started(workers, monkeypatch):
+    _pin_workers(monkeypatch, workers)
+    stops = []
+
+    def event():
+        stops.append(threading.Event())
+        return stops[-1]
+
+    # the oracle's one use of threading is its stop event: keep a handle on it
+    monkeypatch.setattr(mixture, "threading", types.SimpleNamespace(Event=event))
+    started = []
+
+    def block_counts(spec, seed, start, stop):
+        started.append(start)
+        if start == _BLOCK:
+            raise RuntimeError("second block failed")
+        if start > 0:
+            # hold every later block until the oracle stops handing blocks
+            # out, however late the failure reaches the caller
+            assert stops[0].wait(timeout=10)
+        return 0, 0
+
+    monkeypatch.setattr(mixture, "_block_counts", block_counts)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="second block failed"):
+        monte_carlo_pseudo_label_probabilities(_spec(), n_samples=64 * _BLOCK, seed=0)
+    assert threading.active_count() == threads
+    # worker w starts on block w, and only block 0 returns before the stop,
+    # so every worker starts at most one block after the failure: worker 0
+    # may reach block W, and no block beyond it starts
+    assert _BLOCK in started and max(started) <= workers * _BLOCK
+    if workers == 1:
+        assert started == [0, _BLOCK]
 
 
 def test_oracle_working_set_does_not_grow_with_samples():
@@ -131,6 +233,51 @@ def test_oracle_working_set_does_not_grow_with_samples():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("cpus", [16, 64])
+def test_oracle_working_set_does_not_grow_with_cpus(cpus, monkeypatch):
+    # the workers are capped, so a large host holds no more blocks at once
+    # than _WORKERS CPUs do; the bound is the one above
+    _pin_workers(monkeypatch, cpus)
+    tracemalloc.start()
+    try:
+        monte_carlo_pseudo_label_probabilities(_spec(), n_samples=1_000_000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_oracle_work_in_flight_does_not_grow_with_samples(monkeypatch):
+    # each worker holds one block at a time and no pending block holds
+    # memory, so 16 times the blocks raise the peak by at most the working
+    # set of one block: the peak of a one-block call
+    _pin_workers(monkeypatch, 2)
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            monte_carlo_pseudo_label_probabilities(_spec(), n_samples=n, seed=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(_BLOCK)  # first call: imports the pool outside the measurement
+    one_block = peak(_BLOCK)
+    assert abs(peak(64 * _BLOCK) - peak(4 * _BLOCK)) <= one_block
+
+
+def test_cli_import_leaves_the_thread_pool_unloaded():
+    # the training commands import mixture through cli; only the oracle's
+    # call loads concurrent.futures
+    src = os.path.dirname(os.path.dirname(imbalanced_ssl.__file__))
+    code = ("import sys, imbalanced_ssl.cli; "
+            "assert 'concurrent.futures' not in sys.modules, 'loaded'")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                              filter(None, [src, os.environ.get("PYTHONPATH")]))})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_masking_grows_with_threshold():
