@@ -119,14 +119,12 @@ def init_thresholds(c: float, gamma_u: float, head_classes: np.ndarray,
 def update_thresholds(state: ThresholdState, b_opt: np.ndarray,
                       t: TrainSection) -> ThresholdState:
     """One controller tick: rho(k) -= alpha wherever b_opt(k) > nu (signed
-    comparison, both heads, same rule), given the output head's bias vector
-    ``b_opt``; alpha, nu and rho_floor are t's.  The decay is clamped at
-    rho_floor; entries already below the floor stay where they are, so the
-    trajectory never increases.  A tick with no hot class returns ``state``
-    itself."""
-    if np.shape(b_opt) != state.thresholds.shape[1:]:
-        raise ValueError("bias vector length must match class count")
-    hot = np.asarray(b_opt) > t.nu
+    comparison, both heads, same rule), given the output head's (K,) bias
+    vector ``b_opt``; alpha, nu and rho_floor are t's.  The decay is clamped
+    at rho_floor; entries already below the floor stay where they are, so
+    the trajectory never increases.  A tick with no hot class returns
+    ``state`` itself."""
+    hot = b_opt > t.nu
     if not hot.any():
         return state
     rho = state.thresholds[1:]

@@ -27,15 +27,14 @@ def separation_violation_rate(model: Model, samples: np.ndarray, n_aug: int, noi
                               strength: float, dropout: float,
                               seed: int | Sequence[int]) -> float:
     """Fraction of samples whose output-head prediction flips under at least
-    one of n_aug strong augmentations, relative to the unaugmented prediction.
+    one of n_aug strong augmentations (n_aug >= 1, as ``TrainSection``
+    checks ``probe_n_aug``), relative to the unaugmented prediction.
     The augmentations draw from ``np.random.default_rng(seed)``; the trainer
     seeds each epoch's probe with ``[train seed, stream, epoch]``.
 
     Empirical stand-in for the expansion assumption's violation rate; feeds
     the denoising bound 2c/(c-3)*mu.
     """
-    if n_aug < 1:
-        raise ValueError("n_aug must be >= 1")
     x = np.asarray(samples, dtype=np.float64)
     base = predict(model, x, ("output",))[0]
     violated = np.zeros(x.shape[0], dtype=bool)

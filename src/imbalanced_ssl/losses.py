@@ -36,10 +36,11 @@ once by ``step_plan``: the tau-scaled labeled log-prior, the consistency
 weights, the head/non-head split (``head_mask`` of the labeled counts) and
 the class weights, ones until a reweighting match, so reweighted or not the
 step runs one path (1.0 multiplies exactly); the step takes the
-thresholds, which change, separately.  ``cross_entropy_with_grad`` and
-``masked_consistency_from_logits`` keep their label-range and
-threshold-range checks on every call: they are public functions that take
-any caller's input, and the checks cost a few reductions a step.
+thresholds, which change, separately, as the ``ThresholdState`` that
+checked them.  Every step input is checked once, where it is built (the
+thresholds by ``ThresholdState``, the class weights by ``step_plan``, the
+four batches' rows by ``total_loss``; the labels lie in [0, K) by the
+dataset's construction), and the two loss functions check none of it.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from .network import ForwardCache, Model
 
 if TYPE_CHECKING:
     from .config import TrainSection
+    from .control import ThresholdState
 
 __all__ = [
     "LossReport",
@@ -148,11 +150,6 @@ def _softmax(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return top, total
 
 
-def _check_batch(logits: np.ndarray) -> None:
-    if logits.ndim not in (2, 3) or logits.shape[1] == 0:
-        raise ValueError("logits must be a nonempty class-major (K, N) or (K, N, H) array")
-
-
 def cross_entropy_with_grad(logits: np.ndarray, y: np.ndarray, adjustment: np.ndarray
                             ) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean CE of (logits + adjustment) against y; gradient is
@@ -161,13 +158,7 @@ def cross_entropy_with_grad(logits: np.ndarray, y: np.ndarray, adjustment: np.nd
     adjustment broadcasts against the class-major logits, so a per-class
     shift is (K, 1) for one head and plain CE takes 0.0."""
     z = np.asarray(logits, dtype=np.float64)
-    y = np.asarray(y)
-    _check_batch(z)
-    k, n = z.shape[:2]
-    if y.shape != (n,):
-        raise ValueError("labels must be a vector matching the batch")
-    if np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= k:
-        raise ValueError(f"labels must lie in [0, {k})")
+    n = z.shape[1]
     # the adjusted logits in a new C-ordered array, for the flat gathers, that
     # the softmax then turns into the gradient
     grad = np.add(z, adjustment, order="C")
@@ -179,19 +170,6 @@ def cross_entropy_with_grad(logits: np.ndarray, y: np.ndarray, adjustment: np.nd
     grad.reshape(-1)[at_y] -= 1.0
     grad /= n
     return value, grad
-
-
-def _check_thresholds(thresholds: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    # Large expansion factors legitimately initialize non-head entries well
-    # below 1/2 (c=6 saturated gives 0.35), so the only hard requirement is
-    # a positive confidence cut.
-    rho = np.asarray(thresholds, dtype=np.float64)
-    if rho.shape != shape:
-        raise ValueError(f"thresholds must have shape {shape}")
-    if not (np.minimum.reduce(rho, axis=None) > 0.0
-            and np.maximum.reduce(rho, axis=None) <= 1.0):
-        raise ValueError("thresholds must lie in (0, 1]")
-    return rho
 
 
 def masked_consistency_from_logits(weak_logits: np.ndarray, strong_logits: np.ndarray,
@@ -207,11 +185,7 @@ def masked_consistency_from_logits(weak_logits: np.ndarray, strong_logits: np.nd
     """
     w = np.asarray(weak_logits, dtype=np.float64)
     s = np.asarray(strong_logits, dtype=np.float64)
-    _check_batch(w)
-    if w.shape != s.shape:
-        raise ValueError("weak/strong logits must have matching shapes")
     k, n = w.shape[:2]
-    rho = _check_thresholds(thresholds, (*w.shape[2:], k))
     # the weak rows, then the strong rows, in a new C-ordered array that the
     # softmax turns into their probabilities
     probs = np.concatenate([w, s], axis=1, out=np.empty((k, 2 * n, *w.shape[2:])))
@@ -220,15 +194,12 @@ def masked_consistency_from_logits(weak_logits: np.ndarray, strong_logits: np.nd
     conf = np.maximum.reduce(probs_w, axis=0)
     pseudo = _class_argmax(probs_w, conf)
     # the pseudo-class entry of each row's per-class inputs: (K,) or (H, K)
-    at_class = pseudo + _rows(rho.shape[:-1], step=k)
-    included = conf >= rho.reshape(-1)[at_class]
+    at_class = pseudo + _rows(w.shape[2:], step=k)
+    included = conf >= thresholds.reshape(-1)[at_class]
 
     # each strong row's pseudo-class logit
     s_at = s[(pseudo, *np.indices(pseudo.shape, sparse=True))]
-    cw = np.asarray(class_weights, dtype=np.float64)
-    if cw.shape != rho.shape:
-        raise ValueError(f"class_weights must have shape {rho.shape}")
-    weights = cw.reshape(-1)[at_class]
+    weights = class_weights.reshape(-1)[at_class]
     per_sample = -((s_at - top[n:]) - np.log(total[n:])) * weights
     scale = weights / n
     value = np.add.reduce(per_sample * included, axis=0) / n
@@ -354,18 +325,20 @@ def step_plan(t: TrainSection, labeled_counts: np.ndarray, *,
 
 
 def total_loss(model: Model, labeled_x: np.ndarray, labeled_y: np.ndarray,
-               x_weak: np.ndarray, x_strong: np.ndarray, thresholds: np.ndarray,
+               x_weak: np.ndarray, x_strong: np.ndarray, state: ThresholdState,
                plan: StepPlan) -> StepLosses:
     """L = L_basic + L_sup^b + lambda_u * L_con^b + L_sup^e + lambda_u * L_con^e,
     with the tau-scaled logit adjustment, the lambda weights, the head mask
     and the class weights taken from the run's ``plan``, and
     output_pseudo_source, lambda_u and lambda_basic from ``plan.t``.  The
-    labeled and strong batches must have the plan's row counts.
+    weak and strong batches must have the plan's unlabeled_batch rows, and
+    the labeled inputs and labels its labeled_batch rows: the step's one row
+    check.
 
-    ``thresholds`` is (3, K), one row per head in HEAD_NAMES order, as
-    ``ThresholdState.thresholds`` holds it.  L_basic lives on the original
-    head (plain CE + lambda_basic * consistency at its row, rho_max in
-    training).  The balanced (output) and expansive heads get tau-adjusted
+    The thresholds are ``state.thresholds``, (3, K), one row per head in
+    HEAD_NAMES order, checked when ``state`` was made.  L_basic lives on the
+    original head (plain CE + lambda_basic * consistency at its row, rho_max
+    in training).  The balanced (output) and expansive heads get tau-adjusted
     supervision and consistency at their own per-class thresholds.  Every
     head self-labels from its own weak view;
     ``output_pseudo_source="expansive"`` switches the output head to the
@@ -380,10 +353,13 @@ def total_loss(model: Model, labeled_x: np.ndarray, labeled_y: np.ndarray,
     once over the head axis.
     """
     t = plan.t
-    n_w, n_l, n_s = (np.shape(x)[0] for x in (x_weak, labeled_x, x_strong))
-    if (n_l, n_s) != (t.labeled_batch, t.unlabeled_batch):
-        raise ValueError(f"the labeled and strong batches have {n_l} and {n_s} rows, "
-                         f"the step plan {t.labeled_batch} and {t.unlabeled_batch}")
+    rows = (len(x_weak), len(labeled_x), len(labeled_y), len(x_strong))
+    planned = (t.unlabeled_batch, t.labeled_batch, t.labeled_batch, t.unlabeled_batch)
+    if rows != planned:
+        raise ValueError("the weak, labeled x, labeled y and strong batches have "
+                         "{}, {}, {} and {} rows, the step plan {}, {}, {} and {}"
+                         .format(*rows, *planned))
+    n_w, n_l, _, n_s = rows
     k = model.k
     n_wl = n_w + n_l
     feats, cache = network.forward_features_cached(
@@ -398,7 +374,7 @@ def total_loss(model: Model, labeled_x: np.ndarray, labeled_y: np.ndarray,
     sup, g_sup = cross_entropy_with_grad(z_l, labeled_y, plan.adjustment)
     if t.output_pseudo_source == "expansive":
         z_w = z_w[..., [0, 2, 2]]
-    con = masked_consistency_from_logits(z_w, z_s, thresholds, plan.class_weights)
+    con = masked_consistency_from_logits(z_w, z_s, state.thresholds, plan.class_weights)
 
     ce_o, sup_b, sup_e = sup.tolist()
     con_o, con_b, con_e = con.value.tolist()

@@ -240,11 +240,13 @@ def head_logits(model: Model, features: np.ndarray) -> np.ndarray:
 
 
 def backward(model: Model, cache: ForwardCache, head_grads: np.ndarray) -> np.ndarray:
-    """Exact gradients given dL/dlogits of every head as one (N, H, K) array,
-    heads in HEAD_NAMES order, already carrying any 1/N averaging; a head
-    whose slab is zero contributes nothing.  The heads' parameter gradients
-    and dL/dfeatures each come from one matmul over the stacked heads.  Each
-    backbone layer's activation derivative is read off its cached activation.
+    """Exact gradients given dL/dlogits of every head as one (N, H, K) float64
+    array over the cache's N rows, heads in HEAD_NAMES order, already
+    carrying any 1/N averaging, as ``StepLosses.head_grads`` holds it (its
+    shape is not checked again here); a head whose slab is zero contributes
+    nothing.  The heads' parameter gradients and dL/dfeatures each come from
+    one matmul over the stacked heads.  Each backbone layer's activation
+    derivative is read off its cached activation.
 
     The gradients are written into ``model.grad``, which the first call
     allocates, and that vector is returned; the next call overwrites it.
@@ -252,11 +254,7 @@ def backward(model: Model, cache: ForwardCache, head_grads: np.ndarray) -> np.nd
     _, act_grad = _ACTIVATIONS[model.activation]
     feats = cache.acts[-1]
     n = feats.shape[0]
-    g = np.asarray(head_grads, dtype=np.float64)
-    if g.shape != (n, len(HEAD_NAMES), model.k):
-        raise ValueError(f"head gradient shape {g.shape}, "
-                         f"expected {(n, len(HEAD_NAMES), model.k)}")
-    g = g.reshape(n, -1)
+    g = head_grads.reshape(n, -1)
     if model.grad is None:
         model.grad = np.zeros_like(model.flat)
         model._grad = _carve(model.grad, model.dims, model.k)

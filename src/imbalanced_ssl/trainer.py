@@ -72,8 +72,8 @@ class TrainingAborted(RuntimeError):
 @dataclass
 class TrainResult:
     model: Model
-    match: AnchorMatch | None
-    estimated_counts: np.ndarray | None
+    match: AnchorMatch
+    estimated_counts: np.ndarray
     metrics_rows: list[dict]
     losses: np.ndarray  # (steps, len(LOSS_COLUMNS)) float64, one losses.csv row per step
     threshold_rows: list[dict]
@@ -120,7 +120,7 @@ def _train_step(model: Model, state: ThresholdState, plan: StepPlan, control: bo
     weak = weak_augment_batch(xu, noise, t.weak_strength, aug_rng)
     strong = strong_augment_batch(xu, noise, t.strong_strength, t.dropout, aug_rng)
     with np.errstate(over="ignore", invalid="ignore"):
-        losses = total_loss(model, xl, yl, weak, strong, state.thresholds, plan)
+        losses = total_loss(model, xl, yl, weak, strong, state, plan)
         losses_row[:] = [step, *(getattr(losses, col) for col in LOSS_COLUMNS[1:])]
         if not (losses.finite_logits and np.isfinite(losses.total)):
             # the row is the step, then the LOSS_COMPONENTS, then the mask rates
@@ -291,30 +291,29 @@ def train(config: RunConfig, dataset: Dataset | None = None,
 
 
 def _finite_or_none(v):
-    if v is None:
-        return None
     f = float(v)
     return f if np.isfinite(f) else None
 
 
-def _summary(config: RunConfig, dataset: Dataset, model: Model, match: AnchorMatch | None,
-             estimated: np.ndarray | None, metrics_rows: list[dict], steps: int,
+def _summary(config: RunConfig, dataset: Dataset, model: Model, match: AnchorMatch,
+             estimated: np.ndarray, metrics_rows: list[dict], steps: int,
              audit_reads: int) -> dict:
+    """The run's summary.json; a finished run has matched (the estimation
+    phase ends by the last epoch) and has at least one metrics row."""
     correlations = bias_pattern_report(model, dataset.labeled_counts())
-    final = metrics_rows[-1] if metrics_rows else {}
-    matched = match is not None
+    final = metrics_rows[-1]
     return {
         "config_hash": config.config_hash(),
-        "o_star": match.kind if matched else None,
-        "o_star_index": match.index if matched else None,
-        "c": match.expansion_factor if matched else None,
-        "gamma_u": _finite_or_none(match.gamma_u) if matched else None,
-        "kl_values": [float(v) for v in match.kl_values] if matched else None,
-        "estimated_counts": [int(v) for v in estimated] if estimated is not None else None,
+        "o_star": match.kind,
+        "o_star_index": match.index,
+        "c": match.expansion_factor,
+        "gamma_u": _finite_or_none(match.gamma_u),
+        "kl_values": [float(v) for v in match.kl_values],
+        "estimated_counts": [int(v) for v in estimated],
         "steps": steps,
         "audit_reads": audit_reads,
         "bias_spearman": {name: _finite_or_none(v) for name, v in correlations.items()},
-        "final": {key: _finite_or_none(final.get(key)) for key in _SUMMARY_METRICS},
+        "final": {key: _finite_or_none(final[key]) for key in _SUMMARY_METRICS},
     }
 
 

@@ -18,7 +18,7 @@ from conftest import (balanced_softmax_loss, log_prior, param_order, per_head_lo
                       record_acceptance, run_estimation_phase, softmax)
 from imbalanced_ssl.cli import main as cli_main
 from imbalanced_ssl.config import RunConfig, TaskSection, TrainSection
-from imbalanced_ssl.control import calibrate_logits, init_thresholds
+from imbalanced_ssl.control import ThresholdState, calibrate_logits, init_thresholds
 from imbalanced_ssl.data import generate
 from imbalanced_ssl.diagnostics import bias_pattern_report, evaluate
 from imbalanced_ssl.distributions import (default_anchor_set, head_mask,
@@ -227,8 +227,9 @@ def _only_head(head, g):
 
 
 def _case_thresholds(case):
-    """The case's per-head thresholds as total_loss's (3, K) matrix."""
-    return np.stack([np.full(case["k"], case["t"][head]) for head in HEAD_NAMES])
+    """The case's per-head thresholds as the ThresholdState total_loss takes."""
+    return ThresholdState(np.stack([np.full(case["k"], case["t"][head])
+                                    for head in HEAD_NAMES]))
 
 
 def _case_total_loss(model, case):

@@ -109,7 +109,7 @@ def test_counter_hooks_read_real_objects():
     # the calls of one training step, as the tracer sees them
     plan = step_plan(replace(TrainSection(), labeled_batch=8, unlabeled_batch=12),
                      labeled_counts)
-    step = (model, x_l, y_l, x_w, x_s, state.thresholds, plan)
+    step = (model, x_l, y_l, x_w, x_s, state, plan)
     losses = total_loss(*step)
     hooks["losses:total_loss"](tr, step, {}, losses)
     grads = (model, losses.cache, losses.head_grads)

@@ -30,6 +30,14 @@ def _tiny_config_obj(seed=0):
     }
 
 
+def _src_env(**extra):
+    """The environment for a subprocess that imports the package from this
+    source tree, installed or not, plus ``extra``."""
+    src = os.path.dirname(os.path.dirname(imbalanced_ssl.__file__))
+    return {**os.environ, **extra,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _write_config(tmp_path, name="config.json", seed=0):
     path = tmp_path / name
     path.write_text(json.dumps(_tiny_config_obj(seed=seed)))
@@ -844,7 +852,7 @@ def test_verify_theorem_rejects_a_tolerance_that_is_not_positive_and_finite(caps
 
 def test_console_script_is_installed():
     proc = subprocess.run([sys.executable, "-m", "imbalanced_ssl.cli", "--help"],
-                          capture_output=True, text=True)
+                          env=_src_env(), capture_output=True, text=True)
     assert proc.returncode == 0
     assert "verify-theorem" in proc.stdout
 
@@ -854,9 +862,7 @@ def test_console_script_is_installed():
 def test_verify_report_identical_under_a_cpu_limit(tmp_path):
     # the oracle runs one worker per CPU the process may use; pinned to one
     # CPU it runs one, and the report keeps every byte
-    src = os.path.dirname(os.path.dirname(imbalanced_ssl.__file__))
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = _src_env()
     cpu = min(os.sched_getaffinity(0))
     pinned = (f"import os, sys; os.sched_setaffinity(0, {{{cpu}}}); "
               "from imbalanced_ssl.cli import main; sys.exit(main(sys.argv[1:]))")
@@ -880,12 +886,10 @@ def test_artifacts_identical_across_blas_thread_counts(tmp_path):
         "train": {"seed": 1, "epochs": 3, "steps_per_epoch": 10, "estimation_epochs": 1,
                   "labeled_batch": 64, "unlabeled_batch": 128},
     }))
-    src = os.path.dirname(os.path.dirname(imbalanced_ssl.__file__))
     artifacts = ("metrics.csv", "losses.csv", "thresholds.csv", "bias.csv", "checkpoint.json")
     runs = []
     for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env = _src_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         run = tmp_path / f"threads{threads}"
         proc = subprocess.run([sys.executable, "-m", "imbalanced_ssl.cli", "train", str(cfg),
                                "--out", str(run)], env=env, capture_output=True, text=True)

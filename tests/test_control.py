@@ -212,13 +212,6 @@ def test_tick_reads_the_live_output_bias_without_copying_it():
     assert not np.shares_memory(new.rho_b, m.flat)
 
 
-def test_state_validation():
-    # the constants are checked once, by TrainSection (see test_cli's
-    # OUT_OF_RANGE_TRAIN); a tick still checks its bias vector
-    with pytest.raises(ValueError):
-        update_thresholds(init_thresholds(4.0, 100.0, HEAD5, T), np.zeros(7), T)
-
-
 def _model(seed=0):
     return init_model(k=4, d=5, hidden=(6,), feature=4, seed=seed)
 

@@ -17,6 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import balanced_softmax_loss, default_widths, log_prior, per_head_logits, softmax
 from imbalanced_ssl.config import TrainSection
+from imbalanced_ssl.control import ThresholdState
 from imbalanced_ssl.distributions import head_mask
 from imbalanced_ssl.losses import (
     LossReport,
@@ -127,18 +128,28 @@ def test_step_plan_splits_the_head_from_its_counts(counts, head):
         step_plan(T, np.array(counts), np.ones(len(counts)))
 
 
-@pytest.mark.parametrize("n_l,n_s", [(1, 12), (9, 12), (8, 11)])
-def test_total_loss_refuses_a_batch_the_plan_was_not_built_for(n_l, n_s):
+# rows of the weak batch, the labeled inputs, the labels and the strong batch;
+# literal ids, the first three the ones pytest once gave them by (n_l, n_s)
+@pytest.mark.parametrize("n_w,n_l,n_y,n_s", [
+    pytest.param(12, 1, 1, 12, id="1-12"),
+    pytest.param(12, 9, 9, 12, id="9-12"),
+    pytest.param(11, 8, 8, 11, id="8-11"),
+    pytest.param(11, 8, 8, 12, id="weak-11"),
+    pytest.param(12, 8, 7, 12, id="labels-7"),
+])
+def test_total_loss_refuses_a_batch_the_plan_was_not_built_for(n_w, n_l, n_y, n_s):
     m = _model(seed=6)
     lx, ly, xw, xs, counts = _step_inputs()
     plan = _plan(lx, xs, counts)
     rng = np.random.default_rng(0)
-    lx, ly = rng.normal(size=(n_l, 4)), rng.integers(0, 3, size=n_l)
-    xw = xs = rng.normal(size=(n_s, 4))
-    # without the check a 1-row labeled batch would broadcast against the
-    # plan's (K, 8, 3) adjustment
-    with pytest.raises(ValueError, match=f"{n_l} and {n_s} rows, the step plan 8 and 12"):
-        total_loss(m, lx, ly, xw, xs, np.full((3, 3), 0.9), plan)
+    lx, ly = rng.normal(size=(n_l, 4)), rng.integers(0, 3, size=n_y)
+    xw, xs = rng.normal(size=(n_w, 4)), rng.normal(size=(n_s, 4))
+    # this is the step's one row check: the loss functions check no shape,
+    # and without it a 1-row labeled batch would broadcast against the plan's
+    # (K, 8, 3) adjustment
+    with pytest.raises(ValueError, match=f"have {n_w}, {n_l}, {n_y} and {n_s} rows, "
+                                         "the step plan 12, 8, 8 and 12"):
+        total_loss(m, lx, ly, xw, xs, ThresholdState(np.full((3, 3), 0.9)), plan)
 
 
 def test_balanced_loss_frozen_hand_value():
@@ -220,14 +231,12 @@ def test_masked_consistency_class_weights_scale():
 
 
 def test_threshold_domain_checked():
+    # everything in (0, 1] is legal, including values below one half; the
+    # rejected values are ThresholdState's to refuse (test_control.py)
     w = np.array([[3.0, 0.0]])
     s = np.array([[1.0, 0.0]])
-    with pytest.raises(ValueError):
-        masked_consistency_from_logits(w.T, s.T, np.array([0.0, 0.9]), np.ones(2))
-    with pytest.raises(ValueError):
-        masked_consistency_from_logits(w.T, s.T, np.array([1.1, 0.9]), np.ones(2))
-    # everything in (0, 1] is legal, including values below one half
-    masked_consistency_from_logits(w.T, s.T, np.array([0.35, 1.0]), np.ones(2))
+    rep = masked_consistency_from_logits(w.T, s.T, np.array([0.35, 1.0]), np.ones(2))
+    assert rep.mask.tolist() == [True]
 
 
 def test_supervised_loss_goes_through_the_head():
@@ -270,7 +279,8 @@ def test_total_loss_decomposition():
     m = _model(seed=6)
     lx, ly, xw, xs, counts = _step_inputs()
     rho = np.array([0.95, 0.6, 0.45])
-    out = total_loss(m, lx, ly, xw, xs, np.stack([np.full(3, 0.95), rho, rho * 0.9]),
+    out = total_loss(m, lx, ly, xw, xs,
+                     ThresholdState(np.stack([np.full(3, 0.95), rho, rho * 0.9])),
                      _plan(lx, xs, counts, t=replace(T, lambda_basic=1.5)))
     # lambda_basic is folded into l_basic itself; lambda_u scales the two
     # balanced consistency terms
@@ -283,7 +293,7 @@ def test_total_loss_base_term_matches_base_loss():
     m = _model(seed=7)
     lx, ly, xw, xs, counts = _step_inputs(6)
     rho = np.full(3, 0.8)
-    out = total_loss(m, lx, ly, xw, xs, np.stack([np.full(3, 0.95), rho, rho]),
+    out = total_loss(m, lx, ly, xw, xs, ThresholdState(np.stack([np.full(3, 0.95), rho, rho])),
                      _plan(lx, xs, counts))
     assert out.l_basic == pytest.approx(
         base_loss(m, lx, ly, xw, xs, rho_max=0.95), abs=1e-12)
@@ -293,7 +303,7 @@ def test_total_loss_bookkeeping_fields():
     m = _model(seed=8)
     lx, ly, xw, xs, counts = _step_inputs(7)
     rho = np.full(3, 0.5)
-    out = total_loss(m, lx, ly, xw, xs, np.stack([np.full(3, 0.95), rho, rho]),
+    out = total_loss(m, lx, ly, xw, xs, ThresholdState(np.stack([np.full(3, 0.95), rho, rho])),
                      _plan(lx, xs, counts))
     assert out.kept.shape == (len(HEAD_NAMES), 3) and out.kept.dtype == np.int64
     assert np.all(out.kept.sum(axis=1) <= xw.shape[0])
@@ -312,7 +322,7 @@ def test_pseudo_source_switch_changes_the_teacher():
     m.heads["expansive"].b[:] = np.array([0.0, 0.0, 50.0])
     lx, ly, xw, xs, counts = _step_inputs(8)
     rho = np.full(3, 0.5)
-    thresholds = np.stack([np.full(3, 0.95), rho, rho])
+    thresholds = ThresholdState(np.stack([np.full(3, 0.95), rho, rho]))
     self_taught = total_loss(m, lx, ly, xw, xs, thresholds, _plan(lx, xs, counts))
     cross_taught = total_loss(m, lx, ly, xw, xs, thresholds,
                               _plan(lx, xs, counts,
@@ -407,7 +417,7 @@ def test_fused_step_matches_per_head_reference(source, weighted):
 
     want, want_grads, want_hist, want_rates, want_strong_x = _reference_step(
         m, lx, ly, xw, xs, log_prior(counts), **kw)
-    st = total_loss(m, lx, ly, xw, xs, kw["thresholds"],
+    st = total_loss(m, lx, ly, xw, xs, ThresholdState(kw["thresholds"]),
                     _plan(lx, xs, counts, kw["t"], kw["class_weights"]))
     grads = dict(m.parameters(backward(m, st.cache, st.head_grads)))
 
@@ -570,7 +580,7 @@ def test_total_loss_equals_the_row_major_formulation(k, source, weighted):
               class_weights=rng.uniform(0.3, 3.0, size=k) if weighted else None)
     values, head_grads, kept, rates = _rm_total_loss(m, lx, ly, xw, xs, log_prior(counts),
                                                      thresholds, **kw)
-    step = total_loss(m, lx, ly, xw, xs, thresholds,
+    step = total_loss(m, lx, ly, xw, xs, ThresholdState(thresholds),
                       _plan(lx, xs, counts, kw["t"], kw["class_weights"]))
     for name, value in values.items():
         assert _same_bits(getattr(step, name), value), name

@@ -82,6 +82,22 @@ def test_matching_happens_and_is_recorded():
     assert sum(res.summary["estimated_counts"]) == res.dataset.n_unlabeled
 
 
+@pytest.mark.parametrize("est", [pytest.param(0, id="before-the-first-step"),
+                                 pytest.param(1, id="after-the-first-epoch"),
+                                 pytest.param(3, id="at-the-last-epoch")])
+def test_a_run_ends_matched_wherever_its_estimation_phase_ends(tmp_path, est):
+    res = train(_tiny_config(seed=2, epochs=3, steps_per_epoch=4, estimation_epochs=est),
+                run_dir=str(tmp_path))
+    with open(tmp_path / "summary.json") as fh:
+        summary = json.load(fh)
+    assert summary == res.summary
+    for key in ("o_star", "c", "gamma_u", "kl_values", "estimated_counts"):
+        assert summary[key] is not None, key
+    # an epoch measured before the match has no expansion factor to bound with
+    assert [row["denoise_bound"] is None for row in res.metrics_rows] == [
+        epoch < est - 1 for epoch in range(3)]
+
+
 def test_thresholds_logged_nonincreasing():
     res = train(_tiny_config(seed=3, epochs=6))
     rows = res.threshold_rows
@@ -334,9 +350,9 @@ def test_the_plan_takes_the_class_weights_at_the_match(monkeypatch):
     # rebuilds the plan once, and every later step reads that one plan
     plans = []
 
-    def recording_total_loss(model, lx, ly, xw, xs, thresholds, plan):
+    def recording_total_loss(model, lx, ly, xw, xs, state, plan):
         plans.append(plan)
-        return total_loss(model, lx, ly, xw, xs, thresholds, plan)
+        return total_loss(model, lx, ly, xw, xs, state, plan)
 
     monkeypatch.setattr(trainer, "total_loss", recording_total_loss)
     cfg = _tiny_config(seed=16, reweight_unlabeled=True)
