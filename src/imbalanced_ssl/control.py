@@ -98,21 +98,16 @@ def init_thresholds(c: float, gamma_u: float, head_classes: np.ndarray,
     expansion factors and heavier unlabeled imbalance push non-head
     thresholds further down, and the expansive head always at least as far
     as the balanced one once both damping terms saturate.  The constants are t's.
+    ``c`` and ``gamma_u`` are a match's (``AnchorSet`` keeps c in (3, inf), and
+    gamma_u is a finite max/min ratio); ``head_classes`` is the plan's mask.
     """
-    if not c > 3.0:
-        raise ValueError(f"expansion factor must exceed 3, got {c}")
-    if gamma_u < 1.0:
-        raise ValueError(f"imbalance ratio must be >= 1, got {gamma_u}")
-    head = np.asarray(head_classes, dtype=bool)
-    if head.ndim != 1 or head.size < 2:
-        raise ValueError("head_classes must be a boolean vector over classes")
     rho_b0 = t.rho_max - ((c - 4.0) / 10.0) * min(gamma_u / 50.0, 1.0)
     rho_e0 = t.rho_max - ((c - 3.0) / 5.0) * min(gamma_u / 20.0, 1.0)
     if min(rho_b0, rho_e0) <= 0.0:
         raise ValueError(f"expansion factor {c} drives a threshold nonpositive")
-    thresholds = np.stack([np.full(head.size, t.rho_max),
-                           np.where(head, t.rho_max, min(rho_b0, t.rho_max)),
-                           np.where(head, t.rho_max, min(rho_e0, t.rho_max))])
+    thresholds = np.stack([np.full(head_classes.size, t.rho_max),
+                           np.where(head_classes, t.rho_max, min(rho_b0, t.rho_max)),
+                           np.where(head_classes, t.rho_max, min(rho_e0, t.rho_max))])
     return ThresholdState(thresholds)
 
 
@@ -157,8 +152,9 @@ def _blocks(n: int) -> list[tuple[int, int]]:
 def predict(model: Model, x: np.ndarray, views: Sequence[str]) -> np.ndarray:
     """The (len(views), N) argmax predictions of each view in ``views`` (of
     VIEWS) over the rows of ``x`` (lowest index wins ties).  Every head view
-    of a block is read off one ``head_logits`` matmul and one argmax, and
-    "calibrated" off ``calibrate_logits``.  The rows are forwarded in blocks
+    of a block is read off one ``head_logits`` matmul and one argmax, made
+    only when a head view is asked for, and "calibrated" off
+    ``calibrate_logits``.  The rows are forwarded in blocks
     (``_blocks``), so no features or logits outlive their block, and the
     predictions equal those of one forward over all rows.  The one row check
     of inference: ``x`` is a nonempty (N, D) array."""
@@ -166,9 +162,10 @@ def predict(model: Model, x: np.ndarray, views: Sequence[str]) -> np.ndarray:
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError(f"inference needs a nonempty (N, D) array, got shape {x.shape}")
     preds = np.empty((len(views), x.shape[0]), dtype=np.intp)
+    any_head = any(view != "calibrated" for view in views)
     for start, stop in _blocks(x.shape[0]):
         feats = network.forward_features(model, x[start:stop])
-        by_head = np.argmax(network.head_logits(model, feats), axis=2)
+        by_head = np.argmax(network.head_logits(model, feats), axis=2) if any_head else None
         for out, view in zip(preds, views):
             out[start:stop] = (np.argmax(calibrate_logits(model, feats), axis=1)
                                if view == "calibrated"

@@ -46,7 +46,6 @@ class Dataset:
     """
 
     task: TaskSection  # its seed resolved
-    centers: np.ndarray
     labeled_x: np.ndarray
     labeled_y: np.ndarray
     unlabeled_x: np.ndarray
@@ -144,7 +143,7 @@ def generate(task: TaskSection, labeled_counts: np.ndarray, unlabeled_counts: np
                            np.random.default_rng([task.seed, _UNLABELED_STREAM]))
     tx, ty = _sample_split(centers, np.full(task.k, test_per_class, dtype=np.int64),
                            task.noise, np.random.default_rng([task.seed, _TEST_STREAM]))
-    return Dataset(task=task, centers=centers, labeled_x=lx, labeled_y=ly,
+    return Dataset(task=task, labeled_x=lx, labeled_y=ly,
                    unlabeled_x=ux, test_x=tx, test_y=ty, _unlabeled_y=uy)
 
 

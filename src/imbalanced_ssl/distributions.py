@@ -91,33 +91,22 @@ def head_mask(labeled_counts: np.ndarray) -> np.ndarray:
 
 def rescale_anchor(anchor: np.ndarray, estimated: np.ndarray) -> np.ndarray:
     """Scale anchor proportions to the total of the estimated counts:
-    Q_i = p_i * sum(N^e) / sum(p)."""
+    Q_i = p_i * sum(N^e) / sum(p).  The anchor is a row of an ``AnchorSet``
+    and the counts have its length and a finite, positive total
+    (``counts_from_json``, or a histogram of a nonempty split)."""
     p = np.asarray(anchor, dtype=np.float64)
-    n = np.asarray(estimated, dtype=np.float64)
-    if p.shape != n.shape:
-        raise ValueError(f"length mismatch: anchor {p.shape} vs estimated {n.shape}")
-    if np.any(p < 0.0) or p.sum() <= 0.0:
-        raise ValueError("anchor proportions must be nonnegative with positive sum")
-    total = n.sum()
-    if n.size == 0 or total <= 0.0:
-        raise ValueError("estimated counts must have a positive total")
-    return p * (total / p.sum())
+    return p * (np.asarray(estimated, dtype=np.float64).sum() / p.sum())
 
 
 def kl_divergence(estimated: np.ndarray, rescaled: np.ndarray) -> float:
     """KL(estimated || rescaled) after normalizing both to proportions.
 
     Every category gets +KL_SMOOTHING before normalization, so zero counts on
-    either side stay finite.  Natural log.
+    either side stay finite.  Natural log.  Both are nonnegative vectors of
+    one length: checked counts and an anchor rescaled to them.
     """
-    p = np.asarray(estimated, dtype=np.float64)
-    q = np.asarray(rescaled, dtype=np.float64)
-    if p.shape != q.shape or p.ndim != 1:
-        raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
-    if np.any(p < 0.0) or np.any(q < 0.0):
-        raise ValueError("counts must be nonnegative")
-    ps = p + KL_SMOOTHING
-    qs = q + KL_SMOOTHING
+    ps = np.asarray(estimated, dtype=np.float64) + KL_SMOOTHING
+    qs = np.asarray(rescaled, dtype=np.float64) + KL_SMOOTHING
     ps = ps / ps.sum()
     qs = qs / qs.sum()
     with np.errstate(over="ignore"):
@@ -186,12 +175,21 @@ def _json_numbers(values, what: str) -> np.ndarray:
 
 
 def counts_from_json(obj) -> np.ndarray:
-    """Per-class counts from a JSON array of numbers or ``{"counts": [...]}``."""
+    """Per-class counts from a JSON array of numbers or ``{"counts": [...]}``.
+
+    The one check of counts from outside the program: at least 2 entries,
+    each finite and nonnegative, with a finite, positive total."""
     if isinstance(obj, dict) and "counts" in obj:
         obj = obj["counts"]
     if not isinstance(obj, list) or len(obj) < 2:
         raise ValueError("counts must be a JSON array with at least 2 entries")
-    return _json_numbers(obj, "counts")
+    counts = _json_numbers(obj, "counts")
+    # NaN fails the first test; summing only nonnegative entries forms no inf - inf
+    with np.errstate(over="ignore"):
+        ok = (counts >= 0.0).all() and 0.0 < counts.sum() < math.inf
+    if not ok:
+        raise ValueError("counts must be finite and nonnegative, with a finite, positive total")
+    return counts
 
 
 def anchor_set_from_json(obj: list[dict]) -> AnchorSet:
@@ -220,32 +218,34 @@ def default_anchor_set(k: int, gamma: float, as_variance: bool) -> AnchorSet:
 
 @dataclass(frozen=True)
 class AnchorMatch:
-    """Outcome of matching estimated counts against an anchor set."""
+    """Outcome of matching estimated counts against an anchor set;
+    ``rescaled`` is the matched anchor rescaled to the estimated total."""
 
     index: int
     kind: str
     expansion_factor: float
     gamma_u: float
     kl_values: tuple[float, ...]
+    rescaled: np.ndarray
 
 
 def match_anchor(estimated: np.ndarray, anchor_set: AnchorSet) -> AnchorMatch:
     """Pick the anchor minimizing KL(estimated || rescaled anchor).
 
-    Ties break toward the lowest index.  ``gamma_u`` is the max/min ratio of
-    the selected anchor rescaled to the estimated total (the anchor's own
-    ratio up to rounding, since rescaling is a scalar multiple); a match
-    whose ratio is not finite, such as an anchor with a zero class, raises.
+    ``estimated`` holds ``anchor_set.k`` counts with a finite, positive
+    total, as ``counts_from_json`` checks and as a histogram of a nonempty
+    split is.  Ties break toward the lowest index.  ``gamma_u`` is the
+    max/min ratio of the selected anchor rescaled to the estimated total
+    (the anchor's own ratio up to rounding, since rescaling is a scalar
+    multiple); a match whose ratio is not finite, such as an anchor with a
+    zero class, raises.
     """
     n = np.asarray(estimated, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        finite = n.ndim == 1 and np.isfinite(n.sum())
-    if not finite:
-        raise ValueError("estimated counts must be a vector of finite numbers with a finite total")
-    kls = tuple(kl_divergence(n, rescale_anchor(row, n)) for row in anchor_set.proportions)
+    rescaled = [rescale_anchor(row, n) for row in anchor_set.proportions]
+    kls = tuple(kl_divergence(n, q) for q in rescaled)
     index = int(np.argmin(kls))
     kind = anchor_set.kinds[index]
-    q = rescale_anchor(anchor_set.proportions[index], n)
+    q = rescaled[index]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         gamma_u = float(q.max() / q.min())
     if not math.isfinite(gamma_u):
@@ -257,4 +257,5 @@ def match_anchor(estimated: np.ndarray, anchor_set: AnchorSet) -> AnchorMatch:
         expansion_factor=anchor_set.expansion_factors[index],
         gamma_u=gamma_u,
         kl_values=kls,
+        rescaled=q,
     )

@@ -236,10 +236,7 @@ def denoising_bound(c: float, mu: float) -> float:
     """Upper bound ``2c / (c - 3) * mu`` on the error of a consistency-trained
     classifier with expansion factor ``c`` and separation violation rate ``mu``.
 
-    Undefined for c <= 3.
+    Defined for c > 3, which ``AnchorSet`` holds of every expansion factor; mu
+    is a rate in [0, 1], a mean of booleans.
     """
-    if not c > 3.0:
-        raise ValueError(f"expansion factor must exceed 3, got {c}")
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"violation rate must lie in [0, 1], got {mu}")
     return 2.0 * c / (c - 3.0) * mu

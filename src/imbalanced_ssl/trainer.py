@@ -38,7 +38,7 @@ from .control import (VIEWS, ThresholdState, estimate_unlabeled_distribution,
                       extract_bias_vector, init_thresholds, update_thresholds)
 from .data import Dataset, strong_augment_batch, weak_augment_batch
 from .diagnostics import bias_pattern_report, evaluate, separation_violation_rate
-from .distributions import AnchorMatch, AnchorSet, match_anchor, rescale_anchor
+from .distributions import AnchorMatch, AnchorSet, match_anchor
 from .losses import LOSS_COLUMNS, LOSS_COMPONENTS, StepPlan, step_plan, total_loss
 from .mixture import denoising_bound
 from .network import Model, init_model, sgd_step
@@ -148,9 +148,7 @@ def _estimate_and_match(model: Model, dataset: Dataset, anchor_set: AnchorSet,
     match = match_anchor(estimated, anchor_set)
     state = init_thresholds(match.expansion_factor, match.gamma_u, plan.head_classes, t)
     if t.reweight_unlabeled:
-        q = rescale_anchor(anchor_set.proportions[match.index],
-                           np.asarray(estimated, dtype=np.float64))
-        inv = 1.0 / q
+        inv = 1.0 / match.rescaled
         plan = step_plan(t, dataset.labeled_counts(), class_weights=inv / inv.mean())
     return match, estimated, state, plan
 

@@ -553,7 +553,7 @@ def test_estimator_anchor_matching():
 # gate 11: reruns are byte-identical
 
 
-def test_rerun_reproduces_metrics_csv(tmp_path):
+def test_rerun_reproduces_metrics_csv(tmp_path, monkeypatch):
     cfg_obj = {
         "task": {"k": 6, "d": 8},
         "data": {"labeled_max": 40, "unlabeled_max": 80, "test_per_class": 30},
@@ -563,12 +563,18 @@ def test_rerun_reproduces_metrics_csv(tmp_path):
     }
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg_obj))
-    dirs = (tmp_path / "first", tmp_path / "second")
-    for d in dirs:
-        assert cli_main(["train", str(cfg_path), "--out", str(d)]) == 0
-    first = (dirs[0] / "metrics.csv").read_bytes()
-    second = (dirs[1] / "metrics.csv").read_bytes()
-    ok = len(first) > 0 and first == second
-    record_acceptance(f"gate 11 rerun determinism: metrics.csv {len(first)} "
-                      f"bytes, byte-identical {first == second} -> {_mark(ok)}")
+    # each run writes to the relative directory "run" from its own working
+    # directory, so config.json records the same output_dir and every file
+    # a run writes is compared byte for byte
+    runs = []
+    for name in ("first", "second"):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert cli_main(["train", str(cfg_path), "--out", "run"]) == 0
+        runs.append({f.name: f.read_bytes() for f in (tmp_path / name / "run").iterdir()})
+    first, second = runs
+    same = sorted(name for name, data in first.items() if data and second.get(name) == data)
+    ok = len(first) == len(second) == len(same) == 7
+    record_acceptance(f"gate 11 rerun determinism: {len(same)} of {len(first)}/{len(second)} "
+                      f"files nonempty and byte-identical ({', '.join(same)}) -> {_mark(ok)}")
     assert ok

@@ -712,6 +712,11 @@ def test_match_distribution_rejects_malformed_input(tmp_path, capsys):
     ("[1e400, 2, 3, 4]", False),
     ("[NaN, 2, 3, 4]", False),
     pytest.param([1e308, 1e308, 3, 4], False, id="counts5-False"),
+    pytest.param([1, -2, 3, 4], False, id="negative-count"),
+    pytest.param([0, 0, 0, 0], False, id="zero-total"),
+    pytest.param({"counts": [1, 2, -3, 4]}, False, id="negative-in-counts-key"),
+    # inf - inf in a sum warns; the count file must fail on one error line
+    pytest.param("[Infinity, -Infinity]", False, id="infinities"),
     pytest.param([[1, 2], [3, 4]], False, id="counts6-False"),
     pytest.param([1, {}], False, id="counts7-False"),
     pytest.param([1, "2"], False, id="counts8-False"),
@@ -744,7 +749,7 @@ def test_match_distribution_rejects_bad_numbers_and_anchor_files(tmp_path, capsy
         argv += ["--anchors", str(anchor_path)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
 
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import default_widths, per_head_logits
+from imbalanced_ssl import network
 from imbalanced_ssl.config import TrainSection
 from imbalanced_ssl.control import (
     _ROWS,
@@ -312,6 +313,24 @@ def test_predict_equals_one_forward(n):
     assert preds.shape == (len(VIEWS), n)
     for view, got in zip(VIEWS, preds):
         assert np.array_equal(got, _monolithic(m, x, view)), view
+
+
+@pytest.mark.parametrize("n", [256, 3073])
+def test_predict_calibrated_alone_makes_no_head_matmul(monkeypatch, n):
+    # the calibrated view never reads the stacked head logits, so a call that
+    # asks for it alone skips their matmul and predicts the same row
+    m = default_widths()
+    x = np.random.default_rng(n).normal(scale=2.0, size=(n, 16))
+    calls = []
+    head_logits = network.head_logits
+    monkeypatch.setattr(network, "head_logits",
+                        lambda *args: calls.append(args) or head_logits(*args))
+    four = predict(m, x, VIEWS)
+    assert len(calls) == len(_blocks(n))
+    calls.clear()
+    alone = predict(m, x, ("calibrated",))
+    assert calls == []
+    assert np.array_equal(alone[0], four[VIEWS.index("calibrated")])
 
 
 @pytest.mark.parametrize("n", [1, 7, 50, 99])
