@@ -44,12 +44,20 @@ __all__ = [
 # head's logits, and "calibrated", the output head's with its bias removed
 VIEWS = ("original", "output", "calibrated", "expansive")
 
-# Inference forwards its input in blocks of _ROWS to 2 * _ROWS - 1 rows.  The
-# last block takes the remainder: a block of a few rows takes OpenBLAS's
-# small-matrix path, whose results differ in the last bits from those of one
-# forward over all rows, while blocks of _ROWS rows or more matched it bit for
-# bit at every row count tried (OpenBLAS 0.3.31, 1 and 2 threads).
-_ROWS = 1024
+# Inference forwards its input in ceil(N / rows) blocks whose sizes differ by
+# at most one, rows = max(_MIN_ROWS, _BLOCK_BYTES // (8 * widest)), widest the
+# most columns of any array a block allocates: a layer's activations or the
+# (rows, 3K) head logits.  Arrays below glibc's 128 KiB mmap threshold reuse
+# freed heap memory, while each larger one is mapped and page-faulted afresh.
+# A split block keeps at least rows // 2 >= 64 rows: at every size tried from
+# 48 rows on, a block's features and stacked head logits matched those of one
+# forward over all rows bit for bit, while 16- and 32-row blocks take
+# OpenBLAS's small-matrix path and differ in the last bits.  The calibrated view's
+# (rows, K) matmul leaves that path later, from 121 rows at K = 10, so its one
+# 120-row block (N = 241 at the default widths) may flip an exact tie
+# (OpenBLAS 0.3.31, 1 and 2 threads).
+_BLOCK_BYTES = 120 * 1024
+_MIN_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -142,11 +150,19 @@ def calibrate_logits(model: Model, features: np.ndarray) -> np.ndarray:
     return features @ model.heads["output"].w.T
 
 
-def _blocks(n: int) -> list[tuple[int, int]]:
-    """(start, stop) bounds tiling [0, n): blocks of _ROWS rows, the last
-    one holding the remainder too, so one block when n < 2 * _ROWS."""
-    edges = [*range(0, _ROWS * max(n // _ROWS, 1), _ROWS), n]
+def _blocks(n: int, rows: int) -> list[tuple[int, int]]:
+    """(start, stop) bounds tiling [0, n) with ceil(n / rows) blocks whose
+    sizes differ by at most one, so one block when n <= rows."""
+    count = -(-n // rows)
+    edges = [n * i // count for i in range(count + 1)]
     return list(zip(edges[:-1], edges[1:]))
+
+
+def _block_rows(model: Model) -> int:
+    """The rows of a full inference block of ``model``: its widest array,
+    activations or stacked head logits, stays within _BLOCK_BYTES."""
+    widest = max(*model.dims[1:], len(network.HEAD_NAMES) * model.k)
+    return max(_MIN_ROWS, _BLOCK_BYTES // (8 * widest))
 
 
 def predict(model: Model, x: np.ndarray, views: Sequence[str]) -> np.ndarray:
@@ -154,16 +170,17 @@ def predict(model: Model, x: np.ndarray, views: Sequence[str]) -> np.ndarray:
     VIEWS) over the rows of ``x`` (lowest index wins ties).  Every head view
     of a block is read off one ``head_logits`` matmul and one argmax, made
     only when a head view is asked for, and "calibrated" off
-    ``calibrate_logits``.  The rows are forwarded in blocks
-    (``_blocks``), so no features or logits outlive their block, and the
-    predictions equal those of one forward over all rows.  The one row check
-    of inference: ``x`` is a nonempty (N, D) array."""
+    ``calibrate_logits``.  The rows are forwarded in equal blocks
+    (``_blocks`` of ``_block_rows``), so no features or logits outlive their
+    block, and the predictions equal those of one forward over all rows
+    (save the exact tie noted at the block rule).  The one row check of
+    inference: ``x`` is a nonempty (N, D) array."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError(f"inference needs a nonempty (N, D) array, got shape {x.shape}")
     preds = np.empty((len(views), x.shape[0]), dtype=np.intp)
     any_head = any(view != "calibrated" for view in views)
-    for start, stop in _blocks(x.shape[0]):
+    for start, stop in _blocks(x.shape[0], _block_rows(model)):
         feats = network.forward_features(model, x[start:stop])
         by_head = np.argmax(network.head_logits(model, feats), axis=2) if any_head else None
         for out, view in zip(preds, views):

@@ -98,15 +98,25 @@ def rescale_anchor(anchor: np.ndarray, estimated: np.ndarray) -> np.ndarray:
     return p * (np.asarray(estimated, dtype=np.float64).sum() / p.sum())
 
 
+def _smoothed(counts: np.ndarray) -> np.ndarray:
+    """``counts`` brought to a total of 1 when their total lies in (0, 1),
+    plus KL_SMOOTHING in every category."""
+    total = counts.sum()
+    return (counts / total if 0.0 < total < 1.0 else counts) + KL_SMOOTHING
+
+
 def kl_divergence(estimated: np.ndarray, rescaled: np.ndarray) -> float:
     """KL(estimated || rescaled) after normalizing both to proportions.
 
-    Every category gets +KL_SMOOTHING before normalization, so zero counts on
-    either side stay finite.  Natural log.  Both are nonnegative vectors of
-    one length: checked counts and an anchor rescaled to them.
+    Each side is first divided by its total when that total lies in (0, 1),
+    so the smoothing never swamps a tiny total, and a total of 1 or more is
+    left as it is, bit for bit; then every category gets +KL_SMOOTHING before
+    normalization, so zero counts on either side stay finite.  Natural log.
+    Both are nonnegative vectors of one length: checked counts and an anchor
+    rescaled to them (all zero when a subnormal total underflows it).
     """
-    ps = np.asarray(estimated, dtype=np.float64) + KL_SMOOTHING
-    qs = np.asarray(rescaled, dtype=np.float64) + KL_SMOOTHING
+    ps = _smoothed(np.asarray(estimated, dtype=np.float64))
+    qs = _smoothed(np.asarray(rescaled, dtype=np.float64))
     ps = ps / ps.sum()
     qs = qs / qs.sum()
     with np.errstate(over="ignore"):

@@ -354,9 +354,10 @@ def write_run_artifacts(run_dir: str, config: RunConfig, result: TrainResult) ->
                        ("thresholds.csv", result.threshold_rows),
                        ("bias.csv", result.bias_rows)):
         _write_csv(os.path.join(run_dir, name), rows[0], (row.values() for row in rows))
-    # the step column is held as a float64 and written as the integer it is
+    # the step column is held as a float64 and written as the integer it is;
+    # one row at a time becomes Python floats, never the whole record
     _write_csv(os.path.join(run_dir, "losses.csv"), LOSS_COLUMNS,
-               ([int(row[0]), *row[1:]] for row in result.losses.tolist()))
+               ([int(row[0]), *row[1:].tolist()] for row in result.losses))
     _json_dump(os.path.join(run_dir, "checkpoint.json"),
                network.model_to_checkpoint_obj(result.model, config.config_hash()))
     _json_dump(os.path.join(run_dir, "summary.json"), result.summary)

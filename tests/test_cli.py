@@ -693,6 +693,19 @@ def test_match_distribution_marks_only_the_matched_custom_anchor(tmp_path, capsy
     assert ["<-- o*" in row for row in rows] == [False, True]
 
 
+def test_match_distribution_matches_a_tiny_total_by_its_shape(tmp_path, capsys):
+    # the smoothing acts on counts brought to a total of 1, so two equal
+    # subnormal counts are uniform, not every shape at KL 0
+    counts = tmp_path / "counts.json"
+    counts.write_text("[1e-320, 1e-320]")
+    json_out = tmp_path / "match.json"
+    assert main(["match-distribution", str(counts), "--json", str(json_out)]) == 0
+    assert "o* = uniform, c = 5, gamma_u = 1.0000" in capsys.readouterr().out
+    report = json.loads(json_out.read_text())
+    assert report["o_star"] == "uniform" and report["gamma_u"] == 1.0
+    assert max(report["kl_values"]) > 1.0
+
+
 def test_match_distribution_rejects_malformed_input(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("[1]")

@@ -15,9 +15,9 @@ from conftest import default_widths, per_head_logits
 from imbalanced_ssl import network
 from imbalanced_ssl.config import TrainSection
 from imbalanced_ssl.control import (
-    _ROWS,
     VIEWS,
     ThresholdState,
+    _block_rows,
     _blocks,
     calibrate_logits,
     estimate_unlabeled_distribution,
@@ -279,16 +279,19 @@ def test_estimated_distribution_is_a_histogram():
     assert np.array_equal(est, np.bincount(preds, minlength=4))
 
 
-@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2047, 2048, 2049, 3073, 10_000])
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 239, 240, 241, 481, 1023, 1024, 1025, 2047,
+                               2048, 2049, 3073, 10_000])
 def test_blocks_tile_the_rows(n):
-    bounds = _blocks(n)
-    assert bounds[0][0] == 0 and bounds[-1][1] == n
-    assert all(stop == start for (_, stop), (start, _) in zip(bounds, bounds[1:]))
-    sizes = [stop - start for start, stop in bounds]
-    if n < 2 * _ROWS:
-        assert sizes == [n]
-    else:
-        assert all(_ROWS <= size < 2 * _ROWS for size in sizes)
+    for rows in (128, 240, 1024):
+        bounds = _blocks(n, rows)
+        assert bounds[0][0] == 0 and bounds[-1][1] == n
+        assert all(stop == start for (_, stop), (start, _) in zip(bounds, bounds[1:]))
+        sizes = [stop - start for start, stop in bounds]
+        assert max(sizes) - min(sizes) <= 1 and max(sizes) <= rows
+        if n <= rows:
+            assert sizes == [n]
+        else:
+            assert min(sizes) >= rows // 2
 
 
 def _view_logits(m, x, view):
@@ -303,10 +306,12 @@ def _monolithic(m, x, view):
     return np.argmax(_view_logits(m, x, view), axis=1)
 
 
-@pytest.mark.parametrize("n", [256, 1000, 1025, 10_000])
+@pytest.mark.parametrize("n", [241, 256, 1000, 1025, 10_000])
 def test_predict_equals_one_forward(n):
-    # every head view of a block comes from one stacked matmul; from 128
-    # rows on, its logits equal each head's own matmul bit for bit
+    # the rows go in equal blocks of at most 240 at the default widths (241
+    # rows as 120 + 121); every head view of a block comes from one stacked
+    # matmul, whose logits equal each head's own matmul bit for bit from 128
+    # rows on, and whose argmax matched it on these 120-row blocks too
     m = default_widths()
     x = np.random.default_rng(n).normal(scale=2.0, size=(n, 16))
     preds = predict(m, x, VIEWS)
@@ -326,7 +331,7 @@ def test_predict_calibrated_alone_makes_no_head_matmul(monkeypatch, n):
     monkeypatch.setattr(network, "head_logits",
                         lambda *args: calls.append(args) or head_logits(*args))
     four = predict(m, x, VIEWS)
-    assert len(calls) == len(_blocks(n))
+    assert len(calls) == len(_blocks(n, _block_rows(m)))
     calls.clear()
     alone = predict(m, x, ("calibrated",))
     assert calls == []

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imbalanced_ssl.distributions import (
+    KL_SMOOTHING,
     SHAPES,
     AnchorSet,
     anchor_set_from_json,
@@ -199,6 +200,21 @@ def test_kl_scale_invariant_and_zero_safe():
     # smoothing is applied to raw counts, so invariance holds only up to it
     assert kl_divergence(a, b) == pytest.approx(kl_divergence(10 * a, b), abs=1e-6)
     assert np.isfinite(kl_divergence(np.array([5.0, 0.0, 3.0]), b))
+
+
+def test_kl_brings_a_total_below_one_to_one():
+    # a total in (0, 1) is divided out before smoothing, a total of 1 or more
+    # is not, and an anchor underflowed to all zeros stays finite
+    a = np.array([50.0, 30.0, 20.0])
+    b = np.array([30.0, 40.0, 30.0])
+    for p, q in ((a, b), (a / 100, b / 100), (a, b / 100)):
+        ps, qs = p + KL_SMOOTHING, q + KL_SMOOTHING
+        ps, qs = ps / ps.sum(), qs / qs.sum()
+        assert kl_divergence(p, q) == float(np.sum(ps * np.log(ps / qs)))
+    assert kl_divergence(1e-300 * a, b) == pytest.approx(kl_divergence(a / 100, b), rel=1e-12)
+    assert kl_divergence(1e-300 * a, 1e-300 * a) == pytest.approx(0.0, abs=1e-12)
+    with np.errstate(all="raise"):
+        assert math.isfinite(kl_divergence(np.array([5e-324, 0.0]), np.zeros(2)))
 
 
 def test_kl_stays_finite_against_a_subnormal_anchor_class():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import default_widths, param_order, per_head_logits, softmax
+from imbalanced_ssl import network
 from imbalanced_ssl.config import TrainSection
 from imbalanced_ssl.diagnostics import evaluate
 from imbalanced_ssl.network import (
@@ -103,10 +104,36 @@ def test_training_forward_keeps_each_activation_once():
 
 
 def test_evaluate_streams_row_blocks():
-    # every view's predictions come from row blocks of 1,024 to 2,047 rows; one
-    # forward over all 10,000 rows would hold two 64-wide layers, 9.8 MiB
+    # every view's predictions come from equal row blocks of at most 240 rows
+    # at the default widths (42 blocks of 238 or 239 rows here), so no array
+    # of a block reaches glibc's 128 KiB mmap threshold, and a split block
+    # keeps at least 64 rows, above the 48 from which a block's features
+    # matched one forward over all rows bit for bit; that one forward over all
+    # 10,000 rows would hold two 64-wide layers, 9.8 MiB
     y = np.arange(10_000) % 10
-    assert _forward_peak(lambda m, x: evaluate(m, x, y)) < 4 * 2**20
+    assert _forward_peak(lambda m, x: evaluate(m, x, y)) < 2**20
+
+
+def test_inference_block_arrays_stay_below_the_mmap_threshold(monkeypatch):
+    # each block's widest arrays, a 64-wide layer's activations and the
+    # (rows, 3, 10) head logits, stay below 128 KiB at the default widths
+    m = default_widths()
+    x = np.random.default_rng(0).normal(size=(10_000, 16))
+    rows, logit_bytes = [], []
+    forward, logits = network.forward_features, network.head_logits
+
+    def recorded_logits(model, feats):
+        z = logits(model, feats)
+        logit_bytes.append(z.nbytes)
+        return z
+
+    monkeypatch.setattr(network, "forward_features",
+                        lambda model, xb: rows.append(len(xb)) or forward(model, xb))
+    monkeypatch.setattr(network, "head_logits", recorded_logits)
+    evaluate(m, x, np.arange(10_000) % 10)
+    assert sum(rows) == 10_000 and len(logit_bytes) == len(rows)
+    assert 64 <= min(rows) and max(rows) * 8 * max(m.dims[1:]) < 2**17
+    assert max(logit_bytes) < 2**17
 
 
 def _stable_sigmoid(z):

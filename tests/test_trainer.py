@@ -155,6 +155,29 @@ def test_epoch_peak_grows_by_the_loss_row_alone():
     assert per_step <= 96, per_step
 
 
+def test_artifact_writing_peak_does_not_grow_with_the_steps(tmp_path):
+    # losses.csv becomes Python floats one row at a time; the whole record
+    # converted at once would add about 250 bytes a step to the peak
+    cfg = _tiny_config(epochs=1)
+    res = train(cfg)
+
+    def writing_peak(steps):
+        losses = np.random.default_rng(steps).normal(size=(steps, len(LOSS_COLUMNS)))
+        losses[:, 0] = np.arange(steps)
+        result = replace(res, losses=losses)
+        tracemalloc.start()
+        try:
+            write_run_artifacts(str(tmp_path / str(steps)), cfg, result)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    writing_peak(10)  # first-call allocations
+    short, long = writing_peak(100), writing_peak(1_000)
+    assert long - short < 16 * 1024, (short, long)
+
+
 def test_estimation_phase_snapshot():
     cfg = _tiny_config(seed=6)
     model, match, est = run_estimation_phase(cfg)
