@@ -23,8 +23,7 @@ import numpy as np
 from . import network
 from .config import AnchorSection, ConfigError, RunConfig
 from .diagnostics import evaluate
-from .distributions import (anchor_set_from_json, counts_from_json, default_anchor_set,
-                            match_anchor)
+from .distributions import anchor_set_from_json, counts_from_json, match_anchor
 from .mixture import (BinaryMixtureSpec, monte_carlo_pseudo_label_probabilities,
                       pseudo_label_probabilities)
 from .trainer import TrainingAborted, _json_dump, _write_csv, train
@@ -79,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="JSON anchor set (default: the five standard anchors)")
     md.add_argument("--gamma", type=float, default=None,
                     help="imbalance ratio for the default long-tail anchors "
-                         f"(default {AnchorSection().gamma:g})")
+                         f"(default {AnchorSection.gamma:g})")
     md.add_argument("--as-variance", action="store_true",
                     help="read the default bell anchor's width literally as a variance")
     md.add_argument("--json", dest="json_out", default=None,
@@ -216,8 +215,8 @@ def cmd_match_distribution(args) -> int:
         if anchor_set.k != counts.size:
             raise ConfigError(f"anchor set has {anchor_set.k} classes, counts have {counts.size}")
     else:
-        gamma = AnchorSection().gamma if args.gamma is None else args.gamma
-        anchor_set = default_anchor_set(counts.size, gamma=gamma, as_variance=args.as_variance)
+        anchor_set = AnchorSection(gamma=AnchorSection.gamma if args.gamma is None else args.gamma,
+                                   as_variance=args.as_variance).build(counts.size)
     match = match_anchor(counts, anchor_set)
     print(f"{'anchor':<20} {'c':>4} {'KL':>12}")
     for i, (kind, c, kl) in enumerate(zip(anchor_set.kinds, anchor_set.expansion_factors,

@@ -52,10 +52,13 @@ VIEWS = ("original", "output", "calibrated", "expansive")
 # A split block keeps at least rows // 2 >= 64 rows: at every size tried from
 # 48 rows on, a block's features and stacked head logits matched those of one
 # forward over all rows bit for bit, while 16- and 32-row blocks take
-# OpenBLAS's small-matrix path and differ in the last bits.  The calibrated view's
-# (rows, K) matmul leaves that path later, from 121 rows at K = 10, so its one
-# 120-row block (N = 241 at the default widths) may flip an exact tie
-# (OpenBLAS 0.3.31, 1 and 2 threads).
+# OpenBLAS's small-matrix path and differ in the last bits.  Off a 32-wide
+# feature, a product takes that path while rows x output width <= 1,200: the
+# stacked (rows, 3K) logits up to 40 rows at K = 10, a (rows, K) product up to
+# 120.  So the calibrated view is the output slab of a bias-free stacked
+# product, not a (rows, K) product of its own.  At K = 3 the stacked product
+# keeps the path up to 133 rows, at K = 2 up to 200, so a split block there
+# may still flip an exact tie (OpenBLAS 0.3.31, 1 and 2 threads).
 _BLOCK_BYTES = 120 * 1024
 _MIN_ROWS = 128
 
@@ -146,8 +149,11 @@ def extract_bias_vector(model: Model) -> np.ndarray:
 
 def calibrate_logits(model: Model, features: np.ndarray) -> np.ndarray:
     """Inference-time correction: the output head's affine map with its bias
-    removed, exactly W_b @ B(x), given the backbone features B(x)."""
-    return features @ model.heads["output"].w.T
+    removed, exactly W_b @ B(x), given the backbone features B(x).  It is the
+    output head's slab of the bias-free stacked product, whose bits do not
+    depend on the block's rows (see the block rule)."""
+    k = model.k
+    return (features @ model.head_w.T)[:, k:2 * k]
 
 
 def _blocks(n: int, rows: int) -> list[tuple[int, int]]:

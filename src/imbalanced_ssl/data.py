@@ -92,21 +92,6 @@ def class_centers(task: TaskSection) -> np.ndarray:
     return centers
 
 
-def _as_counts(counts: np.ndarray, k: int, name: str) -> np.ndarray:
-    """``counts`` as int64; every entry must be a nonnegative, exactly
-    integral number that an int64 holds, one per class."""
-    arr = np.asarray(counts)
-    if not (np.abs(arr) < 2.0 ** 63).all():  # also false for a NaN
-        raise ValueError(f"{name} counts must be finite and fit in an int64")
-    if not np.array_equal(arr, np.rint(arr)):
-        raise ValueError(f"{name} counts must be integers")
-    if np.any(arr < 0):
-        raise ValueError(f"{name} counts must be nonnegative")
-    if arr.shape != (k,):
-        raise ValueError(f"{name} counts have shape {arr.shape}, task has {k} classes")
-    return arr.astype(np.int64)
-
-
 def _sample_split(centers: np.ndarray, counts: np.ndarray, noise: float,
                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """counts[c] rows around each center c in class order, drawn into one
@@ -126,16 +111,11 @@ def _sample_split(centers: np.ndarray, counts: np.ndarray, noise: float,
 def generate(task: TaskSection, labeled_counts: np.ndarray, unlabeled_counts: np.ndarray,
              test_per_class: int) -> Dataset:
     """Draw the three splits.  Per-class histograms equal the requested
-    counts (integral arrays, such as ``make_distribution`` returns) exactly;
-    the test split is balanced at ``test_per_class``.
-    ``task.seed`` must be resolved (``RunConfig.resolved_task``).
+    counts exactly; the test split is balanced at ``test_per_class``.
+    The inputs are ``RunConfig.build_dataset``'s: the task with its seed
+    resolved, ``make_distribution``'s (K,) int64 counts, and the checked
+    ``DataSection.test_per_class``.
     """
-    if task.seed is None:
-        raise ValueError("the task seed must be resolved before generating")
-    if test_per_class < 1:
-        raise ValueError("test_per_class must be >= 1")
-    labeled_counts = _as_counts(labeled_counts, task.k, "labeled")
-    unlabeled_counts = _as_counts(unlabeled_counts, task.k, "unlabeled")
     centers = class_centers(task)
     lx, ly = _sample_split(centers, labeled_counts, task.noise,
                            np.random.default_rng([task.seed, _LABELED_STREAM]))

@@ -39,21 +39,20 @@ SHAPES = {"consist": 4, "uniform": 5, "inverse": 6, "gaussian": 4, "gaussian-inv
 
 
 def shape_proportions(kind: str, k: int, gamma: float, as_variance: bool) -> np.ndarray:
-    """Proportions of a named shape over ``k`` classes; 1 <= gamma < inf.
+    """Proportions of a named shape over ``k`` classes.
 
     consist is geometric, p_i proportional to gamma^(-i/(k-1)) (max/min =
     gamma), and inverse is it reversed.  gaussian is a bell centered at
     (k-1)/2 of width k/6, the standard deviation (the variance with
     ``as_variance``).  gaussian-inverse is the bell's reciprocal: reversing
     the symmetric bell would be a no-op, the reciprocal is the edge-heavy
-    valley that stays distinguishable from it.
+    valley that stays distinguishable from it.  A bell whose weights
+    overflow a float64 (the as-variance valley from k = 948 on) raises.
+
+    ``kind`` is a key of ``SHAPES``, k >= 2 and 1 <= gamma < inf, as the
+    config's ``TaskSection``, ``DataSection`` and ``AnchorSection`` check
+    them (and ``counts_from_json`` k, for ``imbssl match-distribution``).
     """
-    if kind not in SHAPES:
-        raise ValueError(f"unknown distribution kind {kind!r}; expected one of {tuple(SHAPES)}")
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if not 1.0 <= gamma < math.inf:
-        raise ValueError(f"imbalance ratio gamma must be >= 1 and finite, got {gamma}")
     idx = np.arange(k, dtype=np.float64)
     if kind == "uniform":
         return np.full(k, 1.0 / k)
@@ -63,27 +62,28 @@ def shape_proportions(kind: str, k: int, gamma: float, as_variance: bool) -> np.
         return consist if kind == "consist" else consist[::-1].copy()
     std = math.sqrt(k / 6.0) if as_variance else k / 6.0
     exponent = ((idx - (k - 1) / 2.0) ** 2) / (2.0 * std * std)
-    weights = np.exp(exponent if kind == "gaussian-inverse" else -exponent)
-    return weights / weights.sum()
+    with np.errstate(over="ignore"):
+        weights = np.exp(exponent if kind == "gaussian-inverse" else -exponent)
+        total = weights.sum()
+    if not math.isfinite(total):
+        raise ValueError(f"the {kind} shape over k = {k} classes overflows a float64")
+    return weights / total
 
 
 def make_distribution(kind: str, k: int, n_max: int, gamma: float,
                       as_variance: bool) -> np.ndarray:
     """int64 counts for a named shape: its proportions scaled so the largest
-    class holds exactly ``n_max`` samples, rounded half up, at least 1 per
-    class."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    class holds exactly ``n_max`` (>= 1, as ``DataSection`` checks)
+    samples, rounded half up, at least 1 per class."""
     p = shape_proportions(kind, k, gamma, as_variance)
     return np.maximum(np.floor(p / p.max() * n_max + 0.5), 1.0).astype(np.int64)
 
 
 def head_mask(labeled_counts: np.ndarray) -> np.ndarray:
     """True for head classes: the ceil(K/2) classes with the most labeled
-    samples, a tie going to the lower class index."""
+    samples, a tie going to the lower class index, given a split's (K,)
+    class histogram."""
     counts = np.asarray(labeled_counts)
-    if counts.ndim != 1 or counts.size < 2:
-        raise ValueError("head_mask needs a vector of at least 2 class counts")
     mask = np.zeros(counts.size, dtype=bool)
     mask[np.argsort(-counts, kind="stable")[: math.ceil(counts.size / 2)]] = True
     return mask

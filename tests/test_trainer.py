@@ -17,7 +17,7 @@ import imbalanced_ssl
 from imbalanced_ssl import network, trainer
 from imbalanced_ssl.cli import main
 from conftest import run_estimation_phase
-from imbalanced_ssl.config import RunConfig
+from imbalanced_ssl.config import ConfigError, RunConfig
 from imbalanced_ssl.diagnostics import evaluate
 from imbalanced_ssl.losses import LOSS_COLUMNS, total_loss
 from imbalanced_ssl.network import init_model, model_from_checkpoint_obj
@@ -361,11 +361,11 @@ def test_artifact_rewrite_is_byte_identical(tmp_path):
 
 
 def test_empty_unlabeled_rejected():
+    # train trusts a nonempty unlabeled split: the data section, the one
+    # check, refuses a config that would build an empty one
     cfg = _tiny_config(seed=11)
-    ds = cfg.build_dataset()
-    ds.unlabeled_x = ds.unlabeled_x[:0]
-    with pytest.raises(ValueError):
-        train(cfg, dataset=ds)
+    with pytest.raises(ConfigError, match="unlabeled_max"):
+        replace(cfg, data=replace(cfg.data, unlabeled_max=0))
 
 
 def test_the_plan_takes_the_class_weights_at_the_match(monkeypatch):
