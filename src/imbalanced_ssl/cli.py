@@ -22,6 +22,7 @@ import numpy as np
 
 from . import network
 from .config import AnchorSection, ConfigError, RunConfig
+from .control import inference_blocks
 from .diagnostics import evaluate
 from .distributions import anchor_set_from_json, counts_from_json, match_anchor
 from .mixture import (BinaryMixtureSpec, monte_carlo_pseudo_label_probabilities,
@@ -174,8 +175,10 @@ def cmd_evaluate(args) -> int:
                           f"the run's config {config.task.d}")
     dataset = config.build_dataset()
     view = "calibrated" if args.calibrated else args.head
+    # the test rows are drawn one inference block at a time, never whole
+    blocks = dataset.test_blocks(inference_blocks(model, dataset.n_test))
     with np.errstate(over="raise", invalid="raise"):  # weights that overflow: exit 2
-        report = evaluate(model, dataset.test_x, dataset.test_y, (view,))[view]
+        report = evaluate(model, blocks, (view,))[view]
     payload = {
         "head": args.head,
         "calibrated": bool(args.calibrated),

@@ -36,6 +36,7 @@ __all__ = [
     "update_thresholds",
     "extract_bias_vector",
     "calibrate_logits",
+    "inference_blocks",
     "predict",
     "estimate_unlabeled_distribution",
 ]
@@ -171,28 +172,38 @@ def _block_rows(model: Model) -> int:
     return max(_MIN_ROWS, _BLOCK_BYTES // (8 * widest))
 
 
+def inference_blocks(model: Model, n: int) -> list[tuple[int, int]]:
+    """The (start, stop) row blocks ``predict`` forwards n rows of input in
+    (``_blocks`` of ``_block_rows``).  A caller that hands ``predict`` one
+    such block at a time gets the predictions of one call over all rows."""
+    return _blocks(n, _block_rows(model))
+
+
 def predict(model: Model, x: np.ndarray, views: Sequence[str]) -> np.ndarray:
     """The (len(views), N) argmax predictions of each view in ``views`` (of
-    VIEWS) over the rows of ``x`` (lowest index wins ties).  Every head view
-    of a block is read off one ``head_logits`` matmul and one argmax, made
-    only when a head view is asked for, and "calibrated" off
-    ``calibrate_logits``.  The rows are forwarded in equal blocks
-    (``_blocks`` of ``_block_rows``), so no features or logits outlive their
-    block, and the predictions equal those of one forward over all rows
-    (save the exact tie noted at the block rule).  The one row check of
-    inference: ``x`` is a nonempty (N, D) array."""
+    VIEWS) over the rows of ``x`` (lowest index wins ties).  The head views
+    of a block are read off one ``head_logits`` matmul, made only when a
+    head view is asked for, and one argmax over the heads asked for (one
+    head's slab when one is), and "calibrated" off ``calibrate_logits``.
+    The rows are forwarded in ``inference_blocks``, so no features or
+    logits outlive their block, and the predictions equal those of one
+    forward over all rows (save the exact tie noted at the block rule).
+    The one row check of inference: ``x`` is a nonempty (N, D) array."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError(f"inference needs a nonempty (N, D) array, got shape {x.shape}")
     preds = np.empty((len(views), x.shape[0]), dtype=np.intp)
-    any_head = any(view != "calibrated" for view in views)
-    for start, stop in _blocks(x.shape[0], _block_rows(model)):
+    # the heads asked for span HEAD_NAMES[lo:hi]; the argmax reads that span
+    heads = [network.HEAD_NAMES.index(view) for view in views if view != "calibrated"]
+    lo, hi = (min(heads), max(heads) + 1) if heads else (0, 0)
+    for start, stop in inference_blocks(model, x.shape[0]):
         feats = network.forward_features(model, x[start:stop])
-        by_head = np.argmax(network.head_logits(model, feats), axis=2) if any_head else None
+        by_head = (np.argmax(network.head_logits(model, feats)[:, lo:hi], axis=2)
+                   if heads else None)
         for out, view in zip(preds, views):
             out[start:stop] = (np.argmax(calibrate_logits(model, feats), axis=1)
                                if view == "calibrated"
-                               else by_head[:, network.HEAD_NAMES.index(view)])
+                               else by_head[:, network.HEAD_NAMES.index(view) - lo])
     return preds
 
 

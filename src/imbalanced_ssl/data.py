@@ -13,6 +13,7 @@ evaluation and oracle tests may pay the toll.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -42,17 +43,22 @@ _TEST_STREAM = 3
 class Dataset:
     """Labeled/unlabeled/test splits with exact class counts.
 
-    ``audit_reads`` counts every access to the unlabeled ground truth.
+    ``audit_reads`` counts every access to the unlabeled ground truth.  The
+    test split, ``test_per_class`` rows of each class around ``centers``, is
+    drawn only when it is read: whole on first read of ``test_x`` or
+    ``test_y`` and kept, whole and not kept by ``test_split``, or a block at
+    a time by ``test_blocks``, the same rows each way.
     """
 
     task: TaskSection  # its seed resolved
+    centers: np.ndarray = field(repr=False)
     labeled_x: np.ndarray
     labeled_y: np.ndarray
     unlabeled_x: np.ndarray
-    test_x: np.ndarray
-    test_y: np.ndarray
     _unlabeled_y: np.ndarray = field(repr=False)
+    test_per_class: int
     audit_reads: int = 0
+    _test: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     def unlabeled_true_labels(self) -> np.ndarray:
         """Ground truth of the unlabeled split.  Every call is audited;
@@ -66,6 +72,47 @@ class Dataset:
     @property
     def n_unlabeled(self) -> int:
         return int(self.unlabeled_x.shape[0])
+
+    @property
+    def n_test(self) -> int:
+        return self.task.k * self.test_per_class
+
+    @property
+    def test_x(self) -> np.ndarray:
+        return self._kept_test_split()[0]
+
+    @property
+    def test_y(self) -> np.ndarray:
+        return self._kept_test_split()[1]
+
+    def _kept_test_split(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._test is None:
+            self._test = self.test_split()
+        return self._test
+
+    def _test_rng(self) -> np.random.Generator:
+        return np.random.default_rng([self.task.seed, _TEST_STREAM])
+
+    def test_split(self) -> tuple[np.ndarray, np.ndarray]:
+        """The whole test split, rows and labels, drawn afresh and not kept:
+        the rows ``test_x`` keeps."""
+        counts = np.full(self.task.k, self.test_per_class, dtype=np.int64)
+        return _sample_split(self.centers, counts, self.task.noise, self._test_rng())
+
+    def test_blocks(self, bounds: Sequence[tuple[int, int]]
+                    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The test rows and labels of each (start, stop) of ``bounds``,
+        which tile [0, n_test) in order: the rows ``test_x`` holds, bit for
+        bit, but each block drawn from the split's stream only when it is
+        reached, into one buffer of the largest block, so a block's rows
+        are valid until the next block is drawn."""
+        rng = self._test_rng()
+        counts = [self.test_per_class] * self.task.k
+        buffer = np.empty((max(stop - start for start, stop in bounds), self.task.d))
+        for start, stop in bounds:
+            rows = buffer[:stop - start]
+            _draw_rows(rows, start, self.centers, counts, self.task.noise, rng)
+            yield rows, np.arange(start, stop, dtype=np.int64) // self.test_per_class
 
 
 def class_centers(task: TaskSection) -> np.ndarray:
@@ -92,28 +139,41 @@ def class_centers(task: TaskSection) -> np.ndarray:
     return centers
 
 
+def _draw_rows(out: np.ndarray, start: int, centers: np.ndarray, counts: list[int],
+               noise: float, rng: np.random.Generator) -> None:
+    """Rows [start, start + len(out)) of a split of counts[c] rows around
+    each center c in class order, drawn into ``out`` as
+    center + noise * N(0, I) from the next len(out) rows of ``rng``'s
+    stream."""
+    stop = start + out.shape[0]
+    rng.standard_normal(out=out)
+    out *= noise
+    at = 0
+    for cls, n in enumerate(counts):
+        if at >= stop:
+            break
+        lo, hi = max(at, start), min(at + n, stop)
+        if lo < hi:
+            out[lo - start:hi - start] += centers[cls]
+        at += n
+
+
 def _sample_split(centers: np.ndarray, counts: np.ndarray, noise: float,
                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """counts[c] rows around each center c in class order, drawn into one
-    preallocated array: center + noise * N(0, I), and the labels."""
-    k, d = centers.shape
-    x = np.empty((int(counts.sum()), d), dtype=np.float64)
-    at = 0
-    for cls, n in enumerate(counts.tolist()):
-        block = x[at:at + n]
-        rng.standard_normal(out=block)
-        block *= noise
-        block += centers[cls]
-        at += n
-    return x, np.repeat(np.arange(k, dtype=np.int64), counts)
+    preallocated array by ``_draw_rows``, and the labels."""
+    x = np.empty((int(counts.sum()), centers.shape[1]), dtype=np.float64)
+    _draw_rows(x, 0, centers, counts.tolist(), noise, rng)
+    return x, np.repeat(np.arange(centers.shape[0], dtype=np.int64), counts)
 
 
 def generate(task: TaskSection, labeled_counts: np.ndarray, unlabeled_counts: np.ndarray,
              test_per_class: int) -> Dataset:
-    """Draw the three splits.  Per-class histograms equal the requested
-    counts exactly; the test split is balanced at ``test_per_class``.
-    The inputs are ``RunConfig.build_dataset``'s: the task with its seed
-    resolved, ``make_distribution``'s (K,) int64 counts, and the checked
+    """Draw the labeled and unlabeled splits; the test split, balanced at
+    ``test_per_class``, is drawn when first read (``Dataset.test_x``).
+    Per-class histograms equal the requested counts exactly.  The inputs
+    are ``RunConfig.build_dataset``'s: the task with its seed resolved,
+    ``make_distribution``'s (K,) int64 counts, and the checked
     ``DataSection.test_per_class``.
     """
     centers = class_centers(task)
@@ -121,10 +181,8 @@ def generate(task: TaskSection, labeled_counts: np.ndarray, unlabeled_counts: np
                            np.random.default_rng([task.seed, _LABELED_STREAM]))
     ux, uy = _sample_split(centers, unlabeled_counts, task.noise,
                            np.random.default_rng([task.seed, _UNLABELED_STREAM]))
-    tx, ty = _sample_split(centers, np.full(task.k, test_per_class, dtype=np.int64),
-                           task.noise, np.random.default_rng([task.seed, _TEST_STREAM]))
-    return Dataset(task=task, labeled_x=lx, labeled_y=ly,
-                   unlabeled_x=ux, test_x=tx, test_y=ty, _unlabeled_y=uy)
+    return Dataset(task=task, centers=centers, labeled_x=lx, labeled_y=ly,
+                   unlabeled_x=ux, _unlabeled_y=uy, test_per_class=test_per_class)
 
 
 def weak_augment_batch(x: np.ndarray, noise: float, strength: float,

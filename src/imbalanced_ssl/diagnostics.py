@@ -4,7 +4,7 @@ and rank statistics for the bias-pattern report.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,30 +56,38 @@ class EvalReport:
         return float(self.per_class_recall[np.asarray(class_mask, dtype=bool)].mean())
 
 
-def _report(preds: np.ndarray, y: np.ndarray, k: int) -> EvalReport:
-    """The metrics of ``preds`` against labels ``y`` that hold every one of
-    the k classes, as the test split's ``DataSection.test_per_class`` >= 1
-    rows of each do."""
-    confusion = np.bincount(y * k + preds, minlength=k * k).reshape(k, k)
-    recall = np.diag(confusion) / confusion.sum(axis=1)
+def _report(confusion: np.ndarray) -> EvalReport:
+    """The metrics of a (k, k) confusion matrix whose every row, a true
+    class, holds a count, as the test split's ``DataSection.test_per_class``
+    >= 1 rows of each class give."""
+    hits = np.diag(confusion)
+    recall = hits / confusion.sum(axis=1)
     return EvalReport(
-        accuracy=float((preds == y).mean()),
+        accuracy=float(hits.sum() / confusion.sum()),
         balanced_accuracy=float(recall.mean()),
         per_class_recall=recall,
         confusion=confusion,
     )
 
 
-def evaluate(model: Model, test_x: np.ndarray, test_y: np.ndarray,
+def evaluate(model: Model, blocks: Iterable[tuple[np.ndarray, np.ndarray]],
              views: Sequence[str] = VIEWS) -> dict[str, EvalReport]:
-    """One report per view in ``views`` (every view of VIEWS by default),
-    all from one blocked pass of ``predict``: each head predicts from its
-    own logits, and "calibrated" from the output head's bias-stripped
-    logits.  Argmax ties go to the lowest class index; balanced accuracy is
-    the mean per-class recall."""
-    y = np.asarray(test_y)
-    preds = predict(model, test_x, views)
-    return {view: _report(p, y, model.k) for view, p in zip(views, preds)}
+    """One report per view in ``views`` (every view of VIEWS by default)
+    over the (rows, labels) pairs of ``blocks``: each block's predictions
+    come from one ``predict`` call, each head's from its own logits and
+    "calibrated" from the output head's bias-stripped logits, and are
+    counted into one confusion matrix per view.  A whole test split is one
+    block, ``[(test_x, test_y)]``; ``Dataset.test_blocks`` of
+    ``inference_blocks`` streams it with the same predictions.  Argmax ties
+    go to the lowest class index; balanced accuracy is the mean per-class
+    recall."""
+    k = model.k
+    confusion = np.zeros((len(views), k * k), dtype=np.int64)
+    for x, y in blocks:
+        cells = np.asarray(y) * k
+        for counts, preds in zip(confusion, predict(model, x, views)):
+            counts += np.bincount(cells + preds, minlength=k * k)
+    return {view: _report(counts.reshape(k, k)) for view, counts in zip(views, confusion)}
 
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:

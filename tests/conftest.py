@@ -4,6 +4,7 @@ The acceptance tests register one summary line each; the terminal hook prints
 the block after the run so the pass/fail ledger is visible without -s.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -71,6 +72,18 @@ def default_widths(activation="relu"):
                    activation=activation)
     m.flat += np.random.default_rng(4).normal(scale=0.2, size=m.flat.size)
     return m
+
+
+def traced_peak(fn):
+    """``fn()``'s result and the peak of the bytes tracemalloc traced while
+    it ran.  NumPy reports its buffers to tracemalloc, so the peak is a
+    count of bytes, not a timing."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def run_estimation_phase(config, dataset=None):

@@ -9,15 +9,20 @@ import sys
 import tempfile
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 import imbalanced_ssl
 from imbalanced_ssl import cli, trainer
 from imbalanced_ssl.cli import main
 from imbalanced_ssl.config import (AnchorSection, ConfigError, DataSection, RunConfig,
                                    TaskSection, TrainSection)
+from imbalanced_ssl.control import inference_blocks
+from imbalanced_ssl.diagnostics import evaluate
+from imbalanced_ssl.network import init_model, model_from_checkpoint_obj, model_to_checkpoint_obj
 
 
 def _tiny_config_obj(seed=0):
@@ -391,20 +396,21 @@ def test_evaluate_reports_metrics(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["head"] == "expansive"
 
 
+_VIEW_ARGS = ((["--head", "original"], "original"), (["--head", "output"], "output"),
+              (["--head", "expansive"], "expansive"), (["--calibrated"], "calibrated"))
+
+
 def test_evaluate_reports_the_all_views_report_of_its_view(tmp_path, capsys):
     # `evaluate` predicts its one view only; its report is the one an
     # evaluation of every view gives that view, to the last digit
-    from imbalanced_ssl.diagnostics import evaluate
-    from imbalanced_ssl.network import model_from_checkpoint_obj
     cfg = _write_config(tmp_path)
     run = tmp_path / "run"
     assert main(["train", cfg, "--out", str(run)]) == 0
     capsys.readouterr()
     model = model_from_checkpoint_obj(json.loads((run / "checkpoint.json").read_text()))
     dataset = RunConfig.from_json_obj(json.loads((run / "config.json").read_text())).build_dataset()
-    reports = evaluate(model, dataset.test_x, dataset.test_y)
-    for args, view in ((["--head", "original"], "original"), (["--head", "output"], "output"),
-                       (["--head", "expansive"], "expansive"), (["--calibrated"], "calibrated")):
+    reports = evaluate(model, [(dataset.test_x, dataset.test_y)])
+    for args, view in _VIEW_ARGS:
         assert main(["evaluate", str(run), *args]) == 0
         printed = json.loads(capsys.readouterr().out)
         want = reports[view]
@@ -412,6 +418,72 @@ def test_evaluate_reports_the_all_views_report_of_its_view(tmp_path, capsys):
         assert printed["balanced_accuracy"] == want.balanced_accuracy, view
         assert printed["per_class_recall"] == want.per_class_recall.tolist(), view
         assert printed["confusion"] == want.confusion.tolist(), view
+
+
+def _untrained_run(run_dir, k, per_class):
+    """Write a run directory of an untrained model at the default widths,
+    every parameter moved off its initial value, for a 16-wide task of k
+    classes with ``per_class`` test rows each.  Returns (model, config)."""
+    t = TrainSection()
+    config = RunConfig.from_json_obj({"task": {"k": k, "d": 16, "seed": 1},
+                                      "data": {"test_per_class": per_class}})
+    model = init_model(k=k, d=16, hidden=t.hidden, feature=t.feature, seed=3)
+    model.flat += np.random.default_rng(4).normal(scale=0.2, size=model.flat.size)
+    for name, obj in (("config.json", config.to_json_obj()),
+                      ("checkpoint.json", model_to_checkpoint_obj(model))):
+        with open(os.path.join(run_dir, name), "w") as fh:
+            json.dump(obj, fh)
+    return model, config
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(k=st.sampled_from([2, 3, 10]), per_class=st.integers(1, 600), data=st.data())
+def test_evaluate_streams_the_test_split_in_predicts_blocks(k, per_class, data):
+    """The test rows drawn block by block are the whole split's byte for
+    byte, for blocks whose edges fall inside classes or on their bounds, and
+    `evaluate` over predict's own blocks prints, for every view, the report
+    of an evaluation of the whole split (K <= 3 included, where a block of
+    other bounds could flip an exact tie)."""
+    with tempfile.TemporaryDirectory() as run:
+        model, config = _untrained_run(run, k, per_class)
+        dataset = config.build_dataset()
+        n = dataset.n_test
+        cut = st.one_of(st.integers(1, n - 1), st.integers(1, k - 1).map(lambda c: c * per_class))
+        edges = sorted({0, n, *(data.draw(st.lists(cut, max_size=8)) if n > 1 else [])})
+        for bounds in (list(zip(edges[:-1], edges[1:])), inference_blocks(model, n)):
+            xs, ys = zip(*((x.copy(), y) for x, y in dataset.test_blocks(bounds)))
+            assert np.concatenate(xs).tobytes() == dataset.test_x.tobytes()
+            assert np.concatenate(ys).tobytes() == dataset.test_y.tobytes()
+        reports = evaluate(model, [(dataset.test_x, dataset.test_y)])
+        for args, view in _VIEW_ARGS:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["evaluate", run, *args]) == 0
+            printed, want = json.loads(out.getvalue()), reports[view]
+            assert printed["accuracy"] == want.accuracy, view
+            assert printed["balanced_accuracy"] == want.balanced_accuracy, view
+            assert printed["per_class_recall"] == want.per_class_recall.tolist(), view
+            assert printed["confusion"] == want.confusion.tolist(), view
+
+
+def test_evaluate_peak_does_not_grow_with_the_test_split(tmp_path):
+    # `evaluate` draws its test rows one predict block at a time into one
+    # buffer (at most 240 rows, 30 KiB, at the default widths); the whole
+    # split drawn at once would add 2.4 MiB from 100 to 2,000 rows a class.
+    # What does grow is the block, from 200 rows to 238 or 239: its buffer
+    # and two 64-wide activations, 45 KiB
+    def peak(per_class):
+        run = tmp_path / str(per_class)
+        run.mkdir(exist_ok=True)
+        _untrained_run(run, 10, per_class)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code, peak = traced_peak(lambda: main(["evaluate", str(run)]))
+        assert code == 0
+        return peak
+
+    peak(100)  # first-call allocations
+    short, long = peak(100), peak(2_000)
+    assert abs(long - short) < 64 * 1024, (short, long)
 
 
 def test_evaluate_rejects_calibrated_with_another_head(tmp_path, capsys):

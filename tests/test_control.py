@@ -263,7 +263,7 @@ def test_predict_calibrated_ties_break_low():
     m.heads["output"].b[:] = [5.0, 1.0, 1.0, 1.0]
     x = np.ones((4, 5))
     # the confusion matrix's column sums count the predicted classes
-    cal = evaluate(m, x, np.arange(4))["calibrated"]
+    cal = evaluate(m, [(x, np.arange(4))])["calibrated"]
     assert cal.confusion.sum(axis=0).tolist() == [4, 0, 0, 0]
     assert estimate_unlabeled_distribution(m, x).tolist() == [4, 0, 0, 0]
 
@@ -381,7 +381,7 @@ def test_inference_refuses_anything_but_a_nonempty_row_array(x):
     calls = {
         "predict": lambda: predict(m, x, ("output",)),
         "estimate_unlabeled_distribution": lambda: estimate_unlabeled_distribution(m, x),
-        "evaluate": lambda: evaluate(m, x, np.zeros(len(x), dtype=np.intp)),
+        "evaluate": lambda: evaluate(m, [(x, np.zeros(len(x), dtype=np.intp))]),
         "separation_violation_rate": lambda: separation_violation_rate(
             m, x, 2, 1.0, strength=1.0, dropout=0.2, seed=0),
     }

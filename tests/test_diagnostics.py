@@ -1,6 +1,7 @@
 """Evaluation reports, rank correlation, augmentation-stability probe."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from scipy.stats import rankdata, spearmanr
 from conftest import default_widths, per_head_logits
 from imbalanced_ssl.config import TaskSection, TrainSection
 from imbalanced_ssl.data import generate, strong_augment_batch
+from imbalanced_ssl import diagnostics
 from imbalanced_ssl.diagnostics import (
     _average_ranks,
-    _report,
     bias_pattern_report,
     evaluate,
     separation_violation_rate,
@@ -69,7 +70,7 @@ def _train_quick(task, ds, steps=300):
 def test_evaluate_on_a_separable_task():
     task, ds = _separable()
     m = _train_quick(task, ds)
-    rep = evaluate(m, ds.test_x, ds.test_y)["output"]
+    rep = evaluate(m, [(ds.test_x, ds.test_y)])["output"]
     assert rep.balanced_accuracy > 0.98
     assert rep.accuracy > 0.98
     assert rep.confusion.shape == (4, 4)
@@ -83,7 +84,7 @@ def test_evaluate_head_selection_and_calibration_flag():
     task, ds = _separable()
     m = init_model(k=4, d=8, hidden=(6,), feature=4, seed=5)
     m.heads["output"].b[:] = [50.0, 0.0, 0.0, 0.0]
-    reports = evaluate(m, ds.test_x, ds.test_y)
+    reports = evaluate(m, [(ds.test_x, ds.test_y)])
     assert set(reports) == {"original", "output", "expansive", "calibrated"}
     skewed, fixed = reports["output"], reports["calibrated"]
     assert skewed.per_class_recall[0] == 1.0  # bias drowns everything
@@ -94,9 +95,9 @@ def test_evaluate_of_some_views_equals_their_reports_of_all_views():
     task, ds = _separable()
     m = init_model(k=4, d=8, hidden=(6,), feature=4, seed=5)
     m.heads["output"].b[:] = [3.0, 0.0, -1.0, 0.0]
-    every = evaluate(m, ds.test_x, ds.test_y)
+    every = evaluate(m, [(ds.test_x, ds.test_y)])
     for views in (("calibrated",), ("expansive", "original")):
-        some = evaluate(m, ds.test_x, ds.test_y, views)
+        some = evaluate(m, [(ds.test_x, ds.test_y)], views)
         assert list(some) == list(views)
         for view, rep in some.items():
             assert rep.accuracy == every[view].accuracy
@@ -108,7 +109,7 @@ def test_evaluate_of_some_views_equals_their_reports_of_all_views():
 def test_recall_over_masks():
     task, ds = _separable()
     m = _train_quick(task, ds)
-    rep = evaluate(m, ds.test_x, ds.test_y)["output"]
+    rep = evaluate(m, [(ds.test_x, ds.test_y)])["output"]
     mask = np.array([True, True, False, False])
     assert rep.recall_over(mask) == pytest.approx(rep.per_class_recall[:2].mean())
 
@@ -144,15 +145,21 @@ def test_separation_violation_rate_over_blocks_equals_one_forward():
     assert 0.0 < got == violated.mean()
 
 
-def test_confusion_counts_every_pair():
+def test_confusion_counts_every_pair(monkeypatch):
+    # evaluate adds each block's (true, predicted) pairs into one confusion
+    # matrix; here a block's "rows" are the indices of its given predictions
     rng = np.random.default_rng(10)
     y = np.repeat(np.arange(6), 50)
     preds = rng.integers(0, 6, size=y.size)
     want = np.zeros((6, 6), dtype=np.int64)
     np.add.at(want, (y, preds), 1)
-    rep = _report(preds, y, 6)
+    monkeypatch.setattr(diagnostics, "predict", lambda model, x, views: preds[x[:, 0]][None])
+    rows = np.arange(y.size)[:, None]
+    blocks = [(rows[a:b], y[a:b]) for a, b in ((0, 7), (7, 160), (160, 300))]
+    rep = evaluate(SimpleNamespace(k=6), blocks, ("output",))["output"]
     assert rep.confusion.dtype == np.int64
     assert np.array_equal(rep.confusion, want)
+    assert rep.accuracy == (preds == y).mean()
 
 
 def test_bias_pattern_report_keys_and_signs():

@@ -10,13 +10,13 @@ import os
 import subprocess
 import sys
 import threading
-import tracemalloc
 import types
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+from conftest import traced_peak
 import imbalanced_ssl
 from imbalanced_ssl import mixture
 from imbalanced_ssl.mixture import (
@@ -224,14 +224,9 @@ def test_failed_block_stops_the_blocks_not_started(workers, monkeypatch):
 
 
 def test_oracle_working_set_does_not_grow_with_samples():
-    # numpy reports its buffers to tracemalloc, so the peak is a count of
-    # bytes, not a timing; one (1e6, 3) draw alone would be 24 MB
-    tracemalloc.start()
-    try:
-        monte_carlo_pseudo_label_probabilities(_spec(), n_samples=1_000_000, seed=0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    # one (1e6, 3) draw alone would be 24 MB
+    _, peak = traced_peak(
+        lambda: monte_carlo_pseudo_label_probabilities(_spec(), n_samples=1_000_000, seed=0))
     assert peak < 8 * 2**20
 
 
@@ -240,12 +235,8 @@ def test_oracle_working_set_does_not_grow_with_cpus(cpus, monkeypatch):
     # the workers are capped, so a large host holds no more blocks at once
     # than _WORKERS CPUs do; the bound is the one above
     _pin_workers(monkeypatch, cpus)
-    tracemalloc.start()
-    try:
-        monte_carlo_pseudo_label_probabilities(_spec(), n_samples=1_000_000, seed=0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(
+        lambda: monte_carlo_pseudo_label_probabilities(_spec(), n_samples=1_000_000, seed=0))
     assert peak < 8 * 2**20
 
 
@@ -256,12 +247,8 @@ def test_oracle_work_in_flight_does_not_grow_with_samples(monkeypatch):
     _pin_workers(monkeypatch, 2)
 
     def peak(n):
-        tracemalloc.start()
-        try:
-            monte_carlo_pseudo_label_probabilities(_spec(), n_samples=n, seed=0)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(
+            lambda: monte_carlo_pseudo_label_probabilities(_spec(), n_samples=n, seed=0))[1]
 
     peak(_BLOCK)  # first call: imports the pool outside the measurement
     one_block = peak(_BLOCK)

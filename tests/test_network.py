@@ -1,7 +1,6 @@
 """MLP backbone, heads, exact gradients, SGD step, checkpoint round-trip."""
 
 import json
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import default_widths, param_order, per_head_logits, softmax
+from conftest import default_widths, param_order, per_head_logits, softmax, traced_peak
 from imbalanced_ssl import network
 from imbalanced_ssl.config import TrainSection
 from imbalanced_ssl.diagnostics import evaluate
@@ -79,16 +78,10 @@ def test_inference_forward_equals_the_cached_forward(activation, rows):
 
 def _forward_peak(forward):
     """tracemalloc's peak while ``forward`` runs at 10,000 rows and the default
-    widths; numpy reports its buffers to tracemalloc."""
+    widths."""
     m = default_widths("relu")
     x = np.random.default_rng(0).normal(size=(10_000, 16))
-    tracemalloc.start()
-    try:
-        forward(m, x)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
+    return traced_peak(lambda: forward(m, x))[1]
 
 
 def test_inference_forward_keeps_no_cache():
@@ -111,7 +104,7 @@ def test_evaluate_streams_row_blocks():
     # matched one forward over all rows bit for bit; that one forward over all
     # 10,000 rows would hold two 64-wide layers, 9.8 MiB
     y = np.arange(10_000) % 10
-    assert _forward_peak(lambda m, x: evaluate(m, x, y)) < 2**20
+    assert _forward_peak(lambda m, x: evaluate(m, [(x, y)])) < 2**20
 
 
 def test_inference_block_arrays_stay_below_the_mmap_threshold(monkeypatch):
@@ -130,7 +123,7 @@ def test_inference_block_arrays_stay_below_the_mmap_threshold(monkeypatch):
     monkeypatch.setattr(network, "forward_features",
                         lambda model, xb: rows.append(len(xb)) or forward(model, xb))
     monkeypatch.setattr(network, "head_logits", recorded_logits)
-    evaluate(m, x, np.arange(10_000) % 10)
+    evaluate(m, [(x, np.arange(10_000) % 10)])
     assert sum(rows) == 10_000 and len(logit_bytes) == len(rows)
     assert 64 <= min(rows) and max(rows) * 8 * max(m.dims[1:]) < 2**17
     assert max(logit_bytes) < 2**17
@@ -199,9 +192,9 @@ def test_predict_tie_breaks_low():
     m.heads["output"].w[:] = 0.0
     m.heads["output"].b[:] = 0.0
     x, y = np.ones((3, 4)), np.arange(3)
-    assert evaluate(m, x, y)["output"].confusion.sum(axis=0).tolist() == [3, 0, 0]
+    assert evaluate(m, [(x, y)])["output"].confusion.sum(axis=0).tolist() == [3, 0, 0]
     m.heads["output"].b[:] = [0.0, 2.0, 2.0]
-    assert evaluate(m, x, y)["output"].confusion.sum(axis=0).tolist() == [0, 3, 0]
+    assert evaluate(m, [(x, y)])["output"].confusion.sum(axis=0).tolist() == [0, 3, 0]
 
 
 def test_backward_matches_finite_differences():

@@ -16,7 +16,7 @@ import pytest
 import imbalanced_ssl
 from imbalanced_ssl import network, trainer
 from imbalanced_ssl.cli import main
-from conftest import run_estimation_phase
+from conftest import run_estimation_phase, traced_peak
 from imbalanced_ssl.config import ConfigError, RunConfig
 from imbalanced_ssl.diagnostics import evaluate
 from imbalanced_ssl.losses import LOSS_COLUMNS, total_loss
@@ -61,7 +61,7 @@ def test_head_classes_are_the_most_frequent_labeled_classes():
     ds = res.dataset
     assert ds.labeled_counts().tolist() == [1, 1, 4, 20]
     head = np.arange(ds.task.k) >= 2
-    cal = evaluate(res.model, ds.test_x, ds.test_y)["calibrated"]
+    cal = evaluate(res.model, [(ds.test_x, ds.test_y)])["calibrated"]
     assert cal.recall_over(head) != cal.recall_over(~head)
     assert res.metrics_rows[-1]["recall_head"] == cal.recall_over(head)
     assert res.metrics_rows[-1]["recall_nonhead"] == cal.recall_over(~head)
@@ -125,15 +125,14 @@ def _memory_held_after_training(steps_per_epoch, epochs=2):
     small model, and the peak it saw during the run."""
     cfg = _tiny_config(epochs=epochs, steps_per_epoch=steps_per_epoch, labeled_batch=8,
                        unlabeled_batch=8, hidden=(4,), feature=4, probe_size=8, probe_n_aug=1)
-    tracemalloc.start()
-    try:
+
+    def held_after_training():
         result = train(cfg)
         gc.collect()
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert result.losses.shape == (epochs * steps_per_epoch, len(LOSS_COLUMNS))
-    return held, peak
+        assert result.losses.shape == (epochs * steps_per_epoch, len(LOSS_COLUMNS))
+        return tracemalloc.get_traced_memory()[0]
+
+    return traced_peak(held_after_training)
 
 
 def test_loss_record_costs_one_float64_row_per_step():
@@ -165,17 +164,35 @@ def test_artifact_writing_peak_does_not_grow_with_the_steps(tmp_path):
         losses = np.random.default_rng(steps).normal(size=(steps, len(LOSS_COLUMNS)))
         losses[:, 0] = np.arange(steps)
         result = replace(res, losses=losses)
-        tracemalloc.start()
-        try:
-            write_run_artifacts(str(tmp_path / str(steps)), cfg, result)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return peak
+        return traced_peak(lambda: write_run_artifacts(str(tmp_path / str(steps)), cfg, result))[1]
 
     writing_peak(10)  # first-call allocations
     short, long = writing_peak(100), writing_peak(1_000)
     assert long - short < 16 * 1024, (short, long)
+
+
+def test_artifacts_are_written_without_the_test_split(tmp_path, monkeypatch):
+    # train draws the whole test split before its first step and releases
+    # it before it writes the artifacts, the run's peak of memory, so 25 or
+    # 2,500 test rows a class leave the same bytes held at the write (the
+    # split kept would add its 560,000 bytes)
+    write, held = trainer.write_run_artifacts, []
+
+    def recording_write(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        write(*args)
+
+    monkeypatch.setattr(trainer, "write_run_artifacts", recording_write)
+
+    def run(per_class):
+        cfg = _tiny_config(epochs=1)
+        cfg = replace(cfg, data=replace(cfg.data, test_per_class=per_class))
+        traced_peak(lambda: train(cfg, run_dir=str(tmp_path / str(per_class))))
+
+    run(25)  # first-call allocations
+    run(25)
+    run(2_500)
+    assert abs(held[2] - held[1]) < 16 * 1024, held
 
 
 def test_estimation_phase_snapshot():
