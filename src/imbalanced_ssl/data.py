@@ -45,9 +45,8 @@ class Dataset:
 
     ``audit_reads`` counts every access to the unlabeled ground truth.  The
     test split, ``test_per_class`` rows of each class around ``centers``, is
-    drawn only when it is read: whole on first read of ``test_x`` or
-    ``test_y`` and kept, whole and not kept by ``test_split``, or a block at
-    a time by ``test_blocks``, the same rows each way.
+    not held: it is drawn when it is read, whole by ``test_split`` or a
+    block at a time by ``test_blocks``, the same rows each way.
     """
 
     task: TaskSection  # its seed resolved
@@ -58,7 +57,6 @@ class Dataset:
     _unlabeled_y: np.ndarray = field(repr=False)
     test_per_class: int
     audit_reads: int = 0
-    _test: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     def unlabeled_true_labels(self) -> np.ndarray:
         """Ground truth of the unlabeled split.  Every call is audited;
@@ -77,32 +75,18 @@ class Dataset:
     def n_test(self) -> int:
         return self.task.k * self.test_per_class
 
-    @property
-    def test_x(self) -> np.ndarray:
-        return self._kept_test_split()[0]
-
-    @property
-    def test_y(self) -> np.ndarray:
-        return self._kept_test_split()[1]
-
-    def _kept_test_split(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._test is None:
-            self._test = self.test_split()
-        return self._test
-
     def _test_rng(self) -> np.random.Generator:
         return np.random.default_rng([self.task.seed, _TEST_STREAM])
 
     def test_split(self) -> tuple[np.ndarray, np.ndarray]:
-        """The whole test split, rows and labels, drawn afresh and not kept:
-        the rows ``test_x`` keeps."""
+        """The whole test split, rows and labels, drawn afresh and not kept."""
         counts = np.full(self.task.k, self.test_per_class, dtype=np.int64)
         return _sample_split(self.centers, counts, self.task.noise, self._test_rng())
 
     def test_blocks(self, bounds: Sequence[tuple[int, int]]
                     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """The test rows and labels of each (start, stop) of ``bounds``,
-        which tile [0, n_test) in order: the rows ``test_x`` holds, bit for
+        which tile [0, n_test) in order: the rows of ``test_split``, bit for
         bit, but each block drawn from the split's stream only when it is
         reached, into one buffer of the largest block, so a block's rows
         are valid until the next block is drawn."""
@@ -170,7 +154,7 @@ def _sample_split(centers: np.ndarray, counts: np.ndarray, noise: float,
 def generate(task: TaskSection, labeled_counts: np.ndarray, unlabeled_counts: np.ndarray,
              test_per_class: int) -> Dataset:
     """Draw the labeled and unlabeled splits; the test split, balanced at
-    ``test_per_class``, is drawn when first read (``Dataset.test_x``).
+    ``test_per_class``, is drawn when it is read (``Dataset.test_split``).
     Per-class histograms equal the requested counts exactly.  The inputs
     are ``RunConfig.build_dataset``'s: the task with its seed resolved,
     ``make_distribution``'s (K,) int64 counts, and the checked

@@ -77,7 +77,7 @@ def evaluate(model: Model, blocks: Iterable[tuple[np.ndarray, np.ndarray]],
     come from one ``predict`` call, each head's from its own logits and
     "calibrated" from the output head's bias-stripped logits, and are
     counted into one confusion matrix per view.  A whole test split is one
-    block, ``[(test_x, test_y)]``; ``Dataset.test_blocks`` of
+    block, ``[dataset.test_split()]``; ``Dataset.test_blocks`` of
     ``inference_blocks`` streams it with the same predictions.  Argmax ties
     go to the lowest class index; balanced accuracy is the mean per-class
     recall."""

@@ -183,10 +183,8 @@ def _epoch_rows(model: Model, dataset: Dataset, test: list[tuple[np.ndarray, np.
         seed=[t.seed, _PROBE_AUG_STREAM, epoch])
     row["denoise_bound"] = (denoising_bound(match.expansion_factor, row["mu_hat"])
                             if match is not None else None)
-    for col in ("mask_rate_head", "mask_rate_nonhead"):
-        # one column's mean sums in the order np.mean over a list of the
-        # values did; a 2-D mean over axis 0 would not, and its last bits differ
-        row[col] = float(epoch_losses[:, LOSS_COLUMNS.index(col)].mean())
+    # the mask rates, the loss record's last two columns
+    row["mask_rate_head"], row["mask_rate_nonhead"] = epoch_losses[:, -2:].mean(axis=0).tolist()
     for c, r in enumerate(cal.per_class_recall):
         row[f"recall_{c}"] = float(r)
     for name, counts in zip(network.HEAD_NAMES, hist.tolist()):

@@ -4,6 +4,7 @@ The acceptance tests register one summary line each; the terminal hook prints
 the block after the run so the pass/fail ledger is visible without -s.
 """
 
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -84,6 +85,15 @@ def traced_peak(fn):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def src_env(**extra):
+    """The environment for a subprocess that imports the package from this
+    source tree, installed or not, plus ``extra``."""
+    import imbalanced_ssl
+    src = os.path.dirname(os.path.dirname(imbalanced_ssl.__file__))
+    return {**os.environ, **extra,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def run_estimation_phase(config, dataset=None):

@@ -481,7 +481,7 @@ def test_end_to_end_calibrated_gains(inverse_runs):
     for seed, res in zip(SEEDS, runs):
         ds = res.dataset
         nonhead = ~head_mask(ds.labeled_counts())
-        reports = evaluate(res.model, [(ds.test_x, ds.test_y)])
+        reports = evaluate(res.model, [ds.test_split()])
         orig, cal = reports["original"], reports["calibrated"]
         bacc_gaps.append(cal.balanced_accuracy - orig.balanced_accuracy)
         nh_gaps.append(cal.recall_over(nonhead) - orig.recall_over(nonhead))

@@ -14,8 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import traced_peak
-import imbalanced_ssl
+from conftest import src_env, traced_peak
 from imbalanced_ssl import cli, trainer
 from imbalanced_ssl.cli import main
 from imbalanced_ssl.config import (AnchorSection, ConfigError, DataSection, RunConfig,
@@ -33,14 +32,6 @@ def _tiny_config_obj(seed=0):
                   "estimation_epochs": 1, "labeled_batch": 16,
                   "unlabeled_batch": 32},
     }
-
-
-def _src_env(**extra):
-    """The environment for a subprocess that imports the package from this
-    source tree, installed or not, plus ``extra``."""
-    src = os.path.dirname(os.path.dirname(imbalanced_ssl.__file__))
-    return {**os.environ, **extra,
-            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def _write_config(tmp_path, name="config.json", seed=0):
@@ -409,7 +400,7 @@ def test_evaluate_reports_the_all_views_report_of_its_view(tmp_path, capsys):
     capsys.readouterr()
     model = model_from_checkpoint_obj(json.loads((run / "checkpoint.json").read_text()))
     dataset = RunConfig.from_json_obj(json.loads((run / "config.json").read_text())).build_dataset()
-    reports = evaluate(model, [(dataset.test_x, dataset.test_y)])
+    reports = evaluate(model, [dataset.test_split()])
     for args, view in _VIEW_ARGS:
         assert main(["evaluate", str(run), *args]) == 0
         printed = json.loads(capsys.readouterr().out)
@@ -448,13 +439,14 @@ def test_evaluate_streams_the_test_split_in_predicts_blocks(k, per_class, data):
         model, config = _untrained_run(run, k, per_class)
         dataset = config.build_dataset()
         n = dataset.n_test
+        test_x, test_y = dataset.test_split()
         cut = st.one_of(st.integers(1, n - 1), st.integers(1, k - 1).map(lambda c: c * per_class))
         edges = sorted({0, n, *(data.draw(st.lists(cut, max_size=8)) if n > 1 else [])})
         for bounds in (list(zip(edges[:-1], edges[1:])), inference_blocks(model, n)):
             xs, ys = zip(*((x.copy(), y) for x, y in dataset.test_blocks(bounds)))
-            assert np.concatenate(xs).tobytes() == dataset.test_x.tobytes()
-            assert np.concatenate(ys).tobytes() == dataset.test_y.tobytes()
-        reports = evaluate(model, [(dataset.test_x, dataset.test_y)])
+            assert np.concatenate(xs).tobytes() == test_x.tobytes()
+            assert np.concatenate(ys).tobytes() == test_y.tobytes()
+        reports = evaluate(model, [(test_x, test_y)])
         for args, view in _VIEW_ARGS:
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
@@ -954,7 +946,7 @@ def test_verify_theorem_rejects_a_tolerance_that_is_not_positive_and_finite(caps
 
 def test_console_script_is_installed():
     proc = subprocess.run([sys.executable, "-m", "imbalanced_ssl.cli", "--help"],
-                          env=_src_env(), capture_output=True, text=True)
+                          env=src_env(), capture_output=True, text=True)
     assert proc.returncode == 0
     assert "verify-theorem" in proc.stdout
 
@@ -964,7 +956,7 @@ def test_console_script_is_installed():
 def test_verify_report_identical_under_a_cpu_limit(tmp_path):
     # the oracle runs one worker per CPU the process may use; pinned to one
     # CPU it runs one, and the report keeps every byte
-    env = _src_env()
+    env = src_env()
     cpu = min(os.sched_getaffinity(0))
     pinned = (f"import os, sys; os.sched_setaffinity(0, {{{cpu}}}); "
               "from imbalanced_ssl.cli import main; sys.exit(main(sys.argv[1:]))")
@@ -991,7 +983,7 @@ def test_artifacts_identical_across_blas_thread_counts(tmp_path):
     artifacts = ("metrics.csv", "losses.csv", "thresholds.csv", "bias.csv", "checkpoint.json")
     runs = []
     for threads in ("1", "2"):
-        env = _src_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env = src_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         run = tmp_path / f"threads{threads}"
         proc = subprocess.run([sys.executable, "-m", "imbalanced_ssl.cli", "train", str(cfg),
                                "--out", str(run)], env=env, capture_output=True, text=True)

@@ -49,10 +49,11 @@ def test_split_counts_are_exact():
     assert ds.labeled_counts().tolist() == [20, 10, 5, 2]
     assert np.bincount(ds.unlabeled_true_labels(), minlength=4).tolist() == [
         8, 16, 24, 40]
-    assert np.bincount(ds.test_y, minlength=4).tolist() == [30] * 4
+    test_x, test_y = ds.test_split()
+    assert np.bincount(test_y, minlength=4).tolist() == [30] * 4
     assert ds.labeled_x.shape == (37, 6)
     assert ds.unlabeled_x.shape == (88, 6)
-    assert ds.test_x.shape == (120, 6)
+    assert test_x.shape == (120, 6)
 
 
 def test_generation_deterministic():
@@ -61,7 +62,7 @@ def test_generation_deterministic():
     _, c = _small_dataset(seed=8)
     assert np.array_equal(a.labeled_x, b.labeled_x)
     assert np.array_equal(a.unlabeled_x, b.unlabeled_x)
-    assert np.array_equal(a.test_x, b.test_x)
+    assert np.array_equal(a.test_split()[0], b.test_split()[0])
     assert not np.array_equal(a.labeled_x, c.labeled_x)
 
 
@@ -135,7 +136,7 @@ def dataset_to_csv(dataset: Dataset, path: str) -> None:
             writer.writerow(["labeled", int(y)] + [repr(float(v)) for v in x])
         for x in dataset.unlabeled_x:
             writer.writerow(["unlabeled", -1] + [repr(float(v)) for v in x])
-        for x, y in zip(dataset.test_x, dataset.test_y):
+        for x, y in zip(*dataset.test_split()):
             writer.writerow(["test", int(y)] + [repr(float(v)) for v in x])
 
 

@@ -70,7 +70,7 @@ def _train_quick(task, ds, steps=300):
 def test_evaluate_on_a_separable_task():
     task, ds = _separable()
     m = _train_quick(task, ds)
-    rep = evaluate(m, [(ds.test_x, ds.test_y)])["output"]
+    rep = evaluate(m, [ds.test_split()])["output"]
     assert rep.balanced_accuracy > 0.98
     assert rep.accuracy > 0.98
     assert rep.confusion.shape == (4, 4)
@@ -84,7 +84,7 @@ def test_evaluate_head_selection_and_calibration_flag():
     task, ds = _separable()
     m = init_model(k=4, d=8, hidden=(6,), feature=4, seed=5)
     m.heads["output"].b[:] = [50.0, 0.0, 0.0, 0.0]
-    reports = evaluate(m, [(ds.test_x, ds.test_y)])
+    reports = evaluate(m, [ds.test_split()])
     assert set(reports) == {"original", "output", "expansive", "calibrated"}
     skewed, fixed = reports["output"], reports["calibrated"]
     assert skewed.per_class_recall[0] == 1.0  # bias drowns everything
@@ -95,9 +95,9 @@ def test_evaluate_of_some_views_equals_their_reports_of_all_views():
     task, ds = _separable()
     m = init_model(k=4, d=8, hidden=(6,), feature=4, seed=5)
     m.heads["output"].b[:] = [3.0, 0.0, -1.0, 0.0]
-    every = evaluate(m, [(ds.test_x, ds.test_y)])
+    every = evaluate(m, [ds.test_split()])
     for views in (("calibrated",), ("expansive", "original")):
-        some = evaluate(m, [(ds.test_x, ds.test_y)], views)
+        some = evaluate(m, [ds.test_split()], views)
         assert list(some) == list(views)
         for view, rep in some.items():
             assert rep.accuracy == every[view].accuracy
@@ -109,7 +109,7 @@ def test_evaluate_of_some_views_equals_their_reports_of_all_views():
 def test_recall_over_masks():
     task, ds = _separable()
     m = _train_quick(task, ds)
-    rep = evaluate(m, [(ds.test_x, ds.test_y)])["output"]
+    rep = evaluate(m, [ds.test_split()])["output"]
     mask = np.array([True, True, False, False])
     assert rep.recall_over(mask) == pytest.approx(rep.per_class_recall[:2].mean())
 
@@ -119,12 +119,13 @@ def test_separation_violation_rate_bounds_and_determinism():
     m = _train_quick(task, ds)
     t = TrainSection()
     aug = dict(n_aug=4, strength=t.strong_strength, dropout=t.dropout)
-    r1 = separation_violation_rate(m, ds.test_x[:80], noise=task.noise, seed=9, **aug)
-    r2 = separation_violation_rate(m, ds.test_x[:80], noise=task.noise, seed=9, **aug)
+    probe = ds.test_split()[0][:80]
+    r1 = separation_violation_rate(m, probe, noise=task.noise, seed=9, **aug)
+    r2 = separation_violation_rate(m, probe, noise=task.noise, seed=9, **aug)
     assert r1 == r2
     assert 0.0 <= r1 <= 1.0
     # a wildly noisy augmentation must flip more predictions
-    r_loud = separation_violation_rate(m, ds.test_x[:80], noise=50.0, seed=9, **aug)
+    r_loud = separation_violation_rate(m, probe, noise=50.0, seed=9, **aug)
     assert r_loud > r1
 
 

@@ -22,7 +22,7 @@ from imbalanced_ssl.distributions import head_mask
 from imbalanced_ssl.losses import (
     LossReport,
     _class_argmax,
-    _class_sum,
+    _softmax,
     cross_entropy_with_grad,
     masked_consistency_from_logits,
     step_plan,
@@ -457,33 +457,44 @@ def _same_bits(a, b) -> bool:
 
 
 def _check_reductions(rows):
-    """The class-major max, sum and argmax of row-major ``rows`` (..., K)
-    against NumPy's over the last axis, bit for bit, but for one case: when
-    a row's maximum is zero and the row holds both +0.0 and -0.0, NumPy's
-    vectorised last-axis max returns the zero its lanes meet last, which a
-    reduction over the class axis does not reproduce.  The softmax shift by
-    either zero gives the same probabilities, exp(+0.0) == exp(-0.0)."""
+    """The class-major max and argmax of row-major ``rows`` (..., K) against
+    NumPy's over the last axis, bit for bit, but for one case: when a row's
+    maximum is zero and the row holds both +0.0 and -0.0, NumPy's vectorised
+    last-axis max returns the zero its lanes meet last, which a reduction
+    over the class axis does not reproduce.  The softmax shift by either
+    zero gives the same probabilities, exp(+0.0) == exp(-0.0)."""
     cm = np.ascontiguousarray(np.moveaxis(rows, -1, 0))
     top = np.maximum.reduce(cm, axis=0)
     assert _same_bits(top + 0.0, np.max(rows, axis=-1) + 0.0)
-    assert _same_bits(_class_sum(cm), np.sum(rows, axis=-1))
     assert _same_bits(_class_argmax(cm, top), np.argmax(rows, axis=-1))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_row_major_blocks())
-def test_class_major_reductions_equal_numpy_bit_for_bit(rows):
+def test_class_major_max_and_argmax_equal_numpy_bit_for_bit(rows):
     _check_reductions(rows)
     _check_reductions(rows[:, 0])  # one head: (N, K) rows, (K, N) class-major
 
 
 @pytest.mark.parametrize("k", _KS)
 def test_class_sum_follows_numpy_summation_order(k):
-    # every class count, terms of mixed sign over 20 orders of magnitude, so
-    # any other association of the terms changes some last bits
+    # the softmax's class sum is NumPy's reduction over the leading class
+    # axis, bit for bit; below 8 classes that is also the row-major sum's
+    # order, and above it the probabilities stay within rounding of the
+    # row-major softmax's.  Logits of mixed sign over 20 orders of
+    # magnitude, so any other association of the terms changes some bits
     rng = np.random.default_rng(k)
     rows = rng.normal(size=(64, 3, k)) * 10.0 ** rng.integers(-10, 10, size=(64, 3, k))
-    _check_reductions(rows)
+    cm = np.ascontiguousarray(np.moveaxis(rows, -1, 0))
+    shifted = np.exp(cm - np.maximum.reduce(cm, axis=0))
+    probs = cm.copy()
+    _, total = _softmax(probs)
+    assert _same_bits(total, np.add.reduce(shifted, axis=0))
+    assert _same_bits(probs, shifted / total)
+    want = np.moveaxis(softmax(rows), -1, 0)
+    if k < 8:
+        assert _same_bits(probs, want)
+    assert np.max(np.abs(probs - want)) <= k * np.finfo(np.float64).eps
 
 
 def _rm_softmax_and_log(logits):
@@ -499,8 +510,8 @@ def _rm_flat_at(shape, classes):
 
 def _rm_total_loss(m, lx, ly, xw, xs, delta_p, thresholds, head_classes, t, class_weights):
     """The training step in the row-major (N, 3, K) formulation the
-    class-major loss layer replaced: values, head gradients, kept counts and
-    mask rates."""
+    class-major loss layer replaced: values, head gradients, kept counts,
+    mask rates, and the (N, 3) consistency masks and pseudo-labels."""
     k, n, n_w, n_wl = m.k, xs.shape[0], xw.shape[0], xw.shape[0] + lx.shape[0]
     feats, _ = forward_features_cached(m, np.concatenate([xw, lx, xs]))
     logits = head_logits(m, feats)
@@ -546,7 +557,7 @@ def _rm_total_loss(m, lx, ly, xw, xs, delta_p, thresholds, head_classes, t, clas
     is_head = head_classes[pseudo[:, 1]]
     rates = tuple(0.0 if not sel.any() else 1.0 - float(mask[:, 1][sel].sum()) / int(sel.sum())
                   for sel in (is_head, ~is_head))
-    return values, np.concatenate([g_sup, g_con]), kept, rates
+    return values, np.concatenate([g_sup, g_con]), kept, rates, mask, pseudo
 
 
 def _step_case(k):
@@ -570,21 +581,37 @@ def _step_case(k):
     return m, lx, ly, xw, xs, counts, thresholds, rng
 
 
+# K = 8, 9 and 40: NumPy's pairwise last-axis sum, which the row-major
+# formulation's class sums take, starts its blocks of 8 at K = 8, adds a
+# remainder at 9 and runs five blocks at 40
 @pytest.mark.parametrize("weighted", [False, True])
 @pytest.mark.parametrize("source", ["self", "expansive"])
-@pytest.mark.parametrize("k", [10, 5, 13])
-def test_total_loss_equals_the_row_major_formulation(k, source, weighted):
+@pytest.mark.parametrize("k", [10, 5, 13, 8, 9, 40])
+def test_total_loss_equals_the_row_major_formulation(k, source, weighted, monkeypatch):
     m, lx, ly, xw, xs, counts, thresholds, rng = _step_case(k)
     kw = dict(head_classes=head_mask(counts),
               t=replace(T, lambda_basic=0.6, lambda_u=1.7, output_pseudo_source=source),
               class_weights=rng.uniform(0.3, 3.0, size=k) if weighted else None)
-    values, head_grads, kept, rates = _rm_total_loss(m, lx, ly, xw, xs, log_prior(counts),
-                                                     thresholds, **kw)
+    values, head_grads, kept, rates, mask, pseudo = _rm_total_loss(
+        m, lx, ly, xw, xs, log_prior(counts), thresholds, **kw)
+    reports = []
+
+    def recording(*args):
+        reports.append(masked_consistency_from_logits(*args))
+        return reports[-1]
+
+    monkeypatch.setattr("imbalanced_ssl.losses.masked_consistency_from_logits", recording)
     step = total_loss(m, lx, ly, xw, xs, ThresholdState(thresholds),
                       _plan(lx, xs, counts, kw["t"], kw["class_weights"]))
+    # the values and gradients within rounding of the row-major ones, which
+    # add the K classes in another order; what is decided from them exactly
     for name, value in values.items():
-        assert _same_bits(getattr(step, name), value), name
-    assert _same_bits(step.head_grads, head_grads)
+        assert getattr(step, name) == pytest.approx(value, rel=1e-14, abs=0.0), name
+    assert step.head_grads.shape == head_grads.shape
+    assert np.max(np.abs(step.head_grads - head_grads)) <= 1e-15
+    (report,) = reports
+    assert np.array_equal(report.mask, mask)
+    assert np.array_equal(report.pseudo_labels, pseudo)
     assert _same_bits(step.kept, kept)
     assert (step.mask_rate_head, step.mask_rate_nonhead) == rates
     # the masks are not degenerate: every head keeps some rows and drops some

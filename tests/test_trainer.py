@@ -6,6 +6,8 @@ import json
 import math
 import os
 import pkgutil
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -16,7 +18,7 @@ import pytest
 import imbalanced_ssl
 from imbalanced_ssl import network, trainer
 from imbalanced_ssl.cli import main
-from conftest import run_estimation_phase, traced_peak
+from conftest import run_estimation_phase, src_env, traced_peak
 from imbalanced_ssl.config import ConfigError, RunConfig
 from imbalanced_ssl.diagnostics import evaluate
 from imbalanced_ssl.losses import LOSS_COLUMNS, total_loss
@@ -61,7 +63,7 @@ def test_head_classes_are_the_most_frequent_labeled_classes():
     ds = res.dataset
     assert ds.labeled_counts().tolist() == [1, 1, 4, 20]
     head = np.arange(ds.task.k) >= 2
-    cal = evaluate(res.model, [(ds.test_x, ds.test_y)])["calibrated"]
+    cal = evaluate(res.model, [ds.test_split()])["calibrated"]
     assert cal.recall_over(head) != cal.recall_over(~head)
     assert res.metrics_rows[-1]["recall_head"] == cal.recall_over(head)
     assert res.metrics_rows[-1]["recall_nonhead"] == cal.recall_over(~head)
@@ -152,6 +154,43 @@ def test_epoch_peak_grows_by_the_loss_row_alone():
                              _memory_held_after_training(1010, epochs=1))
     per_step = (long - short) / 1000
     assert per_step <= 96, per_step
+
+
+# a train-default run cut to 4 epochs, which prints, for each epoch after the
+# first, the minor page faults a step of it took: those from the end of one
+# epoch's measurement to the start of the next's
+_FAULTS_PER_STEP = """
+import resource
+from dataclasses import replace
+from imbalanced_ssl import trainer
+from imbalanced_ssl.config import RunConfig
+measure, around = trainer._epoch_rows, []
+
+def counting_measure(*args):
+    around.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    rows = measure(*args)
+    around.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    return rows
+
+trainer._epoch_rows = counting_measure
+cfg = RunConfig()
+cfg = replace(cfg, train=replace(cfg.train, epochs=4, estimation_epochs=1))
+trainer.train(cfg)
+print(*((start - end) / cfg.train.steps_per_epoch
+        for end, start in zip(around[1:-1:2], around[2::2])))
+"""
+
+
+def test_steps_after_the_first_epoch_take_no_fresh_page_faults():
+    # a step's working arrays are reused from the heap step after step; a
+    # long-lived allocation made mid-run can move them so that every later
+    # step page-faults them afresh (about 80 minor faults a step at these
+    # shapes under glibc 2.36).  The heap depends on what the process ran
+    # before, so the run gets a process of its own, as `imbssl train` does
+    run = subprocess.run([sys.executable, "-c", _FAULTS_PER_STEP], env=src_env(),
+                         capture_output=True, text=True, timeout=300, check=True)
+    per_step = [float(v) for v in run.stdout.split()]
+    assert len(per_step) == 3 and max(per_step) <= 10, per_step
 
 
 def test_artifact_writing_peak_does_not_grow_with_the_steps(tmp_path):
@@ -294,11 +333,12 @@ def test_one_test_set_forward_per_epoch(monkeypatch):
     # read off one blocked pass over the test set; its 100 rows are one block
     cfg = _tiny_config(seed=13)
     ds = cfg.build_dataset()
+    test_x, _ = ds.test_split()
     forward = network.forward_features
     test_calls = []
 
     def counting_forward(model, x):
-        if x.shape == ds.test_x.shape and np.array_equal(x, ds.test_x):
+        if x.shape == test_x.shape and np.array_equal(x, test_x):
             test_calls.append(1)
         return forward(model, x)
 
