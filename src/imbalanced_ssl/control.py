@@ -46,22 +46,24 @@ __all__ = [
 VIEWS = ("original", "output", "calibrated", "expansive")
 
 # Inference forwards its input in ceil(N / rows) blocks whose sizes differ by
-# at most one, rows = max(_MIN_ROWS, _BLOCK_BYTES // (8 * widest)), widest the
-# most columns of any array a block allocates: a layer's activations or the
-# (rows, 3K) head logits.  Arrays below glibc's 128 KiB mmap threshold reuse
-# freed heap memory, while each larger one is mapped and page-faulted afresh.
-# A split block keeps at least rows // 2 >= 64 rows: at every size tried from
-# 48 rows on, a block's features and stacked head logits matched those of one
-# forward over all rows bit for bit, while 16- and 32-row blocks take
-# OpenBLAS's small-matrix path and differ in the last bits.  Off a 32-wide
-# feature, a product takes that path while rows x output width <= 1,200: the
-# stacked (rows, 3K) logits up to 40 rows at K = 10, a (rows, K) product up to
-# 120.  So the calibrated view is the output slab of a bias-free stacked
-# product, not a (rows, K) product of its own.  At K = 3 the stacked product
-# keeps the path up to 133 rows, at K = 2 up to 200, so a split block there
-# may still flip an exact tie (OpenBLAS 0.3.31, 1 and 2 threads).
+# at most one, rows = max(_MIN_ROWS, 2 * (_SMALL_PRODUCT // (3K) + 1),
+# _BLOCK_BYTES // (8 * widest)), widest the most columns of any array a block
+# allocates: a layer's activations or the (rows, 3K) head logits.  Arrays
+# below glibc's 128 KiB mmap threshold reuse freed heap memory, while each
+# larger one is mapped and page-faulted afresh.
+# A split block keeps at least rows // 2 rows.  Blocks of 16 or 32 rows take
+# OpenBLAS's small-matrix path and differ from one forward over all rows in
+# the last bits, while at every size tried from 48 rows on, a block's
+# features matched bit for bit.  Off a 32-wide feature, a product takes that
+# path while rows x output width <= _SMALL_PRODUCT: the stacked (rows, 3K)
+# logits up to 40 rows at K = 10, a (rows, K) product up to 120.  So the
+# calibrated view is the output slab of a bias-free stacked product, not a
+# (rows, K) product of its own, and the second term keeps every split block
+# above 1,200 / 3K rows, which binds at K <= 3: 402 rows at K = 2 and 268 at
+# K = 3 (OpenBLAS 0.3.31, 1 and 2 threads).
 _BLOCK_BYTES = 120 * 1024
 _MIN_ROWS = 128
+_SMALL_PRODUCT = 1200
 
 
 @dataclass(frozen=True)
@@ -167,9 +169,11 @@ def _blocks(n: int, rows: int) -> list[tuple[int, int]]:
 
 def _block_rows(model: Model) -> int:
     """The rows of a full inference block of ``model``: its widest array,
-    activations or stacked head logits, stays within _BLOCK_BYTES."""
-    widest = max(*model.dims[1:], len(network.HEAD_NAMES) * model.k)
-    return max(_MIN_ROWS, _BLOCK_BYTES // (8 * widest))
+    activations or stacked head logits, stays within _BLOCK_BYTES, unless a
+    split block would then take the small-matrix path (see the block rule)."""
+    stacked = len(network.HEAD_NAMES) * model.k
+    widest = max(*model.dims[1:], stacked)
+    return max(_MIN_ROWS, 2 * (_SMALL_PRODUCT // stacked + 1), _BLOCK_BYTES // (8 * widest))
 
 
 def inference_blocks(model: Model, n: int) -> list[tuple[int, int]]:
@@ -187,7 +191,7 @@ def predict(model: Model, x: np.ndarray, views: Sequence[str]) -> np.ndarray:
     head's slab when one is), and "calibrated" off ``calibrate_logits``.
     The rows are forwarded in ``inference_blocks``, so no features or
     logits outlive their block, and the predictions equal those of one
-    forward over all rows (save the exact tie noted at the block rule).
+    forward over all rows.
     The one row check of inference: ``x`` is a nonempty (N, D) array."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:

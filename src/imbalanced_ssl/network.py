@@ -24,16 +24,19 @@ keeps only the current and previous layers' activations alive; training
 each activation's derivative off it (``a > 0`` for relu, ``1 - exp(-a)``
 for softplus), so no pre-activation is stored.
 
-Checkpoint format (normative field order): a JSON object with keys
-``format``, ``config_hash``, ``k``, ``dims``, ``activation``, and ``params``;
-``params`` maps each name in PARAM_ORDER to its array flattened row-major
-(C order).  JSON floats round-trip exactly (shortest-repr encoding).  A
-non-finite value, which only the checkpoint of an aborted run holds, is
-written as null, so the file stays strict JSON and the reader rejects it.
+Checkpoint format: a JSON object with keys ``format``, ``config_hash``,
+``k``, ``dims``, ``activation``, and ``params``; ``params`` maps each name of
+``Model.parameters`` to its array flattened row-major (C order).
+``write_checkpoint`` writes it indented by two, keys sorted at every level,
+streaming the values.  JSON floats round-trip exactly (shortest-repr
+encoding).  A non-finite value, which only the checkpoint of an aborted run
+holds, is written as null, so the file stays strict JSON and the reader
+rejects it.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -56,7 +59,7 @@ __all__ = [
     "head_logits",
     "backward",
     "sgd_step",
-    "model_to_checkpoint_obj",
+    "write_checkpoint",
     "model_from_checkpoint_obj",
 ]
 
@@ -281,16 +284,38 @@ def sgd_step(model: Model, grad: np.ndarray, t: TrainSection) -> None:
     model.flat -= t.learning_rate * v
 
 
-def model_to_checkpoint_obj(model: Model, config_hash: str = "") -> dict:
-    return {
-        "format": CHECKPOINT_FORMAT,
-        "config_hash": config_hash,
-        "k": model.k,
-        "dims": list(model.dims),
-        "activation": model.activation,
-        "params": {name: [v if math.isfinite(v) else None for v in p.ravel().tolist()]
-                   for name, p in model.parameters()},
-    }
+# the checkpoint writer turns this many values into text at a time, so the
+# memory it holds does not grow with the widest parameter
+_CHECKPOINT_CHUNK = 64
+
+
+def write_checkpoint(path: str, model: Model, config_hash: str = "") -> None:
+    """Write ``model``'s checkpoint to ``path``: the bytes of
+    ``json.dump(obj, indent=2, sort_keys=True)`` and a newline for the
+    checkpoint object ``obj`` of the format above, a non-finite value as
+    null.  The parameters are converted _CHECKPOINT_CHUNK values at a time,
+    so no more than one chunk of them exists as Python objects at once."""
+    header = {"activation": model.activation, "config_hash": config_hash,
+              "dims": list(model.dims), "format": CHECKPOINT_FORMAT, "k": model.k}
+    params = sorted(model.parameters(), key=lambda item: item[0])
+    with open(path, "w") as fh:
+        fh.write("{\n")
+        # "params" sorts after every header key; the lines of a nested value
+        # are indented once more
+        for key, value in sorted(header.items()):
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+            fh.write(f"  {json.dumps(key)}: {text},\n")
+        fh.write('  "params": {\n')
+        for i, (name, p) in enumerate(params):
+            fh.write(f"    {json.dumps(name)}: [\n")
+            values = p.ravel()
+            for start in range(0, values.size, _CHECKPOINT_CHUNK):
+                chunk = values[start:start + _CHECKPOINT_CHUNK].tolist()
+                fh.write(",\n".join(f"      {v!r}" if math.isfinite(v) else "      null"
+                                    for v in chunk))
+                fh.write(",\n" if start + _CHECKPOINT_CHUNK < values.size else "\n")
+            fh.write("    ],\n" if i + 1 < len(params) else "    ]\n")
+        fh.write("  }\n}\n")
 
 
 def model_from_checkpoint_obj(obj: dict) -> Model:

@@ -4,7 +4,9 @@ per-epoch measurement.
 
 ``train`` only orchestrates: ``_train_step`` runs one SGD step,
 ``_estimate_and_match`` closes the estimation phase, ``_epoch_rows`` measures
-an epoch, and ``write_run_artifacts`` writes the run directory.
+an epoch, and ``write_run_artifacts`` writes the run directory.  The run
+record, one float64 array per CSV file, is allocated before the first step,
+and each step and each epoch's measurement write their rows into it.
 
 Seed streams (all derived from the training seed, documented so runs are
 reproducible byte for byte):
@@ -27,6 +29,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -46,6 +49,9 @@ from .network import Model, init_model, sgd_step
 __all__ = [
     "TrainingAborted",
     "TrainResult",
+    "THRESHOLD_COLUMNS",
+    "metrics_columns",
+    "bias_columns",
     "train",
     "write_run_artifacts",
 ]
@@ -69,15 +75,50 @@ class TrainingAborted(RuntimeError):
         self.snapshot = snapshot
 
 
+# metrics.csv: these columns, then recall_<c> and hist_<head>_<c> (the
+# pseudo-labels each head kept over the epoch) of every class c; the block
+# from acc_original to denoise_bound is also the summary's "final" record
+_METRICS_LEAD = ("epoch", *(f"{m}_{name}" for name in VIEWS for m in ("acc", "bacc")),
+                 "recall_head", "recall_nonhead", "mu_hat", "denoise_bound",
+                 "mask_rate_head", "mask_rate_nonhead")
+_BOUND = _METRICS_LEAD.index("denoise_bound")
+_SUMMARY = slice(1, _BOUND + 1)
+THRESHOLD_COLUMNS = ("epoch", "class", "rho_b", "rho_e", "b_opt")
+
+
+def metrics_columns(k: int) -> tuple[str, ...]:
+    """The metrics.csv header of a run of k classes."""
+    return (*_METRICS_LEAD, *(f"recall_{c}" for c in range(k)),
+            *(f"hist_{name}_{c}" for name in network.HEAD_NAMES for c in range(k)))
+
+
+def bias_columns(k: int) -> tuple[str, ...]:
+    """The bias.csv header of a run of k classes."""
+    return ("epoch", "head", *(f"b_{c}" for c in range(k)))
+
+
 @dataclass
 class TrainResult:
+    """A finished run.  Its record is four float64 arrays, each allocated
+    before the first step, one per CSV file:
+
+    - ``metrics`` (epochs, len(metrics_columns(K))): one metrics.csv row per
+      epoch in column order, the epoch and the hist_ counts held as floats
+      and a denoise_bound from before the match as NaN;
+    - ``losses`` (steps, len(LOSS_COLUMNS)): one losses.csv row per step;
+    - ``thresholds`` (epochs, K, 3): each class's rho_b, rho_e and b_opt,
+      an epoch's thresholds.csv rows;
+    - ``bias`` (epochs, 3, K): each head's bias vector, heads in HEAD_NAMES
+      order, an epoch's bias.csv rows.
+    """
+
     model: Model
     match: AnchorMatch
     estimated_counts: np.ndarray
-    metrics_rows: list[dict]
-    losses: np.ndarray  # (steps, len(LOSS_COLUMNS)) float64, one losses.csv row per step
-    threshold_rows: list[dict]
-    bias_rows: list[dict]
+    metrics: np.ndarray
+    losses: np.ndarray
+    thresholds: np.ndarray
+    bias: np.ndarray
     summary: dict
     dataset: Dataset
 
@@ -153,52 +194,37 @@ def _estimate_and_match(model: Model, dataset: Dataset, anchor_set: AnchorSet,
     return match, estimated, state, plan
 
 
-# metrics.csv: the leading block is also the summary's "final" record
-_SUMMARY_METRICS = (*(f"{m}_{name}" for name in VIEWS for m in ("acc", "bacc")),
-                    "recall_head", "recall_nonhead", "mu_hat", "denoise_bound")
-
-
 def _epoch_rows(model: Model, dataset: Dataset, test: list[tuple[np.ndarray, np.ndarray]],
                 plan: StepPlan, probe: np.ndarray, match: AnchorMatch | None,
-                state: ThresholdState, epoch: int, epoch_losses: np.ndarray, hist: np.ndarray):
-    """One epoch's measurement: the metrics.csv row, the thresholds.csv rows
-    and the bias.csv rows, each with its keys in column order (the CSV
-    headers are read off them).  The probe constants and the head mask are
-    the plan's.  ``test`` is the whole test split as one evaluation block.
-    ``epoch_losses`` is the epoch's rows of the loss record and
+                state: ThresholdState, epoch: int, epoch_losses: np.ndarray, hist: np.ndarray,
+                metrics: np.ndarray, thresholds: np.ndarray, bias: np.ndarray) -> None:
+    """One epoch's measurement, written into its rows of the run record:
+    ``metrics`` its metrics.csv row, ``thresholds`` its (K, 3) and ``bias``
+    its (3, K) block (see TrainResult).  The probe constants and the head
+    mask are the plan's.  ``test`` is the whole test split as one evaluation
+    block.  ``epoch_losses`` is the epoch's rows of the loss record and
     ``hist`` the (3, K) count of the pseudo-labels each head kept over the
     epoch, rows in HEAD_NAMES order."""
     k, t, head_classes = model.k, plan.t, plan.head_classes
     reports = evaluate(model, test)
     cal = reports["calibrated"]
-    row: dict = {"epoch": epoch}
-    for name in VIEWS:
-        row[f"acc_{name}"] = reports[name].accuracy
-        row[f"bacc_{name}"] = reports[name].balanced_accuracy
-    row["recall_head"] = cal.recall_over(head_classes)
-    row["recall_nonhead"] = cal.recall_over(~head_classes)
-    row["mu_hat"] = separation_violation_rate(
+    mu_hat = separation_violation_rate(
         model, probe, t.probe_n_aug, dataset.task.noise,
         strength=t.strong_strength, dropout=t.dropout,
         seed=[t.seed, _PROBE_AUG_STREAM, epoch])
-    row["denoise_bound"] = (denoising_bound(match.expansion_factor, row["mu_hat"])
-                            if match is not None else None)
-    # the mask rates, the loss record's last two columns
-    row["mask_rate_head"], row["mask_rate_nonhead"] = epoch_losses[:, -2:].mean(axis=0).tolist()
-    for c, r in enumerate(cal.per_class_recall):
-        row[f"recall_{c}"] = float(r)
-    for name, counts in zip(network.HEAD_NAMES, hist.tolist()):
-        for c, n in enumerate(counts):
-            row[f"hist_{name}_{c}"] = n
-
-    b_opt = extract_bias_vector(model)
-    threshold_rows = [{"epoch": epoch, "class": c, "rho_b": float(state.rho_b[c]),
-                       "rho_e": float(state.rho_e[c]), "b_opt": float(b_opt[c])}
-                      for c in range(k)]
-    bias_rows = [{"epoch": epoch, "head": name,
-                  **{f"b_{c}": float(model.heads[name].b[c]) for c in range(k)}}
-                 for name in network.HEAD_NAMES]
-    return row, threshold_rows, bias_rows
+    lead = len(_METRICS_LEAD)
+    metrics[:lead] = (
+        epoch, *(v for name in VIEWS
+                 for v in (reports[name].accuracy, reports[name].balanced_accuracy)),
+        cal.recall_over(head_classes), cal.recall_over(~head_classes), mu_hat,
+        denoising_bound(match.expansion_factor, mu_hat) if match is not None else np.nan,
+        # the mask rates, the loss record's last two columns
+        *epoch_losses[:, -2:].mean(axis=0))
+    metrics[lead:lead + k] = cal.per_class_recall
+    metrics[lead + k:] = hist.ravel()
+    thresholds[:, :2] = state.thresholds[1:].T
+    thresholds[:, 2] = extract_bias_vector(model)
+    bias[:] = model.head_b.reshape(bias.shape)
 
 
 def train(config: RunConfig, dataset: Dataset | None = None,
@@ -245,11 +271,11 @@ def train(config: RunConfig, dataset: Dataset | None = None,
     if est_epochs == 0:
         match, estimated, state, plan = _estimate_and_match(model, dataset, anchor_set, plan)
 
-    # RunConfig._array_sizes caps this array's size at load
+    # the run record; RunConfig._array_sizes caps the loss record's size at load
     losses = np.empty((t.epochs * t.steps_per_epoch, len(LOSS_COLUMNS)))
-    metrics_rows: list[dict] = []
-    threshold_rows: list[dict] = []
-    bias_rows: list[dict] = []
+    metrics = np.empty((t.epochs, len(metrics_columns(k))))
+    thresholds = np.empty((t.epochs, k, 3))
+    bias = np.empty((t.epochs, len(network.HEAD_NAMES), k))
     try:
         for epoch in range(t.epochs):
             hist = np.zeros((len(network.HEAD_NAMES), k), dtype=np.int64)
@@ -268,26 +294,22 @@ def train(config: RunConfig, dataset: Dataset | None = None,
                     if epoch == est_epochs - 1:
                         match, estimated, state, plan = _estimate_and_match(
                             model, dataset, anchor_set, plan)
-                    metrics_row, t_rows, b_rows = _epoch_rows(
-                        model, dataset, test, plan, probe, match, state, epoch,
-                        losses[first:step + 1], hist)
+                    _epoch_rows(model, dataset, test, plan, probe, match, state, epoch,
+                                losses[first:step + 1], hist, metrics[epoch],
+                                thresholds[epoch], bias[epoch])
             except FloatingPointError as exc:
                 raise TrainingAborted(f"parameters after step {step} overflow the epoch's "
                                       f"measurement ({exc})", snapshot) from exc
-            metrics_rows.append(metrics_row)
-            threshold_rows += t_rows
-            bias_rows += b_rows
     except TrainingAborted as err:
         if run_dir is not None:
             _write_abort(run_dir, config, model, err.snapshot)
         raise
 
-    summary = _summary(config, dataset, model, match, estimated, metrics_rows,
+    summary = _summary(config, dataset, model, match, estimated, metrics[-1],
                        len(losses), dataset.audit_reads - audit_start)
     result = TrainResult(model=model, match=match, estimated_counts=estimated,
-                         metrics_rows=metrics_rows, losses=losses,
-                         threshold_rows=threshold_rows, bias_rows=bias_rows, summary=summary,
-                         dataset=dataset)
+                         metrics=metrics, losses=losses, thresholds=thresholds, bias=bias,
+                         summary=summary, dataset=dataset)
     del test
     if run_dir is not None:
         write_run_artifacts(run_dir, config, result)
@@ -300,12 +322,11 @@ def _finite_or_none(v):
 
 
 def _summary(config: RunConfig, dataset: Dataset, model: Model, match: AnchorMatch,
-             estimated: np.ndarray, metrics_rows: list[dict], steps: int,
+             estimated: np.ndarray, final: np.ndarray, steps: int,
              audit_reads: int) -> dict:
-    """The run's summary.json; a finished run has matched (the estimation
-    phase ends by the last epoch) and has at least one metrics row."""
+    """The run's summary.json, given the last metrics row; a finished run
+    has matched (the estimation phase ends by the last epoch)."""
     correlations = bias_pattern_report(model, dataset.labeled_counts())
-    final = metrics_rows[-1]
     return {
         "config_hash": config.config_hash(),
         "o_star": match.kind,
@@ -317,7 +338,7 @@ def _summary(config: RunConfig, dataset: Dataset, model: Model, match: AnchorMat
         "steps": steps,
         "audit_reads": audit_reads,
         "bias_spearman": {name: _finite_or_none(v) for name, v in correlations.items()},
-        "final": {key: _finite_or_none(final[key]) for key in _SUMMARY_METRICS},
+        "final": dict(zip(_METRICS_LEAD[_SUMMARY], map(_finite_or_none, final[_SUMMARY]))),
     }
 
 
@@ -349,21 +370,41 @@ def _json_dump(path: str, obj) -> None:
 
 def _write_abort(run_dir: str, config: RunConfig, model: Model, snapshot: dict) -> None:
     _json_dump(os.path.join(run_dir, "abort.json"), snapshot)
-    _json_dump(os.path.join(run_dir, "checkpoint.json"),
-               network.model_to_checkpoint_obj(model, config.config_hash()))
+    network.write_checkpoint(os.path.join(run_dir, "checkpoint.json"), model,
+                             config.config_hash())
+
+
+def _metrics_cells(metrics: np.ndarray, k: int):
+    """metrics.csv rows of the record of a run of k classes: the epoch and
+    the hist_ counts as the integers they are, a NaN denoise_bound (before
+    the match) as an empty cell."""
+    hist = len(_METRICS_LEAD) + k  # after the recall_<c> columns
+    for row in metrics:
+        cells = row.tolist()
+        cells[0] = int(cells[0])
+        if math.isnan(cells[_BOUND]):
+            cells[_BOUND] = None
+        cells[hist:] = map(int, cells[hist:])
+        yield cells
 
 
 def write_run_artifacts(run_dir: str, config: RunConfig, result: TrainResult) -> None:
+    """Write the run directory.  Each CSV row becomes Python objects one at
+    a time, and the checkpoint a few values at a time, never a whole record."""
     os.makedirs(run_dir, exist_ok=True)
+    k = result.model.k
     _json_dump(os.path.join(run_dir, "config.json"), config.to_json_obj())
-    for name, rows in (("metrics.csv", result.metrics_rows),
-                       ("thresholds.csv", result.threshold_rows),
-                       ("bias.csv", result.bias_rows)):
-        _write_csv(os.path.join(run_dir, name), rows[0], (row.values() for row in rows))
-    # the step column is held as a float64 and written as the integer it is;
-    # one row at a time becomes Python floats, never the whole record
+    _write_csv(os.path.join(run_dir, "metrics.csv"), metrics_columns(k),
+               _metrics_cells(result.metrics, k))
+    # the step column is held as a float64 and written as the integer it is
     _write_csv(os.path.join(run_dir, "losses.csv"), LOSS_COLUMNS,
                ([int(row[0]), *row[1:].tolist()] for row in result.losses))
-    _json_dump(os.path.join(run_dir, "checkpoint.json"),
-               network.model_to_checkpoint_obj(result.model, config.config_hash()))
+    _write_csv(os.path.join(run_dir, "thresholds.csv"), THRESHOLD_COLUMNS,
+               ([epoch, c, *row.tolist()] for epoch, block in enumerate(result.thresholds)
+                for c, row in enumerate(block)))
+    _write_csv(os.path.join(run_dir, "bias.csv"), bias_columns(k),
+               ([epoch, name, *row.tolist()] for epoch, block in enumerate(result.bias)
+                for name, row in zip(network.HEAD_NAMES, block)))
+    network.write_checkpoint(os.path.join(run_dir, "checkpoint.json"), result.model,
+                             config.config_hash())
     _json_dump(os.path.join(run_dir, "summary.json"), result.summary)

@@ -4,6 +4,7 @@ The acceptance tests register one summary line each; the terminal hook prints
 the block after the run so the pass/fail ledger is visible without -s.
 """
 
+import math
 import os
 import tracemalloc
 from dataclasses import replace
@@ -63,16 +64,33 @@ def param_order(model) -> list[str]:
     return [name for name, _ in model.parameters()]
 
 
-def default_widths(activation="relu"):
-    """A model at the default widths (16 -> 64 -> 64 -> 32, 10 classes) with
-    every parameter, the biases included, away from its initial value."""
+def default_widths(activation="relu", k=10):
+    """A model at the default widths (16 -> 64 -> 64 -> 32, 10 classes
+    unless ``k`` says otherwise) with every parameter, the biases included,
+    away from its initial value."""
     from imbalanced_ssl.config import TrainSection
     from imbalanced_ssl.network import init_model
     t = TrainSection()
-    m = init_model(k=10, d=16, hidden=t.hidden, feature=t.feature, seed=3,
+    m = init_model(k=k, d=16, hidden=t.hidden, feature=t.feature, seed=3,
                    activation=activation)
     m.flat += np.random.default_rng(4).normal(scale=0.2, size=m.flat.size)
     return m
+
+
+def checkpoint_obj(model, config_hash=""):
+    """The checkpoint object of ``model``, whose ``json.dump(indent=2,
+    sort_keys=True)`` and a newline ``network.write_checkpoint`` writes, a
+    non-finite value as None."""
+    from imbalanced_ssl.network import CHECKPOINT_FORMAT
+    return {
+        "format": CHECKPOINT_FORMAT,
+        "config_hash": config_hash,
+        "k": model.k,
+        "dims": list(model.dims),
+        "activation": model.activation,
+        "params": {name: [v if math.isfinite(v) else None for v in p.ravel().tolist()]
+                   for name, p in model.parameters()},
+    }
 
 
 def traced_peak(fn):

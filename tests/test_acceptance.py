@@ -380,25 +380,19 @@ def test_threshold_init_and_trajectories(inverse_runs):
     floor = 0.5
     traj_ok = True
     for res in runs:
-        per_class = {}
-        for row in res.threshold_rows:
-            per_class.setdefault(row["class"], []).append(
-                (row["epoch"], row["rho_b"], row["rho_e"]))
-        for rows in per_class.values():
-            rows.sort()
-            for series in (np.array([r[1] for r in rows]),
-                           np.array([r[2] for r in rows])):
-                if np.any(np.diff(series) > tol):
+        # each class's rho_b series over the epochs, then its rho_e series
+        for series in (*res.thresholds[:, :, 0].T, *res.thresholds[:, :, 1].T):
+            if np.any(np.diff(series) > tol):
+                traj_ok = False
+            below = series < floor - tol
+            if np.any(below):
+                # sub-floor values only arise as a frozen initialization:
+                # constant from the moment they appear
+                start = int(np.argmax(below))
+                frozen = series[start:]
+                if not (np.all(below[start:])
+                        and np.all(frozen == frozen[0])):
                     traj_ok = False
-                below = series < floor - tol
-                if np.any(below):
-                    # sub-floor values only arise as a frozen initialization:
-                    # constant from the moment they appear
-                    start = int(np.argmax(below))
-                    frozen = series[start:]
-                    if not (np.all(below[start:])
-                            and np.all(frozen == frozen[0])):
-                        traj_ok = False
 
     ok = bool(init_ok and traj_ok)
     record_acceptance("gate 05 threshold controller: exact initializations "

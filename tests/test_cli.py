@@ -21,7 +21,7 @@ from imbalanced_ssl.config import (AnchorSection, ConfigError, DataSection, RunC
                                    TaskSection, TrainSection)
 from imbalanced_ssl.control import inference_blocks
 from imbalanced_ssl.diagnostics import evaluate
-from imbalanced_ssl.network import init_model, model_from_checkpoint_obj, model_to_checkpoint_obj
+from imbalanced_ssl.network import init_model, model_from_checkpoint_obj, write_checkpoint
 
 
 def _tiny_config_obj(seed=0):
@@ -420,10 +420,9 @@ def _untrained_run(run_dir, k, per_class):
                                       "data": {"test_per_class": per_class}})
     model = init_model(k=k, d=16, hidden=t.hidden, feature=t.feature, seed=3)
     model.flat += np.random.default_rng(4).normal(scale=0.2, size=model.flat.size)
-    for name, obj in (("config.json", config.to_json_obj()),
-                      ("checkpoint.json", model_to_checkpoint_obj(model))):
-        with open(os.path.join(run_dir, name), "w") as fh:
-            json.dump(obj, fh)
+    with open(os.path.join(run_dir, "config.json"), "w") as fh:
+        json.dump(config.to_json_obj(), fh)
+    write_checkpoint(os.path.join(run_dir, "checkpoint.json"), model)
     return model, config
 
 

@@ -333,6 +333,23 @@ def test_calibrated_logits_of_a_row_prefix_equal_those_of_all_rows():
         assert np.array_equal(calibrate_logits(m, f[:r]), whole[:r]), r
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_logits_of_every_split_block_size_equal_those_of_all_rows_at_few_classes(k):
+    # at K <= 3 the stacked (rows, 3K) product keeps OpenBLAS's small-matrix
+    # path up to 1,200 / 3K rows (200 at K = 2, 133 at K = 3), so the block
+    # rule keeps every split block, half a full one or more, above that: the
+    # head logits and the calibrated slab of any such block read the bits of
+    # one product over all rows
+    m = default_widths(k=k)
+    rows = _block_rows(m)
+    assert rows == {2: 402, 3: 268}[k]
+    f = forward_features(m, np.random.default_rng(k).normal(scale=2.0, size=(1200, 16)))
+    heads, calibrated = network.head_logits(m, f), calibrate_logits(m, f)
+    for r in range((rows + 1) // 2, rows + 1):
+        assert np.array_equal(network.head_logits(m, f[:r]), heads[:r]), r
+        assert np.array_equal(calibrate_logits(m, f[:r]), calibrated[:r]), r
+
+
 @pytest.mark.parametrize("n", [256, 3073])
 def test_predict_calibrated_alone_makes_no_head_matmul(monkeypatch, n):
     # the calibrated view never reads the stacked head logits, so a call that

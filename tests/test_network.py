@@ -1,6 +1,8 @@
 """MLP backbone, heads, exact gradients, SGD step, checkpoint round-trip."""
 
 import json
+import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import default_widths, param_order, per_head_logits, softmax, traced_peak
+from conftest import (checkpoint_obj, default_widths, param_order, per_head_logits, softmax,
+                      traced_peak)
 from imbalanced_ssl import network
 from imbalanced_ssl.config import TrainSection
 from imbalanced_ssl.diagnostics import evaluate
@@ -22,8 +25,8 @@ from imbalanced_ssl.network import (
     head_logits,
     init_model,
     model_from_checkpoint_obj,
-    model_to_checkpoint_obj,
     sgd_step,
+    write_checkpoint,
 )
 
 
@@ -277,7 +280,7 @@ def test_sgd_step_hand_example():
     # the momentum buffer is the model's training state, in the flat layout
     assert m.velocity.shape == m.flat.shape and not np.shares_memory(m.velocity, m.flat)
     assert np.allclose(dict(m.parameters(m.velocity))[name], [1.01, -0.01, 0.005])
-    back = model_from_checkpoint_obj(json.loads(json.dumps(model_to_checkpoint_obj(m))))
+    back = model_from_checkpoint_obj(json.loads(json.dumps(checkpoint_obj(m))))
     assert back.velocity is None and back.grad is None
 
     before = m.heads["output"].b.copy()
@@ -332,7 +335,7 @@ def _assert_flat_backed(model):
 def test_every_parameter_is_a_view_into_the_flat_vector():
     m = _tiny(seed=7)
     _assert_flat_backed(m)
-    back = model_from_checkpoint_obj(json.loads(json.dumps(model_to_checkpoint_obj(m))))
+    back = model_from_checkpoint_obj(json.loads(json.dumps(checkpoint_obj(m))))
     _assert_flat_backed(back)
     assert np.array_equal(back.flat, m.flat)
     # the gradient vector is training state: the first backward allocates it
@@ -350,7 +353,7 @@ def test_every_parameter_is_a_view_into_the_flat_vector():
 
 def test_checkpoint_roundtrip_exact():
     m = _tiny(seed=6)
-    obj = model_to_checkpoint_obj(m, config_hash="abc123")
+    obj = checkpoint_obj(m, config_hash="abc123")
     text = json.dumps(obj)  # must be valid JSON payload
     back = model_from_checkpoint_obj(json.loads(text))
     for n in param_order(m):
@@ -377,16 +380,70 @@ def _random_model(draw):
     return model
 
 
+def _written(model, config_hash=""):
+    """The text ``write_checkpoint`` writes for ``model``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "checkpoint.json")
+        write_checkpoint(path, model, config_hash)
+        with open(path) as fh:
+            return fh.read()
+
+
+def _dumped(model, config_hash=""):
+    """The checkpoint object dumped whole, as the streamed file must read."""
+    return json.dumps(checkpoint_obj(model, config_hash), indent=2, sort_keys=True) + "\n"
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_random_model())
 def test_checkpoint_round_trip_is_bitwise(model):
-    """JSON out and back gives the same layout and the same bits in flat,
-    every parameter a view into it, and no gradient vector."""
-    back = model_from_checkpoint_obj(json.loads(json.dumps(model_to_checkpoint_obj(model))))
+    """The written file out and back gives the same layout and the same bits
+    in flat, every parameter a view into it, and no gradient vector; the
+    file is the checkpoint object dumped whole, byte for byte."""
+    text = _written(model)
+    assert text == _dumped(model)
+    back = model_from_checkpoint_obj(json.loads(text))
     assert back.flat.tobytes() == model.flat.tobytes()
     assert (back.dims, back.k, back.activation) == (model.dims, model.k, model.activation)
     _assert_flat_backed(back)
     assert back.grad is None
+
+
+def _non_finite():
+    """A model at the default widths holding +inf, -inf and NaN, as an
+    aborted run's checkpoint may."""
+    model = default_widths()
+    model.flat[[0, 4095, model.flat.size - 1]] = (np.inf, -np.inf, np.nan)
+    return model
+
+
+@pytest.mark.parametrize("make_model", [
+    pytest.param(default_widths, id="default-widths"),
+    pytest.param(lambda: default_widths(k=2), id="k2"),
+    pytest.param(lambda: default_widths(activation="softplus"), id="softplus"),
+    # 455- and 2,145-value weights: chunks that do not divide a parameter
+    pytest.param(lambda: init_model(k=3, d=7, hidden=(65,), feature=33, seed=1),
+                 id="uneven-chunks"),
+    pytest.param(_non_finite, id="non-finite")])
+def test_streamed_checkpoint_is_the_json_dump_of_its_object(make_model):
+    model = make_model()
+    text = _written(model, config_hash="abc123")
+    assert text == _dumped(model, config_hash="abc123")
+    assert json.loads(text)["config_hash"] == "abc123"
+
+
+def test_checkpoint_write_peak_does_not_grow_with_the_parameters(tmp_path):
+    # the values become Python objects a chunk at a time: the checkpoint of a
+    # 262,144-value weight costs the write no more than that of a 4,096-value
+    # one (the whole object would add about 9 MB)
+    def writing_peak(hidden):
+        model = init_model(k=10, d=16, hidden=hidden, feature=32, seed=0)
+        path = str(tmp_path / "checkpoint.json")
+        return traced_peak(lambda: write_checkpoint(path, model))[1]
+
+    writing_peak((64, 64))  # first-call allocations
+    small, large = writing_peak((64, 64)), writing_peak((512, 512))
+    assert abs(large - small) < 16 * 1024, (small, large)
 
 
 def test_checkpoint_rejects_garbage():

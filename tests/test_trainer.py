@@ -24,7 +24,9 @@ from imbalanced_ssl.diagnostics import evaluate
 from imbalanced_ssl.losses import LOSS_COLUMNS, total_loss
 from imbalanced_ssl.network import init_model, model_from_checkpoint_obj
 from imbalanced_ssl.trainer import (
+    THRESHOLD_COLUMNS,
     TrainingAborted,
+    metrics_columns,
     train,
     write_run_artifacts,
 )
@@ -44,11 +46,16 @@ def _tiny_config(seed=0, **train_kw):
 def test_run_completes_with_wellformed_rows():
     cfg = _tiny_config()
     res = train(cfg)
-    assert len(res.metrics_rows) == 4
-    row = res.metrics_rows[-1]
-    for col in ("epoch", "bacc_original", "bacc_output", "bacc_calibrated",
+    columns = metrics_columns(4)
+    # one metrics.csv row per epoch, in metrics_columns order
+    assert res.metrics.shape == (4, len(columns))
+    assert res.metrics[:, 0].tolist() == list(range(4))
+    for col in ("bacc_original", "bacc_output", "bacc_calibrated",
                 "bacc_expansive", "recall_head", "recall_nonhead"):
-        assert col in row
+        assert col in columns
+    assert np.isfinite(res.metrics).all()
+    assert res.thresholds.shape == (4, 4, len(THRESHOLD_COLUMNS) - 2)
+    assert res.bias.shape == (4, len(network.HEAD_NAMES), 4)
     # one losses.csv row per step, in LOSS_COLUMNS order
     assert res.losses.shape == (4 * 12, len(LOSS_COLUMNS))
     assert res.losses[:, 0].tolist() == list(range(4 * 12))
@@ -65,8 +72,9 @@ def test_head_classes_are_the_most_frequent_labeled_classes():
     head = np.arange(ds.task.k) >= 2
     cal = evaluate(res.model, [ds.test_split()])["calibrated"]
     assert cal.recall_over(head) != cal.recall_over(~head)
-    assert res.metrics_rows[-1]["recall_head"] == cal.recall_over(head)
-    assert res.metrics_rows[-1]["recall_nonhead"] == cal.recall_over(~head)
+    final = dict(zip(metrics_columns(4), res.metrics[-1]))
+    assert final["recall_head"] == cal.recall_over(head)
+    assert final["recall_nonhead"] == cal.recall_over(~head)
 
 
 def test_never_reads_unlabeled_ground_truth():
@@ -95,19 +103,22 @@ def test_a_run_ends_matched_wherever_its_estimation_phase_ends(tmp_path, est):
     assert summary == res.summary
     for key in ("o_star", "c", "gamma_u", "kl_values", "estimated_counts"):
         assert summary[key] is not None, key
-    # an epoch measured before the match has no expansion factor to bound with
-    assert [row["denoise_bound"] is None for row in res.metrics_rows] == [
-        epoch < est - 1 for epoch in range(3)]
+    # an epoch measured before the match has no expansion factor to bound
+    # with: its denoise_bound is NaN, an empty metrics.csv cell
+    bound = res.metrics[:, metrics_columns(4).index("denoise_bound")]
+    assert np.isnan(bound).tolist() == [epoch < est - 1 for epoch in range(3)]
+    with open(tmp_path / "metrics.csv") as fh:
+        cells = [line.rstrip("\n").split(",") for line in fh]
+    column = cells[0].index("denoise_bound")
+    assert [row[column] == "" for row in cells[1:]] == [epoch < est - 1 for epoch in range(3)]
 
 
 def test_thresholds_logged_nonincreasing():
     res = train(_tiny_config(seed=3, epochs=6))
-    rows = res.threshold_rows
-    assert len(rows) == 6 * 4  # one row per (epoch, class)
+    assert res.thresholds.shape == (6, 4, 3)  # one row per (epoch, class)
     for cls in range(4):
-        for col in ("rho_b", "rho_e"):
-            traj = [r[col] for r in rows if r["class"] == cls]
-            assert len(traj) == 6
+        for col in (0, 1):  # rho_b, rho_e
+            traj = res.thresholds[:, cls, col].tolist()
             assert all(b <= a + 1e-15 for a, b in zip(traj, traj[1:]))
             assert max(traj) <= 0.95 + 1e-15
 
@@ -116,7 +127,8 @@ def test_deterministic_rerun_is_bitwise_identical():
     a = train(_tiny_config(seed=4))
     b = train(_tiny_config(seed=4))
     assert np.array_equal(a.losses, b.losses)
-    assert a.metrics_rows == b.metrics_rows
+    for name in ("metrics", "thresholds", "bias"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
     assert a.summary["o_star"] == b.summary["o_star"]
     c = train(_tiny_config(seed=5))
     assert not np.array_equal(c.losses, a.losses)
@@ -144,6 +156,33 @@ def test_loss_record_costs_one_float64_row_per_step():
     (short, _), (long, _) = _memory_held_after_training(10), _memory_held_after_training(510)
     per_step = (long - short) / 1000
     assert 64 <= per_step <= 96, per_step
+
+
+def test_run_record_costs_its_float64_arrays_alone():
+    # the run record is four float64 arrays allocated before the first step;
+    # forty more epochs hold no more than their rows of them (an epoch's
+    # rows as Python dicts held about 5.7 KB at K = 4)
+    def held_after_training(epochs):
+        cfg = _tiny_config(epochs=epochs, estimation_epochs=1, steps_per_epoch=2,
+                           labeled_batch=8, unlabeled_batch=8, hidden=(4,), feature=4,
+                           probe_size=8, probe_n_aug=1)
+
+        def run():
+            result = train(cfg)
+            gc.collect()
+            return (tracemalloc.get_traced_memory()[0],
+                    sum(getattr(result, name).nbytes
+                        for name in ("metrics", "losses", "thresholds", "bias")))
+
+        return traced_peak(run)[0]
+
+    held_after_training(2)  # first-call allocations
+    (short, short_bytes), (long, long_bytes) = held_after_training(2), held_after_training(42)
+    grown = long_bytes - short_bytes
+    # per epoch: a metrics row, two loss rows, (K, 3) thresholds, (3, K) biases
+    assert grown == 40 * 8 * (len(metrics_columns(4)) + 2 * len(LOSS_COLUMNS) + 4 * 3 + 3 * 4)
+    # the slack covers allocator caches: about 1.5 KB here; the dicts held 230 KB
+    assert long - short <= grown + 8 * 1024, (long - short, grown)
 
 
 def test_epoch_peak_grows_by_the_loss_row_alone():
