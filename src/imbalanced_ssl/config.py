@@ -39,8 +39,8 @@ class ConfigError(ValueError):
 # The most float64 values that any one array sized by the config (k, d, the
 # split sizes, the layer widths, the batch sizes, the step count) may hold:
 # 2**24, 128 MiB.
-# The largest such array of the bundled workloads, eval-heavy's test-set
-# forward, holds 640,000.
+# The largest such array of the bundled workloads, eval-heavy's test split
+# (10,000 rows of 16 features, which the trainer holds), holds 160,000.
 MAX_ARRAY_VALUES = 2**24
 
 
@@ -227,8 +227,11 @@ class RunConfig:
         """(the fields, float64 values) of each array a run allocates whose
         size the config sets: the layer weights, every row count (the
         classes, the splits at their largest, the step's batch) at every
-        layer width, the stacked logits included, and the loss record, one
-        row of losses.csv columns per step, that ``train`` allocates."""
+        layer width, the stacked logits included, and the two widest records
+        that ``train`` allocates before the first step: the loss record, one
+        row of losses.csv columns per step, and the metrics record, one row of
+        metrics.csv columns per epoch."""
+        from .trainer import metrics_columns  # the trainer imports this module
         k, t, data = self.task.k, self.train, self.data
         widths = [("task.d", self.task.d),
                   *((f"train.hidden[{i}]", h) for i, h in enumerate(t.hidden)),
@@ -245,6 +248,8 @@ class RunConfig:
                 yield f"{a} rows of {b}", n * width
         yield (f"train.epochs x train.steps_per_epoch rows of {len(LOSS_COLUMNS)} losses.csv "
                "columns", t.epochs * t.steps_per_epoch * len(LOSS_COLUMNS))
+        width = len(metrics_columns(k))
+        yield f"train.epochs rows of {width} metrics.csv columns", t.epochs * width
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RunConfig":

@@ -1,8 +1,8 @@
 """From-scratch MLP backbone with three affine classification heads.
 
-The backbone maps D -> hidden... -> Q with the activation applied after every
-layer (features are post-activation).  Three heads share it: "original"
-(plain self-training), "output" (balanced, calibrated at inference), and
+The backbone maps D -> hidden... -> Q with a ReLU after every layer (features
+are post-activation).  Three heads share it: "original" (plain
+self-training), "output" (balanced, calibrated at inference), and
 "expansive" (aggressively sampled).  Gradients are exact reverse-mode; the
 backbone gradient accumulates every head's contribution.
 
@@ -18,15 +18,15 @@ the gradient and the first ``sgd_step`` the momentum buffer, and
 read off the run's ``TrainSection``.
 
 Both forwards run one layer loop, ``_layers``, whose matmul result takes
-the bias and the activation in place.  Inference (``forward_features``)
-keeps only the current and previous layers' activations alive; training
+the bias and the ReLU in place.  Inference (``forward_features``) keeps
+only the current and previous layers' activations alive; training
 (``forward_features_cached``) keeps every layer's, and ``backward`` reads
-each activation's derivative off it (``a > 0`` for relu, ``1 - exp(-a)``
-for softplus), so no pre-activation is stored.
+the ReLU's derivative off it (``a > 0``), so no pre-activation is stored.
 
 Checkpoint format: a JSON object with keys ``format``, ``config_hash``,
-``k``, ``dims``, ``activation``, and ``params``; ``params`` maps each name of
-``Model.parameters`` to its array flattened row-major (C order).
+``k``, ``dims``, ``activation`` (always ``"relu"``), and ``params``;
+``params`` maps each name of ``Model.parameters`` to its array flattened
+row-major (C order).
 ``write_checkpoint`` writes it indented by two, keys sorted at every level,
 streaming the values.  JSON floats round-trip exactly (shortest-repr
 encoding).  A non-finite value, which only the checkpoint of an aborted run
@@ -67,24 +67,6 @@ HEAD_NAMES = ("original", "output", "expansive")
 CHECKPOINT_FORMAT = "imbalanced-ssl-checkpoint-v1"
 
 _MODEL_INIT_STREAM = 10
-
-
-def _relu(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    return np.maximum(z, 0.0, out=out)
-
-
-def _softplus(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    return np.logaddexp(0.0, z, out=out)
-
-
-# each activation with its derivative written from its output a = act(z):
-# relu'(z) = [a > 0], softplus'(z) = sigmoid(z) = 1 - exp(-a)
-_ACTIVATIONS = {
-    "relu": (_relu, lambda a: a > 0.0),
-    # smooth variant: reserved for finite-difference gradient checks, where
-    # the ReLU kink would contaminate the comparison
-    "softplus": (_softplus, lambda a: -np.expm1(-a)),
-}
 
 
 @dataclass
@@ -136,11 +118,9 @@ class Model:
     the config's sections and ``model_from_checkpoint_obj`` check them.
     """
 
-    def __init__(self, dims: tuple[int, ...], k: int, activation: str = "relu"):
+    def __init__(self, dims: tuple[int, ...], k: int):
         dims = tuple(int(v) for v in dims)
-        if not isinstance(activation, str) or activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}")
-        self.dims, self.k, self.activation = dims, k, activation
+        self.dims, self.k = dims, k
         self.flat = np.zeros(sum(math.prod(shape) for shape in _shapes(dims, k)))
         self.weights, self.biases, self.head_w, self.head_b = _carve(self.flat, dims, k)
         self.heads = {name: Head(w, b) for name, w, b in _split_heads(self.head_w, self.head_b, k)}
@@ -168,12 +148,11 @@ class Model:
         return out
 
 
-def init_model(k: int, d: int, hidden: tuple[int, ...], feature: int, seed: int,
-               activation: str = "relu") -> Model:
+def init_model(k: int, d: int, hidden: tuple[int, ...], feature: int, seed: int) -> Model:
     """He-style uniform fan-in init for all weights; every bias starts at
     zero so later bias drift is attributable to optimization pressure alone.
     The weights are drawn layer by layer, then the heads in HEAD_NAMES order."""
-    model = Model((d, *hidden, feature), k, activation)
+    model = Model((d, *hidden, feature), k)
     rng = np.random.default_rng([seed, _MODEL_INIT_STREAM])
     for w in (*model.weights, model.head_w):
         limit = np.sqrt(6.0 / w.shape[1])
@@ -202,13 +181,11 @@ def _input(model: Model, x: np.ndarray) -> np.ndarray:
 
 def _layers(model: Model, a: np.ndarray):
     """Each backbone layer's activation of ``a`` in turn: the matmul result
-    takes its bias and the activation in place; ``a`` is never written."""
-    act, _ = _ACTIVATIONS[model.activation]
+    takes its bias and the ReLU in place; ``a`` is never written."""
     for w, b in zip(model.weights, model.biases):
         a = a @ w.T
         a += b
-        a = act(a, out=a)
-        yield a
+        yield np.maximum(a, 0.0, out=a)
 
 
 def forward_features_cached(model: Model, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
@@ -242,13 +219,12 @@ def backward(model: Model, cache: ForwardCache, head_grads: np.ndarray) -> np.nd
     carrying any 1/N averaging, as ``StepLosses.head_grads`` holds it (its
     shape is not checked again here); a head whose slab is zero contributes
     nothing.  The heads' parameter gradients and dL/dfeatures each come from
-    one matmul over the stacked heads.  Each backbone layer's activation
-    derivative is read off its cached activation.
+    one matmul over the stacked heads.  Each backbone layer's ReLU
+    derivative, ``a > 0``, is read off its cached activation.
 
     The gradients are written into ``model.grad``, which the first call
     allocates, and that vector is returned; the next call overwrites it.
     ``model.parameters(grad)`` names its slices."""
-    _, act_grad = _ACTIVATIONS[model.activation]
     feats = cache.acts[-1]
     n = feats.shape[0]
     g = head_grads.reshape(n, -1)
@@ -260,7 +236,7 @@ def backward(model: Model, cache: ForwardCache, head_grads: np.ndarray) -> np.nd
     np.sum(g, axis=0, out=head_b)
     da = g @ model.head_w
     for i in range(len(model.weights) - 1, -1, -1):
-        da *= act_grad(cache.acts[i])  # now dL/dz of layer i
+        da *= cache.acts[i] > 0.0  # now dL/dz of layer i
         a_prev = cache.x if i == 0 else cache.acts[i - 1]
         np.matmul(da.T, a_prev, out=weights[i])
         np.sum(da, axis=0, out=biases[i])
@@ -295,7 +271,7 @@ def write_checkpoint(path: str, model: Model, config_hash: str = "") -> None:
     checkpoint object ``obj`` of the format above, a non-finite value as
     null.  The parameters are converted _CHECKPOINT_CHUNK values at a time,
     so no more than one chunk of them exists as Python objects at once."""
-    header = {"activation": model.activation, "config_hash": config_hash,
+    header = {"activation": "relu", "config_hash": config_hash,
               "dims": list(model.dims), "format": CHECKPOINT_FORMAT, "k": model.k}
     params = sorted(model.parameters(), key=lambda item: item[0])
     with open(path, "w") as fh:
@@ -320,13 +296,16 @@ def write_checkpoint(path: str, model: Model, config_hash: str = "") -> None:
 
 def model_from_checkpoint_obj(obj: dict) -> Model:
     """The model a checkpoint object holds; anything else is a ValueError.
-    ``k`` and ``dims`` take integers of a valid layout (k >= 2, every width
-    >= 1) and ``params`` finite JSON numbers, as many as the layout needs:
-    that is checked before the model is allocated.
+    ``activation`` must be ``"relu"``, the one the network runs.  ``k`` and
+    ``dims`` take integers of a valid layout (k >= 2, every width >= 1) and
+    ``params`` finite JSON numbers, as many as the layout needs: that is
+    checked before the model is allocated.
     The error names the parameter at fault."""
     if not isinstance(obj, dict) or obj.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a JSON object of the checkpoint format {CHECKPOINT_FORMAT!r}")
     k, dims, activation, params = (obj.get(key) for key in ("k", "dims", "activation", "params"))
+    if activation != "relu":
+        raise ValueError(f"checkpoint activation must be 'relu', got {activation!r}")
     if not (isinstance(dims, list) and dims and all(type(v) is int for v in (k, *dims))):
         raise ValueError(f"checkpoint k and dims must be integers, got k={k!r}, dims={dims!r}")
     if k < 2:
@@ -341,7 +320,7 @@ def model_from_checkpoint_obj(obj: dict) -> Model:
     if sum(v.size for v in values.values()) != expected:
         raise ValueError(f"checkpoint params do not hold the {expected} values of k={k}, "
                          f"dims={dims}")
-    model = Model(tuple(dims), k, activation)
+    model = Model(tuple(dims), k)
     for name, p in model.parameters():
         if name not in values or values[name].size != p.size:
             raise ValueError(f"checkpoint parameter {name!r} is missing or does not hold "

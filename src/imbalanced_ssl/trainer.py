@@ -342,22 +342,14 @@ def _summary(config: RunConfig, dataset: Dataset, model: Model, match: AnchorMat
     }
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def _write_csv(path: str, columns, rows) -> None:
-    """A header of ``columns``, then each row's values in that order."""
+    """A header of ``columns``, then each row's values in that order, as the
+    csv module writes them: a float as its shortest repr, None as an empty
+    cell."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows([_csv_cell(value) for value in row] for row in rows)
+        writer.writerows(rows)
 
 
 def _json_dump(path: str, obj) -> None:

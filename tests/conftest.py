@@ -64,15 +64,14 @@ def param_order(model) -> list[str]:
     return [name for name, _ in model.parameters()]
 
 
-def default_widths(activation="relu", k=10):
+def default_widths(k=10):
     """A model at the default widths (16 -> 64 -> 64 -> 32, 10 classes
     unless ``k`` says otherwise) with every parameter, the biases included,
     away from its initial value."""
     from imbalanced_ssl.config import TrainSection
     from imbalanced_ssl.network import init_model
     t = TrainSection()
-    m = init_model(k=k, d=16, hidden=t.hidden, feature=t.feature, seed=3,
-                   activation=activation)
+    m = init_model(k=k, d=16, hidden=t.hidden, feature=t.feature, seed=3)
     m.flat += np.random.default_rng(4).normal(scale=0.2, size=m.flat.size)
     return m
 
@@ -87,10 +86,20 @@ def checkpoint_obj(model, config_hash=""):
         "config_hash": config_hash,
         "k": model.k,
         "dims": list(model.dims),
-        "activation": model.activation,
+        "activation": "relu",
         "params": {name: [v if math.isfinite(v) else None for v in p.ravel().tolist()]
                    for name, p in model.parameters()},
     }
+
+
+def relu_pattern(model, *xs):
+    """Which ReLU units are on, every layer over the rows of each of ``xs``.
+    The loss is smooth in the parameters while this stays the same, so a
+    finite difference whose step changes it crosses a kink and is not a
+    check of the gradient."""
+    from imbalanced_ssl.network import forward_features_cached
+    return np.concatenate([(a > 0.0).ravel() for x in xs
+                           for a in forward_features_cached(model, x)[1].acts])
 
 
 def traced_peak(fn):

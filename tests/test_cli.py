@@ -229,6 +229,10 @@ MISTYPED_CONFIGS = {
     "obj34-unlabeled_max": ({"data": {"unlabeled_max": 0}}, "unlabeled_max"),
     # a seed keys NumPy's generators, which take no negative one
     "obj35-seed": ({"task": {"seed": -3}}, "seed"),
+    # the metrics record: 10**6 rows of 8,015 columns at K = 2000
+    "obj36-metrics.csv": ({"task": {"k": 2000},
+                           "data": {"labeled_max": 1, "unlabeled_max": 1, "test_per_class": 1},
+                           "train": {"epochs": 10**6, "steps_per_epoch": 1}}, "metrics.csv"),
 }
 
 
@@ -545,6 +549,9 @@ CORRUPT_CHECKPOINTS = {
     "params-list": lambda c: {**c, "params": [1, 2]},
     "k-null": lambda c: {**c, "k": None},
     "activation-list": lambda c: {**c, "activation": ["relu"]},
+    # the network runs ReLU only
+    "activation-softplus": lambda c: {**c, "activation": "softplus"},
+    "activation-missing": lambda c: {key: v for key, v in c.items() if key != "activation"},
     "k-fractional": lambda c: {**c, "k": c["k"] + 0.7},
     "nan-param": lambda c: _with_param(c, "head_output.b", 0, float("nan")),
     "k-huge": lambda c: {**c, "k": 2**40},  # must fail before any allocation
@@ -559,13 +566,14 @@ CORRUPT_CHECKPOINTS = {
 }
 
 
-@pytest.mark.parametrize("corrupt", list(CORRUPT_CHECKPOINTS.values()),
-                         ids=list(CORRUPT_CHECKPOINTS))
-def test_evaluate_rejects_a_corrupt_checkpoint(small_run, tmp_path, corrupt):
-    bad = corrupt(json.loads(json.dumps(small_run["checkpoint.json"])))
+@pytest.mark.parametrize("name", list(CORRUPT_CHECKPOINTS))
+def test_evaluate_rejects_a_corrupt_checkpoint(small_run, tmp_path, name):
+    bad = CORRUPT_CHECKPOINTS[name](json.loads(json.dumps(small_run["checkpoint.json"])))
     code, err = _evaluate_in_process(str(tmp_path), small_run["config.json"], bad)
     assert code == 2
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    # the one error names the key at fault
+    assert not name.startswith("activation") or "activation" in err
 
 
 def test_evaluate_rejects_a_checkpoint_of_another_class_count(small_run, tmp_path):

@@ -17,6 +17,7 @@ from imbalanced_ssl.config import (MAX_ARRAY_VALUES, AnchorSection, ConfigError,
                                    TrainSection)
 from imbalanced_ssl.distributions import SHAPES
 from imbalanced_ssl.losses import LOSS_COLUMNS
+from imbalanced_ssl.trainer import metrics_columns
 
 SECTIONS = {f.name: f.default_factory for f in fields(RunConfig) if f.name != "output_dir"}
 
@@ -130,6 +131,24 @@ def test_step_count_is_bounded(epochs, steps_per_epoch):
     with pytest.raises(ConfigError) as err:
         RunConfig.from_json_obj({"train": {"epochs": epochs, "steps_per_epoch": steps_per_epoch}})
     assert "train.epochs x train.steps_per_epoch" in str(err.value)
+
+
+def test_metrics_record_is_bounded():
+    # the metrics record, one metrics.csv row per epoch and the widest
+    # per-epoch record, is allocated before the first step and capped the
+    # same way: at K = 2000 a row holds 8,015 values
+    width = len(metrics_columns(2000))
+    obj = {"task": {"k": 2000},
+           "data": {"labeled_max": 1, "unlabeled_max": 1, "test_per_class": 1},
+           "train": {"steps_per_epoch": 1}}
+    most = MAX_ARRAY_VALUES // width
+    RunConfig.from_json_obj({**obj, "train": {"epochs": most, "steps_per_epoch": 1}})
+    for epochs in (most + 1, 10**6):
+        with pytest.raises(ConfigError) as err:
+            RunConfig.from_json_obj({**obj, "train": {"epochs": epochs, "steps_per_epoch": 1}})
+        assert str(err.value).startswith(
+            f"train.epochs rows of {width} metrics.csv columns size an array of "
+            f"{epochs * width} float64 values")
 
 
 SECTION_FIELDS = {f.name for section in (TrainSection, AnchorSection) for f in fields(section)}
