@@ -19,6 +19,7 @@ import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
 
+from .control import VIEWS, _block_rows
 from .data import generate
 from .distributions import SHAPES, AnchorSet, default_anchor_set, make_distribution
 from .losses import LOSS_COLUMNS
@@ -225,11 +226,12 @@ class RunConfig:
 
     def _array_sizes(self):
         """(the fields, float64 values) of each array a run allocates whose
-        size the config sets: the layer weights, every row count (the
-        classes, the splits at their largest, the step's batch) at every
-        layer width, the stacked logits included, and the two widest records
-        that ``train`` allocates before the first step: the loss record, one
-        row of losses.csv columns per step, and the metrics record, one row of
+        size the config sets: the layer weights; each split at its largest,
+        of ``task.d`` inputs and of ``predict``'s one row per view; the
+        classes, the step's batch and one inference block at every layer
+        width, the stacked logits included; and the two widest records that
+        ``train`` allocates before the first step: the loss record, one row
+        of losses.csv columns per step, and the metrics record, one row of
         metrics.csv columns per epoch."""
         from .trainer import metrics_columns  # the trainer imports this module
         k, t, data = self.task.k, self.train, self.data
@@ -238,11 +240,17 @@ class RunConfig:
                   ("train.feature", t.feature), ("3 heads x task.k", 3 * k)]
         for (a, fan_in), (b, fan_out) in zip(widths, widths[1:]):
             yield f"{a} and {b}", fan_in * fan_out
-        rows = [("task.k", k), ("task.k x data.labeled_max", k * data.labeled_max),
-                ("task.k x data.unlabeled_max", k * data.unlabeled_max),
-                ("task.k x data.test_per_class", k * data.test_per_class),
+        # a split is drawn and predicted whole, but forwarded in blocks
+        for a, n in [("task.k x data.labeled_max", k * data.labeled_max),
+                     ("task.k x data.unlabeled_max", k * data.unlabeled_max),
+                     ("task.k x data.test_per_class", k * data.test_per_class)]:
+            yield f"{a} rows of task.d", n * self.task.d
+            yield f"{a} rows of {len(VIEWS)} views", n * len(VIEWS)
+        block = _block_rows([*t.hidden, t.feature], k)
+        rows = [("task.k", k),
                 ("train.labeled_batch + 2 x train.unlabeled_batch",
-                 t.labeled_batch + 2 * t.unlabeled_batch)]
+                 t.labeled_batch + 2 * t.unlabeled_batch),
+                (f"an inference block's {block}", block)]
         for a, n in rows:
             for b, width in widths:
                 yield f"{a} rows of {b}", n * width

@@ -167,12 +167,14 @@ def _blocks(n: int, rows: int) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _block_rows(model: Model) -> int:
-    """The rows of a full inference block of ``model``: its widest array,
+def _block_rows(widths: Sequence[int], k: int) -> int:
+    """The rows of a full inference block of a model with layer ``widths``
+    (its hidden layers and feature) and ``k`` classes: its widest array,
     activations or stacked head logits, stays within _BLOCK_BYTES, unless a
-    split block would then take the small-matrix path (see the block rule)."""
-    stacked = len(network.HEAD_NAMES) * model.k
-    widest = max(*model.dims[1:], stacked)
+    split block would then take the small-matrix path (see the block rule).
+    ``RunConfig`` sizes its check of a block's arrays by it."""
+    stacked = len(network.HEAD_NAMES) * k
+    widest = max(*widths, stacked)
     return max(_MIN_ROWS, 2 * (_SMALL_PRODUCT // stacked + 1), _BLOCK_BYTES // (8 * widest))
 
 
@@ -180,7 +182,7 @@ def inference_blocks(model: Model, n: int) -> list[tuple[int, int]]:
     """The (start, stop) row blocks ``predict`` forwards n rows of input in
     (``_blocks`` of ``_block_rows``).  A caller that hands ``predict`` one
     such block at a time gets the predictions of one call over all rows."""
-    return _blocks(n, _block_rows(model))
+    return _blocks(n, _block_rows(model.dims[1:], model.k))
 
 
 def predict(model: Model, x: np.ndarray, views: Sequence[str]) -> np.ndarray:

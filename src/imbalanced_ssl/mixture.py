@@ -9,9 +9,10 @@ confidence ``rho``, -1 below ``1 - rho``, and abstains (0) in between.
 ``pseudo_label_probabilities`` evaluates the closed form of the resulting
 three-way distribution; ``monte_carlo_pseudo_label_probabilities`` is the
 deliberately-dumb sampling oracle used to cross-check it.  The oracle counts
-its rows in counter-addressed Philox blocks on one thread per CPU the
-process may use, up to ``_WORKERS``; its threads live inside the call and run
-only ``_block_counts``, so every traced function still runs on one thread.
+its rows in counter-addressed Philox blocks on one plain ``threading.Thread``
+per CPU the process may use, up to ``_WORKERS``, so no pool module is loaded;
+its threads live inside the call and run only ``_block_counts``, so every
+traced function still runs on one thread.
 """
 
 from __future__ import annotations
@@ -148,7 +149,7 @@ def _block_counts(spec: BinaryMixtureSpec, seed: int, start: int,
     x += spec.mu2
     z *= spec.sigma1
     z += spec.mu1
-    np.copyto(z, x, where=positive)
+    np.putmask(z, positive, x)
     # the score, into z
     z -= spec.delta_p
     z -= 0.5 * (spec.mu1 + spec.mu2)
@@ -192,10 +193,6 @@ def monte_carlo_pseudo_label_probabilities(
     1, as ``imbssl verify-theorem`` checks ``--samples``.
     """
     n_samples = int(n_samples)
-    # imported here, so that the training commands, which import this module
-    # through cli, never load the pool
-    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-
     seed = int(seed)
     starts = range(0, n_samples, _BLOCK)
     # the CPUs this process may use; macOS and Windows have no affinity call,
@@ -203,26 +200,41 @@ def monte_carlo_pseudo_label_probabilities(
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(cpus or 1, _WORKERS, len(starts))
     stop = threading.Event()
+    # each worker's (n_pos, n_neg) in its own slot, and the errors in the
+    # order the workers met them
+    counts = [(0, 0)] * workers
+    errors: list[BaseException] = []
 
-    def count(first: int) -> tuple[int, int]:
+    def count(first: int) -> None:
         n_pos = n_neg = 0
-        for start in starts[first::workers]:
-            if stop.is_set():
-                break
-            pos, neg = _block_counts(spec, seed, start, min(start + _BLOCK, n_samples))
-            n_pos += pos
-            n_neg += neg
-        return n_pos, n_neg
-
-    with ThreadPoolExecutor(workers) as pool:
         try:
-            futures = [pool.submit(count, first) for first in range(workers)]
-            wait(futures, return_when=FIRST_EXCEPTION)
-        finally:
-            # after a failed block or an interrupt, no further block starts;
-            # leaving the pool joins its threads
+            for start in starts[first::workers]:
+                if stop.is_set():
+                    break
+                pos, neg = _block_counts(spec, seed, start, min(start + _BLOCK, n_samples))
+                n_pos += pos
+                n_neg += neg
+            counts[first] = n_pos, n_neg
+        except BaseException as error:  # an interrupt too: the caller raises it
+            errors.append(error)
             stop.set()
-        n_pos, n_neg = map(sum, zip(*(future.result() for future in futures)))
+
+    threads = [threading.Thread(target=count, args=(first,)) for first in range(workers)]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        # after a failed block or an interrupt, no further block starts, and
+        # no thread outlives the call
+        stop.set()
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
+    if errors:
+        raise errors[0]
+    n_pos, n_neg = map(sum, zip(*counts))
     n = float(n_samples)
     return PseudoLabelProbabilities(
         p_pos=n_pos / n,

@@ -151,6 +151,29 @@ def test_metrics_record_is_bounded():
             f"{epochs * width} float64 values")
 
 
+@pytest.mark.parametrize("data", [{"test_per_class": 30000}, {"unlabeled_max": 30000}])
+def test_a_split_meets_the_layer_widths_one_block_at_a_time(data):
+    # 300,000 rows at 64 hidden units would be 19,200,000 values, but a split
+    # is forwarded in inference blocks: it holds only its 16 inputs a row
+    # and predict's one prediction per view
+    RunConfig.from_json_obj({"data": data})
+
+
+@pytest.mark.parametrize("train, what", [
+    # 300,000 batch rows at 64 hidden units
+    ({"labeled_batch": 100_000, "unlabeled_batch": 100_000},
+     "train.labeled_batch + 2 x train.unlabeled_batch rows of train.hidden[0] size an array "
+     "of 19200000 float64 values"),
+    # a 3-row batch fits a 200,000-unit layer, a 128-row inference block does not
+    ({"labeled_batch": 1, "unlabeled_batch": 1, "hidden": [200_000]},
+     "an inference block's 128 rows of train.hidden[0] size an array of 25600000 float64 values"),
+])
+def test_batch_and_block_rows_are_bounded_at_every_width(train, what):
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_json_obj({"train": train})
+    assert str(err.value).startswith(what)
+
+
 SECTION_FIELDS = {f.name for section in (TrainSection, AnchorSection) for f in fields(section)}
 
 

@@ -341,7 +341,7 @@ def test_logits_of_every_split_block_size_equal_those_of_all_rows_at_few_classes
     # head logits and the calibrated slab of any such block read the bits of
     # one product over all rows
     m = default_widths(k=k)
-    rows = _block_rows(m)
+    rows = _block_rows(m.dims[1:], m.k)
     assert rows == {2: 402, 3: 268}[k]
     f = forward_features(m, np.random.default_rng(k).normal(scale=2.0, size=(1200, 16)))
     heads, calibrated = network.head_logits(m, f), calibrate_logits(m, f)
@@ -361,7 +361,7 @@ def test_predict_calibrated_alone_makes_no_head_matmul(monkeypatch, n):
     monkeypatch.setattr(network, "head_logits",
                         lambda *args: calls.append(args) or head_logits(*args))
     four = predict(m, x, VIEWS)
-    assert len(calls) == len(_blocks(n, _block_rows(m)))
+    assert len(calls) == len(_blocks(n, _block_rows(m.dims[1:], m.k)))
     calls.clear()
     alone = predict(m, x, ("calibrated",))
     assert calls == []

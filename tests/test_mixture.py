@@ -5,7 +5,6 @@ here the closed form is checked against scipy's normal CDF plugged into the
 same decision geometry, plus small simulations and the validation contract.
 """
 
-import concurrent.futures
 import os
 import subprocess
 import sys
@@ -16,8 +15,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from conftest import traced_peak
-import imbalanced_ssl
+from conftest import src_env, traced_peak
 from imbalanced_ssl import mixture
 from imbalanced_ssl.mixture import (
     _BLOCK,
@@ -124,17 +122,19 @@ def _pin_workers(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
-def _pool_sizes(monkeypatch):
-    """Record the worker count of every pool the oracle opens."""
-    sizes = []
+def _thread_starts(monkeypatch):
+    """Record every thread the oracle starts; its one other use of threading
+    is its stop event."""
+    started = []
 
-    class Pool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers)
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
-    return sizes
+    monkeypatch.setattr(mixture, "threading",
+                        types.SimpleNamespace(Event=threading.Event, Thread=Thread))
+    return started
 
 
 # 4 * _BLOCK is the rows the workers hold at once when every one is busy
@@ -168,9 +168,9 @@ def test_streamed_oracle_counts_equal_one_block_draw(n, monkeypatch):
 ])
 def test_oracle_runs_one_worker_per_cpu_up_to_the_cap(cpus, n, workers, monkeypatch):
     _pin_workers(monkeypatch, cpus)
-    sizes = _pool_sizes(monkeypatch)
+    started = _thread_starts(monkeypatch)
     monte_carlo_pseudo_label_probabilities(_spec(), n_samples=n, seed=0)
-    assert sizes == [workers]
+    assert len(started) == workers
 
 
 @pytest.mark.parametrize("cpus, workers", [(None, 1), (1, 1), (3, 3), (64, _WORKERS)])
@@ -178,17 +178,20 @@ def test_oracle_without_an_affinity_call_takes_the_cpu_count(cpus, workers, monk
     # macOS and Windows have no os.sched_getaffinity; os.cpu_count() may be None
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    sizes = _pool_sizes(monkeypatch)
+    started = _thread_starts(monkeypatch)
     spec = _spec()
     n = 4 * _BLOCK + 7
     got = monte_carlo_pseudo_label_probabilities(spec, n_samples=n, seed=7)
     n_pos, n_neg = _one_block_counts(spec, n, 7)
-    assert sizes == [workers]
+    assert len(started) == workers
     assert (got.p_pos, got.p_neg) == (n_pos / n, n_neg / n)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_failed_block_stops_the_blocks_not_started(workers, monkeypatch):
+@pytest.mark.parametrize("workers, error", [
+    *(pytest.param(w, RuntimeError, id=str(w)) for w in (1, 2, 3)),
+    *(pytest.param(w, KeyboardInterrupt, id=f"{w}-interrupt") for w in (1, 2, 3)),
+])
+def test_failed_block_stops_the_blocks_not_started(workers, error, monkeypatch):
     _pin_workers(monkeypatch, workers)
     stops = []
 
@@ -196,25 +199,30 @@ def test_failed_block_stops_the_blocks_not_started(workers, monkeypatch):
         stops.append(threading.Event())
         return stops[-1]
 
-    # the oracle's one use of threading is its stop event: keep a handle on it
-    monkeypatch.setattr(mixture, "threading", types.SimpleNamespace(Event=event))
-    started = []
+    # keep a handle on the oracle's stop event
+    monkeypatch.setattr(mixture, "threading",
+                        types.SimpleNamespace(Event=event, Thread=threading.Thread))
+    started, released = [], []
 
     def block_counts(spec, seed, start, stop):
         started.append(start)
         if start == _BLOCK:
-            raise RuntimeError("second block failed")
+            raise error("second block failed")
         if start > 0:
             # hold every later block until the oracle stops handing blocks
             # out, however late the failure reaches the caller
-            assert stops[0].wait(timeout=10)
+            released.append(stops[0].wait(timeout=10))
+            assert released[-1]
         return 0, 0
 
     monkeypatch.setattr(mixture, "_block_counts", block_counts)
     threads = threading.active_count()
-    with pytest.raises(RuntimeError, match="second block failed"):
+    # a worker's error, an interrupt included, is raised in the caller
+    with pytest.raises(error, match="second block failed"):
         monte_carlo_pseudo_label_probabilities(_spec(), n_samples=64 * _BLOCK, seed=0)
     assert threading.active_count() == threads
+    # the failure itself stopped the blocks, not the wait's timeout
+    assert all(released)
     # worker w starts on block w, and only block 0 returns before the stop,
     # so every worker starts at most one block after the failure: worker 0
     # may reach block W, and no block beyond it starts
@@ -250,20 +258,22 @@ def test_oracle_work_in_flight_does_not_grow_with_samples(monkeypatch):
         return traced_peak(
             lambda: monte_carlo_pseudo_label_probabilities(_spec(), n_samples=n, seed=0))[1]
 
-    peak(_BLOCK)  # first call: imports the pool outside the measurement
+    peak(_BLOCK)  # first call: NumPy's first-use allocations fall outside the measurement
     one_block = peak(_BLOCK)
     assert abs(peak(64 * _BLOCK) - peak(4 * _BLOCK)) <= one_block
 
 
 def test_cli_import_leaves_the_thread_pool_unloaded():
-    # the training commands import mixture through cli; only the oracle's
-    # call loads concurrent.futures
-    src = os.path.dirname(os.path.dirname(imbalanced_ssl.__file__))
-    code = ("import sys, imbalanced_ssl.cli; "
-            "assert 'concurrent.futures' not in sys.modules, 'loaded'")
+    # the oracle runs plain threads: neither importing cli nor a
+    # verify-theorem run loads concurrent.futures or what it brings along
+    code = ("import sys, imbalanced_ssl.cli as cli; "
+            "assert 'concurrent.futures' not in sys.modules, 'loaded at import'; "
+            "assert cli.main(['verify-theorem', '--samples', '20000', "
+            "'--tolerance', '0.05']) == 0; "
+            "loaded = {'concurrent.futures', 'logging', 'queue'} & set(sys.modules); "
+            "assert not loaded, sorted(loaded)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": os.pathsep.join(
-                              filter(None, [src, os.environ.get("PYTHONPATH")]))})
+                          env=src_env())
     assert proc.returncode == 0, proc.stderr
 
 
